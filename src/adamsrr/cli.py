@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if w.ok else EXIT_FALSIFIED
 
     if target == "tau":
-        ranks = [args.rank] if args.rank else [1, 2, 3, 4]
+        ranks = [args.rank] if args.rank is not None else [1, 2, 3, 4]
         ps = [p] if args.p_given else [2, 3, 5]
         results = []
         for rk in ranks:
@@ -300,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         if args.command == "verify" and args.n < 0:
             print("error: --n must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
+        if args.command == "verify" and args.rank is not None and args.rank < 1:
+            print("error: --rank must be >= 1", file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.fn(args)

@@ -317,7 +317,12 @@ def _canonical_term(e: Expr) -> tuple[Expr | None, bool]:
             if isinstance(f, Unit):
                 continue
             if isinstance(f, Tensor):
-                factors.extend(f.factors)
+                # a canonical tensor carries its positive constant first
+                for g in f.factors:
+                    if isinstance(g, IntConst):
+                        const *= g.value
+                    else:
+                        factors.append(g)
             else:
                 factors.append(f)
         factors.sort(key=_print)
@@ -429,6 +434,7 @@ def _print_primary(e: Expr) -> str:
 # Parser (recursive descent)
 
 _KEYWORD_OPS = {"dual", "psi", "theta", "tau", "det", "pull"}
+MAX_NESTING = 100  # parenthesis depth `parse` accepts, well below the recursion limit
 
 
 class _Tokens:
@@ -492,14 +498,27 @@ def parse(text: str, table: SymbolTable) -> Expr:
 
     Grammar: expr := ["-"] term (("+"|"-") term)*; term := factor ("(x)"
     factor)*; factor := primary ["^" ["-"] INT]; primary := INT | NAME |
-    dual/psi/theta/tau/det/pull call | "(" expr ")".
+    dual/psi/theta/tau/det/pull call | "(" expr ")".  Parentheses nesting
+    deeper than MAX_NESTING are refused before the descent starts.
     """
     toks = _Tokens(text)
+    _check_nesting(toks.tokens)
     e = _parse_expr(toks, table)
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     return canonicalize(e)
+
+
+def _check_nesting(tokens: list[tuple[str, str, int]]) -> None:
+    depth = 0
+    for kind, _, pos in tokens:
+        if kind == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        elif kind == ")":
+            depth -= 1
 
 
 def _parse_expr(toks: _Tokens, table: SymbolTable) -> Expr:

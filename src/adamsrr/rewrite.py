@@ -234,6 +234,9 @@ def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
     def r5_target() -> E.Expr:
         return E.Theta(p, E.Bundle(OMEGA))
 
+    def r4_action(morphism: str, w: E.Expr) -> E.Expr:
+        return E.Pull(morphism, w)
+
     def r7_action(e: E.Expr) -> E.Expr:
         if isinstance(e, E.Pull) and isinstance(e.arg, E.Psi):
             return E.Psi(e.arg.k, E.Pull(e.morphism, e.arg.arg))
@@ -254,7 +257,7 @@ def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
         RewriteRule("R4", "projection formula: F_*O_X (x) W = F_*(F^* W)",
                     "trade the pushforward algebra factor for a pullback upstairs "
                     "along the factorization f = f' o F",
-                    base_conditions),
+                    base_conditions, action=r4_action),
         RewriteRule("R5", "F^* F_* O_X = theta^p(Omega_f)",
                     "replace the Frobenius pullback of the pushed structure sheaf "
                     "by the p-th Bott class of the relative differentials",
@@ -674,7 +677,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         w_expr: E.Expr = rest[0] if len(rest) == 1 else E.Tensor(tuple(rest))
         if negated:
             w_expr = E.Neg(w_expr)
-        after_arg = E.Pull(geom.name_F, w_expr)
+        after_arg = rule.action(geom.name_F, w_expr)
         after = _atom(geom.f, (), after_arg, exp).with_grade(cur.grade)
         fact = geom.factorizations.get(geom.name_f)
         conds = [("f = f' o F registered (relative Frobenius factorization)",
@@ -682,7 +685,10 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
                  ("pushforward algebra factor appears exactly once", fso_count == 1),
                  ("rank agreement across the projection formula",
                   E.rank(w_expr, geom.table_xp) ==
-                  E.rank(after_arg, geom.table_x, {geom.name_F: geom.table_xp}))]
+                  E.rank(after_arg, geom.table_x, {geom.name_F: geom.table_xp})),
+                 ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
+                  geom.f.truncated(E.Pull(geom.name_F, arg)) ==
+                  geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
         return after, "R4", rule.anchor, \
             "projection formula: det Rf'_*(F_*O_X (x) W) = det Rf_*(F^* W)", conds
 

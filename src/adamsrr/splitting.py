@@ -534,9 +534,12 @@ def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     """Evaluate directly in the truncated ring (classes mod I^cutoff).
 
     Truncation is a ring quotient, so sums, tensors and nonnegative powers are
-    computed on already-truncated operands; only operator leaves (theta, psi,
-    duals, symbols, pullbacks) fall back to a full evaluation.  This keeps
-    high tensor powers of rank-zero differences from ever being expanded.
+    computed on already-truncated operands, and a pullback along a morphism
+    with a registered reducer is truncated through its reduced argument (which
+    `eval_expr` evaluates it to by definition).  Only operator leaves (theta,
+    psi, duals, symbols) and unregistered pullbacks fall back to a full
+    evaluation.  This keeps high tensor powers of rank-zero differences, and
+    the products a pullback distributes into, from ever being expanded.
     """
     key = (e, cutoff)
     hit = ctx._trunc_cache.get(key)
@@ -578,6 +581,8 @@ def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
             if k:
                 square = _trunc_mul(square, list(square.items()), cutoff)
         out = SplitClass(acc, ctx.space)
+    elif isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
+        out = truncated_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff)
     else:
         out = truncated_filtration(eval_expr(e, ctx), ctx.var_aug, cutoff)
     ctx._trunc_cache[key] = out

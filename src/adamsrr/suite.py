@@ -326,10 +326,10 @@ CELLS = [
 def run_suite(seed: int = 0, inject_fault: str | None = None) -> list[CellResult]:
     results = []
     for cell_id, description, fn in CELLS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(seed=seed, fault=inject_fault)
         except Exception as ex:  # a crashed cell is a failed cell
             ok, detail = False, f"exception: {ex}"
-        results.append(CellResult(cell_id, description, ok, detail, time.time() - t0))
+        results.append(CellResult(cell_id, description, ok, detail, time.perf_counter() - t0))
     return results

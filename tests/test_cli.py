@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from adamsrr.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
 from adamsrr.rewrite import parse_trace_json, revalidate_trace
 
@@ -101,6 +103,21 @@ def test_verify_tau_grid(capsys):
     code, out, _ = run(capsys, "verify", "tau")
     assert code == EXIT_OK
     assert out.count("equal") == 12
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "tau", "--rank", "0"), "--rank must be >= 1"),
+    (("verify", "tau", "--rank", "-2", "--p", "3"), "--rank must be >= 1"),
+    (("verify", "arr", "--rank", "0"), "--rank must be >= 1"),
+    (("normalize", "(" * 3000 + "A" + ")" * 3000), "nest deeper"),
+    (("normalize", "det_rf(f, " + "(" * 200 + "A" + ")" * 200 + ")"), "nest deeper"),
+])
+def test_refused_inputs_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+    assert err.count("\n") == 1
 
 
 def test_verify_km(capsys):

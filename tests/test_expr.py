@@ -77,19 +77,30 @@ def test_print_is_deterministic_on_equal_asts(table):
     assert print_expr(a) == print_expr(b)
 
 
+# a tensor factor that is itself a tensor with a constant
+NESTED_CONSTANTS = Tensor((Tensor((IntConst(2), Line("B"))), Tensor((IntConst(3), Bundle("E")))))
+
+
 def test_parse_print_roundtrip_on_random_expressions():
     rng = random.Random(20240)
     t = SU.law_table()
-    for _ in range(300):
-        e = SU.random_expr(rng)
+    for e in [NESTED_CONSTANTS] + [SU.random_expr(rng) for _ in range(300)]:
         text = print_expr(e)
         assert parse(text, t) == canonicalize(e), text
 
 
+def test_parse_refuses_nesting_beyond_the_limit(table):
+    deep = E.MAX_NESTING
+    assert parse("(" * deep + "L" + ")" * deep, table) == Line("L")
+    assert isinstance(parse("dual(" * deep + "L" + ")" * deep, table), Dual)
+    for head in ("(", "dual("):
+        with pytest.raises(ParseError, match="nest deeper"):
+            parse(head * (deep + 1) + "L" + ")" * (deep + 1), table)
+
+
 def test_canonicalize_is_idempotent():
     rng = random.Random(99)
-    for _ in range(200):
-        e = SU.random_expr(rng)
+    for e in [NESTED_CONSTANTS] + [SU.random_expr(rng) for _ in range(200)]:
         c = canonicalize(e)
         assert canonicalize(c) == c
 

@@ -111,6 +111,18 @@ def test_tampered_r5_fails_at_its_step():
     assert tr.steps[tr.failed_step].label == "(8)"
 
 
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 3), (3, 2)])
+def test_dualized_projection_formula_fails_at_its_step(n, p):
+    # R4 tampered to emit F^*(dual W) in place of F^*(W)
+    rules = rule_set(n, p)
+    rules["R4"] = replace(rules["R4"], action=lambda morphism, w: E.Pull(morphism, E.Dual(w)))
+    tr = verify_arr_identity(n, p, rules=rules)
+    assert tr.status == "failed"
+    assert tr.failed_step == 5
+    assert tr.steps[5].label == "(6)"
+    assert "theta^p(Omega_f) (x) F^*W" in tr.failure
+
+
 def test_missing_rule_fails_cleanly():
     rules = rule_set(1, 2)
     del rules["R4"]

@@ -8,10 +8,11 @@ import pytest
 
 from adamsrr import expr as E
 from adamsrr import suite as SU
+from adamsrr.rewrite import PUSHED_STRUCTURE, Geometry
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext, UniPoly,
     binomial_identity_check, classes_equal, eval_expr, formal_inverse, tau_class,
-    tau_equals_theta, tilde_theta_inverse, truncated_filtration,
+    tau_equals_theta, tilde_theta_inverse, truncated_eval, truncated_filtration,
 )
 
 
@@ -315,6 +316,92 @@ def test_truncated_filtration_with_opaque_rank():
     cube = diff * diff * diff
     assert truncated_filtration(cube, ctx.var_aug, 3).is_zero()
     assert not truncated_filtration(cube, ctx.var_aug, 4).is_zero()
+
+
+def _random_pull_expr(rng, geom, space, depth, pulls=True):
+    """Small expression on X or X' of `geom`, with pullbacks into that space.
+
+    On X: symbols L, E, Omega_f, F^* of X' expressions and F_X^* of X ones.
+    On X': F_*O_X and the J_ symbols, and J^* of X expressions.  Operators
+    (dual, psi, theta) never see the unsplit F_*O_X on X' itself; under F^*
+    it becomes theta^p(Omega_f).  theta only takes sums of two split symbols,
+    so every class stays a few hundred monomials at most.
+    """
+    def leaf(opaque_ok):
+        if space == "X":
+            names = ["L", "E", E.SymbolTable.OMEGA]
+        else:
+            names = ["J_L", "J_E"] + ([PUSHED_STRUCTURE] if opaque_ok else [])
+        return geom.symbol_expr(rng.choice(names), geom.table_x if space == "X"
+                                else geom.table_xp)
+
+    def go(d, opaque_ok, pulls):
+        r = rng.random()
+        if d == 0 or r < 0.2:
+            return leaf(opaque_ok) if rng.random() < 0.8 else E.IntConst(rng.randint(-2, 3))
+        if pulls and r < 0.45:
+            if space == "X'":
+                return E.Pull(geom.name_J, _random_pull_expr(rng, geom, "X", d - 1, False))
+            if rng.random() < 0.5:
+                return E.Pull(geom.name_F, _under_frobenius(rng, geom, d - 1))
+            return E.Pull(geom.name_FX, _random_pull_expr(rng, geom, "X", d - 1, False))
+        kind = rng.choice(("sum", "neg", "tensor", "power", "dual", "psi", "theta"))
+        if kind == "sum":
+            return E.Sum((go(d - 1, opaque_ok, pulls), go(d - 1, opaque_ok, pulls)))
+        if kind == "neg":
+            return E.Neg(go(d - 1, opaque_ok, pulls))
+        if kind == "tensor":
+            return E.Tensor((go(d - 1, opaque_ok, pulls), go(d - 1, opaque_ok, pulls)))
+        if kind == "power":
+            return E.Power(go(d - 1, opaque_ok, pulls), rng.randint(0, 3))
+        if kind == "dual":
+            return E.Dual(go(d - 1, False, pulls))
+        if kind == "psi":
+            return E.Psi(rng.choice((2, 3)), go(d - 1, False, pulls))
+        return E.Theta(rng.choice((2, 3)), E.Sum((leaf(False), leaf(False))))
+
+    return go(depth, True, pulls)
+
+
+def _under_frobenius(rng, geom, depth):
+    """An X' expression in which F_*O_X may sit under operators (no pullbacks)."""
+    names = ["J_L", "J_E", PUSHED_STRUCTURE]
+    e = geom.symbol_expr(rng.choice(names), geom.table_xp)
+    for _ in range(depth):
+        other = geom.symbol_expr(rng.choice(names), geom.table_xp)
+        e = rng.choice((E.Sum((e, other)), E.Tensor((e, other)), E.Neg(e),
+                        E.Power(e, rng.randint(0, 3)), E.Dual(e), E.Psi(2, e)))
+    return e
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_truncated_eval_through_pullbacks_matches_full_expansion(n, p):
+    # the fast route (truncate through the registered reducer) against the slow
+    # one (expand the whole class, then truncate), each in its own contexts
+    symbols = {"L": 1, "E": 2}
+    fast, slow = Geometry(n, p, symbols), Geometry(n, p, symbols)
+    rng = random.Random(1000 * n + p)
+    seen = {"F": 0, "F_X": 0, "J": 0}
+    for i in range(100):
+        space = "X" if i % 2 else "X'"
+        e = _random_pull_expr(rng, fast, space, 3)
+        for name in seen:
+            seen[name] += E.print_expr(e).count(f"pull({name}, ")
+        ctx_fast = fast.ctx_x if space == "X" else fast.ctx_xp
+        ctx_slow = slow.ctx_x if space == "X" else slow.ctx_xp
+        for cutoff in (1, 2, n + 2):
+            want = truncated_filtration(eval_expr(e, ctx_slow), ctx_slow.var_aug, cutoff)
+            assert truncated_eval(e, ctx_fast, cutoff) == want, (E.print_expr(e), cutoff)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_truncated_eval_refuses_an_unregistered_pullback():
+    geom = Geometry(1, 2, {"L": 1})
+    with pytest.raises(EvalError):
+        truncated_eval(E.Pull("g", E.Line("L")), geom.ctx_x, 3)
+    with pytest.raises(EvalError):  # J^* is registered into X' only
+        truncated_eval(E.Pull(geom.name_J, E.Line("L")), geom.ctx_x, 3)
 
 
 def test_unipoly_division_requires_unit_lead():
