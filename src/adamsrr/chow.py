@@ -379,10 +379,6 @@ def deligne_residual(exponents: tuple[int, int, int, int] = (18, 18, 6, -6),
     return DeligneVerdict(residual.is_zero(), residual, lhs, rhs)
 
 
-def verify_deligne_identity(top: int | None = None) -> DeligneVerdict:
-    return deligne_residual(top=top)
-
-
 def mumford_exponent(k: int, top: int | None = None) -> Fraction:
     """Ratio of the f_!(w^2) coefficients of c1 det Rf_*(omega^k) and (omega).
 

@@ -1,7 +1,8 @@
 """Command line front end: normalize expressions, run verifications, emit traces.
 
 Exit codes: 0 = verified/normalized, 1 = a verification falsified, 2 = usage,
-parse or declaration error.
+parse or declaration error, 3 = internal error (any other exception, reported
+on one line of stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import suite as SU
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
@@ -198,7 +200,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if value == 6 * n * n - 6 * n + 1 else EXIT_FALSIFIED
 
     if target == "deligne":
-        v = C.verify_deligne_identity(top=args.trunc)
+        v = C.deligne_residual(top=args.trunc)
         if args.format == "json":
             print(json.dumps({"ok": v.ok, "residual": v.residual.to_json(),
                               "lhs": v.lhs.to_json()}))
@@ -306,15 +308,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (E.ParseError, E.SymbolError) as ex:
+    except (E.ExprError, FileNotFoundError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except (E.ExprError, S.EvalError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as ex:
+        message = " ".join(str(ex).split())
+        print(f"internal error: {type(ex).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ parser are mutually inverse on canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 
 class ExprError(Exception):
@@ -232,6 +233,27 @@ def _check_op_index(k: int, what: str) -> None:
         raise ExprError(f"{what} index must be >= 1, got {k}")
 
 
+def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild `e` with `fn` applied to each direct child; leaves come back as they are."""
+    if isinstance(e, (Line, Bundle, Unit, IntConst)):
+        return e
+    if isinstance(e, (Neg, Dual, DetClass)):
+        return type(e)(fn(e.arg))
+    if isinstance(e, (Psi, Theta)):
+        return type(e)(e.k, fn(e.arg))
+    if isinstance(e, Sum):
+        return Sum(tuple(fn(t) for t in e.terms))
+    if isinstance(e, Tensor):
+        return Tensor(tuple(fn(f) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(fn(e.base), e.exponent)
+    if isinstance(e, Tau):
+        return Tau(e.p, fn(e.arg))
+    if isinstance(e, Pull):
+        return Pull(e.morphism, fn(e.arg))
+    raise ExprError(f"unknown expression node {e!r}")
+
+
 # ---------------------------------------------------------------------------
 # Canonical form
 
@@ -346,26 +368,15 @@ def _canonical_term(e: Expr) -> tuple[Expr | None, bool]:
         if isinstance(base, Unit):
             return UNIT, sign
         return Power(base, e.exponent), sign
-    if isinstance(e, Unit):
-        return UNIT, True
-    if isinstance(e, (Line, Bundle)):
+    if isinstance(e, (Line, Bundle, Unit)):
         return e, True
-    if isinstance(e, Dual):
-        return Dual(canonicalize(e.arg)), True
-    if isinstance(e, Psi):
-        _check_op_index(e.k, "psi")
-        return Psi(e.k, canonicalize(e.arg)), True
-    if isinstance(e, Theta):
-        _check_op_index(e.k, "theta")
-        return Theta(e.k, canonicalize(e.arg)), True
     if isinstance(e, Tau):
         _check_op_index(e.p, "tau")
-        return Tau(e.p, canonicalize(e.arg)), True
-    if isinstance(e, DetClass):
-        return DetClass(canonicalize(e.arg)), True
-    if isinstance(e, Pull):
-        return Pull(e.morphism, canonicalize(e.arg)), True
-    raise ExprError(f"unknown expression node {e!r}")
+    elif isinstance(e, Psi):
+        _check_op_index(e.k, "psi")
+    elif isinstance(e, Theta):
+        _check_op_index(e.k, "theta")
+    return map_children(e, canonicalize), True
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +445,8 @@ def _print_primary(e: Expr) -> str:
 # Parser (recursive descent)
 
 _KEYWORD_OPS = {"dual", "psi", "theta", "tau", "det", "pull"}
-MAX_NESTING = 100  # parenthesis depth `parse` accepts, well below the recursion limit
+# deepest parentheses and longest `^` chain `parse` accepts, well below the recursion limit
+MAX_NESTING = 100
 
 
 class _Tokens:
@@ -499,7 +511,8 @@ def parse(text: str, table: SymbolTable) -> Expr:
     Grammar: expr := ["-"] term (("+"|"-") term)*; term := factor ("(x)"
     factor)*; factor := primary ["^" ["-"] INT]; primary := INT | NAME |
     dual/psi/theta/tau/det/pull call | "(" expr ")".  Parentheses nesting
-    deeper than MAX_NESTING are refused before the descent starts.
+    deeper than MAX_NESTING are refused before the descent starts, and so
+    is a chain of more than MAX_NESTING powers on one factor.
     """
     toks = _Tokens(text)
     _check_nesting(toks.tokens)
@@ -545,7 +558,11 @@ def _parse_term(toks: _Tokens, table: SymbolTable) -> Expr:
 
 def _parse_factor(toks: _Tokens, table: SymbolTable) -> Expr:
     e = _parse_primary(toks, table)
+    chain = 0
     while toks.peek()[0] == "^":
+        chain += 1
+        if chain > MAX_NESTING:
+            raise ParseError(f"powers chain longer than {MAX_NESTING}", toks.peek()[2])
         toks.next()
         sign = 1
         if toks.peek()[0] == "-":

@@ -45,8 +45,6 @@ class Morphism:
     name: str
     rel_dim: int
     upstairs: S.SplitContext = field(compare=False, repr=False)
-    kind: str = "structure"
-    char: int | None = None
 
     def eval_arg(self, e: E.Expr) -> S.SplitClass:
         return S.eval_expr(e, self.upstairs)
@@ -68,8 +66,8 @@ class Morphism:
         return S.truncated_eval(e, self.upstairs, cutoff)
 
 
-def make_morphism(name: str, rel_dim: int, table: E.SymbolTable, **kw) -> Morphism:
-    return Morphism(name, rel_dim, S.SplitContext(table), **kw)
+def make_morphism(name: str, rel_dim: int, table: E.SymbolTable) -> Morphism:
+    return Morphism(name, rel_dim, S.SplitContext(table))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +149,10 @@ def chi_grade(f: Morphism, e: E.Expr) -> GradeExpr:
     return GradeExpr(terms)
 
 
-@dataclass(frozen=True)
-class SwapSign:
-    sign: int
-
-
-def swap_sign(a: "GradedLine", b: "GradedLine") -> SwapSign:
+def swap_sign(a: "GradedLine", b: "GradedLine") -> int:
     """Sign (-1)^(grade(a)*grade(b)) picked up by commuting two factors."""
     ga, gb = a.grade.as_int(), b.grade.as_int()
-    return SwapSign(-1 if (ga * gb) % 2 else 1)
+    return -1 if (ga * gb) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

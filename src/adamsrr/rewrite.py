@@ -9,6 +9,8 @@ together with its base-change square and the Knudsen-Mumford-style expansion
 of the right side into lambda factors.  Every step cites a rule, records its
 side conditions, and is re-checked semantically against the registered
 Frobenius geometry (so a tampered rule fails at its own step, not at the end).
+The chain, the square and the expansion are tables of `Step`s run by one
+runner, which looks up the cited rules and records each step or its failure.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class Geometry:
         self.ctx_x.pull_reducers[self.name_FX] = lambda e: E.Psi(p, e)
         self.ctx_xp.pull_reducers[self.name_J] = self.j_reduce
 
-        self.f = P.Morphism(self.name_f, n, self.ctx_x, kind="structure", char=p)
-        self.fp = P.Morphism(self.name_fp, n, self.ctx_xp, kind="structure", char=p)
+        self.f = P.Morphism(self.name_f, n, self.ctx_x)
+        self.fp = P.Morphism(self.name_fp, n, self.ctx_xp)
 
         self.tags = {
             self.name_f: MorphismTag(self.name_f, "structure", p, n),
@@ -188,29 +190,9 @@ def _map_symbols(e: E.Expr, fn: Callable[[str], E.Expr]) -> E.Expr:
     """Apply a symbol substitution through the expression operators."""
     if isinstance(e, (E.Line, E.Bundle)):
         return fn(e.name)
-    if isinstance(e, (E.Unit, E.IntConst)):
-        return e
-    if isinstance(e, E.Sum):
-        return E.Sum(tuple(_map_symbols(t, fn) for t in e.terms))
-    if isinstance(e, E.Neg):
-        return E.Neg(_map_symbols(e.arg, fn))
-    if isinstance(e, E.Tensor):
-        return E.Tensor(tuple(_map_symbols(f, fn) for f in e.factors))
-    if isinstance(e, E.Dual):
-        return E.Dual(_map_symbols(e.arg, fn))
-    if isinstance(e, E.Psi):
-        return E.Psi(e.k, _map_symbols(e.arg, fn))
-    if isinstance(e, E.Theta):
-        return E.Theta(e.k, _map_symbols(e.arg, fn))
-    if isinstance(e, E.Tau):
-        return E.Tau(e.p, _map_symbols(e.arg, fn))
-    if isinstance(e, E.DetClass):
-        return E.DetClass(_map_symbols(e.arg, fn))
-    if isinstance(e, E.Power):
-        return E.Power(_map_symbols(e.base, fn), e.exponent)
     if isinstance(e, E.Pull):
         raise VerifierError(f"cannot substitute under an unresolved pullback: {e}")
-    raise VerifierError(f"unknown expression node {e!r}")
+    return E.map_children(e, lambda x: _map_symbols(x, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +392,55 @@ def revalidate_trace(trace: ProofTrace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Step helpers
+# Steps
+
+CHAIN_RULES = "R1..R9"  # cited by an edge that replays the chain; the chain checks its rules
+
+
+@dataclass(frozen=True)
+class Step:
+    """One cited move of a proof: `apply(cur)` returns the next form and its side conditions.
+
+    `rule` lists the cited rules ("R1,R2"), or is "-" or CHAIN_RULES when the
+    step cites none itself.  `anchor` names the cited rule whose anchor the
+    trace records, or is the anchor text itself.
+    """
+
+    label: str
+    rule: str
+    anchor: str
+    description: str
+    apply: Callable[[P.GradedLine], tuple[P.GradedLine, list[tuple[str, bool]]]]
+
+
+def _run_steps(trace: ProofTrace, cur: P.GradedLine, steps: list[Step],
+               rules: dict[str, RewriteRule]) -> P.GradedLine | None:
+    """Apply and record `steps` in turn from `cur`; the last form, or None at the first failure.
+
+    A step fails when a rule it cites is missing or its move raises (recorded
+    with the form it started from), or when one of its side conditions is false.
+    """
+    for step in steps:
+        try:
+            cited = [] if step.rule in ("-", CHAIN_RULES) else \
+                [_need(rules, name) for name in step.rule.split(",")]
+            anchor = next((r.anchor for r in cited if r.name == step.anchor), step.anchor)
+            after, conditions = step.apply(cur)
+        except E.ExprError as ex:
+            trace.steps.append(TraceStep(step.label, "-", "-", "step could not be applied",
+                                         cur.render(), cur.render(), [(str(ex), False)]))
+            trace.fail(len(trace.steps) - 1, str(ex))
+            return None
+        record = TraceStep(step.label, step.rule, anchor, step.description,
+                           cur.render(), after.render(), conditions)
+        trace.steps.append(record)
+        if not record.ok():
+            bad = "; ".join(c for c, h in conditions if not h)
+            trace.fail(len(trace.steps) - 1, f"side condition failed: {bad}")
+            return None
+        cur = after
+    return cur
+
 
 def _sole_det(gl: P.GradedLine) -> tuple[tuple, E.Expr, int]:
     entries = [(slot, e, x) for slot, (_, disp) in gl.dets.items() for e, x in disp if x]
@@ -444,34 +474,12 @@ def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | 
     distribution unless `through_psi` is set (that exchange is rule R7).
     """
     def go(x: E.Expr) -> E.Expr:
-        if isinstance(x, (E.Unit, E.IntConst)):
-            return x
-        if isinstance(x, E.Sum):
-            return E.Sum(tuple(go(t) for t in x.terms))
-        if isinstance(x, E.Neg):
-            return E.Neg(go(x.arg))
-        if isinstance(x, E.Tensor):
-            return E.Tensor(tuple(go(f) for f in x.factors))
-        if isinstance(x, E.Power):
-            return E.Power(go(x.base), x.exponent)
-        if isinstance(x, E.Dual):
-            return E.Dual(go(x.arg))
-        if isinstance(x, E.Theta):
-            return E.Theta(x.k, go(x.arg))
-        if isinstance(x, E.Tau):
-            return E.Tau(x.p, go(x.arg))
-        if isinstance(x, E.DetClass):
-            return E.DetClass(go(x.arg))
-        if isinstance(x, E.Psi):
-            if through_psi:
-                return E.Psi(x.k, go(x.arg))
-            return E.Pull(morphism, x)
         if isinstance(x, (E.Line, E.Bundle)):
             composed = compose(x.name)
             return composed if composed is not None else E.Pull(morphism, x)
-        if isinstance(x, E.Pull):
+        if isinstance(x, E.Pull) or (isinstance(x, E.Psi) and not through_psi):
             return E.Pull(morphism, x)
-        raise VerifierError(f"unknown expression node {x!r}")
+        return E.map_children(x, go)
 
     return go(e)
 
@@ -479,27 +487,7 @@ def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | 
 def _replace_pulls(e: E.Expr, fn: Callable[[E.Pull], E.Expr]) -> E.Expr:
     if isinstance(e, E.Pull):
         return fn(e)
-    if isinstance(e, (E.Line, E.Bundle, E.Unit, E.IntConst)):
-        return e
-    if isinstance(e, E.Sum):
-        return E.Sum(tuple(_replace_pulls(t, fn) for t in e.terms))
-    if isinstance(e, E.Neg):
-        return E.Neg(_replace_pulls(e.arg, fn))
-    if isinstance(e, E.Tensor):
-        return E.Tensor(tuple(_replace_pulls(f, fn) for f in e.factors))
-    if isinstance(e, E.Power):
-        return E.Power(_replace_pulls(e.base, fn), e.exponent)
-    if isinstance(e, E.Dual):
-        return E.Dual(_replace_pulls(e.arg, fn))
-    if isinstance(e, E.Psi):
-        return E.Psi(e.k, _replace_pulls(e.arg, fn))
-    if isinstance(e, E.Theta):
-        return E.Theta(e.k, _replace_pulls(e.arg, fn))
-    if isinstance(e, E.Tau):
-        return E.Tau(e.p, _replace_pulls(e.arg, fn))
-    if isinstance(e, E.DetClass):
-        return E.DetClass(_replace_pulls(e.arg, fn))
-    raise VerifierError(f"unknown expression node {e!r}")
+    return E.map_children(e, lambda x: _replace_pulls(x, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +506,21 @@ def adams_to_frobenius(geom: Geometry, gl: P.GradedLine,
     return out.with_grade(gl.grade)
 
 
+def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
+                       ) -> tuple[E.Expr, list[tuple[str, bool]]]:
+    """R3's summand (F_*O_X - p^n)^(x)l (x) arg and the side conditions for inserting it."""
+    n, p = geom.n, geom.p
+    diff = E.Sum((geom.pushed_structure(), E.Neg(E.IntConst(p**n))))
+    inserted = E.Tensor((E.Power(diff, l), arg))
+    return inserted, [
+        (f"rank(F_*O_X) = p^n = {p**n}", geom.table_xp.rank(PUSHED_STRUCTURE) == p**n),
+        ("rank(F_*O_X - p^n) = 0", E.rank(diff, geom.table_xp) == 0),
+        (f"l = {l} >= n+2 = {n + 2}", l >= n + 2),
+        ("inserted summand class lies in I^(n+2)",
+         P.argument_is_trivial(geom.fp, inserted)),
+    ]
+
+
 def insert_rank_zero_power(geom: Geometry, gl: P.GradedLine, l: int,
                            rules: dict[str, RewriteRule]
                            ) -> tuple[P.GradedLine, list[tuple[str, bool]]]:
@@ -527,18 +530,8 @@ def insert_rank_zero_power(geom: Geometry, gl: P.GradedLine, l: int,
     """
     _need(rules, "R3")
     _need(rules, "R8")
-    n, p = geom.n, geom.p
     slot, arg, exp = _sole_det(gl)
-    rank_ok = geom.table_xp.rank(PUSHED_STRUCTURE) == p**n
-    diff = E.Sum((geom.pushed_structure(), E.Neg(E.IntConst(p**n))))
-    inserted = E.Tensor((E.Power(diff, l), arg))
-    conditions = [
-        (f"rank(F_*O_X) = p^n = {p**n}", rank_ok),
-        ("rank(F_*O_X - p^n) = 0", E.rank(diff, geom.table_xp) == 0),
-        (f"l = {l} >= n+2 = {n + 2}", l >= n + 2),
-        ("inserted summand class lies in I^(n+2)",
-         P.argument_is_trivial(geom.fp, inserted)),
-    ]
+    inserted, conditions = _rank_zero_summand(geom, arg, l)
     if not all(h for _, h in conditions):
         return gl, conditions
     new_arg = E.Sum((E.Tensor((E.IntConst(exp), arg)), inserted))
@@ -581,6 +574,10 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     rhs = P.det_rf_atom(geom.f, rhs_expr)
     trace = ProofTrace(lhs.render(), rhs.render(), n, p)
 
+    def form(morph: P.Morphism, arg: E.Expr, exp: int = 1, wrappers: tuple = ()) -> P.GradedLine:
+        # every form of the chain keeps the left side's grade
+        return _atom(morph, wrappers, arg, exp).with_grade(lhs.grade)
+
     def signed(x: E.Expr) -> E.Expr:
         return E.Neg(x) if sign < 0 else x
 
@@ -592,79 +589,56 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         return E.Sum(tuple(terms))
 
     def step1(cur: P.GradedLine):
-        _need(rules, "R1")
-        _need(rules, "R2")
-        after = adams_to_frobenius(geom, cur, rules)
-        slot, arg, exp = _sole_det(after)
-        after = _atom(geom.f, (("detpull", geom.name_FS),), arg, exp)
+        slot, arg, exp = _sole_det(adams_to_frobenius(geom, cur, rules))
         fs_tag = geom.tags.get(geom.name_FS)
-        conds = [("p is prime", is_prime(p)),
-                 (f"{geom.name_FS} is the absolute Frobenius of the base",
-                  fs_tag is not None and fs_tag.kind == "absolute-frobenius-base"
-                  and fs_tag.char == p),
-                 ("pullback of det = det of the pulled-back complex", True),
-                 ("argument class unchanged under the wrapper exchange",
-                  _sole_det(cur)[1:] == (arg, exp))]
-        return after, "R1,R2", _need(rules, "R1").anchor, \
-            "replace psi^p by F_S^* and commute det with the pullback", conds
+        return form(geom.f, arg, exp, (("detpull", geom.name_FS),)), [
+            ("p is prime", is_prime(p)),
+            (f"{geom.name_FS} is the absolute Frobenius of the base",
+             fs_tag is not None and fs_tag.kind == "absolute-frobenius-base"
+             and fs_tag.char == p),
+            ("pullback of det = det of the pulled-back complex", True),
+            ("argument class unchanged under the wrapper exchange",
+             _sole_det(cur)[1:] == (arg, exp))]
 
     def step2(cur: P.GradedLine):
-        rule = _need(rules, "R2")
         slot, arg, exp = _sole_det(cur)
-        after = _atom(geom.fp, (), j_e, exp)
-        rename = {}
-        for name in geom.table_x.names():
-            for v_x, v_xp in zip(geom.ctx_x.roots[name],
-                                 geom.ctx_xp.roots[geom.j_name(name)]):
-                rename[v_x] = v_xp
-        lam_x = geom.f.truncated(arg)
-        lam_xp = geom.fp.truncated(j_e)
+        rename = {v_x: v_xp for name in geom.table_x.names()
+                  for v_x, v_xp in zip(geom.ctx_x.roots[name],
+                                       geom.ctx_xp.roots[geom.j_name(name)])}
         square = geom.base_change_squares.get((geom.name_FS, geom.name_f))
-        conds = [("cohomology commutes with base change (square registered)",
-                  square == (geom.name_fp, geom.name_J)),
-                 ("twist-side argument is the J-pullback of the original",
-                  _rename_vars(lam_x, rename) == S.SplitClass(lam_xp.terms, None))]
-        return after, "R2", rule.anchor, \
-            "form the pulled-back family: det Rf'_*(J^* E)", conds
+        return form(geom.fp, j_e, exp), [
+            ("cohomology commutes with base change (square registered)",
+             square == (geom.name_fp, geom.name_J)),
+            ("twist-side argument is the J-pullback of the original",
+             _rename_vars(geom.f.truncated(arg), rename)
+             == S.SplitClass(geom.fp.truncated(j_e).terms, None))]
 
     def step3(cur: P.GradedLine):
-        after, conds = insert_rank_zero_power(geom, cur, n + 2, rules)
         slot, arg, exp = _sole_det(cur)
-        inserted = signed(E.Tensor((E.Power(E.Sum((fso, E.Neg(E.IntConst(a)))), n + 2), arg)))
-        new_arg = E.Sum((E.Tensor((E.IntConst(exp), arg)), inserted))
-        after = _atom(geom.fp, (), new_arg, 1).with_grade(cur.grade)
-        conds = conds + [_class_equal_condition(cur, after),
-                         ("det additivity folds the tensor power into the argument", True)]
-        return after, "R3,R8", _need(rules, "R3").anchor, \
-            "insert the det-trivial summand (F_*O_X - p^n)^(x)(n+2) (x) J^*E", conds
+        inserted, conditions = _rank_zero_summand(geom, arg, n + 2)
+        after = form(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))))
+        return after, conditions + [
+            _class_equal_condition(cur, after),
+            ("det additivity folds the tensor power into the argument", True)]
 
     def step4(cur: P.GradedLine):
-        _need(rules, "KEQ")
         w = oracle(n, p)
-        new_arg = E.Sum((
+        after = form(geom.fp, E.Sum((
             E.Tensor((E.IntConst(m), j_e)),
             signed(E.Tensor((binom_sum(n + 2), j_e))),
             E.Neg(E.Tensor((E.IntConst(a ** (n + 2)), j_e))),
-        ))
-        after = _atom(geom.fp, (), new_arg, 1).with_grade(cur.grade)
-        conds = [("binomial identity oracle: y*tilde(y) - p^(n(n+2)) = "
-                  "(-1)^(n+1) (y - p^n)^(n+2)", bool(w)),
-                 _class_equal_condition(cur, after)]
-        return after, "KEQ", _need(rules, "KEQ").anchor, \
-            "expand the rank-zero power binomially, splitting off the i = n+2 term", conds
+        )))
+        return after, [("binomial identity oracle: y*tilde(y) - p^(n(n+2)) = "
+                        "(-1)^(n+1) (y - p^n)^(n+2)", bool(w)),
+                       _class_equal_condition(cur, after)]
 
     def step5(cur: P.GradedLine):
-        _need(rules, "KEQ")
-        new_arg = signed(E.Tensor((fso, binom_sum(n + 1), j_e)))
-        after = _atom(geom.fp, (), new_arg, 1).with_grade(cur.grade)
-        conds = [("the p^(n(n+2)) J^*E terms cancel", True),
-                 ("one F_*O_X factor is extracted from the binomial sum", True),
-                 _class_equal_condition(cur, after)]
-        return after, "KEQ", _need(rules, "KEQ").anchor, \
-            "cancel the constant terms and factor out F_*O_X", conds
+        after = form(geom.fp, signed(E.Tensor((fso, binom_sum(n + 1), j_e))))
+        return after, [("the p^(n(n+2)) J^*E terms cancel", True),
+                       ("one F_*O_X factor is extracted from the binomial sum", True),
+                       _class_equal_condition(cur, after)]
 
     def step6(cur: P.GradedLine):
-        rule = _need(rules, "R4")
         slot, arg, exp = _sole_det(cur)
         body, negated = (arg.arg, True) if isinstance(arg, E.Neg) else (arg, False)
         if not isinstance(body, E.Tensor):
@@ -677,49 +651,40 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         w_expr: E.Expr = rest[0] if len(rest) == 1 else E.Tensor(tuple(rest))
         if negated:
             w_expr = E.Neg(w_expr)
-        after_arg = rule.action(geom.name_F, w_expr)
-        after = _atom(geom.f, (), after_arg, exp).with_grade(cur.grade)
+        after_arg = rules["R4"].action(geom.name_F, w_expr)
         fact = geom.factorizations.get(geom.name_f)
-        conds = [("f = f' o F registered (relative Frobenius factorization)",
-                  fact == (geom.name_fp, geom.name_F, PUSHED_STRUCTURE)),
-                 ("pushforward algebra factor appears exactly once", fso_count == 1),
-                 ("rank agreement across the projection formula",
-                  E.rank(w_expr, geom.table_xp) ==
-                  E.rank(after_arg, geom.table_x, {geom.name_F: geom.table_xp})),
-                 ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
-                  geom.f.truncated(E.Pull(geom.name_F, arg)) ==
-                  geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
-        return after, "R4", rule.anchor, \
-            "projection formula: det Rf'_*(F_*O_X (x) W) = det Rf_*(F^* W)", conds
+        return form(geom.f, after_arg, exp), [
+            ("f = f' o F registered (relative Frobenius factorization)",
+             fact == (geom.name_fp, geom.name_F, PUSHED_STRUCTURE)),
+            ("pushforward algebra factor appears exactly once", fso_count == 1),
+            ("rank agreement across the projection formula",
+             E.rank(w_expr, geom.table_xp) ==
+             E.rank(after_arg, geom.table_x, {geom.name_F: geom.table_xp})),
+            ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
+             geom.f.truncated(E.Pull(geom.name_F, arg)) ==
+             geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
 
     def step7(cur: P.GradedLine):
-        _need(rules, "R9")
-        rule6 = _need(rules, "R6")
         slot, arg, exp = _sole_det(cur)
         if not isinstance(arg, E.Pull):
             raise VerifierError("expected a pending relative-Frobenius pullback")
 
         def compose(name: str) -> E.Expr | None:
-            if name == PUSHED_STRUCTURE:
-                return None  # stays F^*(F_*O_X) for rule R5
+            # F^*(F_*O_X) stays for rule R5
             if name.startswith("J_") and name[2:] in geom.table_x:
                 return E.Pull(geom.name_FX, geom.symbol_expr(name[2:]))
             return None
 
-        after_arg = distribute_pull(arg.arg, geom.name_F, compose, through_psi=True)
-        after = _atom(geom.f, (), after_arg, exp).with_grade(cur.grade)
-        conds = [("pullback distributes as a ring homomorphism", True),
-                 ("F^* J^* composed into F_X^* (registered composition)",
-                  geom.compositions.get((geom.name_F, geom.name_J)) == geom.name_FX),
-                 _class_equal_condition(cur, after)]
-        return after, "R9,R6", rule6.anchor, \
-            "distribute F^* and compose F^* J^* = F_X^*", conds
+        after = form(geom.f, distribute_pull(arg.arg, geom.name_F, compose, through_psi=True),
+                     exp)
+        return after, [("pullback distributes as a ring homomorphism", True),
+                       ("F^* J^* composed into F_X^* (registered composition)",
+                        geom.compositions.get((geom.name_F, geom.name_J)) == geom.name_FX),
+                       _class_equal_condition(cur, after)]
 
     def step8(cur: P.GradedLine):
-        rule5 = _need(rules, "R5")
-        _need(rules, "R1")
         slot, arg, exp = _sole_det(cur)
-        replacement = rule5.action()
+        replacement = rules["R5"].action()
 
         def resolve(pl: E.Pull) -> E.Expr:
             if pl.morphism == geom.name_F and pl.arg == fso:
@@ -728,45 +693,35 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
                 return E.Psi(p, pl.arg)
             return pl
 
-        after_arg = _replace_pulls(arg, resolve)
-        after = _atom(geom.f, (), after_arg, exp).with_grade(cur.grade)
-        conds = [("F^* F_* O_X replaced by theta^p(Omega_f)", True),
-                 ("F_X^* realized as psi^p", True),
-                 _class_equal_condition(cur, after)]
-        return after, "R5,R1", rule5.anchor, \
-            "substitute the Bott class of Omega_f and realize psi^p", conds
+        after = form(geom.f, _replace_pulls(arg, resolve), exp)
+        return after, [("F^* F_* O_X replaced by theta^p(Omega_f)", True),
+                       ("F_X^* realized as psi^p", True),
+                       _class_equal_condition(cur, after)]
 
     def step9(cur: P.GradedLine):
-        _need(rules, "KEQ")
-        after = _atom(geom.f, (), rhs_expr, 1).with_grade(cur.grade)
-        conds = [("tilde-inverse notation expands to the binomial sum", True),
-                 _class_equal_condition(cur, after)]
-        return after, "KEQ", _need(rules, "KEQ").anchor, \
-            "fold the sum into the tilde-inverse notation", conds
+        after = form(geom.f, rhs_expr)
+        return after, [("tilde-inverse notation expands to the binomial sum", True),
+                       _class_equal_condition(cur, after)]
 
-    script = [step1, step2, step3, step4, step5, step6, step7, step8, step9]
-    cur = lhs
-    for idx, stepfn in enumerate(script):
-        label = f"({idx + 1})"
-        try:
-            after, rule_names, anchor, desc, conds = stepfn(cur)
-        except (MissingRule, VerifierError, E.ExprError) as ex:
-            trace.steps.append(TraceStep(label, "-", "-", "step could not be applied",
-                                         cur.render(), cur.render(),
-                                         [(str(ex), False)]))
-            trace.fail(idx, str(ex))
-            return trace
-        after = after.with_grade(cur.grade)
-        step = TraceStep(label, rule_names, anchor, desc, cur.render(), after.render(), conds)
-        trace.steps.append(step)
-        if not step.ok():
-            bad = "; ".join(c for c, h in conds if not h)
-            trace.fail(idx, f"side condition failed: {bad}")
-            return trace
-        cur = after
-
-    if not cur.same_atoms(rhs):
-        trace.fail(len(script) - 1, "final form does not match the goal right side")
+    steps = [
+        Step("(1)", "R1,R2", "R1",
+             "replace psi^p by F_S^* and commute det with the pullback", step1),
+        Step("(2)", "R2", "R2", "form the pulled-back family: det Rf'_*(J^* E)", step2),
+        Step("(3)", "R3,R8", "R3",
+             "insert the det-trivial summand (F_*O_X - p^n)^(x)(n+2) (x) J^*E", step3),
+        Step("(4)", "KEQ", "KEQ",
+             "expand the rank-zero power binomially, splitting off the i = n+2 term", step4),
+        Step("(5)", "KEQ", "KEQ", "cancel the constant terms and factor out F_*O_X", step5),
+        Step("(6)", "R4", "R4",
+             "projection formula: det Rf'_*(F_*O_X (x) W) = det Rf_*(F^* W)", step6),
+        Step("(7)", "R9,R6", "R6", "distribute F^* and compose F^* J^* = F_X^*", step7),
+        Step("(8)", "R5,R1", "R5",
+             "substitute the Bott class of Omega_f and realize psi^p", step8),
+        Step("(9)", "KEQ", "KEQ", "fold the sum into the tilde-inverse notation", step9),
+    ]
+    cur = _run_steps(trace, lhs, steps, rules)
+    if cur is not None and not cur.same_atoms(rhs):
+        trace.fail(len(steps) - 1, "final form does not match the goal right side")
     return trace
 
 
@@ -786,7 +741,9 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     Top edge: the four line-level moves (10)-(13); right edge: the main chain
     over the pulled-back family; left edge: pullback of the verified identity;
     bottom edge: distribute g'^*, commute it with psi^p (rule R7), and rename
-    into the pulled-back family's symbols.
+    into the pulled-back family's symbols.  The top and right edges run from
+    the top-left corner, then the left and bottom edges run from it again and
+    end by comparing the two routes.
     """
     if symbols is None:
         symbols = {"L": 1}
@@ -821,131 +778,78 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
                            E.Psi(p, e_t)))
 
     tl = P.pull_line(name_g, P.psi_line(p, P.det_rf_atom(geom.f, e))) ** m
-    br_goal = P.det_rf_atom(geom_t.f, rhs_expr_t)
-    trace = ProofTrace(tl.render(), br_goal.render(), n, p)
+    br_right = P.det_rf_atom(geom_t.f, rhs_expr_t)
+    trace = ProofTrace(tl.render(), br_right.render(), n, p)
+    adams_is_power = [("graded-line Adams operation is the p-th power", True)]
+    square_registered = ("base-change square (g, f) registered",
+                         geom.base_change_squares.get((name_g, geom.name_f))
+                         == (geom_t.name_f, name_gp))
 
-    def record(label, rule_names, anchor, desc, before, after, conds) -> bool:
-        step = TraceStep(label, rule_names, anchor, desc, before.render(), after.render(), conds)
-        trace.steps.append(step)
-        if not step.ok():
-            bad = "; ".join(c for c, h in conds if not h)
-            trace.fail(len(trace.steps) - 1, f"side condition failed: {bad}")
-            return False
-        return True
-
-    try:
-        # -- top edge: (10)-(13) ------------------------------------------------
-        r1 = _need(rules, "R1")
-        r2 = _need(rules, "R2")
-        cur = tl
-        after = P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m)
-        if not record("(10)", "R1", r1.anchor, "psi^p of a line is its p-th power",
-                      cur, after, [("graded-line Adams operation is the p-th power", True)]):
-            return trace
-        cur = after
-
+    def det_commutes(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
-        after = _atom(geom.f, (("detpull", name_g),), arg, exp)
-        if not record("(11)", "R2", r2.anchor, "det commutes with the pullback",
-                      cur, after, [("pullback of det = det of the pulled-back complex", True)]):
-            return trace
-        cur = after
+        return _atom(geom.f, (("detpull", name_g),), arg, exp), \
+            [("pullback of det = det of the pulled-back complex", True)]
 
-        after = _atom(geom_t.f, (), e_t, p * m)
-        if not record("(12)", "R2", r2.anchor,
-                      "cohomology base change: det Rf'_*(g'^* E)", cur, after,
-                      [("base-change square (g, f) registered",
-                        geom.base_change_squares.get((name_g, geom.name_f))
-                        == (geom_t.name_f, name_gp))]):
-            return trace
-        cur = after
+    def right(cur: P.GradedLine):
+        sub = verify_arr_identity(n, p, e_t, symbols_t, rules, geometry=geom_t)
+        return br_right, [("theorem (I) verified over the pulled-back family", sub.verified)]
 
-        tr_corner = P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m
-        if not record("(13)", "R1", r1.anchor, "refold the p-th power into psi^p",
-                      cur, tr_corner,
-                      [("graded-line Adams operation is the p-th power", True)]):
-            return trace
+    def left(cur: P.GradedLine):
+        sub = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
+        return P.pull_line(name_g, P.det_rf_atom(geom.f, rhs_expr)), \
+            [("theorem (I) verified over the original family", sub.verified)]
 
-        # -- right edge: theorem (I) over the pulled-back family ----------------
-        sub_right = verify_arr_identity(n, p, e_t, symbols_t, rules, geometry=geom_t)
-        br_right = P.det_rf_atom(geom_t.f, rhs_expr_t)
-        if not record("right", "R1..R9", "main chain over the pulled-back family",
-                      "apply the verified identity to f_T and g'^*E",
-                      tr_corner, br_right,
-                      [("theorem (I) verified over the pulled-back family",
-                        sub_right.verified)]):
-            return trace
-
-        # -- left edge: pull back the identity over the original family ---------
-        sub_left = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
-        bl = P.pull_line(name_g, P.det_rf_atom(geom.f, rhs_expr))
-        if not record("left", "R1..R9", "pullback of the verified identity",
-                      "pull the identity over f back along g", tl, bl,
-                      [("theorem (I) verified over the original family",
-                        sub_left.verified)]):
-            return trace
-
-        # -- bottom edge ---------------------------------------------------------
-        cur = bl
-        slot, arg, exp = _sole_det(cur)
-        after = _atom(geom.f, (("detpull", name_g),), arg, exp)
-        if not record("bottom(1)", "R2", r2.anchor, "det commutes with the pullback",
-                      cur, after, [("pullback of det = det of the pulled-back complex", True)]):
-            return trace
-        cur = after
-
+    def base_change(cur: P.GradedLine):
+        exp = _sole_det(cur)[2]
         after = _atom(geom_t.f, (), E.Pull(name_gp, rhs_expr), exp)
-        if not record("bottom(2)", "R2", r2.anchor,
-                      "cohomology base change along the square (g, g')", cur, after,
-                      [("base-change square (g, f) registered",
-                        geom.base_change_squares.get((name_g, geom.name_f))
-                        == (geom_t.name_f, name_gp)),
-                       _class_equal_condition(
-                           P.det_rf_atom(geom_t.f, E.Pull(name_gp, rhs_expr)) ** exp, after)]):
-            return trace
-        cur = after
+        return after, [square_registered, _class_equal_condition(
+            P.det_rf_atom(geom_t.f, E.Pull(name_gp, rhs_expr)) ** exp, after)]
 
-        r9 = _need(rules, "R9")
-        slot, arg, exp = _sole_det(cur)
-        distributed = distribute_pull(arg.arg, name_gp, lambda name: None, through_psi=False)
-        after = _atom(geom_t.f, (), distributed, exp).with_grade(cur.grade)
-        if not record("bottom(3)", "R9", r9.anchor,
-                      "distribute g'^* through the ring structure", cur, after,
-                      [_class_equal_condition(cur, after)]):
-            return trace
-        cur = after
+    def bottom(rewrite_arg: Callable[[E.Expr], E.Expr], *conditions: tuple[str, bool]):
+        # a move on the bottom edge's argument over f_T, keeping the form's grade
+        def apply(cur: P.GradedLine):
+            slot, arg, exp = _sole_det(cur)
+            after = _atom(geom_t.f, (), rewrite_arg(arg), exp).with_grade(cur.grade)
+            return after, [*conditions, _class_equal_condition(cur, after)]
+        return apply
 
-        r7 = _need(rules, "R7")
-        slot, arg, exp = _sole_det(cur)
-        swapped = _replace_pulls(
-            arg, lambda pl: r7.action(pl) if isinstance(pl.arg, E.Psi) else pl)
-        after = _atom(geom_t.f, (), swapped, exp).with_grade(cur.grade)
-        if not record("bottom(4)", "R7", r7.anchor,
-                      "commute g'^* past the Adams operation", cur, after,
-                      [("psi^k g^* = g^* psi^k applied", True),
-                       _class_equal_condition(cur, after)]):
-            return trace
-        cur = after
+    def commute_psi(arg: E.Expr) -> E.Expr:
+        return _replace_pulls(
+            arg, lambda pl: rules["R7"].action(pl) if isinstance(pl.arg, E.Psi) else pl)
 
-        slot, arg, exp = _sole_det(cur)
-        renamed = _replace_pulls(arg, lambda pl: gp_reduce(pl.arg)
-                                 if pl.morphism == name_gp else pl)
-        after = _atom(geom_t.f, (), renamed, exp).with_grade(cur.grade)
-        if not record("bottom(5)", "R9", r9.anchor,
-                      "rename pulled symbols into the pulled-back family's table "
-                      "(Omega pulls back to Omega)", cur, after,
-                      [_class_equal_condition(cur, after)]):
-            return trace
-        br_left = after
-
-        square = br_left.same_atoms(br_right)
-        record("square", "-", "composite paths around the square",
-               "compare the two routes into the bottom-right corner",
-               br_left, br_right, [("both composite paths agree", square)])
-    except (MissingRule, VerifierError, E.ExprError) as ex:
-        trace.steps.append(TraceStep("-", "-", "-", "edge could not be applied",
-                                     "-", "-", [(str(ex), False)]))
-        trace.fail(len(trace.steps) - 1, str(ex))
+    top_and_right = [
+        Step("(10)", "R1", "R1", "psi^p of a line is its p-th power",
+             lambda cur: (P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m),
+                          adams_is_power)),
+        Step("(11)", "R2", "R2", "det commutes with the pullback", det_commutes),
+        Step("(12)", "R2", "R2", "cohomology base change: det Rf'_*(g'^* E)",
+             lambda cur: (_atom(geom_t.f, (), e_t, p * m), [square_registered])),
+        Step("(13)", "R1", "R1", "refold the p-th power into psi^p",
+             lambda cur: (P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m, adams_is_power)),
+        Step("right", CHAIN_RULES, "main chain over the pulled-back family",
+             "apply the verified identity to f_T and g'^*E", right),
+    ]
+    left_and_bottom = [
+        Step("left", CHAIN_RULES, "pullback of the verified identity",
+             "pull the identity over f back along g", left),
+        Step("bottom(1)", "R2", "R2", "det commutes with the pullback", det_commutes),
+        Step("bottom(2)", "R2", "R2", "cohomology base change along the square (g, g')",
+             base_change),
+        Step("bottom(3)", "R9", "R9", "distribute g'^* through the ring structure",
+             bottom(lambda arg: distribute_pull(arg.arg, name_gp, lambda name: None))),
+        Step("bottom(4)", "R7", "R7", "commute g'^* past the Adams operation",
+             bottom(commute_psi, ("psi^k g^* = g^* psi^k applied", True))),
+        Step("bottom(5)", "R9", "R9",
+             "rename pulled symbols into the pulled-back family's table "
+             "(Omega pulls back to Omega)",
+             bottom(lambda arg: _replace_pulls(
+                 arg, lambda pl: gp_reduce(pl.arg) if pl.morphism == name_gp else pl))),
+        Step("square", "-", "composite paths around the square",
+             "compare the two routes into the bottom-right corner",
+             lambda cur: (br_right, [("both composite paths agree", cur.same_atoms(br_right))])),
+    ]
+    if _run_steps(trace, tl, top_and_right, rules) is not None:
+        _run_steps(trace, tl, left_and_bottom, rules)
     return trace
 
 
@@ -975,7 +879,8 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
     symbols = {line: 1}
     e = E.Power(E.Line(line), p)
     geom = Geometry(n, p, symbols)
-    trace = verify_arr_identity(n, p, e, symbols, geometry=geom)
+    rules = rule_set(n, p)
+    trace = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
 
     a = p**n
     theta_omega = E.Theta(p, geom.omega())
@@ -989,18 +894,16 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
         lambda_exprs.append(E.canonicalize(signed_arg))
         product = product * (P.det_rf_atom(geom.f, signed_arg) ** exponents[i])
 
-    rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
-    rhs = P.det_rf_atom(geom.f, rhs_expr)
+    rhs = P.det_rf_atom(geom.f, E.Tensor((tilde_inverse_expr(n, p, theta_omega),
+                                          E.Psi(p, e))))
     left_exponent = p ** (n * (n + 2) + 1)
-    lhs_exp_ok = left_exponent == p * p ** (n * (n + 2))
-    conds = [("lambda product equals the chain's right side", product.same_atoms(rhs)),
-             (f"left exponent p^(n(n+2)+1) = {left_exponent}", lhs_exp_ok)]
-    step = TraceStep("(km)", "KEQ", "det additivity over the binomial sum",
-                     "split det Rf_*(tilde (x) L^(p^2)) into lambda factors",
-                     rhs.render(), product.render(), conds)
-    trace.steps.append(step)
-    if not step.ok():
-        trace.fail(len(trace.steps) - 1, "lambda expansion does not match")
+    _run_steps(trace, rhs, [
+        Step("(km)", "KEQ", "det additivity over the binomial sum",
+             "split det Rf_*(tilde (x) L^(p^2)) into lambda factors",
+             lambda cur: (product, [
+                 ("lambda product equals the chain's right side", product.same_atoms(cur)),
+                 (f"left exponent p^(n(n+2)+1) = {left_exponent}",
+                  left_exponent == p * p ** (n * (n + 2)))]))], rules)
 
     factors = [f"det_rf[{geom.name_f}]({E.print_expr(x)})^{c}"
                for x, c in zip(lambda_exprs, exponents)]

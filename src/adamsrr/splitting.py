@@ -240,19 +240,6 @@ class SplitClass:
     def variables(self) -> set[str]:
         return {v for m in self.terms for v, _ in m}
 
-    def substitute(self, mapping: dict[str, "SplitClass"]) -> "SplitClass":
-        """Replace variables by classes (used by the Chern-character layer)."""
-        total = SplitClass.constant(0, self.space)
-        for m, c in self.terms.items():
-            term = SplitClass.constant(c, self.space)
-            for v, e in m:
-                if v in mapping:
-                    term = term * mapping[v] ** e
-                else:
-                    term = term * SplitClass({((v, e),): 1})
-            total = total + term
-        return total
-
     # -- rendering -----------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:

@@ -164,7 +164,7 @@ def cell_mumford(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
 
 
 def cell_deligne(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
-    v = C.verify_deligne_identity()
+    v = C.deligne_residual()
     if not v.ok:
         return False, f"residual nonzero: {v.residual}"
     for i in range(4):

@@ -91,7 +91,7 @@ def test_criterion_4_mumford_exponent():
 
 def test_criterion_5_deligne_identity():
     t0 = time.monotonic()
-    v = C.verify_deligne_identity()
+    v = C.deligne_residual()
     assert v.ok and v.residual.is_zero()
     # both sides: 9 f_!(l^2) - 9 f_!(l w) + 3/2 f_!(w^2)
     assert v.lhs.coefficient((("l", 2),)) == 9

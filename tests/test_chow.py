@@ -9,7 +9,7 @@ from adamsrr import chow as C
 from adamsrr import expr as E
 from adamsrr.chow import (
     ChowElt, CurveModel, chern_character, deligne_residual, mumford_exponent,
-    pushforward, todd, verify_deligne_identity,
+    pushforward, todd,
 )
 
 
@@ -118,7 +118,7 @@ def test_c1_det_rf_of_canonical_powers(model, k):
 
 
 def test_deligne_identity_residual_zero():
-    v = verify_deligne_identity()
+    v = deligne_residual()
     assert v.ok
     assert v.residual.is_zero()
     assert v.lhs.coefficient((("l", 2),)) == 9

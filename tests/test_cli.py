@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from adamsrr.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
+from adamsrr import rewrite as R
+from adamsrr.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from adamsrr.rewrite import parse_trace_json, revalidate_trace
 
 
@@ -111,12 +112,31 @@ def test_verify_tau_grid(capsys):
     (("verify", "arr", "--rank", "0"), "--rank must be >= 1"),
     (("normalize", "(" * 3000 + "A" + ")" * 3000), "nest deeper"),
     (("normalize", "det_rf(f, " + "(" * 200 + "A" + ")" * 200 + ")"), "nest deeper"),
+    (("normalize", "A" + "^1" * 3000), "powers chain longer"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+    assert err.count("\n") == 1
+
+
+def _raise_recursion(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("argv,patch,kind", [
+    # the witness has more digits than Python converts to a string
+    (("verify", "binomial", "--n", "90", "--p", "7"), None, "ValueError"),
+    (("verify", "arr"), ("verify_arr_identity", _raise_recursion), "RecursionError"),
+])
+def test_internal_errors_exit_3_with_one_line(capsys, monkeypatch, argv, patch, kind):
+    if patch is not None:
+        monkeypatch.setattr(R, *patch)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INTERNAL
+    assert err.startswith(f"internal error: {kind}: ")
     assert err.count("\n") == 1
 
 

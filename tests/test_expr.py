@@ -98,6 +98,46 @@ def test_parse_refuses_nesting_beyond_the_limit(table):
             parse(head * (deep + 1) + "L" + ")" * (deep + 1), table)
 
 
+def test_parse_refuses_power_chains_beyond_the_limit(table):
+    assert parse("L" + "^1" * E.MAX_NESTING, table) == Line("L")
+    with pytest.raises(ParseError, match="powers chain longer"):
+        parse("L" + "^1" * (E.MAX_NESTING + 1), table)
+
+
+# one node of every type, each with a non-trivial child where it has one
+EVERY_NODE = [
+    Line("L"), Bundle("E"), UNIT, IntConst(3), Sum((Line("L"), Neg(Bundle("E")))),
+    Neg(Line("L")), Tensor((IntConst(2), Line("L"), Bundle("E"))), Dual(Bundle("E")),
+    Psi(2, Line("L")), Theta(3, Bundle("E")), E.Tau(2, Line("L")), E.DetClass(Bundle("E")),
+    Power(Sum((Line("L"), UNIT)), 2), E.Pull("F", Psi(2, Bundle("E"))),
+]
+
+
+def test_map_children_identity_on_every_node_type():
+    node_types = {c for c in E.Expr.__subclasses__() if c.__module__ == E.__name__}
+    assert {type(e) for e in EVERY_NODE} == node_types
+    for e in EVERY_NODE:
+        assert E.map_children(e, lambda x: x) == e
+
+
+def test_map_children_applies_fn_to_direct_children_only():
+    def swap(x):
+        return Line("M") if x == Line("L") else x
+
+    assert E.map_children(Line("L"), swap) == Line("L")  # a leaf comes back as it is
+    assert E.map_children(Neg(Line("L")), swap) == Neg(Line("M"))
+    assert E.map_children(E.Pull("F", Line("L")), swap) == E.Pull("F", Line("M"))
+    assert E.map_children(Dual(Neg(Line("L"))), swap) == Dual(Neg(Line("L")))
+
+
+def test_map_children_rejects_an_unknown_node():
+    class Unknown(E.Expr):
+        pass
+
+    with pytest.raises(E.ExprError, match="unknown expression node"):
+        E.map_children(Unknown(), lambda x: x)
+
+
 def test_canonicalize_is_idempotent():
     rng = random.Random(99)
     for e in [NESTED_CONSTANTS] + [SU.random_expr(rng) for _ in range(200)]:

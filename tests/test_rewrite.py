@@ -10,7 +10,7 @@ from adamsrr import expr as E
 from adamsrr import picard as P
 from adamsrr import splitting as S
 from adamsrr.rewrite import (
-    Geometry, OMEGA, adams_to_frobenius, emit_trace, insert_rank_zero_power,
+    CHAIN_RULES, Geometry, OMEGA, adams_to_frobenius, emit_trace, insert_rank_zero_power,
     is_prime, knudsen_mumford_expansion, parse_trace_json, revalidate_trace,
     rule_set, tilde_inverse_expr, verify_base_change, verify_arr_identity,
 )
@@ -123,12 +123,38 @@ def test_dualized_projection_formula_fails_at_its_step(n, p):
     assert "theta^p(Omega_f) (x) F^*W" in tr.failure
 
 
-def test_missing_rule_fails_cleanly():
+RUNS = {"chain": verify_arr_identity, "square": verify_base_change}
+# labels of the failing step that the derivation below must agree with (None: verifies)
+PINNED = {("chain", "R7"): None, ("square", "R1"): "(10)", ("square", "R2"): "(11)",
+          ("square", "R3"): "right", ("square", "R7"): "bottom(4)"}
+
+
+@pytest.mark.parametrize("target,name", [(t, name) for t in RUNS for name in rule_set(1, 2)],
+                         ids=lambda v: v)
+def test_missing_rule_fails_cleanly(target, name):
+    # a dropped rule fails at the first step citing it; an edge citing the whole
+    # chain cites every rule the chain's own steps cite
+    full = RUNS[target](1, 2)
+    chain_rules = {r for s in verify_arr_identity(1, 2).steps for r in s.rule.split(",")}
+    cited = [chain_rules if s.rule == CHAIN_RULES else set(s.rule.split(","))
+             for s in full.steps]
+    want = next((i for i, c in enumerate(cited) if name in c), None)
+    if (target, name) in PINNED:
+        assert (None if want is None else full.steps[want].label) == PINNED[target, name]
     rules = rule_set(1, 2)
-    del rules["R4"]
-    tr = verify_arr_identity(1, 2, rules=rules)
+    del rules[name]
+    tr = RUNS[target](1, 2, rules=rules)
+    if want is None:
+        assert tr.verified, tr.failure
+        return
     assert tr.status == "failed"
-    assert "R4" in tr.failure
+    assert tr.failed_step == want
+    assert tr.steps[want].label == full.steps[want].label
+    if full.steps[want].rule == CHAIN_RULES:
+        assert "theorem (I) verified" in tr.failure
+    else:
+        assert tr.failure == f"rule {name} is not in the active rule set"
+    assert revalidate_trace(parse_trace_json(emit_trace(tr, "json")))
 
 
 def test_stubbed_binomial_oracle_fails_the_chain():
