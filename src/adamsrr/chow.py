@@ -24,15 +24,12 @@ class ChowError(E.ExprError):
     pass
 
 
-Monomial = tuple[tuple[str, int], ...]
-
-
 class ChowElt:
     """Graded polynomial over Q in degree-1 symbols, truncated above D."""
 
     __slots__ = ("terms", "top")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None, top: int = 2):
+    def __init__(self, terms: dict[S.Monomial, Fraction] | None = None, top: int = 2):
         self.top = top
         self.terms = {m: c for m, c in (terms or {}).items() if c and _deg(m) <= top}
 
@@ -88,13 +85,13 @@ class ChowElt:
         if other is NotImplemented:
             return NotImplemented
         top = self._join_top(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[S.Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             d1 = _deg(m1)
             for m2, c2 in other.terms.items():
                 if d1 + _deg(m2) > top:
                     continue
-                m = _mono_mul(m1, m2)
+                m = S._mono_mul(m1, m2)
                 nc = out.get(m, Fraction(0)) + c1 * c2
                 if nc:
                     out[m] = nc
@@ -145,18 +142,11 @@ class ChowElt:
         return f"ChowElt({self}, top={self.top})"
 
 
-def _deg(m: Monomial) -> int:
+def _deg(m: S.Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
-
-
-def _render_terms(terms: dict[Monomial, Fraction]) -> str:
+def _render_terms(terms: dict[S.Monomial, Fraction]) -> str:
     parts = []
     for m in sorted(terms, key=lambda m: (_deg(m), m)):
         c = terms[m]
@@ -179,7 +169,7 @@ class PushedElt:
 
     __slots__ = ("terms", "rel_dim")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None, rel_dim: int = 1):
+    def __init__(self, terms: dict[S.Monomial, Fraction] | None = None, rel_dim: int = 1):
         self.rel_dim = rel_dim
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
@@ -207,7 +197,7 @@ class PushedElt:
         return PushedElt({m: c for m, c in self.terms.items()
                           if _deg(m) - self.rel_dim == degree}, self.rel_dim)
 
-    def coefficient(self, m: Monomial) -> Fraction:
+    def coefficient(self, m: S.Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
     def is_zero(self) -> bool:
@@ -388,7 +378,7 @@ def mumford_exponent(k: int, top: int | None = None) -> Fraction:
         raise ValueError("k must be >= 0")
     model = CurveModel.standard()
     omega = E.Line("omega")
-    w2: Monomial = (("w", 2),)
+    w2: S.Monomial = (("w", 2),)
     num = model.c1_det_rf(E.Power(omega, k), top).coefficient(w2)
     den = model.c1_det_rf(omega, top).coefficient(w2)
     return num / den

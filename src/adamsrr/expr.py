@@ -447,6 +447,8 @@ def _print_primary(e: Expr) -> str:
 _KEYWORD_OPS = {"dual", "psi", "theta", "tau", "det", "pull"}
 # deepest parentheses and longest `^` chain `parse` accepts, well below the recursion limit
 MAX_NESTING = 100
+# deepest tree `parse` builds: canonicalize and print_expr recurse once per level
+MAX_DEPTH = 2 * MAX_NESTING
 
 
 class _Tokens:
@@ -512,11 +514,13 @@ def parse(text: str, table: SymbolTable) -> Expr:
     factor)*; factor := primary ["^" ["-"] INT]; primary := INT | NAME |
     dual/psi/theta/tau/det/pull call | "(" expr ")".  Parentheses nesting
     deeper than MAX_NESTING are refused before the descent starts, and so
-    is a chain of more than MAX_NESTING powers on one factor.
+    is a chain of more than MAX_NESTING powers on one factor.  A tree deeper
+    than MAX_DEPTH nodes (parentheses and chains together) is refused where
+    it grows past it, so every parsed tree can be canonicalized and printed.
     """
     toks = _Tokens(text)
     _check_nesting(toks.tokens)
-    e = _parse_expr(toks, table)
+    e, _ = _parse_expr(toks, table)
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -534,35 +538,54 @@ def _check_nesting(tokens: list[tuple[str, str, int]]) -> None:
             depth -= 1
 
 
-def _parse_expr(toks: _Tokens, table: SymbolTable) -> Expr:
+# Each _parse_* returns the node and its depth (nodes on its longest path to a leaf).
+
+def _deeper(depth: int, toks: _Tokens) -> int:
+    """Depth of a node built over a child of `depth`; refuses past MAX_DEPTH."""
+    if depth >= MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH}", toks.peek()[2])
+    return depth + 1
+
+
+def _parse_expr(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
     terms: list[Expr] = []
-    if toks.peek()[0] == "-":
-        toks.next()
-        terms.append(Neg(_parse_term(toks, table)))
-    else:
-        terms.append(_parse_term(toks, table))
-    while toks.peek()[0] in ("+", "-"):
+    depth = 0
+    op = toks.next()[0] if toks.peek()[0] == "-" else "+"
+    while True:
+        t, d = _parse_term(toks, table)
+        if op == "-":
+            t, d = Neg(t), _deeper(d, toks)
+        terms.append(t)
+        depth = max(depth, d)
+        if toks.peek()[0] not in ("+", "-"):
+            break
         op = toks.next()[0]
-        t = _parse_term(toks, table)
-        terms.append(Neg(t) if op == "-" else t)
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    if len(terms) == 1:
+        return terms[0], depth
+    return Sum(tuple(terms)), _deeper(depth, toks)
 
 
-def _parse_term(toks: _Tokens, table: SymbolTable) -> Expr:
-    factors = [_parse_factor(toks, table)]
+def _parse_term(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
+    f, depth = _parse_factor(toks, table)
+    factors = [f]
     while toks.peek()[0] == "TENSOR":
         toks.next()
-        factors.append(_parse_factor(toks, table))
-    return factors[0] if len(factors) == 1 else Tensor(tuple(factors))
+        f, d = _parse_factor(toks, table)
+        factors.append(f)
+        depth = max(depth, d)
+    if len(factors) == 1:
+        return f, depth
+    return Tensor(tuple(factors)), _deeper(depth, toks)
 
 
-def _parse_factor(toks: _Tokens, table: SymbolTable) -> Expr:
-    e = _parse_primary(toks, table)
+def _parse_factor(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
+    e, depth = _parse_primary(toks, table)
     chain = 0
     while toks.peek()[0] == "^":
         chain += 1
         if chain > MAX_NESTING:
             raise ParseError(f"powers chain longer than {MAX_NESTING}", toks.peek()[2])
+        depth = _deeper(depth, toks)
         toks.next()
         sign = 1
         if toks.peek()[0] == "-":
@@ -570,51 +593,53 @@ def _parse_factor(toks: _Tokens, table: SymbolTable) -> Expr:
             sign = -1
         tok = toks.expect("INT")
         e = Power(e, sign * int(tok[1]))
-    return e
+    return e, depth
 
 
-def _parse_primary(toks: _Tokens, table: SymbolTable) -> Expr:
+def _parse_primary(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
     tok = toks.next()
     kind, value, pos = tok
     if kind == "INT":
-        return IntConst(int(value))
+        return IntConst(int(value)), 1
     if kind == "(":
-        e = _parse_expr(toks, table)
+        inner = _parse_expr(toks, table)
         toks.expect(")")
-        return e
+        return inner
     if kind == "NAME":
         if value in _KEYWORD_OPS:
-            return _parse_call(value, toks, table, pos)
+            e, depth = _parse_call(value, toks, table, pos)
+            return e, _deeper(depth, toks)
         if value == "O":
-            return UNIT
+            return UNIT, 1
         if value not in table:
             raise ParseError(f"undeclared symbol {value!r}", pos)
         if table.kind(value) == LINE:
-            return Line(value)
-        return Bundle(value)
+            return Line(value), 1
+        return Bundle(value), 1
     raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _parse_call(head: str, toks: _Tokens, table: SymbolTable, pos: int) -> Expr:
+def _parse_call(head: str, toks: _Tokens, table: SymbolTable, pos: int) -> tuple[Expr, int]:
+    """An operator call and the depth of its argument."""
     toks.expect("(")
     if head in ("psi", "theta", "tau"):
         k = int(toks.expect("INT")[1])
         toks.expect(",")
-        arg = _parse_expr(toks, table)
+        arg, depth = _parse_expr(toks, table)
         toks.expect(")")
         if k < 1:
             raise ParseError(f"{head} index must be >= 1", pos)
         ctor = {"psi": Psi, "theta": Theta, "tau": Tau}[head]
-        return ctor(k, arg)
+        return ctor(k, arg), depth
     if head == "pull":
         name = toks.expect("NAME")[1]
         toks.expect(",")
-        arg = _parse_expr(toks, table)
+        arg, depth = _parse_expr(toks, table)
         toks.expect(")")
-        return Pull(name, arg)
-    arg = _parse_expr(toks, table)
+        return Pull(name, arg), depth
+    arg, depth = _parse_expr(toks, table)
     toks.expect(")")
-    return Dual(arg) if head == "dual" else DetClass(arg)
+    return (Dual(arg) if head == "dual" else DetClass(arg)), depth
 
 
 # ---------------------------------------------------------------------------

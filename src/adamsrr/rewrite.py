@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -123,9 +124,11 @@ class Geometry:
 
         self.ctx_x = S.SplitContext(self.table_x)
         self.ctx_xp = S.SplitContext(self.table_xp, opaque=frozenset({PUSHED_STRUCTURE}))
-        self.ctx_x.pull_reducers[self.name_F] = self.frobenius_reduce
-        self.ctx_x.pull_reducers[self.name_FX] = lambda e: E.Psi(p, e)
-        self.ctx_xp.pull_reducers[self.name_J] = self.j_reduce
+        # reducers close over the symbol tables only, so that no context
+        # refers back to its Geometry and a verdict frees both by refcount
+        self.ctx_x.pull_reducers[self.name_F] = partial(_frobenius_reduce, p, self.table_x)
+        self.ctx_x.pull_reducers[self.name_FX] = partial(E.Psi, p)
+        self.ctx_xp.pull_reducers[self.name_J] = partial(_j_reduce, self.table_xp)
 
         self.f = P.Morphism(self.name_f, n, self.ctx_x)
         self.fp = P.Morphism(self.name_fp, n, self.ctx_xp)
@@ -157,29 +160,39 @@ class Geometry:
         return E.Bundle(PUSHED_STRUCTURE)
 
     def symbol_expr(self, name: str, table: E.SymbolTable | None = None) -> E.Expr:
-        table = table or self.table_x
-        return E.Line(name) if table.kind(name) == E.LINE else E.Bundle(name)
+        return _symbol_expr(name, table or self.table_x)
 
     # -- pullback substitutions (ground truth) ---------------------------------
     def j_reduce(self, e: E.Expr) -> E.Expr:
         """J^*: rename X symbols into their twist-side copies (naturality)."""
-        return _map_symbols(e, lambda name: self.symbol_expr(self.j_name(name), self.table_xp)
-                            if self.j_name(name) in self.table_xp
-                            else _fail_symbol(name, "J^*"))
+        return _j_reduce(self.table_xp, e)
 
     def frobenius_reduce(self, e: E.Expr) -> E.Expr:
         """F^*: the relative-Frobenius pullback on twist-side classes.
 
         F^*(F_*O_X) = theta^p(Omega_f); F^*(J^* s) = F_X^* s = psi^p(s).
         """
-        def on_symbol(name: str) -> E.Expr:
-            if name == PUSHED_STRUCTURE:
-                return E.Theta(self.p, self.omega())
-            if name.startswith("J_") and name[2:] in self.table_x:
-                return E.Psi(self.p, self.symbol_expr(name[2:]))
-            return _fail_symbol(name, "F^*")
+        return _frobenius_reduce(self.p, self.table_x, e)
 
-        return _map_symbols(e, on_symbol)
+
+def _symbol_expr(name: str, table: E.SymbolTable) -> E.Expr:
+    return E.Line(name) if table.kind(name) == E.LINE else E.Bundle(name)
+
+
+def _j_reduce(table_xp: E.SymbolTable, e: E.Expr) -> E.Expr:
+    return _map_symbols(e, lambda name: _symbol_expr("J_" + name, table_xp)
+                        if "J_" + name in table_xp else _fail_symbol(name, "J^*"))
+
+
+def _frobenius_reduce(p: int, table_x: E.SymbolTable, e: E.Expr) -> E.Expr:
+    def on_symbol(name: str) -> E.Expr:
+        if name == PUSHED_STRUCTURE:
+            return E.Theta(p, E.Bundle(OMEGA))
+        if name.startswith("J_") and name[2:] in table_x:
+            return E.Psi(p, _symbol_expr(name[2:], table_x))
+        return _fail_symbol(name, "F^*")
+
+    return _map_symbols(e, on_symbol)
 
 
 def _fail_symbol(name: str, what: str) -> E.Expr:
@@ -216,7 +229,7 @@ def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
     def r5_target() -> E.Expr:
         return E.Theta(p, E.Bundle(OMEGA))
 
-    def r4_action(morphism: str, w: E.Expr) -> E.Expr:
+    def pull_action(morphism: str, w: E.Expr) -> E.Expr:
         return E.Pull(morphism, w)
 
     def r7_action(e: E.Expr) -> E.Expr:
@@ -232,14 +245,14 @@ def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
         RewriteRule("R2", "det Rf_* commutes with base change",
                     "pullback of a determinant of cohomology along a base morphism "
                     "equals the determinant of the pulled-back family",
-                    base_conditions),
+                    base_conditions, action=pull_action),
         RewriteRule("R3", "det Rf_*((H0-H1)^(x)l (x) H) is trivial for l >= n+2, rk H0 = rk H1",
                     "insert or remove a det-trivial summand of rank-zero-power shape",
                     base_conditions + ((f"l >= n+2 = {n + 2}", True),)),
         RewriteRule("R4", "projection formula: F_*O_X (x) W = F_*(F^* W)",
                     "trade the pushforward algebra factor for a pullback upstairs "
                     "along the factorization f = f' o F",
-                    base_conditions, action=r4_action),
+                    base_conditions, action=pull_action),
         RewriteRule("R5", "F^* F_* O_X = theta^p(Omega_f)",
                     "replace the Frobenius pullback of the pushed structure sheaf "
                     "by the p-th Bott class of the relative differentials",
@@ -473,15 +486,12 @@ def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | 
     keep the pullback pending on that leaf.  Adams operations block the
     distribution unless `through_psi` is set (that exchange is rule R7).
     """
-    def go(x: E.Expr) -> E.Expr:
-        if isinstance(x, (E.Line, E.Bundle)):
-            composed = compose(x.name)
-            return composed if composed is not None else E.Pull(morphism, x)
-        if isinstance(x, E.Pull) or (isinstance(x, E.Psi) and not through_psi):
-            return E.Pull(morphism, x)
-        return E.map_children(x, go)
-
-    return go(e)
+    if isinstance(e, (E.Line, E.Bundle)):
+        composed = compose(e.name)
+        return composed if composed is not None else E.Pull(morphism, e)
+    if isinstance(e, E.Pull) or (isinstance(e, E.Psi) and not through_psi):
+        return E.Pull(morphism, e)
+    return E.map_children(e, lambda x: distribute_pull(x, morphism, compose, through_psi))
 
 
 def _replace_pulls(e: E.Expr, fn: Callable[[E.Pull], E.Expr]) -> E.Expr:
@@ -759,15 +769,7 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     geom.tags[name_gp] = MorphismTag(name_gp, "base-change-upstairs", p)
     geom.base_change_squares[(name_g, geom.name_f)] = (geom_t.name_f, name_gp)
 
-    def gp_reduce(x: E.Expr) -> E.Expr:
-        def on_symbol(name: str) -> E.Expr:
-            if name == OMEGA:
-                return geom_t.omega()
-            if "g_" + name in geom_t.table_x:
-                return geom_t.symbol_expr("g_" + name)
-            return _fail_symbol(name, "g'^*")
-        return _map_symbols(x, on_symbol)
-
+    gp_reduce = partial(_gp_reduce, geom_t.table_x)
     geom_t.ctx_x.pull_reducers[name_gp] = gp_reduce
 
     m = p ** (n * (n + 2))
@@ -799,11 +801,17 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         return P.pull_line(name_g, P.det_rf_atom(geom.f, rhs_expr)), \
             [("theorem (I) verified over the original family", sub.verified)]
 
+    rename_t = {v: v_t for name in geom.table_x.names()
+                for v, v_t in zip(geom.ctx_x.roots[name],
+                                  geom_t.ctx_x.roots[name if name == OMEGA else "g_" + name])}
+
     def base_change(cur: P.GradedLine):
-        exp = _sole_det(cur)[2]
-        after = _atom(geom_t.f, (), E.Pull(name_gp, rhs_expr), exp)
-        return after, [square_registered, _class_equal_condition(
-            P.det_rf_atom(geom_t.f, E.Pull(name_gp, rhs_expr)) ** exp, after)]
+        slot, arg, exp = _sole_det(cur)
+        after_arg = rules["R2"].action(name_gp, arg)
+        return _atom(geom_t.f, (), after_arg, exp), [square_registered, (
+            "argument over f_T is the g'-pullback of the original (split-engine identity)",
+            _rename_vars(geom.f.truncated(arg), rename_t)
+            == S.SplitClass(geom_t.f.truncated(after_arg).terms, None))]
 
     def bottom(rewrite_arg: Callable[[E.Expr], E.Expr], *conditions: tuple[str, bool]):
         # a move on the bottom edge's argument over f_T, keeping the form's grade
@@ -851,6 +859,18 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     if _run_steps(trace, tl, top_and_right, rules) is not None:
         _run_steps(trace, tl, left_and_bottom, rules)
     return trace
+
+
+def _gp_reduce(table_t: E.SymbolTable, e: E.Expr) -> E.Expr:
+    """g'^*: rename X symbols into the pulled-back family's (Omega to Omega)."""
+    def on_symbol(name: str) -> E.Expr:
+        if name == OMEGA:
+            return E.Bundle(OMEGA)
+        if "g_" + name in table_t:
+            return _symbol_expr("g_" + name, table_t)
+        return _fail_symbol(name, "g'^*")
+
+    return _map_symbols(e, on_symbol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ binomial identity behind the tilde-inverse.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -291,6 +292,8 @@ class SplitContext:
         self.var_aug: dict[str, int] = {}
         self._eval_cache: dict[Expr, SplitClass] = {}
         self._trunc_cache: dict[tuple[Expr, int], SplitClass] = {}
+        self._packed_cache: dict[tuple[Expr, int], dict[int, object]] = {}
+        self._packings: dict[int, _Packing] = {}
         for name in self.table.names():
             kind, rk = self.table.entries[name]
             if kind == LINE:
@@ -484,37 +487,122 @@ def classes_equal(a: SplitClass, b: SplitClass) -> bool:
 # ---------------------------------------------------------------------------
 # Truncated augmentation filtration
 
+class _Packing:
+    """Packed exponent vectors for the truncated ring over one variable order.
+
+    A monomial in the u-variables (u = x - aug(x)) with total degree below
+    `cutoff` is one int: exponent i in bits [i*width, (i+1)*width), with the
+    variables in name order, and the total degree above all of them.  A
+    product is then `m1 + m2`, kept iff it is below `limit`: a kept product
+    has every exponent <= cutoff - 1, so no field carries, and a dropped one
+    is at or above the limit with or without carries (Monagan & Pearce,
+    CASC 2007).  `series` and `expanded` memoize the binomial series and the
+    expansion of each Laurent monomial.
+    """
+
+    __slots__ = ("offset", "width", "shift", "limit", "cutoff", "var_aug", "series", "expanded")
+
+    def __init__(self, variables, var_aug: dict[str, int], cutoff: int):
+        self.width = max(1, (cutoff - 1).bit_length())
+        self.offset = {v: i * self.width for i, v in enumerate(sorted(variables))}
+        self.shift = self.width * len(self.offset)
+        self.limit = cutoff << self.shift
+        self.cutoff = cutoff
+        self.var_aug = var_aug
+        self.series: dict[tuple[str, int], dict[int, object]] = {}
+        self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
+
+    def unpack(self, packed: dict[int, object], space: str | None) -> SplitClass:
+        mask = (1 << self.width) - 1
+        used = 0
+        for m in packed:
+            used |= m
+        fields = [(v, at) for v, at in self.offset.items() if (used >> at) & mask]
+        terms = {}
+        for m, c in packed.items():
+            mono = []
+            for v, at in fields:
+                e = (m >> at) & mask
+                if e:
+                    mono.append((v, e))
+            terms[tuple(mono)] = c
+        return SplitClass(terms, space)
+
+    def expand(self, m: Monomial) -> dict[int, object]:
+        """Truncated expansion of a Laurent monomial, built one variable at a time."""
+        hit = self.expanded.get(m)
+        if hit is not None:
+            return hit
+        last = m[-1]
+        series = self.series.get(last)
+        if series is None:
+            series = self.series[last] = _binomial_series(self, *last)
+        out = self.expanded[m] = series if len(m) == 1 else \
+            _packed_mul(self.expand(m[:-1]), series, self.limit)
+        return out
+
+    def filtration(self, cls: SplitClass) -> dict[int, object]:
+        total: dict[int, object] = {}
+        for m, c in cls.terms.items():
+            for mono, coeff in self.expand(m).items():
+                total[mono] = total.get(mono, 0) + coeff * c
+        return {m: c for m, c in total.items() if c}
+
+
+def _packed_mul(a: dict[int, object], b: dict[int, object], limit: int) -> dict[int, object]:
+    """Truncated product; with `b` sorted, no pair at or above `limit` is visited."""
+    keys = sorted(b)
+    coeffs = [b[m] for m in keys]
+    out: dict[int, object] = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for i in range(bisect_left(keys, limit - m1)):
+            m = m1 + keys[i]
+            out[m] = get(m, 0) + c1 * coeffs[i]
+    return {m: c for m, c in out.items() if c}
+
+
+def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
+    """Packed terms of (aug + u_v)^e below u-degree cutoff (e may be negative)."""
+    aug = pk.var_aug.get(v, 1)
+    unit = (1 << pk.offset[v]) | (1 << pk.shift)  # u_v itself
+    if aug == 0:
+        # only nonnegative exponents arise for rank-0 reserved symbols
+        if e < 0:
+            raise EvalError("cannot invert a rank-0 class in the filtration expansion")
+        return {e * unit: 1} if e < pk.cutoff else {}
+    out: dict[int, object] = {}
+    if e >= 0:
+        coeff: object = aug**e
+    elif aug == 1:
+        coeff = 1
+    else:
+        coeff = Fraction(1, aug ** (-e))
+    j = 0
+    while j < pk.cutoff:
+        if coeff:
+            out[j * unit] = coeff
+        # next generalized binomial coefficient: C(e, j+1)/C(e, j) = (e-j)/(j+1)
+        num = coeff * (e - j)
+        den = (j + 1) * aug
+        if isinstance(num, int) and num % den == 0:
+            coeff = num // den
+        else:
+            coeff = Fraction(num) / den
+        if e >= 0 and j >= e:
+            break
+        j += 1
+    return out
+
+
 def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) -> SplitClass:
     """Expansion of a class mod the cutoff-th power of the augmentation ideal.
 
     Substitutes each variable v -> aug(v) + u_v and drops all terms of total
     u-degree >= cutoff.  Zero result means the class lies in I^cutoff.
     """
-    series_cache: dict[tuple[str, int], list[tuple[Monomial, object]]] = {}
-    mono_cache: dict[Monomial, dict[Monomial, object]] = {(): {(): 1}}
-
-    def expand(m: Monomial) -> dict[Monomial, object]:
-        hit = mono_cache.get(m)
-        if hit is not None:
-            return hit
-        head, last = m[:-1], m[-1]
-        series = series_cache.get(last)
-        if series is None:
-            series = _binomial_series(last[0], var_aug.get(last[0], 1), last[1], cutoff)
-            series_cache[last] = series
-        out = _trunc_mul(expand(head), series, cutoff)
-        mono_cache[m] = out
-        return out
-
-    total: dict[Monomial, object] = {}
-    for m, c in cls.terms.items():
-        for mono, coeff in expand(m).items():
-            nc = total.get(mono, 0) + coeff * c
-            if nc:
-                total[mono] = nc
-            else:
-                total.pop(mono, None)
-    return SplitClass(total, cls.space)
+    pk = _Packing(cls.variables(), var_aug, cutoff)  # no other variable can occur
+    return pk.unpack(pk.filtration(cls), cls.space)
 
 
 def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
@@ -530,100 +618,52 @@ def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     """
     key = (e, cutoff)
     hit = ctx._trunc_cache.get(key)
+    if hit is None:
+        pk = ctx._packings.get(cutoff)
+        if pk is None:
+            pk = ctx._packings[cutoff] = _Packing(ctx.var_aug, ctx.var_aug, cutoff)
+        hit = ctx._trunc_cache[key] = pk.unpack(_packed_eval(e, ctx, pk), ctx.space)
+    return hit
+
+
+def _packed_eval(e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
+    """`truncated_eval` on packed monomials, memoized per context."""
+    key = (e, pk.cutoff)
+    hit = ctx._packed_cache.get(key)
     if hit is not None:
         return hit
     if isinstance(e, Sum):
-        total: dict[Monomial, object] = {}
+        total: dict[int, object] = {}
         for t in e.terms:
-            for m, c in truncated_eval(t, ctx, cutoff).terms.items():
-                nc = total.get(m, 0) + c
-                if nc:
-                    total[m] = nc
-                else:
-                    total.pop(m, None)
-        out = SplitClass(total, ctx.space)
+            for m, c in _packed_eval(t, ctx, pk).items():
+                total[m] = total.get(m, 0) + c
+        out = {m: c for m, c in total.items() if c}
     elif isinstance(e, Neg):
-        inner = truncated_eval(e.arg, ctx, cutoff)
-        out = SplitClass({m: -c for m, c in inner.terms.items()}, ctx.space)
+        out = {m: -c for m, c in _packed_eval(e.arg, ctx, pk).items()}
     elif isinstance(e, (IntConst, Unit)):
         value = e.value if isinstance(e, IntConst) else 1
-        out = SplitClass({(): value} if value else {}, ctx.space)
+        out = {0: value} if value else {}
     elif isinstance(e, Tensor):
-        acc = {(): 1}
+        out = {0: 1}
         for f in e.factors:
-            terms = list(truncated_eval(f, ctx, cutoff).terms.items())
-            acc = _trunc_mul(acc, terms, cutoff)
-            if not acc:
+            out = _packed_mul(out, _packed_eval(f, ctx, pk), pk.limit)
+            if not out:
                 break
-        out = SplitClass(acc, ctx.space)
     elif isinstance(e, Power) and e.exponent >= 0:
-        base = truncated_eval(e.base, ctx, cutoff)
-        acc = {(): 1}
-        square = dict(base.terms)
+        out = {0: 1}
+        square = _packed_eval(e.base, ctx, pk)
         k = e.exponent
         while k:
             if k & 1:
-                acc = _trunc_mul(acc, list(square.items()), cutoff)
+                out = _packed_mul(out, square, pk.limit)
             k >>= 1
             if k:
-                square = _trunc_mul(square, list(square.items()), cutoff)
-        out = SplitClass(acc, ctx.space)
+                square = _packed_mul(square, square, pk.limit)
     elif isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-        out = truncated_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff)
+        out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, pk)
     else:
-        out = truncated_filtration(eval_expr(e, ctx), ctx.var_aug, cutoff)
-    ctx._trunc_cache[key] = out
-    return out
-
-
-def _binomial_series(v: str, aug: int, e: int, cutoff: int) -> list[tuple[Monomial, object]]:
-    """Terms of (aug + u_v)^e truncated below u-degree cutoff (e may be negative)."""
-    if aug == 0:
-        # only nonnegative exponents arise for rank-0 reserved symbols
-        if e < 0:
-            raise EvalError("cannot invert a rank-0 class in the filtration expansion")
-        if e >= cutoff:
-            return []
-        return [(((v, e),) if e else (), 1)]
-    out: list[tuple[Monomial, object]] = []
-    if e >= 0:
-        coeff: object = aug**e
-    elif aug == 1:
-        coeff = 1
-    else:
-        coeff = Fraction(1, aug ** (-e))
-    j = 0
-    while j < cutoff:
-        if coeff:
-            out.append(((((v, j),) if j else ()), coeff))
-        # next generalized binomial coefficient: C(e, j+1)/C(e, j) = (e-j)/(j+1)
-        num = coeff * (e - j)
-        den = (j + 1) * aug
-        if isinstance(num, int) and num % den == 0:
-            coeff = num // den
-        else:
-            coeff = Fraction(num) / den
-        if e >= 0 and j >= e:
-            break
-        j += 1
-    return out
-
-
-def _trunc_mul(a: dict[Monomial, object], b: list[tuple[Monomial, object]],
-               cutoff: int) -> dict[Monomial, object]:
-    bdeg = [(m, c, sum(e for _, e in m)) for m, c in b]
-    out: dict[Monomial, object] = {}
-    for m1, c1 in a.items():
-        d1 = sum(e for _, e in m1)
-        for m2, c2, d2 in bdeg:
-            if d1 + d2 >= cutoff:
-                continue
-            m = _mono_mul(m1, m2)
-            nc = out.get(m, 0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+        out = pk.filtration(eval_expr(e, ctx))
+    ctx._packed_cache[key] = out
     return out
 
 

@@ -113,6 +113,8 @@ def test_verify_tau_grid(capsys):
     (("normalize", "(" * 3000 + "A" + ")" * 3000), "nest deeper"),
     (("normalize", "det_rf(f, " + "(" * 200 + "A" + ")" * 200 + ")"), "nest deeper"),
     (("normalize", "A" + "^1" * 3000), "powers chain longer"),
+    # each limit holds, but together they would build 1200 nested powers
+    (("normalize", "(" * 60 + "A" + ("^1" * 20 + ")") * 60), "nests deeper"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

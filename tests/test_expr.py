@@ -104,6 +104,19 @@ def test_parse_refuses_power_chains_beyond_the_limit(table):
         parse("L" + "^1" * (E.MAX_NESTING + 1), table)
 
 
+def test_parse_refuses_trees_deeper_than_the_limit(table):
+    # the deepest tree parentheses and chains allow together still prints;
+    # one power more is refused
+    deep = E.MAX_NESTING
+    widest = "dual(" * deep + "L" + "^1" * (E.MAX_DEPTH - deep - 1) + ")" * deep
+    e = parse(widest, table)
+    assert parse(print_expr(e), table) == e
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(widest.replace("L", "L^1"), table)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse("(" * 60 + "L" + ("^1" * 20 + ")") * 60, table)
+
+
 # one node of every type, each with a non-trivial child where it has one
 EVERY_NODE = [
     Line("L"), Bundle("E"), UNIT, IntConst(3), Sum((Line("L"), Neg(Bundle("E")))),

@@ -1,5 +1,6 @@
 """Rewrite engine: rule set, chain replay, base change, lambda expansion, traces."""
 
+import gc
 import json
 from dataclasses import replace
 from math import comb
@@ -223,6 +224,37 @@ def test_ablating_r7_breaks_the_bottom_edge():
     tr = verify_base_change(1, 2, rules=rules)
     assert tr.status == "failed"
     assert "R7" in tr.failure
+
+
+@pytest.mark.parametrize("n,p,symbols", [(1, 2, {"L": 1}), (2, 3, {"L": 1}), (2, 2, {"E": 2})])
+def test_dualized_base_change_fails_at_its_edge(n, p, symbols):
+    # R2 tampered to pull back the dual along g': the class check of bottom(2)
+    # compares it with the original argument renamed into the pulled-back family
+    rules = rule_set(n, p)
+    rules["R2"] = replace(rules["R2"], action=lambda morphism, w: E.Pull(morphism, E.Dual(w)))
+    tr = verify_base_change(n, p, symbols=symbols, rules=rules)
+    assert tr.status == "failed"
+    assert tr.steps[tr.failed_step].label == "bottom(2)"
+    assert "g'-pullback of the original" in tr.failure
+
+
+def test_verdicts_free_their_contexts_without_the_cycle_collector():
+    # no reducer, traversal or step closure refers back to its Geometry, so a
+    # verdict's SplitContexts are freed by reference counting alone
+    def live_contexts():
+        return sum(isinstance(o, S.SplitContext) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_contexts()
+        assert verify_arr_identity(2, 3, symbols={"E": 2}).verified
+        assert verify_arr_identity(3, 2).verified
+        assert live_contexts() == before
+        assert verify_base_change(1, 2).verified
+        assert live_contexts() == before
+    finally:
+        gc.enable()
 
 
 # -- lambda expansion --------------------------------------------------------------------

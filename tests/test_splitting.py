@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -12,7 +13,7 @@ from adamsrr.rewrite import PUSHED_STRUCTURE, Geometry
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext, UniPoly,
     binomial_identity_check, classes_equal, eval_expr, formal_inverse, tau_class,
-    tau_equals_theta, tilde_theta_inverse, truncated_eval, truncated_filtration,
+    _Packing, tau_equals_theta, tilde_theta_inverse, truncated_eval, truncated_filtration,
 )
 
 
@@ -402,6 +403,182 @@ def test_truncated_eval_refuses_an_unregistered_pullback():
         truncated_eval(E.Pull("g", E.Line("L")), geom.ctx_x, 3)
     with pytest.raises(EvalError):  # J^* is registered into X' only
         truncated_eval(E.Pull(geom.name_J, E.Line("L")), geom.ctx_x, 3)
+
+
+# -- reference kernel: the tuple-of-pairs truncation the packed kernel replaced --
+
+def _ref_mono_mul(a, b):
+    d = dict(a)
+    for v, e in b:
+        ne = d.get(v, 0) + e
+        if ne:
+            d[v] = ne
+        else:
+            d.pop(v, None)
+    return tuple(sorted(d.items()))
+
+
+def _ref_trunc_mul(a, b, cutoff):
+    bdeg = [(m, c, sum(e for _, e in m)) for m, c in b]
+    out = {}
+    for m1, c1 in a.items():
+        d1 = sum(e for _, e in m1)
+        for m2, c2, d2 in bdeg:
+            if d1 + d2 >= cutoff:
+                continue
+            m = _ref_mono_mul(m1, m2)
+            nc = out.get(m, 0) + c1 * c2
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _ref_binomial_series(v, aug, e, cutoff):
+    if aug == 0:
+        if e < 0:
+            raise EvalError("cannot invert a rank-0 class in the filtration expansion")
+        if e >= cutoff:
+            return []
+        return [(((v, e),) if e else (), 1)]
+    out = []
+    if e >= 0:
+        coeff = aug**e
+    elif aug == 1:
+        coeff = 1
+    else:
+        coeff = Fraction(1, aug ** (-e))
+    j = 0
+    while j < cutoff:
+        if coeff:
+            out.append(((((v, j),) if j else ()), coeff))
+        num = coeff * (e - j)
+        den = (j + 1) * aug
+        if isinstance(num, int) and num % den == 0:
+            coeff = num // den
+        else:
+            coeff = Fraction(num) / den
+        if e >= 0 and j >= e:
+            break
+        j += 1
+    return out
+
+
+def _ref_truncated_filtration(cls, var_aug, cutoff):
+    series_cache = {}
+    mono_cache = {(): {(): 1}}
+
+    def expand(m):
+        hit = mono_cache.get(m)
+        if hit is not None:
+            return hit
+        head, last = m[:-1], m[-1]
+        series = series_cache.get(last)
+        if series is None:
+            series = _ref_binomial_series(last[0], var_aug.get(last[0], 1), last[1], cutoff)
+            series_cache[last] = series
+        out = _ref_trunc_mul(expand(head), series, cutoff)
+        mono_cache[m] = out
+        return out
+
+    total = {}
+    for m, c in cls.terms.items():
+        for mono, coeff in expand(m).items():
+            nc = total.get(mono, 0) + coeff * c
+            if nc:
+                total[mono] = nc
+            else:
+                total.pop(mono, None)
+    return SplitClass(total, cls.space)
+
+
+def _assert_matches_reference(e, ctx, cutoffs):
+    cls = eval_expr(e, ctx)
+    for cutoff in cutoffs:
+        want = _ref_truncated_filtration(cls, ctx.var_aug, cutoff)
+        got = truncated_filtration(cls, ctx.var_aug, cutoff)
+        assert got == want and got.space == want.space, (E.print_expr(e), cutoff)
+        assert truncated_eval(e, ctx, cutoff) == want, (E.print_expr(e), cutoff)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_kernel_matches_tuple_reference_on_pull_corpus(n, p):
+    geom = Geometry(n, p, {"L": 1, "E": 2})
+    rng = random.Random(7000 + 10 * n + p)
+    for i in range(60):
+        space = "X" if i % 2 else "X'"
+        e = _random_pull_expr(rng, geom, space, 3)
+        _assert_matches_reference(e, geom.ctx_x if space == "X" else geom.ctx_xp,
+                                  range(1, n + 3))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_packed_kernel_matches_tuple_reference_on_duals_and_opaque(n):
+    # negative exponents (duals, inverse powers) and the opaque F_*O_X, whose
+    # augmentation p^n makes the inverse series' coefficients Fractions
+    geom = Geometry(n, 3, {"L": 1, "E": 2})
+    L, B, fso = E.Line("L"), E.Bundle("E"), geom.pushed_structure()
+    j_l, j_b = E.Line("J_L"), E.Bundle("J_E")
+    on_x = [E.Dual(L), E.Dual(B), E.Power(L, -3), E.Tensor((E.Dual(B), E.Power(L, 2))),
+            E.Sum((E.Dual(E.Psi(2, B)), E.Neg(B), E.IntConst(2)))]
+    on_xp = [fso, E.Power(fso, -1), E.Power(fso, -2), E.Power(fso, 3),
+             E.Tensor((E.Power(fso, -1), E.Dual(j_b))),
+             E.Sum((E.Tensor((fso, j_l)), E.Neg(E.IntConst(3 ** n)), E.Dual(j_l)))]
+    for e in on_x:
+        _assert_matches_reference(e, geom.ctx_x, range(1, n + 3))
+    for e in on_xp:
+        _assert_matches_reference(e, geom.ctx_xp, range(1, n + 3))
+    if n:
+        inverse = truncated_eval(E.Power(fso, -1), geom.ctx_xp, n + 2)
+        assert any(Fraction(c).denominator > 1 for c in inverse.terms.values())
+
+
+def test_packed_kernel_matches_tuple_reference_on_rank_zero_opaque():
+    t = E.SymbolTable(rel_dim=0, space="X'")
+    t.declare_line("L")
+    ctx = SplitContext(t, opaque=frozenset({E.SymbolTable.OMEGA}))
+    assert ctx.var_aug[E.SymbolTable.OMEGA] == 0
+    z = E.Bundle(E.SymbolTable.OMEGA)
+    for e in (z, E.Power(z, 2), E.Sum((z, E.Line("L"))),
+              E.Tensor((E.Power(z, 3), E.Dual(E.Line("L")))), E.Power(E.Sum((z, E.UNIT)), 4)):
+        _assert_matches_reference(e, ctx, range(1, 6))
+    inverse = E.Power(z, -1)
+    for cutoff in (1, 3):
+        with pytest.raises(EvalError):
+            _ref_truncated_filtration(eval_expr(inverse, ctx), ctx.var_aug, cutoff)
+        with pytest.raises(EvalError):
+            truncated_filtration(eval_expr(inverse, ctx), ctx.var_aug, cutoff)
+        with pytest.raises(EvalError):
+            truncated_eval(inverse, ctx, cutoff)
+
+
+def test_packed_filtration_matches_tuple_reference_off_var_aug(ctx):
+    # a variable missing from var_aug takes augmentation 1, like the reference
+    cls = eval_expr(E.Sum((E.Tensor((E.Dual(E.Line("L")), E.Bundle("E"))),
+                           E.Power(E.Line("M"), 3), E.Neg(E.Bundle("F")))), ctx)
+    partial = {v: a for v, a in ctx.var_aug.items() if v not in ("L", "E.1")}
+    for cutoff in range(1, 6):
+        want = _ref_truncated_filtration(cls, partial, cutoff)
+        assert truncated_filtration(cls, partial, cutoff) == want
+        assert truncated_filtration(cls, {}, cutoff) == \
+            _ref_truncated_filtration(cls, {}, cutoff)
+
+
+def test_packed_sum_is_truncated_iff_the_degree_reaches_the_cutoff():
+    # the carry argument behind the packed kernel, on every pair of kept monomials
+    for cutoff in range(1, 8):
+        for nvars in (1, 2, 3):
+            pk = _Packing([f"v{i}" for i in range(nvars)], {}, cutoff)
+            kept = {sum(x << pk.offset[f"v{i}"] for i, x in enumerate(exps))
+                    | (sum(exps) << pk.shift): sum(exps)
+                    for exps in product(range(cutoff), repeat=nvars) if sum(exps) < cutoff}
+            for m1, d1 in kept.items():
+                for m2, d2 in kept.items():
+                    assert (m1 + m2 < pk.limit) == (d1 + d2 < cutoff)
+                    if d1 + d2 < cutoff:
+                        assert kept[m1 + m2] == d1 + d2
 
 
 def test_unipoly_division_requires_unit_lead():
