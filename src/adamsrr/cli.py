@@ -171,17 +171,10 @@ def cmd_verify(args) -> int:
         return EXIT_OK if w.ok else EXIT_FALSIFIED
 
     if target == "tau":
-        ranks = [args.rank] if args.rank is not None else [1, 2, 3, 4]
-        ps = [p] if args.p_given else [2, 3, 5]
-        results = []
-        for rk in ranks:
-            t = E.SymbolTable(space="Z")
-            t.declare_line("V") if rk == 1 else t.declare_bundle("V", rk)
-            ctx = S.SplitContext(t)
-            for q in ps:
-                verdict = S.tau_equals_theta("V", q, ctx)
-                results.append({"rank": rk, "p": q, "ok": verdict.ok,
-                                "witness": verdict.witness})
+        ranks = (args.rank,) if args.rank is not None else SU.TAU_RANKS
+        ps = (p,) if args.p_given else SU.TAU_PRIMES
+        results = [{"rank": rk, "p": q, "ok": v.ok, "witness": v.witness}
+                   for rk, q, v in SU.tau_grid(ranks, ps)]
         ok = all(r["ok"] for r in results)
         if args.format == "json":
             print(json.dumps(results))
@@ -202,11 +195,13 @@ def cmd_verify(args) -> int:
     if target == "deligne":
         v = C.deligne_residual(top=args.trunc)
         if args.format == "json":
-            print(json.dumps({"ok": v.ok, "residual": v.residual.to_json(),
-                              "lhs": v.lhs.to_json()}))
+            print(json.dumps({"ok": v.ok,
+                              "residual": {m: str(c) for m, c in v.residual.term_texts()},
+                              "lhs": {m: str(c) for m, c in v.lhs.term_texts()}}))
         else:
-            print(f"residual: {v.residual}")
-            print(f"both sides: {v.lhs}" if v.ok else f"rhs: {v.rhs}")
+            print(f"residual: {v.residual.render('f_!')}")
+            print(f"both sides: {v.lhs.render('f_!')}" if v.ok
+                  else f"rhs: {v.rhs.render('f_!')}")
         return EXIT_OK if v.ok else EXIT_FALSIFIED
 
     symbols = {"L": 1} if args.rank in (None, 1) else {"E": args.rank}

@@ -2,8 +2,9 @@
 
 A GradedLine is a formal tensor word in atoms: free line symbols,
 det-of-pushforward atoms det_rf[f](e), and psi/pullback wrappers around
-those.  Tensor adds integer grades; commuting two factors costs the sign
-(-1)^(grade*grade).
+those.  Tensor adds grades.  Grades are tracked, but the commutation sign
+(-1)^(grade*grade) of the graded Picard category is not modelled: a line is
+a commutative word, so the order of factors is not recorded.
 
 Det atoms are compared through the truncated filtration invariant of their
 argument class (the class modulo I^(n+2), I the augmentation ideal of the
@@ -59,8 +60,7 @@ class Morphism:
             if hit is not None:
                 return hit
             wide = self.truncated(e, 2)
-            out = S.SplitClass({m: c for m, c in wide.terms.items()
-                                if sum(x for _, x in m) < cutoff}, wide.space)
+            out = wide.degrees(high=cutoff)
             self.upstairs._trunc_cache[key] = out
             return out
         return S.truncated_eval(e, self.upstairs, cutoff)
@@ -147,12 +147,6 @@ def chi_grade(f: Morphism, e: E.Expr) -> GradeExpr:
         key = f"chi[{f.name}]({body})"
         terms[key] = terms.get(key, Fraction(0)) + c
     return GradeExpr(terms)
-
-
-def swap_sign(a: "GradedLine", b: "GradedLine") -> int:
-    """Sign (-1)^(grade(a)*grade(b)) picked up by commuting two factors."""
-    ga, gb = a.grade.as_int(), b.grade.as_int()
-    return -1 if (ga * gb) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

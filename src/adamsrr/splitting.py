@@ -4,8 +4,9 @@ A declared bundle of rank r contributes r root variables; evaluation maps the
 expression operations to exact polynomial arithmetic (psi^k = k-th power
 substitution on roots, theta^k = product of truncated geometric series over
 the constituent line monomials, det = product of constituents, dual = monomial
-inversion).  Also hosts the univariate integer-polynomial witness for the
-binomial identity behind the tilde-inverse.
+inversion).  `SplitClass` is the package's one exact polynomial class: it also
+carries the y-polynomial witness for the binomial identity behind the
+tilde-inverse and the classes of the intersection-ring model in `chow`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Callable
 
 from .expr import (
@@ -241,15 +242,30 @@ class SplitClass:
     def variables(self) -> set[str]:
         return {v for m in self.terms for v, _ in m}
 
+    def degrees(self, low: int | None = None, high: int | None = None) -> "SplitClass":
+        """Terms whose total degree d has low <= d < high (None: unbounded).
+
+        With only `high` this is the quotient map onto classes mod degree >= high,
+        a ring map on classes with nonnegative exponents.
+        """
+        lo = -inf if low is None else low
+        hi = inf if high is None else high
+        return SplitClass({m: c for m, c in self.terms.items()
+                           if lo <= sum(e for _, e in m) < hi}, self.space)
+
     # -- rendering -----------------------------------------------------------
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+    def term_texts(self) -> list[tuple[str, object]]:
+        """(monomial text, coefficient) in print order; the empty monomial is "1"."""
+        return [("*".join(f"{v}^{e}" if e != 1 else v for v, e in m) or "1", self.terms[m])
+                for m in sorted(self.terms, key=_mono_sort_key)]
+
+    def render(self, wrap: str | None = None) -> str:
+        """Signed sum of terms; with `wrap`, each monomial m prints as wrap(m)."""
         parts: list[str] = []
-        for m in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[m]
-            body = "*".join(f"{v}^{e}" if e != 1 else v for v, e in m)
-            if not m:
+        for body, c in self.term_texts():
+            if wrap:
+                body = f"{wrap}({body})"
+            if body == "1":
                 text = str(abs(c))
             elif abs(c) == 1:
                 text = body
@@ -259,7 +275,10 @@ class SplitClass:
                 parts.append(text if c > 0 else f"-{text}")
             else:
                 parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"SplitClass({self})"
@@ -668,126 +687,14 @@ def _packed_eval(e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate integer polynomials and the binomial kernel
-
-class UniPoly:
-    """Dense-enough integer polynomial in one indeterminate y."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def constant(c: int) -> "UniPoly":
-        return UniPoly({0: c})
-
-    @staticmethod
-    def y() -> "UniPoly":
-        return UniPoly({1: 1})
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def _coerce(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, int):
-            return UniPoly.constant(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "UniPoly":
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            nc = out.get(d, 0) + c
-            if nc:
-                out[d] = nc
-            else:
-                out.pop(d, None)
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "UniPoly":
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.constant(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def divmod_exact(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Long division; exact when the divisor's leading coefficient is +-1."""
-        if not divisor.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        dd = divisor.degree()
-        lead = divisor.coeffs[dd]
-        if lead not in (1, -1):
-            raise ValueError("division requires a unit leading coefficient")
-        rem = UniPoly(dict(self.coeffs))
-        quot: dict[int, int] = {}
-        while rem.coeffs and rem.degree() >= dd:
-            d = rem.degree()
-            c = rem.coeffs[d] * lead
-            quot[d - dd] = quot.get(d - dd, 0) + c
-            rem = rem - UniPoly({d - dd: c}) * divisor
-        return UniPoly(quot), rem
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
-            body = "" if d == 0 else ("y" if d == 1 else f"y^{d}")
-            mag = str(abs(c)) if (abs(c) != 1 or d == 0) else ""
-            sep = "*" if (mag and body) else ""
-            text = f"{mag}{sep}{body}"
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
-
+# The binomial kernel
 
 def tilde_theta_inverse(n: int, p: int, x):
     """Finite substitute for the inverse Bott class.
 
     Returns (-1)^(n+1) * sum_{i=0}^{n+1} C(n+2,i) x^(n+1-i) (-p^n)^i, with
-    exact coefficients; x may be a UniPoly, a SplitClass, or anything with
-    ring operations against ints.
+    exact coefficients; x may be a SplitClass (a class, or the variable y of
+    the binomial witness), or anything with ring operations against ints.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -801,45 +708,31 @@ def tilde_theta_inverse(n: int, p: int, x):
 
 @dataclass
 class BinomialWitness:
-    """Exact-divisibility witness for y*tilde(y) - p^(n(n+2))."""
+    """Exact-divisibility witness for y*tilde(y) - p^(n(n+2)), polynomials in y."""
 
     n: int
     p: int
     ok: bool
-    quotient: UniPoly
-    remainder: UniPoly
-    lhs: UniPoly
-    divisor: UniPoly
+    quotient: SplitClass
+    remainder: SplitClass
+    lhs: SplitClass
+    divisor: SplitClass
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def binomial_identity_check(n: int, p: int) -> BinomialWitness:
-    """Check y*tilde(n,p,y) - p^(n(n+2)) == (-1)^(n+1) * (y - p^n)^(n+2)."""
-    y = UniPoly.y()
-    lhs = y * tilde_theta_inverse(n, p, y) - p ** (n * (n + 2))
-    divisor = (y - UniPoly.constant(p**n)) ** (n + 2)
-    quot, rem = lhs.divmod_exact(divisor)
-    ok = not rem.coeffs and quot == UniPoly.constant((-1) ** (n + 1))
-    return BinomialWitness(n, p, ok, quot, rem, lhs, divisor)
+    """Check y*tilde(n,p,y) - p^(n(n+2)) == (-1)^(n+1) * (y - p^n)^(n+2).
 
-
-def formal_inverse(c: SplitClass, truncation_order: int) -> SplitClass:
-    """Truncated geometric inverse sum_{i<order} (r-c)^i / r^(i+1), r = aug(c).
-
-    Exact identity: c * result = 1 - ((r-c)/r)^order, so the residual lies in
-    the ideal generated by (r-c)^order; the caller owns nilpotency.
+    The divisor is monic of degree n+2 and lhs has degree at most n+2, so one
+    division step is exact: the quotient is lhs's y^(n+2) coefficient and the
+    remainder lhs - quotient*divisor (any higher term of lhs stays in it).
     """
-    r = c.augmentation()
-    if r == 0:
-        raise EvalError("formal inverse requires nonzero augmentation")
-    if truncation_order < 1:
-        raise ValueError("truncation order must be >= 1")
-    delta = SplitClass.constant(r, c.space) - c
-    total = SplitClass.constant(0, c.space)
-    power = SplitClass.constant(1, c.space)
-    for i in range(truncation_order):
-        total = total + power * (Fraction(1) / r ** (i + 1))
-        power = power * delta
-    return total
+    y = SplitClass.variable("y")
+    lhs = y * tilde_theta_inverse(n, p, y) - p ** (n * (n + 2))
+    divisor = (y - p**n) ** (n + 2)
+    quot = SplitClass.constant(lhs.terms.get((("y", n + 2),), 0))
+    rem = lhs - quot * divisor
+    ok = rem.is_zero() and quot == (-1) ** (n + 1)
+    return BinomialWitness(n, p, ok, quot, rem, lhs, divisor)

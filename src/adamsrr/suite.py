@@ -104,7 +104,7 @@ def cell_binomial(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
                 w.ok = False
             if not w.ok:
                 return False, f"binomial identity broken at n={n} p={p} (rule: binomial oracle)"
-            if w.quotient != S.UniPoly.constant((-1) ** (n + 1)):
+            if w.quotient != (-1) ** (n + 1):
                 return False, f"quotient is not (-1)^(n+1) at n={n} p={p}"
             checked += 1
     return True, f"{checked} (n,p) pairs, exact division with quotient (-1)^(n+1)"
@@ -134,23 +134,37 @@ def cell_theorem_replay(seed: int = 0, fault: str | None = None) -> tuple[bool, 
     return True, f"{traces} traces verified, 9 recorded steps each"
 
 
+TAU_RANKS = (1, 2, 3, 4)
+TAU_PRIMES = (2, 3, 5)
+
+
+def tau_context(rank: int) -> S.SplitContext:
+    """Context with one symbol V: a line for rank 1, else a bundle of that rank."""
+    t = E.SymbolTable(space="Z")
+    if rank == 1:
+        t.declare_line("V")
+    else:
+        t.declare_bundle("V", rank)
+    return S.SplitContext(t)
+
+
+def tau_grid(ranks=TAU_RANKS, primes=TAU_PRIMES):
+    """Yield (rank, p, verdict of tau_p(V) = theta^p(V)) over the grid."""
+    for rank in ranks:
+        ctx = tau_context(rank)
+        for p in primes:
+            yield rank, p, S.tau_equals_theta("V", p, ctx)
+
+
 def cell_tau_theta(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
     checked = 0
-    for rank in (1, 2, 3, 4):
-        t = E.SymbolTable(space="Z")
-        if rank == 1:
-            t.declare_line("V")
-        else:
-            t.declare_bundle("V", rank)
-        ctx = S.SplitContext(t)
-        for p in (2, 3, 5):
-            verdict = S.tau_equals_theta("V", p, ctx)
-            if not verdict.ok:
-                return False, f"tau != theta^p at rank={rank} p={p}: {verdict.witness}"
-            aug = S.tau_class("V", p, ctx).augmentation()
-            if aug != p**rank:
-                return False, f"augmentation {aug} != p^rank at rank={rank} p={p}"
-            checked += 1
+    for rank, p, verdict in tau_grid():
+        if not verdict.ok:
+            return False, f"tau != theta^p at rank={rank} p={p}: {verdict.witness}"
+        aug = S.tau_class("V", p, tau_context(rank)).augmentation()
+        if aug != p**rank:
+            return False, f"augmentation {aug} != p^rank at rank={rank} p={p}"
+        checked += 1
     return True, f"{checked} (rank,p) pairs, enumeration = product expansion, aug = p^rank"
 
 

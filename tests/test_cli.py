@@ -5,6 +5,7 @@ import json
 import pytest
 
 from adamsrr import rewrite as R
+from adamsrr import suite as SU
 from adamsrr.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from adamsrr.rewrite import parse_trace_json, revalidate_trace
 
@@ -94,16 +95,56 @@ def test_verify_deligne(capsys):
     assert "residual: 0" in out
 
 
+@pytest.mark.parametrize("trunc", [None, "2", "3", "4", "5"])
+def test_verify_deligne_exact_text(capsys, trunc):
+    argv = ["verify", "deligne"] + (["--trunc", trunc] if trunc else [])
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out == ("residual: 0\n"
+                   "both sides: -9*f_!(l*w) + 9*f_!(l^2) + 3/2*f_!(w^2)\n")
+
+
+def test_verify_deligne_exact_json(capsys):
+    code, out, _ = run(capsys, "verify", "deligne", "--format", "json")
+    assert code == EXIT_OK
+    assert out == ('{"ok": true, "residual": {}, '
+                   '"lhs": {"l*w": "-9", "l^2": "9", "w^2": "3/2"}}\n')
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_verify_mumford_exact_output(capsys, k):
+    code, out, _ = run(capsys, "verify", "mumford", "--n", str(k))
+    assert code == EXIT_OK
+    assert out == f"{6 * k * k - 6 * k + 1}\n"
+    code, out, _ = run(capsys, "verify", "mumford", "--n", str(k), "--format", "json")
+    assert json.loads(out) == {"k": k, "exponent": str(6 * k * k - 6 * k + 1)}
+
+
 def test_verify_binomial(capsys):
     code, out, _ = run(capsys, "verify", "binomial", "--n", "2", "--p", "5")
     assert code == EXIT_OK
     assert "ok" in out
 
 
+def test_verify_binomial_json_ascending_terms(capsys):
+    code, out, _ = run(capsys, "verify", "binomial", "--n", "1", "--p", "2", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"n": 1, "p": 2, "ok": True, "quotient": "1",
+                               "lhs": "-8 + 12*y - 6*y^2 + y^3",
+                               "divisor": "-8 + 12*y - 6*y^2 + y^3"}
+
+
 def test_verify_tau_grid(capsys):
     code, out, _ = run(capsys, "verify", "tau")
     assert code == EXIT_OK
     assert out.count("equal") == 12
+
+
+def test_verify_tau_json_is_the_suite_grid(capsys):
+    code, out, _ = run(capsys, "verify", "tau", "--format", "json")
+    assert code == EXIT_OK
+    assert [(r["rank"], r["p"], r["ok"]) for r in json.loads(out)] == \
+        [(rank, p, verdict.ok) for rank, p, verdict in SU.tau_grid()]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -115,6 +156,12 @@ def test_verify_tau_grid(capsys):
     (("normalize", "A" + "^1" * 3000), "powers chain longer"),
     # each limit holds, but together they would build 1200 nested powers
     (("normalize", "(" * 60 + "A" + ("^1" * 20 + ")") * 60), "nests deeper"),
+    # c1 det Rf_* lives in degree n+1 = 2; a lower working degree would zero both sides
+    (("verify", "deligne", "--trunc", "0"), "working degree 0 is below 2"),
+    (("verify", "deligne", "--trunc", "1"), "working degree 1 is below 2"),
+    (("verify", "deligne", "--trunc", "-1"), "working degree -1 is below 2"),
+    (("verify", "mumford", "--n", "2", "--trunc", "1"), "working degree 1 is below 2"),
+    (("verify", "mumford", "--n", "2", "--trunc", "-1"), "working degree -1 is below 2"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -10,7 +10,7 @@ from adamsrr import suite as SU
 from adamsrr.picard import (
     GradeExpr, GradeUndetermined, GradedLine, PairingExpr, PicardError, RankMismatch,
     det_rf_atom, det_difference_pairing, make_morphism, normalize, pairing_to_det,
-    reduce_triviality, swap_sign,
+    reduce_triviality,
 )
 
 
@@ -45,25 +45,6 @@ def test_grades_add_under_tensor():
     a = GradedLine.free_line("A", 2)
     b = GradedLine.free_line("B", 3)
     assert (a * b).grade.as_int() == 5
-
-
-def test_swap_sign_odd_grades():
-    assert swap_sign(GradedLine.free_line("A", 1), GradedLine.free_line("B", 1)) == -1
-
-
-def test_swap_sign_even_grade():
-    assert swap_sign(GradedLine.free_line("A", 2), GradedLine.free_line("B", 1)) == 1
-
-
-def test_double_swap_is_identity():
-    a, b = GradedLine.free_line("A", 3), GradedLine.free_line("B", 5)
-    assert swap_sign(a, b) * swap_sign(b, a) == 1
-
-
-def test_swap_sign_rejects_symbolic_grades(curve):
-    g = det_rf_atom(curve, E.Line("A"))
-    with pytest.raises(GradeUndetermined):
-        swap_sign(g, GradedLine.free_line("B", 1))
 
 
 def test_group_laws_on_random_lines(curve):

@@ -11,8 +11,8 @@ from adamsrr import expr as E
 from adamsrr import suite as SU
 from adamsrr.rewrite import PUSHED_STRUCTURE, Geometry
 from adamsrr.splitting import (
-    ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext, UniPoly,
-    binomial_identity_check, classes_equal, eval_expr, formal_inverse, tau_class,
+    ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
+    binomial_identity_check, classes_equal, eval_expr, tau_class,
     _Packing, tau_equals_theta, tilde_theta_inverse, truncated_eval, truncated_filtration,
 )
 
@@ -183,24 +183,33 @@ def _tilde_oracle(n, p):
     return {d: sign * c for d, c in coeffs.items() if c}
 
 
+Y = SplitClass.variable("y")
+
+
+def _coeffs(poly):
+    """Degree -> coefficient of a polynomial class in the one variable y."""
+    assert poly.variables() <= {"y"}
+    return {dict(m).get("y", 0): c for m, c in poly.terms.items()}
+
+
 def test_tilde_n1_p2():
-    got = tilde_theta_inverse(1, 2, UniPoly.y())
-    assert got.coeffs == {2: 1, 1: -6, 0: 12}
-    assert got.coeffs == _tilde_oracle(1, 2)
+    got = tilde_theta_inverse(1, 2, Y)
+    assert _coeffs(got) == {2: 1, 1: -6, 0: 12}
+    assert _coeffs(got) == _tilde_oracle(1, 2)
 
 
 def test_tilde_n0_p2():
-    got = tilde_theta_inverse(0, 2, UniPoly.y())
-    assert got.coeffs == {1: -1, 0: 2}
-    assert got.coeffs == _tilde_oracle(0, 2)
+    got = tilde_theta_inverse(0, 2, Y)
+    assert _coeffs(got) == {1: -1, 0: 2}
+    assert _coeffs(got) == _tilde_oracle(0, 2)
 
 
 def test_tilde_leading_coefficient_is_sign():
     for n in range(6):
         for p in (2, 3, 5):
-            got = tilde_theta_inverse(n, p, UniPoly.y())
-            assert got.coeffs[n + 1] == (-1) ** (n + 1)
-            assert got.coeffs == _tilde_oracle(n, p)
+            got = tilde_theta_inverse(n, p, Y)
+            assert _coeffs(got)[n + 1] == (-1) ** (n + 1)
+            assert _coeffs(got) == _tilde_oracle(n, p)
 
 
 def test_tilde_on_split_classes(ctx):
@@ -218,7 +227,7 @@ def _poly_mul(a, b):
 
 
 def _binom_oracle(n, p):
-    """(y - p^n)^(n+2) via repeated convolution, no UniPoly involved."""
+    """(y - p^n)^(n+2) via repeated convolution, no SplitClass involved."""
     out = {0: 1}
     for _ in range(n + 2):
         out = _poly_mul(out, {1: 1, 0: -(p**n)})
@@ -228,24 +237,24 @@ def _binom_oracle(n, p):
 def test_binomial_identity_n1_p2_explicit():
     w = binomial_identity_check(1, 2)
     assert w.ok
-    assert w.lhs.coeffs == {3: 1, 2: -6, 1: 12, 0: -8}
-    assert w.lhs.coeffs == _binom_oracle(1, 2)  # (y-2)^3, quotient +1
-    assert w.quotient == UniPoly.constant(1)
+    assert _coeffs(w.lhs) == {3: 1, 2: -6, 1: 12, 0: -8}
+    assert _coeffs(w.lhs) == _binom_oracle(1, 2)  # (y-2)^3, quotient +1
+    assert w.quotient == SplitClass.constant(1)
 
 
 def test_binomial_identity_n0_p3():
     w = binomial_identity_check(0, 3)
     assert w.ok
-    assert w.quotient == UniPoly.constant(-1)
+    assert w.quotient == SplitClass.constant(-1)
     # y(2 - y) - 1 = -(y - 1)^2
-    assert w.lhs.coeffs == {d: -c for d, c in _binom_oracle(0, 3).items()}
+    assert _coeffs(w.lhs) == {d: -c for d, c in _binom_oracle(0, 3).items()}
 
 
 def test_binomial_identity_n2_p2_quotient():
     w = binomial_identity_check(2, 2)
     assert w.ok
-    assert w.quotient == UniPoly.constant(-1)
-    assert w.divisor.coeffs == _binom_oracle(2, 2)
+    assert w.quotient == SplitClass.constant(-1)
+    assert _coeffs(w.divisor) == _binom_oracle(2, 2)
 
 
 def test_binomial_identity_matches_oracle_on_grid():
@@ -254,49 +263,30 @@ def test_binomial_identity_matches_oracle_on_grid():
             w = binomial_identity_check(n, p)
             assert w.ok, (n, p)
             sign = (-1) ** (n + 1)
-            assert w.lhs.coeffs == {d: sign * c for d, c in _binom_oracle(n, p).items()}
+            assert _coeffs(w.lhs) == {d: sign * c for d, c in _binom_oracle(n, p).items()}
 
 
-# -- formal inverse -----------------------------------------------------------
-
-def test_formal_inverse_of_unit(ctx):
-    one = eval_expr(E.UNIT, ctx)
-    for order in (1, 2, 5):
-        assert formal_inverse(one, order) == one
-
-
-def test_formal_inverse_of_line_order_two(ctx):
-    x = eval_expr(E.Line("L"), ctx)
-    inv = formal_inverse(x, 2)
-    assert inv == 2 - x
-    residual = x * inv - 1
-    one_minus = SplitClass.constant(1) - x
-    assert residual == -(one_minus * one_minus)
+@pytest.mark.parametrize("n,p", [(0, 2), (1, 3), (2, 2)])
+def test_binomial_identity_rejects_a_wrong_tilde(monkeypatch, n, p):
+    from adamsrr import splitting as S
+    right = S.tilde_theta_inverse
+    # a term above the divisor's degree, and a wrong constant term
+    for extra in (Y ** (n + 2), SplitClass.constant(1)):
+        monkeypatch.setattr(S, "tilde_theta_inverse",
+                            lambda n_, p_, x, extra=extra: right(n_, p_, x) + extra)
+        w = binomial_identity_check(n, p)
+        assert not w.ok
+        assert not w.remainder.is_zero()
 
 
-def test_formal_inverse_residual_identity_random():
-    # exact identity: c * inv(c, m) - 1 = -((r - c)/r)^m
-    rng = random.Random(77)
-    t = SU.law_table()
-    ctx = SplitContext(t)
-    done = 0
-    while done < 40:
-        c = eval_expr(SU.random_effective(rng), ctx)
-        r = c.augmentation()
-        if r == 0:
-            continue
-        m = rng.randint(1, 4)
-        inv = formal_inverse(c, m)
-        delta = (SplitClass.constant(r) - c) * Fraction(1, 1)
-        expected = SplitClass.constant(-Fraction(1) / r**m) * delta**m
-        assert c * inv - 1 == expected
-        done += 1
-
-
-def test_formal_inverse_rejects_zero_augmentation(ctx):
-    z = eval_expr(E.Sum((E.Line("L"), E.Neg(E.Line("M")))), ctx)
-    with pytest.raises(EvalError):
-        formal_inverse(z, 3)
+def test_render_wraps_each_monomial():
+    x, y = SplitClass.variable("x"), SplitClass.variable("y")
+    cls = x * y * Fraction(-3, 2) + x * x + 2
+    # ascending degree, then by monomial: x*y = (("x", 1), ("y", 1)) < (("x", 2),)
+    assert str(cls) == "2 - 3/2*x*y + x^2"
+    assert cls.render("f_!") == "2*f_!(1) - 3/2*f_!(x*y) + f_!(x^2)"
+    assert cls.term_texts() == [("1", 2), ("x*y", Fraction(-3, 2)), ("x^2", 1)]
+    assert SplitClass().render("f_!") == "0"
 
 
 # -- truncated filtration ------------------------------------------------------
@@ -579,11 +569,3 @@ def test_packed_sum_is_truncated_iff_the_degree_reaches_the_cutoff():
                     assert (m1 + m2 < pk.limit) == (d1 + d2 < cutoff)
                     if d1 + d2 < cutoff:
                         assert kept[m1 + m2] == d1 + d2
-
-
-def test_unipoly_division_requires_unit_lead():
-    y = UniPoly.y()
-    with pytest.raises(ValueError):
-        (y * y).divmod_exact(y * 2)
-    q, r = (y * y - 1).divmod_exact(y - 1)
-    assert q == y + 1 and r == UniPoly()
