@@ -1,9 +1,10 @@
 """Truncated intersection-ring model: Chern character, Todd class, pushforward.
 
 Classes are `SplitClass` polynomials with exact rational coefficients in
-declared degree-1 symbols.  Each function takes the working degree D as an
-argument and drops every term above it after each product: truncation is a
-ring quotient (Fulton & Lang, Riemann-Roch Algebra, 1985).  The
+declared degree-1 symbols.  The series functions take the working degree D
+as an argument and drop every term above it after each product: truncation
+is a ring quotient (Fulton & Lang, Riemann-Roch Algebra, 1985).  `c1_det_rf`
+works in degree n+1, where c1 det Rf_* lives.  The
 degree-lowering pushforward sends a monomial m of degree >= n to the free
 symbol f_!(m), kept as a `SplitClass` keyed by m; no relations between pushed
 monomials are assumed, so identities checked here hold
@@ -132,17 +133,12 @@ def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
 
 
 def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
-              tangent: E.Expr, rel_dim: int, top: int | None = None) -> SplitClass:
+              tangent: E.Expr, rel_dim: int) -> SplitClass:
     """Degree-1 part of f_!(ch(e) * td(T_f)): the first Chern class of det Rf_*.
 
-    It lives in degree n+1 upstairs, so a working degree `top` below n+1 is
-    refused rather than truncating both sides of every identity to zero.
+    It lives in degree n+1 upstairs, so n+1 is the working degree.
     """
-    if top is None:
-        top = rel_dim + 1
-    if top < rel_dim + 1:
-        raise ChowError(f"working degree {top} is below {rel_dim + 1}, "
-                        f"the degree of c1 det Rf_* upstairs")
+    top = rel_dim + 1
     total = _mul(chern_character(e, table, assign, top), todd(tangent, table, assign, top), top)
     return pushforward(total, rel_dim).degrees(rel_dim + 1, rel_dim + 2)
 
@@ -165,8 +161,8 @@ class CurveModel:
         t.declare_line("omega")
         return CurveModel(t, {"L": "l", "omega": "w"}, E.Dual(E.Line("omega")))
 
-    def c1_det_rf(self, e: E.Expr, top: int | None = None) -> SplitClass:
-        return c1_det_rf(e, self.table, self.assign, self.tangent, rel_dim=1, top=top)
+    def c1_det_rf(self, e: E.Expr) -> SplitClass:
+        return c1_det_rf(e, self.table, self.assign, self.tangent, rel_dim=1)
 
 
 @dataclass
@@ -180,8 +176,7 @@ class DeligneVerdict:
         return self.ok
 
 
-def deligne_residual(exponents: tuple[int, int, int, int] = (18, 18, 6, -6),
-                     top: int | None = None) -> DeligneVerdict:
+def deligne_residual(exponents: tuple[int, int, int, int] = (18, 18, 6, -6)) -> DeligneVerdict:
     """Residual of a*c1(det Rf L) - [b*c1(det Rf O) + c*c1(det Rf L^2 w^-1) + d*c1(det Rf L w^-1)].
 
     With the canonical exponents (18, 18, 6, -6) the residual is exactly zero.
@@ -190,15 +185,15 @@ def deligne_residual(exponents: tuple[int, int, int, int] = (18, 18, 6, -6),
     model = CurveModel.standard()
     L = E.Line("L")
     omega_inv = E.Dual(E.Line("omega"))
-    lhs = model.c1_det_rf(L, top) * a
-    rhs = (model.c1_det_rf(E.UNIT, top) * b
-           + model.c1_det_rf(E.Tensor((E.Power(L, 2), omega_inv)), top) * c
-           + model.c1_det_rf(E.Tensor((L, omega_inv)), top) * d)
+    lhs = model.c1_det_rf(L) * a
+    rhs = (model.c1_det_rf(E.UNIT) * b
+           + model.c1_det_rf(E.Tensor((E.Power(L, 2), omega_inv))) * c
+           + model.c1_det_rf(E.Tensor((L, omega_inv))) * d)
     residual = lhs - rhs
     return DeligneVerdict(residual.is_zero(), residual, lhs, rhs)
 
 
-def mumford_exponent(k: int, top: int | None = None) -> Fraction:
+def mumford_exponent(k: int) -> Fraction:
     """Ratio of the f_!(w^2) coefficients of c1 det Rf_*(omega^k) and (omega).
 
     Equals the pluricanonical exponent 6k^2 - 6k + 1 for every k >= 0.
@@ -208,6 +203,6 @@ def mumford_exponent(k: int, top: int | None = None) -> Fraction:
     model = CurveModel.standard()
     omega = E.Line("omega")
     w2: S.Monomial = (("w", 2),)
-    num = model.c1_det_rf(E.Power(omega, k), top).terms.get(w2, 0)
-    den = model.c1_det_rf(omega, top).terms.get(w2, 0)
+    num = model.c1_det_rf(E.Power(omega, k)).terms.get(w2, 0)
+    den = model.c1_det_rf(omega).terms.get(w2, 0)
     return Fraction(num) / den

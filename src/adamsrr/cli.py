@@ -50,82 +50,22 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
     return table, morphisms
 
 
-def auto_declare(text: str, table: E.SymbolTable) -> None:
-    """Declare each unseen name in `text` as a line symbol (no-decls mode)."""
-    import re
-
+def auto_declare(names: list[str], table: E.SymbolTable) -> None:
+    """Declare each unseen name of `E.name_tokens` as a line symbol (no-decls mode)."""
     reserved = {"dual", "psi", "theta", "tau", "det", "pull", "det_rf", "O"}
-    for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text):
+    for name in names:
         if name not in reserved and name not in table:
             table.declare_line(name)
 
 
-def _split_pic_input(text: str) -> list[tuple[str, str, int]] | None:
-    """Parse 'det_rf(f, e) [(x) det_rf(g, e2)^k ...]'; None if not pic-level.
-
-    Returns (morphism, argument text, exponent) triples.
-    """
-    s = text.strip()
-    if "det_rf" not in s:
-        return None
-    out = []
-    i = 0
-    while i < len(s):
-        while i < len(s) and s[i].isspace():
-            i += 1
-        if not s.startswith("det_rf", i):
-            raise E.ParseError("expected det_rf(...)", i)
-        i += len("det_rf")
-        if i >= len(s) or s[i] != "(":
-            raise E.ParseError("expected '(' after det_rf", i)
-        depth, j = 0, i
-        while j < len(s):
-            if s[j] == "(":
-                depth += 1
-            elif s[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
-            raise E.ParseError("unbalanced parentheses in det_rf", i)
-        inner = s[i + 1:j]
-        if "," not in inner:
-            raise E.ParseError("det_rf needs a morphism name and an argument", i)
-        mname, arg = inner.split(",", 1)
-        i = j + 1
-        exp = 1
-        if i < len(s) and s[i] == "^":
-            i += 1
-            sign = 1
-            if i < len(s) and s[i] == "-":
-                sign, i = -1, i + 1
-            k = i
-            while k < len(s) and s[k].isdigit():
-                k += 1
-            if k == i:
-                raise E.ParseError("expected integer exponent", i)
-            exp = sign * int(s[i:k])
-            i = k
-        out.append((mname.strip(), arg.strip(), exp))
-        while i < len(s) and s[i].isspace():
-            i += 1
-        if i < len(s):
-            if not s.startswith("(x)", i):
-                raise E.ParseError("expected (x) between det_rf factors", i)
-            i += 3
-    return out
-
-
 def cmd_normalize(args) -> int:
     text = args.expr
-    if args.decls:
-        table, morphisms = load_declarations(args.decls)
-    else:
-        table, morphisms = E.SymbolTable(space="X"), {}
-        auto_declare(text, table)
-    pic = _split_pic_input(text)
-    if pic is None:
+    table, morphisms = (load_declarations(args.decls) if args.decls
+                        else (E.SymbolTable(space="X"), None))
+    names = E.name_tokens(text)
+    if morphisms is None:
+        auto_declare(names, table)
+    if "det_rf" not in names:
         ast = E.parse(text, table)
         cls = S.eval_expr(ast, S.SplitContext(table))
         if args.format == "json":
@@ -134,11 +74,11 @@ def cmd_normalize(args) -> int:
             print(str(cls))
         return EXIT_OK
     line = P.GradedLine.trivial()
-    for mname, arg_text, exp in pic:
-        n = morphisms.get(mname, args.n)
-        morph = P.Morphism(mname, n, S.SplitContext(table))
-        ast = E.parse(arg_text, table)
-        line = line * (P.det_rf_atom(morph, ast) ** exp)
+    for mname, arg, exp in E.parse_det_line(text, table):
+        if morphisms is not None and mname not in morphisms:
+            raise E.SymbolError(f"undeclared morphism {mname!r}")
+        n = args.n if morphisms is None else morphisms[mname]
+        line = line * (P.det_rf_atom(P.make_morphism(mname, n, table), arg) ** exp)
     line = P.normalize(line)
     rendered = line.render()
     if args.format == "json":
@@ -185,7 +125,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_FALSIFIED
 
     if target == "mumford":
-        value = C.mumford_exponent(n, top=args.trunc)
+        value = C.mumford_exponent(n)
         if args.format == "json":
             print(json.dumps({"k": n, "exponent": str(value)}))
         else:
@@ -193,7 +133,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if value == 6 * n * n - 6 * n + 1 else EXIT_FALSIFIED
 
     if target == "deligne":
-        v = C.deligne_residual(top=args.trunc)
+        v = C.deligne_residual()
         if args.format == "json":
             print(json.dumps({"ok": v.ok,
                               "residual": {m: str(c) for m, c in v.residual.term_texts()},
@@ -270,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="relative dimension (for mumford: the power k)")
     ver.add_argument("--p", type=int, default=2, help="the prime characteristic")
     ver.add_argument("--rank", type=int, help="rank of the test bundle (default: a line)")
-    ver.add_argument("--trunc", type=int, default=None,
-                     help="working degree for intersection-ring computations")
     ver.add_argument("--trace-json", dest="trace_json", help="write the trace here")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(fn=cmd_verify)
@@ -287,20 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "p", None) is not None:
+    if args.command == "verify":
         args.p_given = any(a == "--p" or a.startswith("--p=")
                            for a in (argv if argv is not None else sys.argv[1:]))
-        if args.command == "verify" and args.target in ("arr", "base-change", "km",
-                                                        "binomial") \
-                and not R.is_prime(args.p):
+        if args.target in ("arr", "base-change", "km", "binomial") and not R.is_prime(args.p):
             print(f"error: --p {args.p} is not prime", file=sys.stderr)
             return EXIT_USAGE
-        if args.command == "verify" and args.n < 0:
-            print("error: --n must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
-        if args.command == "verify" and args.rank is not None and args.rank < 1:
-            print("error: --rank must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
+    if getattr(args, "n", 0) < 0:
+        print("error: --n must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "rank", None) is not None and args.rank < 1:
+        print("error: --rank must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (E.ExprError, FileNotFoundError) as ex:

@@ -457,6 +457,7 @@ class _Tokens:
         self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
+        _check_nesting(self.tokens)
         self.i = 0
 
     def _scan(self) -> None:
@@ -519,12 +520,51 @@ def parse(text: str, table: SymbolTable) -> Expr:
     it grows past it, so every parsed tree can be canonicalized and printed.
     """
     toks = _Tokens(text)
-    _check_nesting(toks.tokens)
     e, _ = _parse_expr(toks, table)
+    _expect_end(toks)
+    return canonicalize(e)
+
+
+def parse_det_line(text: str, table: SymbolTable) -> list[tuple[str, Expr, int]]:
+    """Parse a tensor word of det atoms: one (morphism, argument, exponent) per factor.
+
+    Grammar: line := atom ("(x)" atom)*; atom := "det_rf" "(" NAME "," expr
+    ")" ["^" ["-"] INT].  Arguments follow `parse`'s grammar and limits, and
+    error positions count from the start of `text`.
+    """
+    toks = _Tokens(text)
+    out = []
+    while True:
+        kind, value, pos = toks.next()
+        if (kind, value) != ("NAME", "det_rf"):
+            raise ParseError(f"expected 'det_rf', found {value!r}", pos)
+        toks.expect("(")
+        name = toks.expect("NAME")[1]
+        toks.expect(",")
+        arg, _ = _parse_expr(toks, table)
+        toks.expect(")")
+        exponent = _parse_exponent(toks) if toks.peek()[0] == "^" else 1
+        out.append((name, canonicalize(arg), exponent))
+        if toks.peek()[0] != "TENSOR":
+            break
+        toks.next()
+    _expect_end(toks)
+    return out
+
+
+def name_tokens(text: str) -> list[str]:
+    """The NAME tokens of `text`, in order (keywords and morphism names included).
+
+    Scans as `parse` does, so input that it refuses for its characters or its
+    parentheses nesting is refused here already.
+    """
+    return [value for kind, value, _ in _Tokens(text).tokens if kind == "NAME"]
+
+
+def _expect_end(toks: _Tokens) -> None:
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return canonicalize(e)
 
 
 def _check_nesting(tokens: list[tuple[str, str, int]]) -> None:
@@ -586,14 +626,18 @@ def _parse_factor(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
         if chain > MAX_NESTING:
             raise ParseError(f"powers chain longer than {MAX_NESTING}", toks.peek()[2])
         depth = _deeper(depth, toks)
-        toks.next()
-        sign = 1
-        if toks.peek()[0] == "-":
-            toks.next()
-            sign = -1
-        tok = toks.expect("INT")
-        e = Power(e, sign * int(tok[1]))
+        e = Power(e, _parse_exponent(toks))
     return e, depth
+
+
+def _parse_exponent(toks: _Tokens) -> int:
+    """'^' ['-'] INT, the '^' not yet consumed."""
+    toks.next()
+    sign = 1
+    if toks.peek()[0] == "-":
+        toks.next()
+        sign = -1
+    return sign * int(toks.expect("INT")[1])
 
 
 def _parse_primary(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:

@@ -162,29 +162,22 @@ class Geometry:
     def symbol_expr(self, name: str, table: E.SymbolTable | None = None) -> E.Expr:
         return _symbol_expr(name, table or self.table_x)
 
-    # -- pullback substitutions (ground truth) ---------------------------------
-    def j_reduce(self, e: E.Expr) -> E.Expr:
-        """J^*: rename X symbols into their twist-side copies (naturality)."""
-        return _j_reduce(self.table_xp, e)
-
-    def frobenius_reduce(self, e: E.Expr) -> E.Expr:
-        """F^*: the relative-Frobenius pullback on twist-side classes.
-
-        F^*(F_*O_X) = theta^p(Omega_f); F^*(J^* s) = F_X^* s = psi^p(s).
-        """
-        return _frobenius_reduce(self.p, self.table_x, e)
-
 
 def _symbol_expr(name: str, table: E.SymbolTable) -> E.Expr:
     return E.Line(name) if table.kind(name) == E.LINE else E.Bundle(name)
 
 
 def _j_reduce(table_xp: E.SymbolTable, e: E.Expr) -> E.Expr:
+    """J^*: rename X symbols into their twist-side copies (naturality)."""
     return _map_symbols(e, lambda name: _symbol_expr("J_" + name, table_xp)
                         if "J_" + name in table_xp else _fail_symbol(name, "J^*"))
 
 
 def _frobenius_reduce(p: int, table_x: E.SymbolTable, e: E.Expr) -> E.Expr:
+    """F^*: the relative-Frobenius pullback on twist-side classes.
+
+    F^*(F_*O_X) = theta^p(Omega_f); F^*(J^* s) = F_X^* s = psi^p(s).
+    """
     def on_symbol(name: str) -> E.Expr:
         if name == PUSHED_STRUCTURE:
             return E.Theta(p, E.Bundle(OMEGA))
@@ -501,7 +494,7 @@ def _replace_pulls(e: E.Expr, fn: Callable[[E.Pull], E.Expr]) -> E.Expr:
 
 
 # ---------------------------------------------------------------------------
-# Rule-application helpers (also used directly by tests and the CLI)
+# Rule-application helpers
 
 def adams_to_frobenius(geom: Geometry, gl: P.GradedLine,
                        rules: dict[str, RewriteRule]) -> P.GradedLine:
@@ -531,24 +524,6 @@ def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
     ]
 
 
-def insert_rank_zero_power(geom: Geometry, gl: P.GradedLine, l: int,
-                           rules: dict[str, RewriteRule]
-                           ) -> tuple[P.GradedLine, list[tuple[str, bool]]]:
-    """R3: tensor gl with det Rf'((F_*O_X - p^n)^(x)l (x) H); refuses if l < n+2.
-
-    Returns the (possibly unchanged) line plus the recorded side conditions.
-    """
-    _need(rules, "R3")
-    _need(rules, "R8")
-    slot, arg, exp = _sole_det(gl)
-    inserted, conditions = _rank_zero_summand(geom, arg, l)
-    if not all(h for _, h in conditions):
-        return gl, conditions
-    new_arg = E.Sum((E.Tensor((E.IntConst(exp), arg)), inserted))
-    out = _atom(gl._morphisms[slot[1]], slot[0], new_arg, 1)
-    return out.with_grade(gl.grade), conditions
-
-
 # ---------------------------------------------------------------------------
 # Theorem (I): the nine-step chain
 
@@ -576,7 +551,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     a = p**n
     sign = (-1) ** (n + 1)
     theta_omega = E.Theta(p, geom.omega())
-    j_e = E.canonicalize(geom.j_reduce(e))
+    j_e = E.canonicalize(_j_reduce(geom.table_xp, e))
     fso = geom.pushed_structure()
 
     lhs = P.psi_line(p, P.det_rf_atom(geom.f, e)) ** m

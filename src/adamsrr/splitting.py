@@ -145,6 +145,8 @@ class SplitClass:
         return (-self) + other
 
     def __mul__(self, other) -> "SplitClass":
+        if isinstance(other, (int, Fraction)):
+            return SplitClass({m: c * other for m, c in self.terms.items()}, self.space)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -255,9 +257,8 @@ class SplitClass:
 
     # -- rendering -----------------------------------------------------------
     def term_texts(self) -> list[tuple[str, object]]:
-        """(monomial text, coefficient) in print order; the empty monomial is "1"."""
-        return [("*".join(f"{v}^{e}" if e != 1 else v for v, e in m) or "1", self.terms[m])
-                for m in sorted(self.terms, key=_mono_sort_key)]
+        """(monomial text, coefficient) in print order."""
+        return [(monomial_text(m), self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
 
     def render(self, wrap: str | None = None) -> str:
         """Signed sum of terms; with `wrap`, each monomial m prints as wrap(m)."""
@@ -282,6 +283,11 @@ class SplitClass:
 
     def __repr__(self) -> str:
         return f"SplitClass({self})"
+
+
+def monomial_text(m: Monomial) -> str:
+    """`v^e` factors joined by `*`, with exponent 1 left out; the empty monomial is "1"."""
+    return "*".join(f"{v}^{e}" if e != 1 else v for v, e in m) or "1"
 
 
 def _mono_sort_key(m: Monomial):

@@ -34,6 +34,19 @@ def test_normalize_det_rf_non_trivial(capsys):
     assert "det_rf[f]" in out
 
 
+@pytest.mark.parametrize("text,normal_form", [
+    ("det_rf (f, A)", "det_rf[f](A) | grade= chi[f](1) + chi[f](A)"),
+    ("det_rf(f, A - B) (x) det_rf(f, B)^-2",
+     "det_rf[f](A) (x) det_rf[f](B)^-3 | grade= -2*chi[f](1) + chi[f](A) - 3*chi[f](B)"),
+    # below multiplicity n+2 = 3 the rank-zero factor is kept, and cancels only itself
+    ("det_rf(f, (H0-H1)^2 (x) H)^-1", "det_rf[f]((H0 - H1)^2 (x) H)^-1 | grade= 0"),
+    ("det_rf(f, (H0-H1)^2 (x) H) (x) det_rf(f, (H0-H1)^2 (x) H)^-1", "1 (trivial) | grade= 0"),
+])
+def test_normalize_det_line_exact_text(capsys, text, normal_form):
+    code, out, err = run(capsys, "normalize", text)
+    assert (code, out, err) == (EXIT_OK, normal_form + "\n", "")
+
+
 def test_normalize_malformed_input_exits_2(capsys):
     code, _, err = run(capsys, "normalize", "theta(2, L")
     assert code == EXIT_USAGE
@@ -95,10 +108,8 @@ def test_verify_deligne(capsys):
     assert "residual: 0" in out
 
 
-@pytest.mark.parametrize("trunc", [None, "2", "3", "4", "5"])
-def test_verify_deligne_exact_text(capsys, trunc):
-    argv = ["verify", "deligne"] + (["--trunc", trunc] if trunc else [])
-    code, out, err = run(capsys, *argv)
+def test_verify_deligne_exact_text(capsys):
+    code, out, err = run(capsys, "verify", "deligne")
     assert code == EXIT_OK and err == ""
     assert out == ("residual: 0\n"
                    "both sides: -9*f_!(l*w) + 9*f_!(l^2) + 3/2*f_!(w^2)\n")
@@ -156,15 +167,18 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "A" + "^1" * 3000), "powers chain longer"),
     # each limit holds, but together they would build 1200 nested powers
     (("normalize", "(" * 60 + "A" + ("^1" * 20 + ")") * 60), "nests deeper"),
-    # c1 det Rf_* lives in degree n+1 = 2; a lower working degree would zero both sides
-    (("verify", "deligne", "--trunc", "0"), "working degree 0 is below 2"),
-    (("verify", "deligne", "--trunc", "1"), "working degree 1 is below 2"),
-    (("verify", "deligne", "--trunc", "-1"), "working degree -1 is below 2"),
-    (("verify", "mumford", "--n", "2", "--trunc", "1"), "working degree 1 is below 2"),
-    (("verify", "mumford", "--n", "2", "--trunc", "-1"), "working degree -1 is below 2"),
+    # a det_rf argument is parsed in place, so positions count from the start
+    (("normalize", "det_rf(f, A+)"), "unexpected token ')' (at position 12)"),
+    (("normalize", "det_rf(f, A) det_rf(f, B)"), "trailing input 'det_rf' (at position 13)"),
+    (("normalize", "A (x) det_rf(f, B)"), "expected 'det_rf', found 'A' (at position 0)"),
+    (("normalize", "det_rf(f, A)", "--n", "-1"), "--n must be >= 0"),
+    # with --decls every morphism must be declared
+    (("normalize", "det_rf(g, (H0-H1)^3 (x) H)", "--decls", "DECLS"), "undeclared morphism 'g'"),
 ])
-def test_refused_inputs_exit_2_with_one_line(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
+    decls = tmp_path / "d.txt"
+    decls.write_text("bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n")
+    code, out, err = run(capsys, *(str(decls) if a == "DECLS" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err

@@ -8,10 +8,10 @@ from adamsrr import expr as E
 from adamsrr import picard as P
 from adamsrr import suite as SU
 from adamsrr.picard import (
-    GradeExpr, GradeUndetermined, GradedLine, PairingExpr, PicardError, RankMismatch,
-    det_rf_atom, det_difference_pairing, make_morphism, normalize, pairing_to_det,
-    reduce_triviality,
+    GradedLine, PairingExpr, PicardError, RankMismatch, det_rf_atom, make_morphism, normalize,
+    pairing_to_det,
 )
+from adamsrr.splitting import SplitClass
 
 
 @pytest.fixture
@@ -35,16 +35,19 @@ def test_tensor_of_trivials_is_trivial():
     assert (GradedLine.trivial() * GradedLine.trivial()).is_trivial()
 
 
-def test_inverse_cancellation():
-    a = GradedLine.free_line("A", 1)
+def test_inverse_cancellation(curve):
+    a = det_rf_atom(curve, E.Line("A"))
     assert (a * a.inverse()).is_trivial()
-    assert (a * a.inverse()).grade == GradeExpr(const=0)
+    assert (a * a.inverse()).grade.is_zero()
 
 
-def test_grades_add_under_tensor():
-    a = GradedLine.free_line("A", 2)
-    b = GradedLine.free_line("B", 3)
-    assert (a * b).grade.as_int() == 5
+def test_grades_add_under_tensor(curve):
+    a = det_rf_atom(curve, E.Line("A")) ** 2
+    b = det_rf_atom(curve, E.Bundle("H")) ** -3
+    assert (a * b).grade == a.grade + b.grade
+    # a negative coefficient prints like any class's: " - 3*...", not " + -3*..."
+    assert str((a * b).grade) == ("-7*chi[f](1) + 2*chi[f](A) - 3*chi[f](H.1)"
+                                  " - 3*chi[f](H.2) - 3*chi[f](H.3)")
 
 
 def test_group_laws_on_random_lines(curve):
@@ -63,8 +66,8 @@ def test_group_laws_on_random_lines(curve):
 def test_det_atom_of_unit_has_chi_grade(curve):
     g = det_rf_atom(curve, E.UNIT)
     assert not g.is_trivial()
-    assert not g.grade.is_concrete()
-    assert "chi[f](1)" in str(g.grade)
+    assert g.grade == SplitClass.variable("chi[f](1)")
+    assert str(g.grade) == "chi[f](1)"
 
 
 def test_det_additivity_under_normalize(curve):
@@ -134,25 +137,7 @@ def test_pairing_multilinearity(curve):
         assert joint == split
 
 
-# -- det-difference pairing -------------------------------------------------------
-
-def test_det_difference_pairing_unit_case(curve):
-    L0, L1 = lines("L0", "L1")
-    got = det_difference_pairing(curve, [(L0, E.UNIT), (L1, E.UNIT)])
-    assert got == pairing_to_det(PairingExpr(curve, (L0, L1)))
-
-
-def test_det_difference_pairing_equal_pair_is_trivial(curve):
-    A, L1 = lines("A", "L1")
-    got = det_difference_pairing(curve, [(A, A), (L1, E.UNIT)])
-    assert got.is_trivial()
-
-
-def test_det_difference_pairing_rank_mismatch(curve):
-    with pytest.raises(RankMismatch):
-        det_difference_pairing(curve, [(E.Bundle("H0"), E.Bundle("H")),
-                                       (E.Line("L1"), E.UNIT)])
-
+# -- triviality reduction (inside normalize) -----------------------------------------
 
 def test_repeated_difference_across_factors_trivializes(curve):
     # (H0 - H1) appearing n+2 = 3 times in total across the tensor argument
@@ -161,21 +146,22 @@ def test_repeated_difference_across_factors_trivializes(curve):
     assert normalize(det_rf_atom(curve, arg)).is_trivial()
 
 
-# -- triviality reduction ----------------------------------------------------------
-
 def trs_argument(l):
     return E.Tensor((E.Power(E.Sum((E.Bundle("H0"), E.Neg(E.Bundle("H1")))), l),
                      E.Bundle("H")))
 
 
 def test_reduce_triviality_fires_at_n_plus_2(curve):
-    assert reduce_triviality(det_rf_atom(curve, trs_argument(3))).is_trivial()
+    for l in (3, 4, 5):
+        assert normalize(det_rf_atom(curve, trs_argument(l))).is_trivial()
+        assert P.argument_is_trivial(curve, trs_argument(l))
 
 
 def test_reduce_triviality_spares_below_boundary(curve):
     g = det_rf_atom(curve, trs_argument(2))
-    assert not reduce_triviality(g).is_trivial()
-    assert reduce_triviality(g) == g
+    assert not P.argument_is_trivial(curve, trs_argument(2))
+    assert not normalize(g).is_trivial()
+    assert normalize(g) == g
 
 
 def test_reduce_triviality_requires_equal_ranks():
@@ -184,23 +170,16 @@ def test_reduce_triviality_requires_equal_ranks():
     t.declare_bundle("H1", 3)
     t.declare_bundle("H", 2)
     f = make_morphism("f", 1, t)
-    g = det_rf_atom(f, trs_argument(5))
-    assert not reduce_triviality(g).is_trivial()
+    assert not normalize(det_rf_atom(f, trs_argument(5))).is_trivial()
 
 
 def test_reduce_triviality_idempotent(curve):
     rng = random.Random(2)
     for _ in range(50):
         g = det_rf_atom(curve, SU.random_expr(rng, 2)) ** rng.randint(-2, 2)
-        once = reduce_triviality(g)
-        assert reduce_triviality(once) == once
-
-
-def test_triviality_conditions_record_boundary(curve):
-    conds = dict(P.triviality_conditions(curve, trs_argument(3)))
-    assert conds["argument class in I^(n+2)"] is True
-    conds2 = dict(P.triviality_conditions(curve, trs_argument(2)))
-    assert conds2["argument class in I^(n+2)"] is False
+        once = normalize(g)
+        assert once == g  # the invariants and the grade are kept
+        assert normalize(once).render() == once.render()
 
 
 # -- normalize ----------------------------------------------------------------------

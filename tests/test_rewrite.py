@@ -11,9 +11,9 @@ from adamsrr import expr as E
 from adamsrr import picard as P
 from adamsrr import splitting as S
 from adamsrr.rewrite import (
-    CHAIN_RULES, Geometry, OMEGA, adams_to_frobenius, emit_trace, insert_rank_zero_power,
-    is_prime, knudsen_mumford_expansion, parse_trace_json, revalidate_trace,
-    rule_set, tilde_inverse_expr, verify_base_change, verify_arr_identity,
+    CHAIN_RULES, Geometry, OMEGA, _rank_zero_summand, adams_to_frobenius, emit_trace, is_prime,
+    knudsen_mumford_expansion, parse_trace_json, revalidate_trace, rule_set, tilde_inverse_expr,
+    verify_base_change, verify_arr_identity,
 )
 
 
@@ -33,7 +33,7 @@ def test_rule_set_requires_prime():
 
 def test_r5_rewrites_pushed_structure_to_bott_class():
     geom = Geometry(2, 3)
-    got = geom.frobenius_reduce(geom.pushed_structure())
+    got = geom.ctx_x.pull_reducers[geom.name_F](geom.pushed_structure())
     assert got == E.Theta(3, E.Bundle(OMEGA))
     # the Bott class has the right rank p^n
     assert E.rank(got, geom.table_x) == 3**2
@@ -41,21 +41,21 @@ def test_r5_rewrites_pushed_structure_to_bott_class():
 
 def test_frobenius_reduce_composes_through_twist_symbols():
     geom = Geometry(1, 2, {"L": 1})
-    got = geom.frobenius_reduce(E.Line(geom.j_name("L")))
+    got = geom.ctx_x.pull_reducers[geom.name_F](E.Line(geom.j_name("L")))
     assert got == E.Psi(2, E.Line("L"))
 
 
 def test_r3_refuses_below_boundary_and_records_it():
     geom = Geometry(1, 2, {"L": 1})
-    rules = rule_set(1, 2)
-    gl = P.det_rf_atom(geom.fp, E.Line(geom.j_name("L")))
-    out, conds = insert_rank_zero_power(geom, gl, geom.n + 1, rules)
-    assert out == gl  # unchanged
+    arg = E.Line(geom.j_name("L"))
+    _, conds = _rank_zero_summand(geom, arg, geom.n + 1)
     recorded = dict(conds)
     assert recorded["l = 2 >= n+2 = 3"] is False
-    out2, conds2 = insert_rank_zero_power(geom, gl, geom.n + 2, rules)
+    assert recorded["inserted summand class lies in I^(n+2)"] is False
+    inserted, conds2 = _rank_zero_summand(geom, arg, geom.n + 2)
     assert all(h for _, h in conds2)
-    assert out2.same_atoms(gl)  # inserted summand is det-trivial
+    gl = P.det_rf_atom(geom.fp, arg)
+    assert (gl * P.det_rf_atom(geom.fp, inserted)).same_atoms(gl)  # det-trivial summand
 
 
 def test_r1_rewrites_adams_of_det_atom_to_pullback_atom():
