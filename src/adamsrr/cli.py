@@ -97,7 +97,7 @@ def _write_trace(trace: R.ProofTrace, args) -> None:
 
 def cmd_verify(args) -> int:
     target = args.target
-    n, p = args.n, args.p
+    n, p = args.n, 2 if args.p is None else args.p
     if target == "binomial":
         w = S.binomial_identity_check(n, p)
         if args.format == "json":
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
 
     if target == "tau":
         ranks = (args.rank,) if args.rank is not None else SU.TAU_RANKS
-        ps = (p,) if args.p_given else SU.TAU_PRIMES
+        ps = SU.TAU_PRIMES if args.p is None else (p,)
         results = [{"rank": rk, "p": q, "ok": v.ok, "witness": v.witness}
                    for rk, q, v in SU.tau_grid(ranks, ps)]
         ok = all(r["ok"] for r in results)
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "mumford", "deligne", "binomial"))
     ver.add_argument("--n", type=int, default=1,
                      help="relative dimension (for mumford: the power k)")
-    ver.add_argument("--p", type=int, default=2, help="the prime characteristic")
+    ver.add_argument("--p", type=int,
+                     help="the prime characteristic (default 2; tau: every prime of its grid)")
     ver.add_argument("--rank", type=int, help="rank of the test bundle (default: a line)")
     ver.add_argument("--trace-json", dest="trace_json", help="write the trace here")
     ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -225,12 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "verify":
-        args.p_given = any(a == "--p" or a.startswith("--p=")
-                           for a in (argv if argv is not None else sys.argv[1:]))
-        if args.target in ("arr", "base-change", "km", "binomial") and not R.is_prime(args.p):
-            print(f"error: --p {args.p} is not prime", file=sys.stderr)
-            return EXIT_USAGE
+    if (args.command == "verify" and args.p is not None
+            and args.target in ("arr", "base-change", "km", "binomial")
+            and not R.is_prime(args.p)):
+        print(f"error: --p {args.p} is not prime", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "n", 0) < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_USAGE

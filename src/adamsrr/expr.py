@@ -504,8 +504,13 @@ class _Tokens:
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            wanted = {"INT": "an integer", "NAME": "a name"}.get(kind, repr(kind))
+            raise ParseError(f"expected {wanted}, found {_shown(tok)}", tok[2])
         return tok
+
+
+def _shown(tok: tuple[str, str, int]) -> str:
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
 
 def parse(text: str, table: SymbolTable) -> Expr:
@@ -535,9 +540,9 @@ def parse_det_line(text: str, table: SymbolTable) -> list[tuple[str, Expr, int]]
     toks = _Tokens(text)
     out = []
     while True:
-        kind, value, pos = toks.next()
-        if (kind, value) != ("NAME", "det_rf"):
-            raise ParseError(f"expected 'det_rf', found {value!r}", pos)
+        tok = toks.next()
+        if tok[:2] != ("NAME", "det_rf"):
+            raise ParseError(f"expected 'det_rf', found {_shown(tok)}", tok[2])
         toks.expect("(")
         name = toks.expect("NAME")[1]
         toks.expect(",")
@@ -660,6 +665,8 @@ def _parse_primary(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
         if table.kind(value) == LINE:
             return Line(value), 1
         return Bundle(value), 1
+    if kind == "EOF":
+        raise ParseError("unexpected end of input", pos)
     raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -689,7 +696,7 @@ def _parse_call(head: str, toks: _Tokens, table: SymbolTable, pos: int) -> tuple
 # ---------------------------------------------------------------------------
 # Rank homomorphism
 
-def rank(e: Expr, table: SymbolTable, pull_tables: dict[str, SymbolTable] | None = None) -> int:
+def rank(e: Expr, table: SymbolTable) -> int:
     """Virtual rank: additive on sums, multiplicative on tensors.
 
     theta^k/tau_p arguments must be effective (checked semantically through the
@@ -702,20 +709,20 @@ def rank(e: Expr, table: SymbolTable, pull_tables: dict[str, SymbolTable] | None
     if isinstance(e, IntConst):
         return e.value
     if isinstance(e, Sum):
-        return sum(rank(t, table, pull_tables) for t in e.terms)
+        return sum(rank(t, table) for t in e.terms)
     if isinstance(e, Neg):
-        return -rank(e.arg, table, pull_tables)
+        return -rank(e.arg, table)
     if isinstance(e, Tensor):
         r = 1
         for f in e.factors:
-            r *= rank(f, table, pull_tables)
+            r *= rank(f, table)
         return r
     if isinstance(e, (Dual, Psi)):
-        return rank(e.arg, table, pull_tables)
+        return rank(e.arg, table)
     if isinstance(e, (Theta, Tau)):
         _require_effective(e.arg, table)
         k = e.k if isinstance(e, Theta) else e.p
-        r = rank(e.arg, table, pull_tables)
+        r = rank(e.arg, table)
         if r < 0:
             raise RankError(f"negative rank {r} under theta/tau")
         return k**r
@@ -723,15 +730,13 @@ def rank(e: Expr, table: SymbolTable, pull_tables: dict[str, SymbolTable] | None
         return 1
     if isinstance(e, Power):
         if e.exponent >= 0:
-            return rank(e.base, table, pull_tables) ** e.exponent
-        r = rank(e.base, table, pull_tables)
+            return rank(e.base, table) ** e.exponent
+        r = rank(e.base, table)
         if r not in (1, -1):
             raise RankError(f"negative power of a class of rank {r}")
         return r**e.exponent if r == 1 or e.exponent % 2 == 0 else -1
     if isinstance(e, Pull):
-        if not pull_tables or e.morphism not in pull_tables:
-            raise RankError(f"no table registered for pullback along {e.morphism!r}")
-        return rank(e.arg, pull_tables[e.morphism], pull_tables)
+        raise RankError(f"no table registered for pullback along {e.morphism!r}")
     raise ExprError(f"unknown expression node {e!r}")
 
 

@@ -6,11 +6,12 @@ smooth projective family of relative dimension n in characteristic p:
     psi^p((det Rf_* E)^(p^(n(n+2))))  ~  det Rf_*(tilde_inv (x) psi^p(E))
 
 together with its base-change square and the Knudsen-Mumford-style expansion
-of the right side into lambda factors.  Every step cites a rule, records its
-side conditions, and is re-checked semantically against the registered
-Frobenius geometry (so a tampered rule fails at its own step, not at the end).
-The chain, the square and the expansion are tables of `Step`s run by one
-runner, which looks up the cited rules and records each step or its failure.
+of the right side into lambda factors.  Every step cites a rule and records
+the side conditions it computes: class identities evaluated through the
+Geometry's pullback reducers and the split engine, and the checks each move
+needs (so a tampered rule fails at its own step, not at the end).  The chain,
+the square and the expansion are tables of `Step`s run by one runner, which
+looks up the cited rules and records each step or its failure.
 """
 
 from __future__ import annotations
@@ -69,24 +70,18 @@ def tilde_inverse_expr(n: int, p: int, base: E.Expr) -> E.Expr:
 # ---------------------------------------------------------------------------
 # Frobenius geometry
 
-@dataclass(frozen=True)
-class MorphismTag:
-    """Named arrow of the registered diagram, with its kind and parameters."""
-
-    name: str
-    kind: str  # structure | relative-frobenius | twist-projection |
-    #            absolute-frobenius (base/total) | base-change (+ upstairs)
-    char: int
-    rel_dim: int | None = None
+FSO = E.Bundle(PUSHED_STRUCTURE)
 
 
 class Geometry:
-    """Registered morphism diagram for one family f: X -> S in char p.
+    """Symbol tables and pullback reducers for one family f: X -> S in char p.
 
-    Holds the X and Frobenius-twist symbol tables, the morphism tags
-    (f, f', relative Frobenius F, twist projection J, absolute Frobenii
-    F_S, F_X) and the pullback substitutions that realize their actions on
-    classes.  The substitutions are the ground truth the step checker uses.
+    Holds the X and Frobenius-twist symbol tables, the split contexts over
+    them, the morphisms f and f', and the names of the relative Frobenius F,
+    the twist projection J and the absolute Frobenii F_S, F_X.  The pullback
+    reducers registered on the contexts (F^*, J^*, F_X^*) realize those
+    morphisms' actions on classes; they are the ground truth the step checks
+    evaluate through.
     """
 
     def __init__(self, n: int, p: int, symbols: dict[str, int] | None = None,
@@ -96,7 +91,6 @@ class Geometry:
         if not is_prime(p):
             raise VerifierError(f"{p} is not prime")
         self.n, self.p = n, p
-        self.suffix = suffix
         symbols = dict(symbols or {})
 
         self.table_x = E.SymbolTable(rel_dim=n, space="X" + suffix)
@@ -108,11 +102,10 @@ class Geometry:
 
         self.table_xp = E.SymbolTable(rel_dim=n, space="X'" + suffix)
         for name, (kind, rk) in self.table_x.entries.items():
-            jname = self.j_name(name)
             if kind == E.LINE:
-                self.table_xp.declare_line(jname)
+                self.table_xp.declare_line("J_" + name)
             else:
-                self.table_xp.reserve_bundle(jname, rk)
+                self.table_xp.reserve_bundle("J_" + name, rk)
         self.table_xp.declare_bundle(PUSHED_STRUCTURE, p**n)
 
         self.name_f = "f" + suffix
@@ -132,35 +125,6 @@ class Geometry:
 
         self.f = P.Morphism(self.name_f, n, self.ctx_x)
         self.fp = P.Morphism(self.name_fp, n, self.ctx_xp)
-
-        self.tags = {
-            self.name_f: MorphismTag(self.name_f, "structure", p, n),
-            self.name_fp: MorphismTag(self.name_fp, "structure", p, n),
-            self.name_F: MorphismTag(self.name_F, "relative-frobenius", p),
-            self.name_J: MorphismTag(self.name_J, "twist-projection", p),
-            self.name_FS: MorphismTag(self.name_FS, "absolute-frobenius-base", p),
-            self.name_FX: MorphismTag(self.name_FX, "absolute-frobenius-total", p),
-        }
-        # registered diagram relations used by the rules:
-        #   F_X = J o F (pullbacks compose: F^* J^* = F_X^*)
-        #   f = f' o F with pushforward algebra F_*O_X (projection formula)
-        #   base-change square (F_S, f) -> (f', J) (cohomology base change)
-        self.compositions = {(self.name_F, self.name_J): self.name_FX}
-        self.factorizations = {self.name_f: (self.name_fp, self.name_F, PUSHED_STRUCTURE)}
-        self.base_change_squares = {(self.name_FS, self.name_f): (self.name_fp, self.name_J)}
-
-    # -- naming ---------------------------------------------------------------
-    def j_name(self, symbol: str) -> str:
-        return "J_" + symbol
-
-    def omega(self) -> E.Expr:
-        return E.Bundle(OMEGA)
-
-    def pushed_structure(self) -> E.Expr:
-        return E.Bundle(PUSHED_STRUCTURE)
-
-    def symbol_expr(self, name: str, table: E.SymbolTable | None = None) -> E.Expr:
-        return _symbol_expr(name, table or self.table_x)
 
 
 def _symbol_expr(name: str, table: E.SymbolTable) -> E.Expr:
@@ -206,19 +170,16 @@ def _map_symbols(e: E.Expr, fn: Callable[[str], E.Expr]) -> E.Expr:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A cited rewrite rule with side conditions bound to (n, p)."""
+    """A cited rewrite rule: its anchor, what it does, and the move it makes, if any."""
 
     name: str
     anchor: str
     description: str
-    conditions: tuple[tuple[str, bool], ...] = ()
     action: Callable | None = field(default=None, compare=False)
 
 
 def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
-    """The cited rules R1-R8 plus the plumbing rules R9/KEQ, bound to (n, p)."""
-    base_conditions = (("p is prime", is_prime(p)), ("n >= 0", n >= 0))
-
+    """The cited rules R1-R8 plus the plumbing rules R9/KEQ, for characteristic p."""
     def r5_target() -> E.Expr:
         return E.Theta(p, E.Bundle(OMEGA))
 
@@ -233,41 +194,34 @@ def rule_set(n: int, p: int) -> dict[str, RewriteRule]:
     rules = [
         RewriteRule("R1", "psi^p = Frobenius pullback in char p",
                     "exchange the p-th Adams operation with the absolute Frobenius "
-                    "pullback; on a line it is the p-th tensor power",
-                    base_conditions),
+                    "pullback; on a line it is the p-th tensor power"),
         RewriteRule("R2", "det Rf_* commutes with base change",
                     "pullback of a determinant of cohomology along a base morphism "
                     "equals the determinant of the pulled-back family",
-                    base_conditions, action=pull_action),
+                    action=pull_action),
         RewriteRule("R3", "det Rf_*((H0-H1)^(x)l (x) H) is trivial for l >= n+2, rk H0 = rk H1",
-                    "insert or remove a det-trivial summand of rank-zero-power shape",
-                    base_conditions + ((f"l >= n+2 = {n + 2}", True),)),
+                    "insert or remove a det-trivial summand of rank-zero-power shape"),
         RewriteRule("R4", "projection formula: F_*O_X (x) W = F_*(F^* W)",
                     "trade the pushforward algebra factor for a pullback upstairs "
                     "along the factorization f = f' o F",
-                    base_conditions, action=pull_action),
+                    action=pull_action),
         RewriteRule("R5", "F^* F_* O_X = theta^p(Omega_f)",
                     "replace the Frobenius pullback of the pushed structure sheaf "
                     "by the p-th Bott class of the relative differentials",
-                    base_conditions + ((f"rank theta^p(Omega_f) = p^n = {p**n}", True),),
                     action=r5_target),
         RewriteRule("R6", "F_X^* = F^* J^*",
                     "compose the relative Frobenius with the twist projection "
-                    "into the absolute Frobenius upstairs",
-                    base_conditions),
+                    "into the absolute Frobenius upstairs"),
         RewriteRule("R7", "psi^k g^* = g^* psi^k",
                     "Adams operations are natural against pullback",
-                    base_conditions, action=r7_action),
+                    action=r7_action),
         RewriteRule("R8", "F_*O_X is locally free of rank p^n",
-                    "declared rank of the pushed structure sheaf",
-                    base_conditions + ((f"rank = {p**n}", True),)),
+                    "declared rank of the pushed structure sheaf"),
         RewriteRule("R9", "pullback is a ring map commuting with theta/det",
                     "distribute a pullback through sums, tensors, powers and "
-                    "operator terms; rename symbols across linked tables",
-                    base_conditions),
+                    "operator terms; rename symbols across linked tables"),
         RewriteRule("KEQ", "equal classes have isomorphic determinant lines",
-                    "replace a det argument by any expression with the same class",
-                    base_conditions),
+                    "replace a det argument by any expression with the same class"),
     ]
     return {r.name: r for r in rules}
 
@@ -463,6 +417,12 @@ def _class_equal_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[s
     return ("argument classes equal (split-engine identity)", after.same_atoms(before))
 
 
+def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[str, bool]:
+    """A move that only rewraps a det atom keeps its argument and the line's grade."""
+    return ("argument class and grade unchanged by the wrapper move",
+            _sole_det(before)[1] == _sole_det(after)[1] and before.grade == after.grade)
+
+
 def _rename_vars(cls: S.SplitClass, mapping: dict[str, str]) -> S.SplitClass:
     out: dict[S.Monomial, object] = {}
     for m, c in cls.terms.items():
@@ -496,24 +456,11 @@ def _replace_pulls(e: E.Expr, fn: Callable[[E.Pull], E.Expr]) -> E.Expr:
 # ---------------------------------------------------------------------------
 # Rule-application helpers
 
-def adams_to_frobenius(geom: Geometry, gl: P.GradedLine,
-                       rules: dict[str, RewriteRule]) -> P.GradedLine:
-    """R1 on a line atom: psi^p wrapper -> absolute-Frobenius pullback wrapper."""
-    _need(rules, "R1")
-    slot, arg, exp = _sole_det(gl)
-    wrappers, fname = slot
-    if not wrappers or wrappers[0] != ("psi", geom.p):
-        raise VerifierError("R1 expects a leading psi^p wrapper")
-    morph = gl._morphisms[fname]
-    out = _atom(morph, (("pull", geom.name_FS),) + wrappers[1:], arg, exp)
-    return out.with_grade(gl.grade)
-
-
 def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
                        ) -> tuple[E.Expr, list[tuple[str, bool]]]:
     """R3's summand (F_*O_X - p^n)^(x)l (x) arg and the side conditions for inserting it."""
     n, p = geom.n, geom.p
-    diff = E.Sum((geom.pushed_structure(), E.Neg(E.IntConst(p**n))))
+    diff = E.Sum((FSO, E.Neg(E.IntConst(p**n))))
     inserted = E.Tensor((E.Power(diff, l), arg))
     return inserted, [
         (f"rank(F_*O_X) = p^n = {p**n}", geom.table_xp.rank(PUSHED_STRUCTURE) == p**n),
@@ -534,10 +481,10 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
                        geometry: Geometry | None = None) -> ProofTrace:
     """Replay the nine-step determinant-level chain for (n, p, E).
 
-    The trace is verified iff every step's side conditions hold (including the
-    univariate binomial-identity oracle behind the expansion steps), every
-    rewritten argument matches the registered geometry semantically, and the
-    final form equals the goal's right side atom-for-atom.
+    The trace is verified iff every step's side conditions hold (the
+    univariate binomial-identity oracle behind the expansion steps, and the
+    class identity of each rewritten argument through the Geometry's
+    reducers), and the final form equals the goal's right side atom-for-atom.
     """
     if symbols is None:
         symbols = {"L": 1}
@@ -550,9 +497,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     m = p ** (n * (n + 2))
     a = p**n
     sign = (-1) ** (n + 1)
-    theta_omega = E.Theta(p, geom.omega())
+    theta_omega = E.Theta(p, E.Bundle(OMEGA))
     j_e = E.canonicalize(_j_reduce(geom.table_xp, e))
-    fso = geom.pushed_structure()
 
     lhs = P.psi_line(p, P.det_rf_atom(geom.f, e)) ** m
     rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
@@ -569,31 +515,23 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     def binom_sum(top_power: int) -> E.Expr:
         # sum_{i=0}^{n+1} C(n+2,i) FsO^(top_power - i) (-p^n)^i
         terms = [E.Tensor((E.IntConst(comb(n + 2, i) * (-a) ** i),
-                           E.Power(fso, top_power - i)))
+                           E.Power(FSO, top_power - i)))
                  for i in range(n + 2)]
         return E.Sum(tuple(terms))
 
     def step1(cur: P.GradedLine):
-        slot, arg, exp = _sole_det(adams_to_frobenius(geom, cur, rules))
-        fs_tag = geom.tags.get(geom.name_FS)
-        return form(geom.f, arg, exp, (("detpull", geom.name_FS),)), [
-            ("p is prime", is_prime(p)),
-            (f"{geom.name_FS} is the absolute Frobenius of the base",
-             fs_tag is not None and fs_tag.kind == "absolute-frobenius-base"
-             and fs_tag.char == p),
-            ("pullback of det = det of the pulled-back complex", True),
-            ("argument class unchanged under the wrapper exchange",
-             _sole_det(cur)[1:] == (arg, exp))]
+        (wrappers, _), arg, exp = _sole_det(cur)
+        if not wrappers or wrappers[0] != ("psi", p):
+            raise VerifierError("R1 expects a leading psi^p wrapper")
+        after = form(geom.f, arg, exp, (("detpull", geom.name_FS),))
+        return after, [_wrapper_move_condition(cur, after)]
 
     def step2(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
         rename = {v_x: v_xp for name in geom.table_x.names()
                   for v_x, v_xp in zip(geom.ctx_x.roots[name],
-                                       geom.ctx_xp.roots[geom.j_name(name)])}
-        square = geom.base_change_squares.get((geom.name_FS, geom.name_f))
+                                       geom.ctx_xp.roots["J_" + name])}
         return form(geom.fp, j_e, exp), [
-            ("cohomology commutes with base change (square registered)",
-             square == (geom.name_fp, geom.name_J)),
             ("twist-side argument is the J-pullback of the original",
              _rename_vars(geom.f.truncated(arg), rename)
              == S.SplitClass(geom.fp.truncated(j_e).terms, None))]
@@ -602,9 +540,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         slot, arg, exp = _sole_det(cur)
         inserted, conditions = _rank_zero_summand(geom, arg, n + 2)
         after = form(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))))
-        return after, conditions + [
-            _class_equal_condition(cur, after),
-            ("det additivity folds the tensor power into the argument", True)]
+        return after, conditions + [_class_equal_condition(cur, after)]
 
     def step4(cur: P.GradedLine):
         w = oracle(n, p)
@@ -618,10 +554,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
                        _class_equal_condition(cur, after)]
 
     def step5(cur: P.GradedLine):
-        after = form(geom.fp, signed(E.Tensor((fso, binom_sum(n + 1), j_e))))
-        return after, [("the p^(n(n+2)) J^*E terms cancel", True),
-                       ("one F_*O_X factor is extracted from the binomial sum", True),
-                       _class_equal_condition(cur, after)]
+        after = form(geom.fp, signed(E.Tensor((FSO, binom_sum(n + 1), j_e))))
+        return after, [_class_equal_condition(cur, after)]
 
     def step6(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
@@ -629,22 +563,14 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         if not isinstance(body, E.Tensor):
             raise VerifierError("projection formula expects a tensor with an F_*O_X factor")
         factors = list(body.factors)
-        fso_count = sum(1 for x in factors if x == fso)
-        if fso_count != 1:
+        if factors.count(FSO) != 1:
             raise VerifierError("projection formula needs exactly one F_*O_X factor")
-        rest = [x for x in factors if x != fso]
+        rest = [x for x in factors if x != FSO]
         w_expr: E.Expr = rest[0] if len(rest) == 1 else E.Tensor(tuple(rest))
         if negated:
             w_expr = E.Neg(w_expr)
         after_arg = rules["R4"].action(geom.name_F, w_expr)
-        fact = geom.factorizations.get(geom.name_f)
         return form(geom.f, after_arg, exp), [
-            ("f = f' o F registered (relative Frobenius factorization)",
-             fact == (geom.name_fp, geom.name_F, PUSHED_STRUCTURE)),
-            ("pushforward algebra factor appears exactly once", fso_count == 1),
-            ("rank agreement across the projection formula",
-             E.rank(w_expr, geom.table_xp) ==
-             E.rank(after_arg, geom.table_x, {geom.name_F: geom.table_xp})),
             ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
              geom.f.truncated(E.Pull(geom.name_F, arg)) ==
              geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
@@ -657,36 +583,30 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         def compose(name: str) -> E.Expr | None:
             # F^*(F_*O_X) stays for rule R5
             if name.startswith("J_") and name[2:] in geom.table_x:
-                return E.Pull(geom.name_FX, geom.symbol_expr(name[2:]))
+                return E.Pull(geom.name_FX, _symbol_expr(name[2:], geom.table_x))
             return None
 
         after = form(geom.f, distribute_pull(arg.arg, geom.name_F, compose, through_psi=True),
                      exp)
-        return after, [("pullback distributes as a ring homomorphism", True),
-                       ("F^* J^* composed into F_X^* (registered composition)",
-                        geom.compositions.get((geom.name_F, geom.name_J)) == geom.name_FX),
-                       _class_equal_condition(cur, after)]
+        return after, [_class_equal_condition(cur, after)]
 
     def step8(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
         replacement = rules["R5"].action()
 
         def resolve(pl: E.Pull) -> E.Expr:
-            if pl.morphism == geom.name_F and pl.arg == fso:
+            if pl.morphism == geom.name_F and pl.arg == FSO:
                 return replacement
             if pl.morphism == geom.name_FX:
                 return E.Psi(p, pl.arg)
             return pl
 
         after = form(geom.f, _replace_pulls(arg, resolve), exp)
-        return after, [("F^* F_* O_X replaced by theta^p(Omega_f)", True),
-                       ("F_X^* realized as psi^p", True),
-                       _class_equal_condition(cur, after)]
+        return after, [_class_equal_condition(cur, after)]
 
     def step9(cur: P.GradedLine):
         after = form(geom.f, rhs_expr)
-        return after, [("tilde-inverse notation expands to the binomial sum", True),
-                       _class_equal_condition(cur, after)]
+        return after, [_class_equal_condition(cur, after)]
 
     steps = [
         Step("(1)", "R1,R2", "R1",
@@ -740,32 +660,28 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     symbols_t = {"g_" + name: rk for name, rk in symbols.items()}
     geom_t = Geometry(n, p, symbols_t, suffix="T")
     name_g, name_gp = "g", "gp"
-    geom.tags[name_g] = MorphismTag(name_g, "base-change", p)
-    geom.tags[name_gp] = MorphismTag(name_gp, "base-change-upstairs", p)
-    geom.base_change_squares[(name_g, geom.name_f)] = (geom_t.name_f, name_gp)
 
     gp_reduce = partial(_gp_reduce, geom_t.table_x)
     geom_t.ctx_x.pull_reducers[name_gp] = gp_reduce
 
     m = p ** (n * (n + 2))
     e_t = E.canonicalize(gp_reduce(e))
-    theta_omega = E.Theta(p, geom.omega())
+    theta_omega = E.Theta(p, E.Bundle(OMEGA))
     rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
-    rhs_expr_t = E.Tensor((tilde_inverse_expr(n, p, E.Theta(p, geom_t.omega())),
-                           E.Psi(p, e_t)))
+    rhs_expr_t = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e_t)))
 
     tl = P.pull_line(name_g, P.psi_line(p, P.det_rf_atom(geom.f, e))) ** m
     br_right = P.det_rf_atom(geom_t.f, rhs_expr_t)
     trace = ProofTrace(tl.render(), br_right.render(), n, p)
-    adams_is_power = [("graded-line Adams operation is the p-th power", True)]
-    square_registered = ("base-change square (g, f) registered",
-                         geom.base_change_squares.get((name_g, geom.name_f))
-                         == (geom_t.name_f, name_gp))
 
-    def det_commutes(cur: P.GradedLine):
-        slot, arg, exp = _sole_det(cur)
-        return _atom(geom.f, (("detpull", name_g),), arg, exp), \
-            [("pullback of det = det of the pulled-back complex", True)]
+    def rewrap(move: Callable[[P.GradedLine], P.GradedLine]):
+        # a move of the wrappers and exponent around one det atom
+        def apply(cur: P.GradedLine):
+            after = move(cur)
+            return after, [_wrapper_move_condition(cur, after)]
+        return apply
+
+    det_commutes = rewrap(lambda cur: _atom(geom.f, (("detpull", name_g),), *_sole_det(cur)[1:]))
 
     def right(cur: P.GradedLine):
         sub = verify_arr_identity(n, p, e_t, symbols_t, rules, geometry=geom_t)
@@ -780,20 +696,23 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
                 for v, v_t in zip(geom.ctx_x.roots[name],
                                   geom_t.ctx_x.roots[name if name == OMEGA else "g_" + name])}
 
-    def base_change(cur: P.GradedLine):
-        slot, arg, exp = _sole_det(cur)
-        after_arg = rules["R2"].action(name_gp, arg)
-        return _atom(geom_t.f, (), after_arg, exp), [square_registered, (
-            "argument over f_T is the g'-pullback of the original (split-engine identity)",
-            _rename_vars(geom.f.truncated(arg), rename_t)
-            == S.SplitClass(geom_t.f.truncated(after_arg).terms, None))]
+    def base_change(pulled: Callable[[E.Expr], E.Expr]):
+        # the det atom over f becomes one over f_T whose argument is `pulled(arg)`
+        def apply(cur: P.GradedLine):
+            slot, arg, exp = _sole_det(cur)
+            after_arg = pulled(arg)
+            return _atom(geom_t.f, (), after_arg, exp), [(
+                "argument over f_T is the g'-pullback of the original (split-engine identity)",
+                _rename_vars(geom.f.truncated(arg), rename_t)
+                == S.SplitClass(geom_t.f.truncated(after_arg).terms, None))]
+        return apply
 
-    def bottom(rewrite_arg: Callable[[E.Expr], E.Expr], *conditions: tuple[str, bool]):
+    def bottom(rewrite_arg: Callable[[E.Expr], E.Expr]):
         # a move on the bottom edge's argument over f_T, keeping the form's grade
         def apply(cur: P.GradedLine):
             slot, arg, exp = _sole_det(cur)
             after = _atom(geom_t.f, (), rewrite_arg(arg), exp).with_grade(cur.grade)
-            return after, [*conditions, _class_equal_condition(cur, after)]
+            return after, [_class_equal_condition(cur, after)]
         return apply
 
     def commute_psi(arg: E.Expr) -> E.Expr:
@@ -802,13 +721,12 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
 
     top_and_right = [
         Step("(10)", "R1", "R1", "psi^p of a line is its p-th power",
-             lambda cur: (P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m),
-                          adams_is_power)),
+             rewrap(lambda cur: P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m))),
         Step("(11)", "R2", "R2", "det commutes with the pullback", det_commutes),
         Step("(12)", "R2", "R2", "cohomology base change: det Rf'_*(g'^* E)",
-             lambda cur: (_atom(geom_t.f, (), e_t, p * m), [square_registered])),
+             base_change(lambda arg: e_t)),
         Step("(13)", "R1", "R1", "refold the p-th power into psi^p",
-             lambda cur: (P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m, adams_is_power)),
+             rewrap(lambda cur: P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m)),
         Step("right", CHAIN_RULES, "main chain over the pulled-back family",
              "apply the verified identity to f_T and g'^*E", right),
     ]
@@ -817,11 +735,11 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
              "pull the identity over f back along g", left),
         Step("bottom(1)", "R2", "R2", "det commutes with the pullback", det_commutes),
         Step("bottom(2)", "R2", "R2", "cohomology base change along the square (g, g')",
-             base_change),
+             base_change(lambda arg: rules["R2"].action(name_gp, arg))),
         Step("bottom(3)", "R9", "R9", "distribute g'^* through the ring structure",
              bottom(lambda arg: distribute_pull(arg.arg, name_gp, lambda name: None))),
         Step("bottom(4)", "R7", "R7", "commute g'^* past the Adams operation",
-             bottom(commute_psi, ("psi^k g^* = g^* psi^k applied", True))),
+             bottom(commute_psi)),
         Step("bottom(5)", "R9", "R9",
              "rename pulled symbols into the pulled-back family's table "
              "(Omega pulls back to Omega)",
@@ -878,7 +796,7 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
     trace = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
 
     a = p**n
-    theta_omega = E.Theta(p, geom.omega())
+    theta_omega = E.Theta(p, E.Bundle(OMEGA))
     lp2 = E.Power(E.Line(line), p * p)
     exponents = [comb(n + 2, i) * a**i for i in range(n + 2)]
     lambda_exprs = []

@@ -151,6 +151,18 @@ def test_verify_tau_grid(capsys):
     assert out.count("equal") == 12
 
 
+@pytest.mark.parametrize("argv,primes", [
+    (("verify", "tau", "--p", "3"), [3]),
+    (("verify", "tau", "--p=3"), [3]),
+    (("verify", "tau"), list(SU.TAU_PRIMES)),
+])
+def test_verify_tau_runs_the_given_prime_or_all(capsys, argv, primes):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"rank {rk} p {q}: equal"
+                                for rk in SU.TAU_RANKS for q in primes]
+
+
 def test_verify_tau_json_is_the_suite_grid(capsys):
     code, out, _ = run(capsys, "verify", "tau", "--format", "json")
     assert code == EXIT_OK
@@ -174,6 +186,10 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "det_rf(f, A)", "--n", "-1"), "--n must be >= 0"),
     # with --decls every morphism must be declared
     (("normalize", "det_rf(g, (H0-H1)^3 (x) H)", "--decls", "DECLS"), "undeclared morphism 'g'"),
+    # a missing token is named by its kind, and the end of input as such
+    (("normalize", "A^"), "expected an integer, found end of input (at position 2)"),
+    (("normalize", "det_rf(f, A) (x)"),
+     "expected 'det_rf', found end of input (at position 16)"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     decls = tmp_path / "d.txt"

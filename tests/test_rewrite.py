@@ -1,6 +1,8 @@
 """Rewrite engine: rule set, chain replay, base change, lambda expansion, traces."""
 
+import ast
 import gc
+import inspect
 import json
 from dataclasses import replace
 from math import comb
@@ -9,11 +11,12 @@ import pytest
 
 from adamsrr import expr as E
 from adamsrr import picard as P
+from adamsrr import rewrite as R
 from adamsrr import splitting as S
 from adamsrr.rewrite import (
-    CHAIN_RULES, Geometry, OMEGA, _rank_zero_summand, adams_to_frobenius, emit_trace, is_prime,
-    knudsen_mumford_expansion, parse_trace_json, revalidate_trace, rule_set, tilde_inverse_expr,
-    verify_base_change, verify_arr_identity,
+    CHAIN_RULES, FSO, Geometry, OMEGA, _rank_zero_summand, _wrapper_move_condition, emit_trace,
+    is_prime, knudsen_mumford_expansion, parse_trace_json, revalidate_trace, rule_set,
+    tilde_inverse_expr, verify_base_change, verify_arr_identity,
 )
 
 
@@ -21,9 +24,8 @@ from adamsrr.rewrite import (
 
 def test_rule_set_contains_the_cited_rules():
     rules = rule_set(1, 2)
-    for name in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "KEQ"):
-        assert name in rules
-        assert all(h for _, h in rules[name].conditions)
+    assert set(rules) == {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "KEQ"}
+    assert all(rules[name].anchor for name in rules)
 
 
 def test_rule_set_requires_prime():
@@ -33,7 +35,7 @@ def test_rule_set_requires_prime():
 
 def test_r5_rewrites_pushed_structure_to_bott_class():
     geom = Geometry(2, 3)
-    got = geom.ctx_x.pull_reducers[geom.name_F](geom.pushed_structure())
+    got = geom.ctx_x.pull_reducers[geom.name_F](FSO)
     assert got == E.Theta(3, E.Bundle(OMEGA))
     # the Bott class has the right rank p^n
     assert E.rank(got, geom.table_x) == 3**2
@@ -41,13 +43,13 @@ def test_r5_rewrites_pushed_structure_to_bott_class():
 
 def test_frobenius_reduce_composes_through_twist_symbols():
     geom = Geometry(1, 2, {"L": 1})
-    got = geom.ctx_x.pull_reducers[geom.name_F](E.Line(geom.j_name("L")))
+    got = geom.ctx_x.pull_reducers[geom.name_F](E.Line("J_L"))
     assert got == E.Psi(2, E.Line("L"))
 
 
 def test_r3_refuses_below_boundary_and_records_it():
     geom = Geometry(1, 2, {"L": 1})
-    arg = E.Line(geom.j_name("L"))
+    arg = E.Line("J_L")
     _, conds = _rank_zero_summand(geom, arg, geom.n + 1)
     recorded = dict(conds)
     assert recorded["l = 2 >= n+2 = 3"] is False
@@ -58,14 +60,16 @@ def test_r3_refuses_below_boundary_and_records_it():
     assert (gl * P.det_rf_atom(geom.fp, inserted)).same_atoms(gl)  # det-trivial summand
 
 
-def test_r1_rewrites_adams_of_det_atom_to_pullback_atom():
-    geom = Geometry(1, 2, {"L": 1})
-    rules = rule_set(1, 2)
-    gl = P.psi_line(2, P.det_rf_atom(geom.f, E.Line("L")))
-    out = adams_to_frobenius(geom, gl, rules)
-    (slot,) = out.dets.keys()
-    assert slot[0] == (("pull", geom.name_FS),)
-    assert "F_S^*(det_rf[f](L))" in out.render()
+def test_wrapper_move_condition_sees_exponent_and_argument():
+    # psi^2(det_rf[f](L))^8 -> det_rf[f](L)^16 keeps the argument and the grade;
+    # one power more or less, or another argument, does not
+    geom = Geometry(1, 2, {"L": 1, "M": 1})
+    before = P.psi_line(2, P.det_rf_atom(geom.f, E.Line("L"))) ** 8
+    for arg, exp, holds in [("L", 16, True), ("L", 15, False), ("L", 17, False),
+                            ("M", 16, False)]:
+        name, ok = _wrapper_move_condition(before, P.det_rf_atom(geom.f, E.Line(arg)) ** exp)
+        assert name == "argument class and grade unchanged by the wrapper move"
+        assert ok is holds, (arg, exp)
 
 
 # -- theorem (I) --------------------------------------------------------------------
@@ -170,14 +174,30 @@ def test_stubbed_binomial_oracle_fails_the_chain():
 
 
 def test_every_step_records_at_least_one_condition():
-    tr = verify_arr_identity(2, 2)
-    assert all(s.conditions for s in tr.steps)
+    traces = [verify_arr_identity(2, 2), verify_base_change(1, 2), verify_base_change(2, 3),
+              knudsen_mumford_expansion(1, 2).trace, knudsen_mumford_expansion(2, 3).trace]
+    for tr in traces:
+        assert tr.verified, tr.failure
+        assert all(s.conditions for s in tr.steps), tr.goal_lhs
+
+
+def test_no_condition_is_a_literal_true():
+    # a recorded side condition is computed: no (text, True) pair in the engine
+    def is_text(node):
+        return isinstance(node, ast.JoinedStr) or (
+            isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+    literal = [node.lineno for node in ast.walk(ast.parse(inspect.getsource(R)))
+               if isinstance(node, ast.Tuple) and len(node.elts) == 2
+               and is_text(node.elts[0])
+               and isinstance(node.elts[1], ast.Constant) and node.elts[1].value is True]
+    assert literal == []
 
 
 def test_tilde_expr_matches_polynomial_kernel():
     # the AST-level tilde evaluates to the same class as the generic ring version
     geom = Geometry(1, 2)
-    theta = E.Theta(2, geom.omega())
+    theta = E.Theta(2, E.Bundle(OMEGA))
     ast_val = S.eval_expr(tilde_inverse_expr(1, 2, theta), geom.ctx_x)
     ring_val = S.tilde_theta_inverse(1, 2, S.eval_expr(theta, geom.ctx_x))
     assert S.classes_equal(ast_val, ring_val)
@@ -186,8 +206,8 @@ def test_tilde_expr_matches_polynomial_kernel():
 def test_trivial_summand_reduction_is_order_independent():
     # normalize sees the rank-zero-power summands in either order
     geom = Geometry(1, 2, {"L": 1})
-    j_l = E.Line(geom.j_name("L"))
-    diff = E.Sum((geom.pushed_structure(), E.Neg(E.IntConst(2))))
+    j_l = E.Line("J_L")
+    diff = E.Sum((FSO, E.Neg(E.IntConst(2))))
     t1 = E.Tensor((E.Power(diff, 3), j_l))
     t2 = E.Tensor((E.Power(diff, 4), j_l))
     core = E.Tensor((E.IntConst(8), j_l))

@@ -9,7 +9,7 @@ import pytest
 
 from adamsrr import expr as E
 from adamsrr import suite as SU
-from adamsrr.rewrite import PUSHED_STRUCTURE, Geometry
+from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, _symbol_expr
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
     binomial_identity_check, classes_equal, eval_expr, tau_class,
@@ -323,8 +323,8 @@ def _random_pull_expr(rng, geom, space, depth, pulls=True):
             names = ["L", "E", E.SymbolTable.OMEGA]
         else:
             names = ["J_L", "J_E"] + ([PUSHED_STRUCTURE] if opaque_ok else [])
-        return geom.symbol_expr(rng.choice(names), geom.table_x if space == "X"
-                                else geom.table_xp)
+        return _symbol_expr(rng.choice(names), geom.table_x if space == "X"
+                            else geom.table_xp)
 
     def go(d, opaque_ok, pulls):
         r = rng.random()
@@ -357,9 +357,9 @@ def _random_pull_expr(rng, geom, space, depth, pulls=True):
 def _under_frobenius(rng, geom, depth):
     """An X' expression in which F_*O_X may sit under operators (no pullbacks)."""
     names = ["J_L", "J_E", PUSHED_STRUCTURE]
-    e = geom.symbol_expr(rng.choice(names), geom.table_xp)
+    e = _symbol_expr(rng.choice(names), geom.table_xp)
     for _ in range(depth):
-        other = geom.symbol_expr(rng.choice(names), geom.table_xp)
+        other = _symbol_expr(rng.choice(names), geom.table_xp)
         e = rng.choice((E.Sum((e, other)), E.Tensor((e, other)), E.Neg(e),
                         E.Power(e, rng.randint(0, 3)), E.Dual(e), E.Psi(2, e)))
     return e
@@ -509,7 +509,7 @@ def test_packed_kernel_matches_tuple_reference_on_duals_and_opaque(n):
     # negative exponents (duals, inverse powers) and the opaque F_*O_X, whose
     # augmentation p^n makes the inverse series' coefficients Fractions
     geom = Geometry(n, 3, {"L": 1, "E": 2})
-    L, B, fso = E.Line("L"), E.Bundle("E"), geom.pushed_structure()
+    L, B, fso = E.Line("L"), E.Bundle("E"), FSO
     j_l, j_b = E.Line("J_L"), E.Bundle("J_E")
     on_x = [E.Dual(L), E.Dual(B), E.Power(L, -3), E.Tensor((E.Dual(B), E.Power(L, 2))),
             E.Sum((E.Dual(E.Psi(2, B)), E.Neg(B), E.IntConst(2)))]
