@@ -51,7 +51,7 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
 
 
 def auto_declare(names: list[str], table: E.SymbolTable) -> None:
-    """Declare each unseen name of `E.name_tokens` as a line symbol (no-decls mode)."""
+    """Declare each unseen name as a line symbol (no-decls mode; no morphism names)."""
     reserved = {"dual", "psi", "theta", "tau", "det", "pull", "det_rf", "O"}
     for name in names:
         if name not in reserved and name not in table:
@@ -62,9 +62,10 @@ def cmd_normalize(args) -> int:
     text = args.expr
     table, morphisms = (load_declarations(args.decls) if args.decls
                         else (E.SymbolTable(space="X"), None))
-    names = E.name_tokens(text)
+    names, morphism_names = E.name_tokens(text)
     if morphisms is None:
-        auto_declare(names, table)
+        # a morphism name never stands for a line as well
+        auto_declare([name for name in names if name not in morphism_names], table)
     if "det_rf" not in names:
         ast = E.parse(text, table)
         cls = S.eval_expr(ast, S.SplitContext(table))
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = SU.run_suite(seed=args.seed, inject_fault=args.inject_fault)
+    results = SU.run_suite(seed=args.seed)
     if args.format == "json":
         print(json.dumps([{"cell": r.cell, "description": r.description, "ok": r.ok,
                            "detail": r.detail, "seconds": round(r.seconds, 3)}
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("suite", help="run the full verification matrix")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--inject-fault", dest="inject_fault", help=argparse.SUPPRESS)
     run.set_defaults(fn=cmd_suite)
     return ap
 

@@ -9,6 +9,7 @@ parser are mutually inverse on canonical forms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,40 +112,8 @@ def _is_name(s: str) -> bool:
 
 @dataclass(frozen=True)
 class Expr:
-    def __add__(self, other: Expr) -> Expr:
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other) -> Expr:
-        return Sum((_coerce(other), self))
-
-    def __sub__(self, other) -> Expr:
-        return Sum((self, Neg(_coerce(other))))
-
-    def __rsub__(self, other) -> Expr:
-        return Sum((_coerce(other), Neg(self)))
-
-    def __mul__(self, other) -> Expr:
-        return Tensor((self, _coerce(other)))
-
-    def __rmul__(self, other) -> Expr:
-        return Tensor((_coerce(other), self))
-
-    def __neg__(self) -> Expr:
-        return Neg(self)
-
-    def __pow__(self, k: int) -> Expr:
-        return Power(self, k)
-
     def __str__(self) -> str:
         return print_expr(self)
-
-
-def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, int):
-        return IntConst(x)
-    raise TypeError(f"cannot treat {x!r} as an expression")
 
 
 @dataclass(frozen=True)
@@ -451,47 +420,34 @@ MAX_NESTING = 100
 MAX_DEPTH = 2 * MAX_NESTING
 
 
+# one group per token kind, none for whitespace: INT is a run of decimal digits, a NAME
+# must also pass `_is_name`, and any other character is BAD
+_TOKEN = re.compile(r"\s+|(?P<TENSOR>\(x\))|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<OP>[-+^(),;])"
+                    r"|(?P<BAD>.)", re.S)
+
+
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        _check_nesting(self.tokens)
+        depth = 0
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            value = m.group()
+            if kind == "OP":
+                if value == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", m.start())
+                elif value == ")":
+                    depth -= 1
+                kind = value
+            elif kind == "BAD" or kind == "NAME" and not _is_name(value):
+                raise ParseError(f"unexpected character {value[0]!r}", m.start())
+            self.tokens.append((kind, value, m.start()))
+        self.tokens.append(("EOF", "", len(text)))
         self.i = 0
-
-    def _scan(self) -> None:
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if text.startswith("(x)", i):
-                self.tokens.append(("TENSOR", "(x)", i))
-                i += 3
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("INT", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("NAME", text[i:j], i))
-                i = j
-                continue
-            if c in "+-^(),;":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("EOF", "", n))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -557,30 +513,24 @@ def parse_det_line(text: str, table: SymbolTable) -> list[tuple[str, Expr, int]]
     return out
 
 
-def name_tokens(text: str) -> list[str]:
-    """The NAME tokens of `text`, in order (keywords and morphism names included).
+def name_tokens(text: str) -> tuple[list[str], set[str]]:
+    """The NAME tokens of `text` in order, and the set of those that name a morphism.
 
-    Scans as `parse` does, so input that it refuses for its characters or its
+    A morphism name is the NAME right after `det_rf (` or `pull (`.  Scans as
+    `parse` does, so input that it refuses for its characters or its
     parentheses nesting is refused here already.
     """
-    return [value for kind, value, _ in _Tokens(text).tokens if kind == "NAME"]
+    toks = _Tokens(text).tokens
+    morphisms = {name for (_, op, _), (paren, _, _), (kind, name, _)
+                 in zip(toks, toks[1:], toks[2:])
+                 if op in ("det_rf", "pull") and paren == "(" and kind == "NAME"}
+    return [value for kind, value, _ in toks if kind == "NAME"], morphisms
 
 
 def _expect_end(toks: _Tokens) -> None:
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-
-
-def _check_nesting(tokens: list[tuple[str, str, int]]) -> None:
-    depth = 0
-    for kind, _, pos in tokens:
-        if kind == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
-        elif kind == ")":
-            depth -= 1
 
 
 # Each _parse_* returns the node and its depth (nodes on its longest path to a leaf).

@@ -154,9 +154,6 @@ class GradedLine:
             return NotImplemented
         return self.same_atoms(other) and self.grade == other.grade
 
-    def __hash__(self):
-        raise TypeError("GradedLine is not hashable")
-
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:
         parts: list[str] = []

@@ -463,7 +463,6 @@ def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
     diff = E.Sum((FSO, E.Neg(E.IntConst(p**n))))
     inserted = E.Tensor((E.Power(diff, l), arg))
     return inserted, [
-        (f"rank(F_*O_X) = p^n = {p**n}", geom.table_xp.rank(PUSHED_STRUCTURE) == p**n),
         ("rank(F_*O_X - p^n) = 0", E.rank(diff, geom.table_xp) == 0),
         (f"l = {l} >= n+2 = {n + 2}", l >= n + 2),
         ("inserted summand class lies in I^(n+2)",
@@ -477,7 +476,6 @@ def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
 def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
                        symbols: dict[str, int] | None = None,
                        rules: dict[str, RewriteRule] | None = None,
-                       binomial_oracle: Callable[[int, int], S.BinomialWitness] | None = None,
                        geometry: Geometry | None = None) -> ProofTrace:
     """Replay the nine-step determinant-level chain for (n, p, E).
 
@@ -492,7 +490,6 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         e = geom_default_expr(symbols)
     geom = geometry or Geometry(n, p, symbols)
     rules = rule_set(n, p) if rules is None else rules
-    oracle = binomial_oracle or S.binomial_identity_check
 
     m = p ** (n * (n + 2))
     a = p**n
@@ -543,7 +540,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         return after, conditions + [_class_equal_condition(cur, after)]
 
     def step4(cur: P.GradedLine):
-        w = oracle(n, p)
+        w = S.binomial_identity_check(n, p)
         after = form(geom.fp, E.Sum((
             E.Tensor((E.IntConst(m), j_e)),
             signed(E.Tensor((binom_sum(n + 2), j_e))),
@@ -685,7 +682,9 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
 
     def right(cur: P.GradedLine):
         sub = verify_arr_identity(n, p, e_t, symbols_t, rules, geometry=geom_t)
-        return br_right, [("theorem (I) verified over the pulled-back family", sub.verified)]
+        return br_right, [("edge starts at the replayed chain's left side",
+                           cur.render() == sub.goal_lhs),
+                          ("theorem (I) verified over the pulled-back family", sub.verified)]
 
     def left(cur: P.GradedLine):
         sub = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
@@ -809,15 +808,12 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
 
     rhs = P.det_rf_atom(geom.f, E.Tensor((tilde_inverse_expr(n, p, theta_omega),
                                           E.Psi(p, e))))
-    left_exponent = p ** (n * (n + 2) + 1)
     _run_steps(trace, rhs, [
         Step("(km)", "KEQ", "det additivity over the binomial sum",
              "split det Rf_*(tilde (x) L^(p^2)) into lambda factors",
-             lambda cur: (product, [
-                 ("lambda product equals the chain's right side", product.same_atoms(cur)),
-                 (f"left exponent p^(n(n+2)+1) = {left_exponent}",
-                  left_exponent == p * p ** (n * (n + 2)))]))], rules)
+             lambda cur: (product, [("lambda product equals the chain's right side",
+                                     product.same_atoms(cur))]))], rules)
 
     factors = [f"det_rf[{geom.name_f}]({E.print_expr(x)})^{c}"
                for x, c in zip(lambda_exprs, exponents)]
-    return KnudsenMumford(n, p, left_exponent, exponents, factors, trace)
+    return KnudsenMumford(n, p, p ** (n * (n + 2) + 1), exponents, factors, trace)

@@ -111,16 +111,10 @@ class SplitClass:
             return self.space
         raise ContextMismatch(f"mixing classes from {self.space!r} and {other.space!r}")
 
-    def _coerce(self, other) -> "SplitClass":
-        if isinstance(other, SplitClass):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SplitClass.constant(other)
-        return NotImplemented
-
     def __add__(self, other) -> "SplitClass":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = SplitClass.constant(other)
+        elif not isinstance(other, SplitClass):
             return NotImplemented
         space = self._join(other)
         out = dict(self.terms)
@@ -138,7 +132,6 @@ class SplitClass:
         return SplitClass({m: -c for m, c in self.terms.items()}, self.space)
 
     def __sub__(self, other) -> "SplitClass":
-        other = self._coerce(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "SplitClass":
@@ -147,8 +140,7 @@ class SplitClass:
     def __mul__(self, other) -> "SplitClass":
         if isinstance(other, (int, Fraction)):
             return SplitClass({m: c * other for m, c in self.terms.items()}, self.space)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, SplitClass):
             return NotImplemented
         space = self._join(other)
         out: dict[Monomial, Fraction] = {}
@@ -183,9 +175,6 @@ class SplitClass:
         if not isinstance(other, SplitClass):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 from . import chow as C
@@ -95,13 +95,11 @@ def random_line_entry(rng: random.Random) -> E.Expr:
 # ---------------------------------------------------------------------------
 # Cells
 
-def cell_binomial(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_binomial(seed: int = 0) -> tuple[bool, str]:
     checked = 0
     for n in range(6):
         for p in (2, 3, 5, 7):
             w = S.binomial_identity_check(n, p)
-            if fault == "binomial":
-                w.ok = False
             if not w.ok:
                 return False, f"binomial identity broken at n={n} p={p} (rule: binomial oracle)"
             if w.quotient != (-1) ** (n + 1):
@@ -110,19 +108,12 @@ def cell_binomial(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
     return True, f"{checked} (n,p) pairs, exact division with quotient (-1)^(n+1)"
 
 
-def cell_theorem_replay(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
-    rules = None
-    if fault == "R5":
-        rules = R.rule_set(1, 2)
-        rules["R5"] = replace(rules["R5"],
-                              action=lambda: E.Tensor((E.Theta(2, E.Bundle(R.OMEGA)),
-                                                       E.Line("L"))))
+def cell_theorem_replay(seed: int = 0) -> tuple[bool, str]:
     traces = 0
     for n in (1, 2, 3):
         for p in (2, 3):
             for e, symbols in ((None, None), (E.Bundle("E"), {"E": 2})):
-                use_rules = rules if (fault == "R5" and n == 1 and p == 2) else None
-                tr = R.verify_arr_identity(n, p, e, symbols, rules=use_rules)
+                tr = R.verify_arr_identity(n, p, e, symbols)
                 if tr.status != "verified":
                     return False, (f"chain failed at n={n} p={p} step {tr.failed_step}"
                                    f" (rule: {tr.steps[tr.failed_step].rule})")
@@ -156,7 +147,7 @@ def tau_grid(ranks=TAU_RANKS, primes=TAU_PRIMES):
             yield rank, p, S.tau_equals_theta("V", p, ctx)
 
 
-def cell_tau_theta(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_tau_theta(seed: int = 0) -> tuple[bool, str]:
     checked = 0
     for rank, p, verdict in tau_grid():
         if not verdict.ok:
@@ -168,7 +159,7 @@ def cell_tau_theta(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
     return True, f"{checked} (rank,p) pairs, enumeration = product expansion, aug = p^rank"
 
 
-def cell_mumford(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_mumford(seed: int = 0) -> tuple[bool, str]:
     for k in range(11):
         got = C.mumford_exponent(k)
         want = 6 * k * k - 6 * k + 1
@@ -177,7 +168,7 @@ def cell_mumford(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
     return True, "k = 0..10 match 6k^2 - 6k + 1 exactly"
 
 
-def cell_deligne(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_deligne(seed: int = 0) -> tuple[bool, str]:
     v = C.deligne_residual()
     if not v.ok:
         return False, f"residual nonzero: {v.residual}"
@@ -189,7 +180,7 @@ def cell_deligne(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
     return True, "residual exactly 0; all four single-exponent perturbations nonzero"
 
 
-def cell_knudsen_mumford(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_knudsen_mumford(seed: int = 0) -> tuple[bool, str]:
     for n, p in ((1, 2), (2, 2), (1, 3)):
         km = R.knudsen_mumford_expansion(n, p)
         if not km.verified:
@@ -202,7 +193,7 @@ def cell_knudsen_mumford(seed: int = 0, fault: str | None = None) -> tuple[bool,
     return True, "exponents C(n+2,i)(p^n)^i and left exponent p^(n(n+2)+1) for 3 cases"
 
 
-def cell_triviality_boundary(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_triviality_boundary(seed: int = 0) -> tuple[bool, str]:
     rng = random.Random(seed)
 
     def fires(n, r0, r1, l):
@@ -231,18 +222,12 @@ def cell_triviality_boundary(seed: int = 0, fault: str | None = None) -> tuple[b
     return True, f"200 equal-rank patterns ({fired} fired) + 100 mismatched, exact boundary"
 
 
-def cell_base_change(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
-    rules = None
-    if fault == "R7":
-        rules = R.rule_set(1, 2)
-        del rules["R7"]
+def cell_base_change(seed: int = 0) -> tuple[bool, str]:
     for n in (1, 2):
         for p in (2, 3):
-            use_rules = rules if (fault == "R7" and n == 1 and p == 2) else None
-            tr = R.verify_base_change(n, p, rules=use_rules)
+            tr = R.verify_base_change(n, p)
             if tr.status != "verified":
-                suffix = " (rule: R7)" if fault == "R7" else ""
-                return False, f"square failed at n={n} p={p}: {tr.failure}{suffix}"
+                return False, f"square failed at n={n} p={p}: {tr.failure}"
     ablated = R.rule_set(1, 2)
     del ablated["R7"]
     control = R.verify_base_change(1, 2, rules=ablated)
@@ -251,7 +236,7 @@ def cell_base_change(seed: int = 0, fault: str | None = None) -> tuple[bool, str
     return True, "square commutes on the grid; R7 ablation fails as expected"
 
 
-def cell_algebra_laws(seed: int = 0, fault: str | None = None) -> tuple[bool, str]:
+def cell_algebra_laws(seed: int = 0) -> tuple[bool, str]:
     rng = random.Random(seed)
     t = law_table()
     ctx = S.SplitContext(t)
@@ -337,12 +322,12 @@ CELLS = [
 ]
 
 
-def run_suite(seed: int = 0, inject_fault: str | None = None) -> list[CellResult]:
+def run_suite(seed: int = 0) -> list[CellResult]:
     results = []
     for cell_id, description, fn in CELLS:
         t0 = time.perf_counter()
         try:
-            ok, detail = fn(seed=seed, fault=inject_fault)
+            ok, detail = fn(seed=seed)
         except Exception as ex:  # a crashed cell is a failed cell
             ok, detail = False, f"exception: {ex}"
         results.append(CellResult(cell_id, description, ok, detail, time.perf_counter() - t0))

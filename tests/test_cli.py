@@ -1,9 +1,11 @@
 """Command line: exit codes, normal forms, verification targets, suite output."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from adamsrr import expr as E
 from adamsrr import rewrite as R
 from adamsrr import suite as SU
 from adamsrr.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
@@ -190,6 +192,13 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "A^"), "expected an integer, found end of input (at position 2)"),
     (("normalize", "det_rf(f, A) (x)"),
      "expected 'det_rf', found end of input (at position 16)"),
+    # INT is a run of decimal digits; other digits and numerals are no token
+    (("normalize", "A^²"), "unexpected character '²' (at position 2)"),
+    (("normalize", "ⅫA"), "unexpected character 'Ⅻ' (at position 0)"),
+    # the first fault in text order is reported: here the 101st parenthesis
+    (("normalize", "(" * 101 + "$"), "parentheses nest deeper than 100 (at position 100)"),
+    # a morphism name is not declared as a line as well
+    (("normalize", "det_rf(f, f)"), "undeclared symbol 'f'"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     decls = tmp_path / "d.txt"
@@ -253,8 +262,19 @@ def test_suite_json_format(capsys):
     assert [c["cell"] for c in cells] == sorted(c["cell"] for c in cells)
 
 
-def test_suite_fault_injection_names_the_rule(capsys):
-    code, out, err = run(capsys, "suite", "--inject-fault", "R5")
+def test_suite_fault_injection_names_the_rule(capsys, monkeypatch):
+    # R5 tampered at (n, p) = (1, 2) only: the replay cell names the failing rule
+    real = R.rule_set
+
+    def tampered(n, p):
+        rules = real(n, p)
+        if (n, p) == (1, 2):
+            rules["R5"] = replace(rules["R5"], action=lambda: E.Tensor(
+                (E.Theta(2, E.Bundle(R.OMEGA)), E.Line("L"))))
+        return rules
+
+    monkeypatch.setattr(R, "rule_set", tampered)
+    code, out, err = run(capsys, "suite")
     assert code == EXIT_FALSIFIED
     assert "FAIL" in out
     assert "R5" in out

@@ -162,13 +162,16 @@ def test_missing_rule_fails_cleanly(target, name):
     assert revalidate_trace(parse_trace_json(emit_trace(tr, "json")))
 
 
-def test_stubbed_binomial_oracle_fails_the_chain():
+def test_stubbed_binomial_oracle_fails_the_chain(monkeypatch):
+    real = S.binomial_identity_check
+
     def bad_oracle(n, p):
-        w = S.binomial_identity_check(n, p)
+        w = real(n, p)
         w.ok = False
         return w
 
-    tr = verify_arr_identity(1, 2, binomial_oracle=bad_oracle)
+    monkeypatch.setattr(S, "binomial_identity_check", bad_oracle)
+    tr = verify_arr_identity(1, 2)
     assert tr.status == "failed"
     assert tr.steps[tr.failed_step].label == "(4)"
 
@@ -256,6 +259,22 @@ def test_dualized_base_change_fails_at_its_edge(n, p, symbols):
     assert tr.status == "failed"
     assert tr.steps[tr.failed_step].label == "bottom(2)"
     assert "g'-pullback of the original" in tr.failure
+
+
+def test_right_edge_fails_when_the_replayed_chain_starts_elsewhere(monkeypatch):
+    # the right edge must start where the chain it replays over f_T starts
+    real = R.verify_arr_identity
+
+    def shifted(*args, **kwargs):
+        tr = real(*args, **kwargs)
+        return replace(tr, goal_lhs=tr.goal_lhs + " (x) 1")
+
+    monkeypatch.setattr(R, "verify_arr_identity", shifted)
+    tr = verify_base_change(1, 2)
+    assert tr.status == "failed"
+    assert tr.failed_step == 4
+    assert tr.steps[4].label == "right"
+    assert tr.failure == "side condition failed: edge starts at the replayed chain's left side"
 
 
 def test_verdicts_free_their_contexts_without_the_cycle_collector():
