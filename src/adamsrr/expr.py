@@ -112,83 +112,129 @@ def _is_name(s: str) -> bool:
 
 @dataclass(frozen=True)
 class Expr:
+    """An immutable expression node.
+
+    Each node keeps, once computed, its hash, its canonical form and its
+    printed text in three slots that are not dataclass fields, so equality
+    and repr never see them.  A canonical node marks `_canon` with
+    `_CANONICAL` instead of holding itself, which keeps trees free of
+    reference cycles.
+    """
+
+    __slots__ = ("_hash", "_canon", "_text")
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._field_hash()
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def _field_hash(self) -> int:
+        """hash(tuple(fields)); `_node` puts each node type's generated hash here."""
+        return hash(())
+
     def __str__(self) -> str:
         return print_expr(self)
 
 
-@dataclass(frozen=True)
+_CANONICAL = object()  # the `_canon` of a node that is its own canonical form
+
+
+def _node(cls):
+    """A frozen dataclass node whose generated hash `Expr.__hash__` computes once."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    del cls.__hash__
+    return cls
+
+
+@_node
 class Line(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Bundle(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class IntConst(Expr):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
+    __slots__ = ("terms",)
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Tensor(Expr):
+    __slots__ = ("factors",)
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Dual(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Psi(Expr):
+    __slots__ = ("k", "arg")
     k: int
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Theta(Expr):
+    __slots__ = ("k", "arg")
     k: int
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Tau(Expr):
+    __slots__ = ("p", "arg")
     p: int
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class DetClass(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Power(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Pull(Expr):
     """Pullback of `arg` along the morphism named `morphism`."""
 
+    __slots__ = ("morphism", "arg")
     morphism: str
     arg: Expr
 
@@ -230,8 +276,20 @@ def canonicalize(e: Expr) -> Expr:
     """Flatten sums/tensors, push signs to term level, sort operands.
 
     The result is the unique form the printer emits; parse(print(e)) equals
-    canonicalize(e) for every well-formed e.
+    canonicalize(e) for every well-formed e.  It is computed once per node
+    and kept on the node, and the result is marked as its own canonical form.
     """
+    canon = getattr(e, "_canon", None)
+    if canon is None:
+        canon = _canonical_form(e)
+        if canon is not e:
+            object.__setattr__(e, "_canon", canon)
+        object.__setattr__(canon, "_canon", _CANONICAL)
+        return canon
+    return e if canon is _CANONICAL else canon
+
+
+def _canonical_form(e: Expr) -> Expr:
     pos, neg = _signed_terms(e)
     pos = sorted(pos, key=_print)
     neg = sorted(neg, key=_print)
@@ -357,6 +415,15 @@ def print_expr(e: Expr) -> str:
 
 
 def _print(e: Expr) -> str:
+    """The text of a canonical node, computed once and kept on the node."""
+    text = getattr(e, "_text", None)
+    if text is None:
+        text = _print_expr_text(e)
+        object.__setattr__(e, "_text", text)
+    return text
+
+
+def _print_expr_text(e: Expr) -> str:
     if isinstance(e, Sum):
         out = []
         for i, t in enumerate(e.terms):

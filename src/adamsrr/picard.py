@@ -45,18 +45,14 @@ class Morphism:
     upstairs: S.SplitContext = field(compare=False, repr=False)
 
     def truncated(self, e: E.Expr, cutoff_shift: int = 2) -> S.SplitClass:
-        """Argument class modulo I^(n + cutoff_shift); memoized per context."""
+        """Argument class modulo I^(n + cutoff_shift); memoized per context from cutoff 2 up.
+
+        A lower cutoff is a further truncation of the cutoff-2 expansion; its
+        one caller, `chi_grade`, keeps what it builds from it.
+        """
         cutoff = self.rel_dim + cutoff_shift
         if cutoff_shift < 2:
-            # a lower cutoff is a further truncation of the cutoff-2 expansion
-            key = (e, cutoff)
-            hit = self.upstairs._trunc_cache.get(key)
-            if hit is not None:
-                return hit
-            wide = self.truncated(e, 2)
-            out = wide.degrees(high=cutoff)
-            self.upstairs._trunc_cache[key] = out
-            return out
+            return self.truncated(e, 2).degrees(high=cutoff)
         return S.truncated_eval(e, self.upstairs, cutoff)
 
 
@@ -72,10 +68,26 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
 
     Keyed by the argument class modulo I^(n+1); Euler characteristics of a
     relative n-fold kill I^(n+1), one degree below the determinant's kernel.
+    Memoized per (morphism, canonical argument) in the upstairs context.
     """
-    trunc = f.truncated(e, cutoff_shift=1)
-    return S.SplitClass({((f"chi[{f.name}]({S.monomial_text(m)})", 1),): c
-                         for m, c in trunc.terms.items()})
+    e = E.canonicalize(e)
+    key = (f.name, f.rel_dim, e)
+    cache = f.upstairs._grade_cache
+    grade = cache.get(key)
+    if grade is None:
+        trunc = f.truncated(e, cutoff_shift=1)
+        grade = cache[key] = S.SplitClass({_chi_symbol(f, m): c for m, c in trunc.terms.items()})
+    return grade
+
+
+def _chi_symbol(f: Morphism, m: S.Monomial) -> S.Monomial:
+    """The grade variable chi[f](m), built once per morphism and monomial and shared by grades."""
+    symbols = f.upstairs._chi_symbols
+    key = (f.name, m)
+    symbol = symbols.get(key)
+    if symbol is None:
+        symbol = symbols[key] = ((f"chi[{f.name}]({S.monomial_text(m)})", 1),)
+    return symbol
 
 
 # ---------------------------------------------------------------------------

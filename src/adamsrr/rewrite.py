@@ -380,6 +380,7 @@ def _run_steps(trace: ProofTrace, cur: P.GradedLine, steps: list[Step],
     A step fails when a rule it cites is missing or its move raises (recorded
     with the form it started from), or when one of its side conditions is false.
     """
+    text = cur.render()  # each form is rendered once, as one step's after and the next's before
     for step in steps:
         try:
             cited = [] if step.rule in ("-", CHAIN_RULES) else \
@@ -388,17 +389,18 @@ def _run_steps(trace: ProofTrace, cur: P.GradedLine, steps: list[Step],
             after, conditions = step.apply(cur)
         except E.ExprError as ex:
             trace.steps.append(TraceStep(step.label, "-", "-", "step could not be applied",
-                                         cur.render(), cur.render(), [(str(ex), False)]))
+                                         text, text, [(str(ex), False)]))
             trace.fail(len(trace.steps) - 1, str(ex))
             return None
+        after_text = after.render()
         record = TraceStep(step.label, step.rule, anchor, step.description,
-                           cur.render(), after.render(), conditions)
+                           text, after_text, conditions)
         trace.steps.append(record)
         if not record.ok():
             bad = "; ".join(c for c, h in conditions if not h)
             trace.fail(len(trace.steps) - 1, f"side condition failed: {bad}")
             return None
-        cur = after
+        cur, text = after, after_text
     return cur
 
 

@@ -306,6 +306,9 @@ class SplitContext:
         self.var_aug: dict[str, int] = {}
         self._eval_cache: dict[Expr, SplitClass] = {}
         self._trunc_cache: dict[tuple[Expr, int], SplitClass] = {}
+        # grades of det atoms over this upstairs space and their variables, kept by picard
+        self._grade_cache: dict[tuple[str, int, Expr], SplitClass] = {}
+        self._chi_symbols: dict[tuple[str, Monomial], Monomial] = {}
         self._packed_cache: dict[tuple[Expr, int], dict[int, object]] = {}
         self._packings: dict[int, _Packing] = {}
         for name in self.table.names():

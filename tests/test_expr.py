@@ -1,10 +1,12 @@
 """Expression language: parser, printer, canonical forms, rank homomorphism."""
 
+import dataclasses
 import random
 
 import pytest
 
 from adamsrr import expr as E
+from adamsrr import rewrite as R
 from adamsrr import suite as SU
 from adamsrr.expr import (
     Bundle, Dual, IntConst, Line, Neg, ParseError, Power, Psi, RankError, Sum,
@@ -129,6 +131,7 @@ EVERY_NODE = [
 def test_map_children_identity_on_every_node_type():
     node_types = {c for c in E.Expr.__subclasses__() if c.__module__ == E.__name__}
     assert {type(e) for e in EVERY_NODE} == node_types
+    assert len(node_types) == 14
     for e in EVERY_NODE:
         assert E.map_children(e, lambda x: x) == e
 
@@ -149,6 +152,108 @@ def test_map_children_rejects_an_unknown_node():
 
     with pytest.raises(E.ExprError, match="unknown expression node"):
         E.map_children(Unknown(), lambda x: x)
+    with pytest.raises(E.ExprError, match="unknown expression node"):
+        canonicalize(Unknown())
+    with pytest.raises(E.ExprError, match="unknown expression node"):
+        canonicalize(Tensor((Line("L"), Unknown())))
+
+
+def test_nodes_keep_their_memos_in_slots():
+    # a per-instance __dict__ would cost every node about 100 bytes more
+    rng = random.Random(7)
+    for e in EVERY_NODE + [SU.random_expr(rng) for _ in range(50)]:
+        print_expr(e)
+        hash(e)
+        for node in _nodes(e) + _nodes(canonicalize(e)):
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+# ---------------------------------------------------------------------------
+# Memoized hash, canonical form and text against cold rebuilt copies
+
+def _nodes(e):
+    out = [e]
+    E.map_children(e, lambda c: out.extend(_nodes(c)) or c)
+    return out
+
+
+def _fresh(e):
+    """A copy of e that shares no node, so no memo, with it."""
+    def copy(v):
+        if isinstance(v, E.Expr):
+            return _fresh(v)
+        if isinstance(v, tuple):
+            return tuple(copy(x) for x in v)
+        return v
+    return type(e)(*(copy(getattr(e, f.name)) for f in dataclasses.fields(e)))
+
+
+class _Hashed:
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _dataclass_hash(e):
+    """hash(tuple(fields)), the generated frozen-dataclass hash, without calling Expr.__hash__."""
+    def value(v):
+        if isinstance(v, E.Expr):
+            return _Hashed(_dataclass_hash(v))
+        if isinstance(v, tuple):
+            return tuple(value(x) for x in v)
+        return v
+    return hash(tuple(value(getattr(e, f.name)) for f in dataclasses.fields(e)))
+
+
+def _check_against_cold_copy(warm):
+    cold = _fresh(warm)
+    want_hash = _dataclass_hash(warm)
+    assert hash(cold) == want_hash
+    assert cold == warm and warm == cold and repr(cold) == repr(warm)
+    assert print_expr(cold) == print_expr(warm)
+    assert canonicalize(cold) == canonicalize(warm)
+    assert hash(cold) == hash(warm) == want_hash
+    assert cold == warm and repr(cold) == repr(warm)
+    canon = canonicalize(warm)
+    assert canonicalize(canon) is canon
+    assert hash(canon) == _dataclass_hash(canon)
+
+
+def test_memos_agree_with_cold_copies_on_random_expressions():
+    rng = random.Random(31337)
+    draws = [NESTED_CONSTANTS] + [SU.random_expr(rng) for _ in range(2000)]
+    # trees sharing subtrees with the draws and with each other, over every node type
+    shared = []
+    for a, b in zip(draws, draws[1:]):
+        shared += [Sum((a, Neg(b))), Tensor((b, a)), Power(Sum((a, b)), 2),
+                   E.Pull("F", Tensor((a, Dual(b))))]
+    trees = draws + shared
+    for e in trees:  # fill every memo first
+        hash(e)
+        print_expr(e)
+    for e in trees:
+        _check_against_cold_copy(e)
+
+
+def test_memos_agree_with_cold_copies_on_chain_forms(monkeypatch):
+    seen = {}
+    canonical = E.canonicalize
+
+    def record(e):
+        seen.setdefault(id(e), e)
+        return canonical(e)
+
+    monkeypatch.setattr(E, "canonicalize", record)
+    assert R.verify_arr_identity(2, 3).verified
+    monkeypatch.undo()
+    forms = list({id(n): n for e in seen.values() for n in _nodes(e)}.values())
+    assert len(forms) > 100
+    assert any(isinstance(e, E.Pull) for e in forms)
+    assert any(isinstance(e, Power) for e in forms)
+    for e in forms:
+        _check_against_cold_copy(e)
 
 
 def test_canonicalize_is_idempotent():
