@@ -75,11 +75,13 @@ def cmd_normalize(args) -> int:
             print(str(cls))
         return EXIT_OK
     line = P.GradedLine.trivial()
+    made: dict[str, P.Morphism] = {}  # one per name: det words over it share its context
     for mname, arg, exp in E.parse_det_line(text, table):
         if morphisms is not None and mname not in morphisms:
             raise E.SymbolError(f"undeclared morphism {mname!r}")
-        n = args.n if morphisms is None else morphisms[mname]
-        line = line * (P.det_rf_atom(P.make_morphism(mname, n, table), arg) ** exp)
+        if mname not in made:
+            made[mname] = P.make_morphism(mname, morphisms[mname] if morphisms else args.n, table)
+        line = line * (P.det_rf_atom(made[mname], arg) ** exp)
     line = P.normalize(line)
     rendered = line.render()
     if args.format == "json":

@@ -13,8 +13,10 @@ argument class (the class modulo I^(n+2), I the augmentation ideal of the
 upstairs ring, n the relative dimension of the morphism): determinants of
 cohomology are additive in the argument and kill I^(n+2), which is exactly
 the vanishing that makes the pairing multilinear and the rank-zero-power
-reduction fire.  The factored argument expressions are retained for display
-and for recording which reduction applied.
+reduction fire.  The invariant is `splitting.packed_eval`'s packed class, whose
+top field is the total degree: a grade keeps its terms of degree at most n by
+one int compare each.  The factored argument expressions are retained for
+display and for recording which reduction applied.
 """
 
 from __future__ import annotations
@@ -44,16 +46,9 @@ class Morphism:
     rel_dim: int
     upstairs: S.SplitContext = field(compare=False, repr=False)
 
-    def truncated(self, e: E.Expr, cutoff_shift: int = 2) -> S.SplitClass:
-        """Argument class modulo I^(n + cutoff_shift); memoized per context from cutoff 2 up.
-
-        A lower cutoff is a further truncation of the cutoff-2 expansion; its
-        one caller, `chi_grade`, keeps what it builds from it.
-        """
-        cutoff = self.rel_dim + cutoff_shift
-        if cutoff_shift < 2:
-            return self.truncated(e, 2).degrees(high=cutoff)
-        return S.truncated_eval(e, self.upstairs, cutoff)
+    def truncated(self, e: E.Expr) -> S.SplitClass:
+        """Argument class modulo I^(n+2), packed; memoized per context."""
+        return S.packed_eval(e, self.upstairs, self.rel_dim + 2)
 
 
 def make_morphism(name: str, rel_dim: int, table: E.SymbolTable) -> Morphism:
@@ -67,27 +62,20 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
     """Symbolic Euler-characteristic grade of det_rf[f](e), linear in symbols chi[f](m).
 
     Keyed by the argument class modulo I^(n+1); Euler characteristics of a
-    relative n-fold kill I^(n+1), one degree below the determinant's kernel.
-    Memoized per (morphism, canonical argument) in the upstairs context.
+    relative n-fold kill I^(n+1), one degree below the determinant's kernel:
+    the packed invariant's terms whose top field, the total degree, is <= n.
+    Each symbol chi[f](m) is built once per (morphism, packed m) in the upstairs context.
     """
-    e = E.canonicalize(e)
-    key = (f.name, f.rel_dim, e)
-    cache = f.upstairs._grade_cache
-    grade = cache.get(key)
-    if grade is None:
-        trunc = f.truncated(e, cutoff_shift=1)
-        grade = cache[key] = S.SplitClass({_chi_symbol(f, m): c for m, c in trunc.terms.items()})
-    return grade
-
-
-def _chi_symbol(f: Morphism, m: S.Monomial) -> S.Monomial:
-    """The grade variable chi[f](m), built once per morphism and monomial and shared by grades."""
-    symbols = f.upstairs._chi_symbols
-    key = (f.name, m)
-    symbol = symbols.get(key)
-    if symbol is None:
-        symbol = symbols[key] = ((f"chi[{f.name}]({S.monomial_text(m)})", 1),)
-    return symbol
+    lam, symbols = f.truncated(e), f.upstairs._chi_symbols
+    pk, terms = lam.space, {}
+    for m, c in lam.terms.items():
+        if m < (f.rel_dim + 1) << pk.shift:
+            symbol = symbols.get((f.name, f.rel_dim, m))
+            if symbol is None:
+                text = S.monomial_text(pk.monomial(m))
+                symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({text})", 1),)
+            terms[symbol] = c
+    return S.SplitClass(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +88,7 @@ Slot = tuple  # (wrappers: tuple[Wrapper, ...], morphism name)
 class GradedLine:
     """Element of the Picard model: det slots and a grade.
 
-    `dets` maps a slot (wrapper chain, morphism) to its truncated-filtration
+    `dets` maps a slot (wrapper chain, morphism) to its packed truncated-filtration
     class (the semantic invariant, additive under tensor) plus a display list
     of (argument expression, exponent) contributions.  The grade is a
     `SplitClass` in the symbols chi[f](m).
@@ -207,16 +195,17 @@ def _render_slot_atom(slot: Slot, e: E.Expr) -> str:
 # ---------------------------------------------------------------------------
 # Det atoms
 
-def det_rf_atom(f: Morphism, e: E.Expr, wrappers: tuple = ()) -> GradedLine:
-    """The graded line det Rf_*(e) (optionally under psi/pullback wrappers)."""
+def det_rf_atom(f: Morphism, e: E.Expr, wrappers: tuple = (),
+                grade: S.SplitClass | None = None) -> GradedLine:
+    """The graded line det Rf_*(e) under wrappers; `grade` replaces its psi-scaled chi grade."""
     e = E.canonicalize(e)
-    lam = f.truncated(e)
-    slot = (wrappers, f.name)
-    grade = chi_grade(f, e)
-    for w in wrappers:
-        if w[0] == "psi":
-            grade = grade * w[1]
-    return GradedLine(dets={slot: (lam, ((e, 1),))}, grade=grade, morphisms={f.name: f})
+    if grade is None:
+        grade = chi_grade(f, e)
+        for w in wrappers:
+            if w[0] == "psi":
+                grade = grade * w[1]
+    return GradedLine(dets={(wrappers, f.name): (f.truncated(e), ((e, 1),))}, grade=grade,
+                      morphisms={f.name: f})
 
 
 def psi_line(k: int, gl: GradedLine) -> GradedLine:

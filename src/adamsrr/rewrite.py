@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb
+from math import comb, isqrt
 from typing import Callable
 
 from . import expr as E
@@ -41,14 +41,7 @@ class MissingRule(VerifierError):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +418,6 @@ def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[
             _sole_det(before)[1] == _sole_det(after)[1] and before.grade == after.grade)
 
 
-def _rename_vars(cls: S.SplitClass, mapping: dict[str, str]) -> S.SplitClass:
-    out: dict[S.Monomial, object] = {}
-    for m, c in cls.terms.items():
-        nm = tuple(sorted((mapping.get(v, v), e) for v, e in m))
-        out[nm] = out.get(nm, 0) + c
-    return S.SplitClass({m: c for m, c in out.items() if c}, None)
-
-
 def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | None],
                     through_psi: bool = False) -> E.Expr:
     """Push Pull(morphism, .) through the ring structure down to symbol leaves.
@@ -505,8 +490,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     trace = ProofTrace(lhs.render(), rhs.render(), n, p)
 
     def form(morph: P.Morphism, arg: E.Expr, exp: int = 1, wrappers: tuple = ()) -> P.GradedLine:
-        # every form of the chain keeps the left side's grade
-        return _atom(morph, wrappers, arg, exp).with_grade(lhs.grade)
+        # every form of the chain keeps the left side's grade, so none is computed for it
+        return (P.det_rf_atom(morph, arg, wrappers, S.SplitClass()) ** exp).with_grade(lhs.grade)
 
     def signed(x: E.Expr) -> E.Expr:
         return E.Neg(x) if sign < 0 else x
@@ -530,10 +515,10 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         rename = {v_x: v_xp for name in geom.table_x.names()
                   for v_x, v_xp in zip(geom.ctx_x.roots[name],
                                        geom.ctx_xp.roots["J_" + name])}
+        twisted = geom.fp.truncated(j_e)
         return form(geom.fp, j_e, exp), [
             ("twist-side argument is the J-pullback of the original",
-             _rename_vars(geom.f.truncated(arg), rename)
-             == S.SplitClass(geom.fp.truncated(j_e).terms, None))]
+             S.repack(geom.f.truncated(arg), rename, twisted.space) == twisted)]
 
     def step3(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
@@ -702,17 +687,18 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         def apply(cur: P.GradedLine):
             slot, arg, exp = _sole_det(cur)
             after_arg = pulled(arg)
+            pulled_back = geom_t.f.truncated(after_arg)
             return _atom(geom_t.f, (), after_arg, exp), [(
                 "argument over f_T is the g'-pullback of the original (split-engine identity)",
-                _rename_vars(geom.f.truncated(arg), rename_t)
-                == S.SplitClass(geom_t.f.truncated(after_arg).terms, None))]
+                S.repack(geom.f.truncated(arg), rename_t, pulled_back.space) == pulled_back)]
         return apply
 
     def bottom(rewrite_arg: Callable[[E.Expr], E.Expr]):
         # a move on the bottom edge's argument over f_T, keeping the form's grade
         def apply(cur: P.GradedLine):
             slot, arg, exp = _sole_det(cur)
-            after = _atom(geom_t.f, (), rewrite_arg(arg), exp).with_grade(cur.grade)
+            after = P.det_rf_atom(geom_t.f, rewrite_arg(arg), (), S.SplitClass()) ** exp
+            after = after.with_grade(cur.grade)
             return after, [_class_equal_condition(cur, after)]
         return apply
 

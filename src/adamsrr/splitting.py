@@ -83,12 +83,14 @@ class SplitClass:
     """Laurent polynomial with exact rational coefficients in root variables.
 
     Coefficients are Fractions or plain ints (exact either way; ints are kept
-    unboxed for speed and compare equal to the same Fraction).
+    unboxed for speed and compare equal to the same Fraction).  `space` is a
+    space name, or the `_Packing` whose ints key a truncated class; adding or
+    comparing classes of two spaces raises `ContextMismatch`.
     """
 
     __slots__ = ("terms", "space")
 
-    def __init__(self, terms: dict | None = None, space: str | None = None):
+    def __init__(self, terms: dict | None = None, space: object = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self.space = space
 
@@ -104,7 +106,7 @@ class SplitClass:
         return SplitClass({((name, 1),): 1}, space)
 
     # -- ring structure ----------------------------------------------------
-    def _join(self, other: "SplitClass") -> str | None:
+    def _join(self, other: "SplitClass") -> object:
         if self.space is None:
             return other.space
         if other.space is None or other.space == self.space:
@@ -174,6 +176,7 @@ class SplitClass:
             other = SplitClass.constant(other)
         if not isinstance(other, SplitClass):
             return NotImplemented
+        self._join(other)
         return self.terms == other.terms
 
     def __bool__(self) -> bool:
@@ -305,11 +308,9 @@ class SplitContext:
         self.roots: dict[str, list[str]] = {}
         self.var_aug: dict[str, int] = {}
         self._eval_cache: dict[Expr, SplitClass] = {}
-        self._trunc_cache: dict[tuple[Expr, int], SplitClass] = {}
-        # grades of det atoms over this upstairs space and their variables, kept by picard
-        self._grade_cache: dict[tuple[str, int, Expr], SplitClass] = {}
-        self._chi_symbols: dict[tuple[str, Monomial], Monomial] = {}
-        self._packed_cache: dict[tuple[Expr, int], dict[int, object]] = {}
+        # the grade variables of det atoms over this upstairs space, kept by picard
+        self._chi_symbols: dict[tuple[str, int, int], Monomial] = {}
+        self._packed_cache: dict[tuple[Expr, int], SplitClass] = {}
         self._packings: dict[int, _Packing] = {}
         for name in self.table.names():
             kind, rk = self.table.entries[name]
@@ -496,9 +497,7 @@ def tau_equals_theta(symbol: str, p: int, ctx: SplitContext) -> Verdict:
 
 
 def classes_equal(a: SplitClass, b: SplitClass) -> bool:
-    if a.space is not None and b.space is not None and a.space != b.space:
-        raise ContextMismatch(f"comparing classes from {a.space!r} and {b.space!r}")
-    return (a - b).is_zero()
+    return a == b  # raises ContextMismatch for classes of two spaces
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +528,25 @@ class _Packing:
         self.series: dict[tuple[str, int], dict[int, object]] = {}
         self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
 
-    def unpack(self, packed: dict[int, object], space: str | None) -> SplitClass:
+    def __repr__(self) -> str:
+        return f"packing mod I^{self.cutoff} over ({', '.join(self.offset)})"
+
+    def fields(self, packed) -> list[tuple[str, int]]:
+        """(variable, offset) of each exponent field some packed monomial of `packed` uses."""
         mask = (1 << self.width) - 1
         used = 0
         for m in packed:
             used |= m
-        fields = [(v, at) for v, at in self.offset.items() if (used >> at) & mask]
-        terms = {}
-        for m, c in packed.items():
-            mono = []
-            for v, at in fields:
-                e = (m >> at) & mask
-                if e:
-                    mono.append((v, e))
-            terms[tuple(mono)] = c
-        return SplitClass(terms, space)
+        return [(v, at) for v, at in self.offset.items() if (used >> at) & mask]
+
+    def monomial(self, m: int, fields=None) -> Monomial:
+        """The root-variable monomial of packed `m`, read from `fields` (default: all)."""
+        mask = (1 << self.width) - 1
+        return tuple((v, e) for v, at in fields or self.offset.items() if (e := (m >> at) & mask))
+
+    def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
+        fields = self.fields(packed)
+        return SplitClass({self.monomial(m, fields): c for m, c in packed.items()}, space)
 
     def expand(self, m: Monomial) -> dict[int, object]:
         """Truncated expansion of a Laurent monomial, built one variable at a time."""
@@ -622,8 +625,12 @@ def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) 
     return pk.unpack(pk.filtration(cls), cls.space)
 
 
-def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
-    """Evaluate directly in the truncated ring (classes mod I^cutoff).
+def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
+    """Evaluate directly in the truncated ring (classes mod I^cutoff); memoized per context.
+
+    The result is keyed by packed monomials, and its space is the context's
+    `_Packing` for `cutoff`: classes of one packing add, scale and compare like
+    any `SplitClass`.  A key's total u-degree is `key >> packing.shift`.
 
     Truncation is a ring quotient, so sums, tensors and nonnegative powers are
     computed on already-truncated operands, and a pullback along a morphism
@@ -634,41 +641,31 @@ def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     the products a pullback distributes into, from ever being expanded.
     """
     key = (e, cutoff)
-    hit = ctx._trunc_cache.get(key)
-    if hit is None:
-        pk = ctx._packings.get(cutoff)
-        if pk is None:
-            pk = ctx._packings[cutoff] = _Packing(ctx.var_aug, ctx.var_aug, cutoff)
-        hit = ctx._trunc_cache[key] = pk.unpack(_packed_eval(e, ctx, pk), ctx.space)
-    return hit
-
-
-def _packed_eval(e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
-    """`truncated_eval` on packed monomials, memoized per context."""
-    key = (e, pk.cutoff)
     hit = ctx._packed_cache.get(key)
     if hit is not None:
         return hit
+    pk = ctx._packings.get(cutoff)
+    if pk is None:
+        pk = ctx._packings[cutoff] = _Packing(ctx.var_aug, ctx.var_aug, cutoff)
     if isinstance(e, Sum):
-        total: dict[int, object] = {}
+        out: dict[int, object] = {}
         for t in e.terms:
-            for m, c in _packed_eval(t, ctx, pk).items():
-                total[m] = total.get(m, 0) + c
-        out = {m: c for m, c in total.items() if c}
+            for m, c in _packed_eval(t, ctx, cutoff).terms.items():
+                out[m] = out.get(m, 0) + c
     elif isinstance(e, Neg):
-        out = {m: -c for m, c in _packed_eval(e.arg, ctx, pk).items()}
+        out = {m: -c for m, c in _packed_eval(e.arg, ctx, cutoff).terms.items()}
     elif isinstance(e, (IntConst, Unit)):
         value = e.value if isinstance(e, IntConst) else 1
         out = {0: value} if value else {}
     elif isinstance(e, Tensor):
         out = {0: 1}
         for f in e.factors:
-            out = _packed_mul(out, _packed_eval(f, ctx, pk), pk.limit)
+            out = _packed_mul(out, _packed_eval(f, ctx, cutoff).terms, pk.limit)
             if not out:
                 break
     elif isinstance(e, Power) and e.exponent >= 0:
         out = {0: 1}
-        square = _packed_eval(e.base, ctx, pk)
+        square = _packed_eval(e.base, ctx, cutoff).terms
         k = e.exponent
         while k:
             if k & 1:
@@ -677,11 +674,37 @@ def _packed_eval(e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
             if k:
                 square = _packed_mul(square, square, pk.limit)
     elif isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-        out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, pk)
+        out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff).terms
     else:
         out = pk.filtration(eval_expr(e, ctx))
-    ctx._packed_cache[key] = out
-    return out
+    hit = ctx._packed_cache[key] = SplitClass(out, pk)
+    return hit
+
+
+packed_eval = _packed_eval  # the public name; the recursion calls the private one
+
+
+def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
+    """`packed_eval` unpacked into root-variable monomials (classes mod I^cutoff)."""
+    cls = packed_eval(e, ctx, cutoff)
+    return cls.space.unpack(cls.terms, ctx.space)
+
+
+def repack(cls: SplitClass, rename: dict[str, str], into: _Packing) -> SplitClass:
+    """A packed class with each variable v renamed to rename.get(v, v), laid out in `into`.
+
+    The packings share the cutoff: the degree field stays, each used field moves.
+    """
+    pk = cls.space
+    if pk.cutoff != into.cutoff:
+        raise ContextMismatch(f"cannot repack a class from {pk!r} into {into!r}")
+    mask = (1 << pk.width) - 1
+    moves = [(at, into.offset[rename.get(v, v)]) for v, at in pk.fields(cls.terms)]
+    terms: dict[int, object] = {}
+    for m, c in cls.terms.items():
+        out = sum((((m >> at) & mask) << to for at, to in moves), (m >> pk.shift) << into.shift)
+        terms[out] = terms.get(out, 0) + c
+    return SplitClass(terms, into)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,116 @@
+"""The packed det-line invariant against the root-basis route it replaced.
+
+Det slots hold `Morphism.truncated(e)`: the class of e modulo I^(n+2) keyed by
+the packed monomials of the upstairs context, and grades are read from its
+degree field.  Every det argument that the chain, the square and the
+Knudsen-Mumford expansion build is checked here against a full Laurent
+evaluation truncated afterwards, and every grade against the old
+`degrees(high=n+1)` filter on that evaluation.
+"""
+
+import pytest
+
+from adamsrr import expr as E
+from adamsrr import picard as P
+from adamsrr import rewrite as R
+from adamsrr import splitting as S
+
+# (3, 5) is left out: its full Laurent evaluations take about 85 s, against
+# about 10 s for every other case together
+CASES = [(kind, n, p, rank)
+         for kind in ("chain", "square", "km")
+         for n in (0, 1, 2, 3)
+         for p in (2, 3, 5) if (n, p) != (3, 5)
+         for rank in ((1,) if kind == "km" else (1, 2))]
+
+
+def _run(kind, n, p, rank):
+    symbols = {"L": 1} if rank == 1 else {"E": rank}
+    if kind == "chain":
+        return R.verify_arr_identity(n, p, symbols=symbols)
+    if kind == "square":
+        return R.verify_base_change(n, p, symbols=symbols)
+    return R.knudsen_mumford_expansion(n, p).trace
+
+
+def _record(monkeypatch):
+    """Collect each (morphism, argument) whose invariant, and whose grade, is computed."""
+    invariants, grades = {}, {}
+    truncated, chi_grade = P.Morphism.truncated, P.chi_grade
+
+    def record_truncated(f, e):
+        lam = truncated(f, e)
+        invariants[(id(f.upstairs), f.name, e)] = (f, e, lam)
+        return lam
+
+    def record_grade(f, e):
+        grade = chi_grade(f, e)
+        grades[(id(f.upstairs), f.name, e)] = (f, e, grade)
+        return grade
+
+    monkeypatch.setattr(P.Morphism, "truncated", record_truncated)
+    monkeypatch.setattr(P, "chi_grade", record_grade)
+    return invariants, grades
+
+
+def _old_grade(f: P.Morphism, e: E.Expr) -> S.SplitClass:
+    """The grade as the root-basis route built it: chi[f](m) over degree <= n of the class."""
+    ctx = f.upstairs
+    low = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
+    return S.SplitClass({((f"chi[{f.name}]({S.monomial_text(m)})", 1),): c
+                         for m, c in low.degrees(high=f.rel_dim + 1).terms.items()})
+
+
+@pytest.mark.parametrize("kind,n,p,rank", CASES)
+def test_packed_invariants_and_grades_match_the_root_basis_route(monkeypatch, kind, n, p, rank):
+    invariants, grades = _record(monkeypatch)
+    trace = _run(kind, n, p, rank)
+    monkeypatch.undo()
+    assert trace.verified, trace.failure
+    assert invariants and grades
+    for f, e, lam in invariants.values():
+        ctx = f.upstairs
+        want = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
+        assert lam.space.unpack(lam.terms, ctx.space) == want, E.print_expr(e)
+    for f, e, grade in grades.values():
+        old = _old_grade(f, e)
+        assert str(grade) == str(old) and grade == old, E.print_expr(e)
+
+
+# -- packings do not mix ---------------------------------------------------------
+
+def test_invariants_of_two_packings_raise_context_mismatch():
+    geom = R.Geometry(1, 2, {"L": 1})
+    over_x = geom.f.truncated(E.Line("L"))
+    over_xp = geom.fp.truncated(E.Line("J_L"))
+    other_cutoff = S.packed_eval(E.Line("L"), geom.ctx_x, 4)
+    assert over_x.space is not over_xp.space and over_x.space is not other_cutoff.space
+    for a, b in ((over_x, over_xp), (over_x, other_cutoff)):
+        with pytest.raises(S.ContextMismatch):
+            a == b
+        with pytest.raises(S.ContextMismatch):
+            a + b
+    # one packing, or an untagged class, still compares and adds
+    assert over_x == geom.f.truncated(E.Line("L")) and over_x != S.SplitClass()
+    assert (over_x + (-over_x)).is_zero()
+
+
+def test_lines_over_two_contexts_of_one_name_do_not_mix():
+    table = E.SymbolTable(space="X")
+    table.declare_line("L")
+    a = P.det_rf_atom(P.make_morphism("f", 1, table), E.Line("L"))
+    b = P.det_rf_atom(P.make_morphism("f", 1, table), E.Line("L"))
+    with pytest.raises(S.ContextMismatch):
+        a * b
+
+
+def test_repack_renames_fields_into_another_packing():
+    geom = R.Geometry(2, 3, {"E": 2})
+    e = E.Tensor((E.Bundle("E"), E.Psi(3, E.Bundle(R.OMEGA))))
+    j_e = E.canonicalize(R._j_reduce(geom.table_xp, e))
+    rename = {v: v_xp for name in geom.table_x.names()
+              for v, v_xp in zip(geom.ctx_x.roots[name], geom.ctx_xp.roots["J_" + name])}
+    twisted = geom.fp.truncated(j_e)
+    assert S.repack(geom.f.truncated(e), rename, twisted.space) == twisted
+    with pytest.raises(S.ContextMismatch):
+        S.repack(geom.f.truncated(e), rename, S.packed_eval(j_e, geom.ctx_xp, 3).space)
