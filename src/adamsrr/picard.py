@@ -13,10 +13,12 @@ argument class (the class modulo I^(n+2), I the augmentation ideal of the
 upstairs ring, n the relative dimension of the morphism): determinants of
 cohomology are additive in the argument and kill I^(n+2), which is exactly
 the vanishing that makes the pairing multilinear and the rank-zero-power
-reduction fire.  The invariant is `splitting.packed_eval`'s packed class, whose
-top field is the total degree: a grade keeps its terms of degree at most n by
-one int compare each.  The factored argument expressions are retained for
-display and for recording which reduction applied.
+reduction fire.  The invariant is `splitting.packed_eval`'s packed class, in
+the e-coordinates of each bundle's roots, whose top field is the weighted
+degree: a grade keeps its terms of degree at most n by one int compare each,
+and unpacks them into root monomials to name its symbols.  The factored
+argument expressions are retained for display and for recording which
+reduction applied.
 """
 
 from __future__ import annotations
@@ -63,18 +65,20 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
 
     Keyed by the argument class modulo I^(n+1); Euler characteristics of a
     relative n-fold kill I^(n+1), one degree below the determinant's kernel:
-    the packed invariant's terms whose top field, the total degree, is <= n.
-    Each symbol chi[f](m) is built once per (morphism, packed m) in the upstairs context.
+    the packed invariant's terms whose top field, the weighted degree, is <= n.
+    Those are unpacked from e-coordinates into root monomials x, each symbol
+    naming one; it is built once per (morphism, packed x) in the upstairs
+    context.
     """
     lam, symbols = f.truncated(e), f.upstairs._chi_symbols
     pk, terms = lam.space, {}
-    for m, c in lam.terms.items():
-        if m < (f.rel_dim + 1) << pk.shift:
-            symbol = symbols.get((f.name, f.rel_dim, m))
-            if symbol is None:
-                text = S.monomial_text(pk.monomial(m))
-                symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({text})", 1),)
-            terms[symbol] = c
+    top, roots = (f.rel_dim + 1) << pk.shift, pk.roots
+    for x, c in pk.to_roots({m: c for m, c in lam.terms.items() if m < top}).items():
+        symbol = symbols.get((f.name, f.rel_dim, x))
+        if symbol is None:
+            text = S.monomial_text(roots.monomial(x))
+            symbol = symbols[f.name, f.rel_dim, x] = ((f"chi[{f.name}]({text})", 1),)
+        terms[symbol] = c
     return S.SplitClass(terms)
 
 

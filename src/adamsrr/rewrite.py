@@ -412,10 +412,18 @@ def _class_equal_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[s
     return ("argument classes equal (split-engine identity)", after.same_atoms(before))
 
 
-def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[str, bool]:
-    """A move that only rewraps a det atom keeps its argument and the line's grade."""
-    return ("argument class and grade unchanged by the wrapper move",
-            _sole_det(before)[1] == _sole_det(after)[1] and before.grade == after.grade)
+def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine,
+                            same_exponent: bool = False) -> tuple[str, bool]:
+    """A move that only rewraps a det atom keeps its argument and the line's grade.
+
+    With `same_exponent`, for a move that keeps the exponent but whose form is
+    given the grade it started from, the det slot's packed class, which
+    carries the exponent, is compared in place of the grade.
+    """
+    (slot0, arg0, _), (slot1, arg1, _) = _sole_det(before), _sole_det(after)
+    kept = before.dets[slot0][0] == after.dets[slot1][0] if same_exponent else \
+        before.grade == after.grade
+    return ("argument class and grade unchanged by the wrapper move", arg0 == arg1 and kept)
 
 
 def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | None],
@@ -508,13 +516,11 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         if not wrappers or wrappers[0] != ("psi", p):
             raise VerifierError("R1 expects a leading psi^p wrapper")
         after = form(geom.f, arg, exp, (("detpull", geom.name_FS),))
-        return after, [_wrapper_move_condition(cur, after)]
+        return after, [_wrapper_move_condition(cur, after, same_exponent=True)]
 
     def step2(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
-        rename = {v_x: v_xp for name in geom.table_x.names()
-                  for v_x, v_xp in zip(geom.ctx_x.roots[name],
-                                       geom.ctx_xp.roots["J_" + name])}
+        rename = {name: "J_" + name for name in geom.table_x.names()}
         twisted = geom.fp.truncated(j_e)
         return form(geom.fp, j_e, exp), [
             ("twist-side argument is the J-pullback of the original",
@@ -678,9 +684,7 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         return P.pull_line(name_g, P.det_rf_atom(geom.f, rhs_expr)), \
             [("theorem (I) verified over the original family", sub.verified)]
 
-    rename_t = {v: v_t for name in geom.table_x.names()
-                for v, v_t in zip(geom.ctx_x.roots[name],
-                                  geom_t.ctx_x.roots[name if name == OMEGA else "g_" + name])}
+    rename_t = {name: name if name == OMEGA else "g_" + name for name in geom.table_x.names()}
 
     def base_change(pulled: Callable[[E.Expr], E.Expr]):
         # the det atom over f becomes one over f_T whose argument is `pulled(arg)`

@@ -7,15 +7,26 @@ the constituent line monomials, det = product of constituents, dual = monomial
 inversion).  `SplitClass` is the package's one exact polynomial class: it also
 carries the y-polynomial witness for the binomial identity behind the
 tilde-inverse and the classes of the intersection-ring model in `chow`.
+
+The truncated ring (classes mod I^cutoff, I the augmentation ideal) is kept
+in e-coordinates: every class the evaluator builds is symmetric in each
+bundle's roots, so `packed_eval` holds a bundle as the elementary symmetric
+functions e_1..e_r of its u = x - aug(x), e_k of weight k, packed with the
+weighted degree into one int per monomial.  Symbols, psi^k, duals and theta^k
+of a bundle are built there directly (Fulton & Lang, Riemann-Roch Algebra,
+ch. I-III); other leaves are evaluated as Laurent classes, truncated in the
+root basis and reduced back.  `truncated_eval` and the grades of `picard`
+unpack e-monomials into root monomials.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf
 from typing import Callable
 
 from .expr import (
@@ -504,35 +515,86 @@ def classes_equal(a: SplitClass, b: SplitClass) -> bool:
 # Truncated augmentation filtration
 
 class _Packing:
-    """Packed exponent vectors for the truncated ring over one variable order.
+    """Packed exponent vectors for the truncated ring over blocks of roots.
 
-    A monomial in the u-variables (u = x - aug(x)) with total degree below
-    `cutoff` is one int: exponent i in bits [i*width, (i+1)*width), with the
-    variables in name order, and the total degree above all of them.  A
+    A block is the roots x_1..x_r of one symbol, with u_i = x_i - aug(x_i); a
+    line, and an opaque bundle standing for itself, is a block of rank 1.
+    Every class the evaluator builds is symmetric in each block's roots, so it
+    is kept in e-coordinates: a monomial is one int holding, for each block,
+    the exponents of the elementary symmetric functions e_1(u)..e_r(u) in r
+    consecutive fields of `width` bits from `offset[block]`, and above all
+    fields its weighted degree sum_k k*exp(e_k), which is its u-degree.  A
     product is then `m1 + m2`, kept iff it is below `limit`: a kept product
-    has every exponent <= cutoff - 1, so no field carries, and a dropped one
-    is at or above the limit with or without carries (Monagan & Pearce,
-    CASC 2007).  `series` and `expanded` memoize the binomial series and the
-    expansion of each Laurent monomial.
+    has weighted degree at most cutoff - 1, so every exponent is too and no
+    field carries, and a dropped one is at or above the limit with or without
+    carries (Monagan & Pearce, CASC 2007).
+
+    Blocks lie in the order given, or in name order when the packing is made
+    from a list of variable names; each name is then its own block, e_1 = u,
+    and the packing is the root basis that `truncated_filtration` works in.
+    `roots` is the root basis of a packing's root variables in the same
+    layout (root i of a block in the block's field i): `to_roots` unpacks
+    e-monomials into it, memoizing the short expansions, and `from_roots`
+    reduces a class symmetric in each block's roots back into e-coordinates;
+    both only touch the blocks of rank >= 2.  `filtration` expands a Laurent
+    class in a root basis through the memoized binomial `series` of each
+    variable power and `expanded` of each monomial.  Leaf classes (`symbol`,
+    `adams`, `theta`), power sums, orbits and the changes of basis between
+    e-monomials and monomial symmetric functions are memoized in `memo`.
     """
 
-    __slots__ = ("offset", "width", "shift", "limit", "cutoff", "var_aug", "series", "expanded")
+    __slots__ = ("blocks", "offset", "width", "shift", "limit", "cutoff", "var_aug", "_roots",
+                 "_wide", "_wide_bits", "series", "expanded", "unpacked", "memo")
 
-    def __init__(self, variables, var_aug: dict[str, int], cutoff: int):
+    def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
+        if not isinstance(blocks, dict):
+            blocks = {v: (v,) for v in sorted(blocks)}
+        self.blocks = {b: tuple(roots) for b, roots in blocks.items()}
         self.width = max(1, (cutoff - 1).bit_length())
-        self.offset = {v: i * self.width for i, v in enumerate(sorted(variables))}
-        self.shift = self.width * len(self.offset)
+        self.offset: dict[str, int] = {}
+        self._wide: list[tuple[str, int, int, int]] = []  # (block, offset, rank, mask), rank >= 2
+        at = self._wide_bits = 0  # the fields of the blocks of rank >= 2
+        for b, roots in self.blocks.items():
+            self.offset[b] = at
+            if len(roots) > 1:
+                mask = (1 << (self.width * len(roots))) - 1
+                self._wide.append((b, at, len(roots), mask))
+                self._wide_bits |= mask << at
+            at += self.width * len(roots)
+        self.shift = at
         self.limit = cutoff << self.shift
         self.cutoff = cutoff
         self.var_aug = var_aug
+        self._roots = None
         self.series: dict[tuple[str, int], dict[int, object]] = {}
         self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
+        self.unpacked: dict[int, tuple[tuple[int, object], ...]] = {}
+        self.memo: dict[tuple, object] = {}
 
     def __repr__(self) -> str:
-        return f"packing mod I^{self.cutoff} over ({', '.join(self.offset)})"
+        return f"packing mod I^{self.cutoff} over ({', '.join(self.blocks)})"
 
+    @property
+    def roots(self) -> "_Packing":
+        """The root basis of this packing's root variables, in its layout."""
+        if self._roots is None:
+            if all(roots == (b,) for b, roots in self.blocks.items()):
+                return self
+            self._roots = _Packing({v: (v,) for roots in self.blocks.values() for v in roots},
+                                   self.var_aug, self.cutoff)
+        return self._roots
+
+    def _e(self, b: str, k: int) -> int:
+        """The packed monomial e_k of block b."""
+        return (1 << (self.offset[b] + (k - 1) * self.width)) | (k << self.shift)
+
+    def _place(self, at: int, exponents: tuple) -> int:
+        """Exponents packed into consecutive fields from offset `at` (no degree field)."""
+        return sum(e << (at + i * self.width) for i, e in enumerate(exponents))
+
+    # -- the root basis -------------------------------------------------------
     def fields(self, packed) -> list[tuple[str, int]]:
-        """(variable, offset) of each exponent field some packed monomial of `packed` uses."""
+        """(variable, offset) of each field some packed monomial of a root basis uses."""
         mask = (1 << self.width) - 1
         used = 0
         for m in packed:
@@ -540,16 +602,19 @@ class _Packing:
         return [(v, at) for v, at in self.offset.items() if (used >> at) & mask]
 
     def monomial(self, m: int, fields=None) -> Monomial:
-        """The root-variable monomial of packed `m`, read from `fields` (default: all)."""
+        """The root-variable monomial of packed `m` in a root basis, read from `fields` (default: all)."""
         mask = (1 << self.width) - 1
         return tuple((v, e) for v, at in fields or self.offset.items() if (e := (m >> at) & mask))
 
     def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
-        fields = self.fields(packed)
-        return SplitClass({self.monomial(m, fields): c for m, c in packed.items()}, space)
+        """The class of packed terms in root-variable monomials."""
+        rp = self.roots
+        packed = self.to_roots(packed)
+        fields = rp.fields(packed)
+        return SplitClass({rp.monomial(m, fields): c for m, c in packed.items()}, space)
 
     def expand(self, m: Monomial) -> dict[int, object]:
-        """Truncated expansion of a Laurent monomial, built one variable at a time."""
+        """Truncated expansion of a Laurent monomial in a root basis, one variable at a time."""
         hit = self.expanded.get(m)
         if hit is not None:
             return hit
@@ -567,6 +632,189 @@ class _Packing:
             for mono, coeff in self.expand(m).items():
                 total[mono] = total.get(mono, 0) + coeff * c
         return {m: c for m, c in total.items() if c}
+
+    # -- e-coordinates and the root basis --------------------------------------
+    def to_roots(self, packed: dict[int, object]) -> dict[int, object]:
+        """Packed terms unpacked into root monomials of `roots`, block by block."""
+        wide_bits = self._wide_bits
+        if not any(m & wide_bits for m in packed):
+            return packed  # the layouts agree off the blocks of rank >= 2
+        out: dict[int, object] = {}
+        for m, c in packed.items():
+            for x, k in self.root_terms(m):
+                out[x] = out.get(x, 0) + c * k
+        return {x: c for x, c in out.items() if c}
+
+    def root_terms(self, m: int) -> tuple[tuple[int, int], ...]:
+        """The root monomials of `roots` that e-monomial m unpacks into, with coefficients."""
+        wide_bits = self._wide_bits
+        if not m & wide_bits:
+            return ((m, 1),)
+        terms = self.unpacked.get(m)
+        if terms is None:
+            terms = [(m & ~wide_bits, 1)]
+            for b, at, r, mask in self._wide:
+                if part := (m >> at) & mask:
+                    terms = [(x + y, cx * cy) for x, cx in terms
+                             for y, cy in self._root_part(b, at, r, part)]
+            terms = tuple(terms)
+            if len(terms) <= _MEMO_TERMS:
+                self.unpacked[m] = terms
+        return terms
+
+    def _root_part(self, b: str, at: int, r: int, part: int) -> list[tuple[int, int]]:
+        """The root monomials (block b's fields only) of its e-monomial `part`, with coefficients."""
+        mask = (1 << self.width) - 1
+        a = tuple((part >> (k * self.width)) & mask for k in range(r))
+        return [(x, c) for lam, c in _e_to_m(r, a, self.memo).items()
+                for x in self._orbit(b, at, lam)]
+
+    def _orbit(self, b: str, at: int, lam: tuple) -> tuple[int, ...]:
+        """The root monomials (block b's fields only) of the monomial symmetric function m_lam."""
+        key = ("orbit", b, lam)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = tuple(self._place(at, v) for v in _arrangements(lam))
+        return hit
+
+    def from_roots(self, packed: dict[int, object]) -> dict[int, object]:
+        """A root-basis class symmetric in each block's roots, in e-coordinates.
+
+        Such a class is a sum of products, over the blocks, of monomial
+        symmetric functions m_lam, one term per orbit of root monomials; each
+        m_lam is rewritten in e_1..e_r by `_m_to_e`.  A class that is not
+        symmetric (an orbit with unequal coefficients or missing members)
+        raises EvalError.
+        """
+        wide_bits = self._wide_bits
+        if not any(m & wide_bits for m in packed):
+            return packed
+        orbits: dict[tuple, list] = {}
+        partitions = self.memo.setdefault("partitions", {0: ()})  # a block's bits in place -> lam
+        for m, c in packed.items():
+            key = [m & ~wide_bits]
+            for _, at, r, mask in self._wide:
+                bits = m & (mask << at)
+                lam = partitions.get(bits)
+                if lam is None:
+                    lam = partitions[bits] = _partition(bits >> at, r, self.width)
+                key.append(lam)
+            key = tuple(key)
+            seen = orbits.get(key)
+            if seen is None:
+                orbits[key] = [c, 1]
+            elif seen[0] != c:
+                raise EvalError("class is not symmetric in the roots of its bundles")
+            else:
+                seen[1] += 1
+        out: dict[int, object] = {}
+        for (rest, *lams), (c, count) in orbits.items():
+            terms, size = [(rest, c)], 1
+            for (b, at, _, _), lam in zip(self._wide, lams):
+                if lam:
+                    size *= _orbit_size(lam)
+                    terms = [(x + y, cx * cy) for x, cx in terms
+                             for y, cy in self._e_part(b, at, lam)]
+            if size != count:
+                raise EvalError("class is not symmetric in the roots of its bundles")
+            for x, cx in terms:
+                out[x] = out.get(x, 0) + cx
+        return {x: c for x, c in out.items() if c}
+
+    def _e_part(self, b: str, at: int, lam: tuple) -> tuple[tuple[int, int], ...]:
+        """m_lam of block b as e-monomials (block b's fields only) with coefficients."""
+        key = ("m", b, lam)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = tuple((self._place(at, a), c)
+                                         for a, c in _m_to_e(len(lam), lam, self.memo).items())
+        return hit
+
+    # -- leaves ------------------------------------------------------------------
+    def symbol(self, b: str) -> dict[int, object]:
+        """The symbol of block b: the sum of its roots, sum_i aug(x_i) + e_1."""
+        roots = self.blocks[b]
+        terms = {0: sum(self.var_aug.get(v, 1) for v in roots)}
+        if roots and self.cutoff > 1:
+            terms[self._e(b, 1)] = 1
+        return {m: c for m, c in terms.items() if c}
+
+    def power_sums(self, b: str) -> list[dict[int, object]]:
+        """P_j = sum_i u_i^j of block b for j < cutoff (P_0 left out), by Newton's identities."""
+        key = ("P", b)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        r = len(self.blocks[b])
+        sums: list[dict[int, object]] = [{}]
+        for j in range(1, self.cutoff):
+            # P_j = sum_{i<j} (-1)^(i-1) e_i P_(j-i) + (-1)^(j-1) j e_j
+            acc: dict[int, object] = {}
+            for i in range(1, min(j - 1, r) + 1):
+                ei, sign = self._e(b, i), 1 if i % 2 else -1
+                for m, c in sums[j - i].items():
+                    acc[m + ei] = acc.get(m + ei, 0) + sign * c
+            if j <= r:
+                ej = self._e(b, j)
+                acc[ej] = acc.get(ej, 0) + (j if j % 2 else -j)
+            sums.append({m: c for m, c in acc.items() if c})
+        self.memo[key] = sums
+        return sums
+
+    def adams(self, b: str, k: int) -> dict[int, object]:
+        """psi^k of block b's symbol (roots of augmentation 1): r + sum_j C(k, j) P_j."""
+        key = ("psi", b, k)
+        hit = self.memo.get(key)
+        if hit is None:
+            terms = {0: len(self.blocks[b])}
+            for j, pj in enumerate(self.power_sums(b)):
+                cj = _binom(k, j)
+                if j and cj:
+                    for m, c in pj.items():
+                        terms[m] = terms.get(m, 0) + cj * c
+            hit = self.memo[key] = {m: c for m, c in terms.items() if c}
+        return hit
+
+    def theta(self, b: str, k: int) -> dict[int, object]:
+        """theta^k (k >= 1) of block b's symbol: prod_i g(u_i), g(u) = sum_j C(k, j+1) u^j.
+
+        With u g'(u)/g(u) = sum_j b_j u^j, the Euler operator gives the part of
+        degree d of the product G as (1/d) sum_j b_j P_j G_(d-j), from
+        G_0 = k^r: the logarithm of G is sum_i log g(u_i), a series in the
+        power sums, and this is its exponential, degree by degree.
+        """
+        key = ("theta", b, k)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        g = [comb(k, j + 1) for j in range(self.cutoff)]
+        bs = [Fraction(0)] * self.cutoff
+        for j in range(1, self.cutoff):
+            bs[j] = Fraction(j * g[j] - sum(g[i] * bs[j - i] for i in range(1, j)), g[0])
+        sums = self.power_sums(b)
+        parts: list[dict[int, object]] = [{0: k ** len(self.blocks[b])}]
+        for d in range(1, self.cutoff):
+            acc: dict[int, object] = {}
+            for j in range(1, d + 1):
+                if bs[j]:
+                    for m, c in _packed_mul(sums[j], parts[d - j], self.limit).items():
+                        acc[m] = acc.get(m, 0) + bs[j] * c
+            parts.append({m: _exact(c / d) for m, c in acc.items() if c})
+        hit = self.memo[key] = {m: c for part in parts for m, c in part.items()}
+        return hit
+
+
+_MEMO_TERMS = 64  # `to_roots` keeps the expansion of an e-monomial of at most this many terms
+
+
+def _exact(c):
+    """An integral Fraction as an int; anything else as it is."""
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _binom(k: int, j: int) -> int:
+    """The generalized binomial coefficient C(k, j), for any integer k and j >= 0."""
+    return comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j)
 
 
 def _packed_mul(a: dict[int, object], b: dict[int, object], limit: int) -> dict[int, object]:
@@ -615,6 +863,105 @@ def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
     return out
 
 
+# -- symmetric functions in r variables ----------------------------------------------
+# A partition is a non-increasing tuple of length r (zeros included); m_lam is
+# the sum of the distinct monomials u^v over the orderings v of lam.
+
+def _run_moves(vec: tuple, k: int, step: int) -> list[tuple[tuple, int]]:
+    """Each way to add `step` (+1 or -1) to k entries of the partition `vec`, as a partition.
+
+    Within a run of equal entries, +1 goes to the first ones and -1 to the
+    last ones (never below 0), so the result stays sorted; each result comes
+    once, with the number of k-sets of entries that give it.
+    """
+    runs, i = [], 0
+    while i < len(vec):
+        j = i
+        while j < len(vec) and vec[j] == vec[i]:
+            j += 1
+        if step > 0 or vec[i]:
+            runs.append((i, j))
+        i = j
+    moves = [(vec, 1, k)]
+    for i, j in runs:
+        nxt = []
+        for v, mult, left in moves:
+            for t in range(min(left, j - i) + 1):
+                changed = range(i, i + t) if step > 0 else range(j - t, j)
+                w = tuple(x + step if q in changed else x for q, x in enumerate(v))
+                nxt.append((w, mult * comb(j - i, t), left - t))
+        moves = nxt
+    return [(v, mult) for v, mult, left in moves if not left]
+
+
+def _e_to_m(r: int, a: tuple, memo: dict) -> dict[tuple, int]:
+    """e_1^a_1 ... e_r^a_r in r variables, as {lam: coefficient of m_lam}; kept in `memo`.
+
+    Built one factor e_k at a time: the coefficient of u^nu in A * e_k is the
+    sum over the k-sets S with nu - 1_S >= 0 of A's coefficient at sort(nu - 1_S).
+    """
+    key = ("e_to_m", r, a)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    k = max((i + 1 for i in range(r) if a[i]), default=0)
+    out = {(0,) * r: 1}
+    if k:
+        prev, out = _e_to_m(r, a[:k - 1] + (a[k - 1] - 1,) + a[k:], memo), {}
+        for nu in {nu for lam in prev for nu, _ in _run_moves(lam, k, 1)}:
+            c = sum(mult * prev.get(mu, 0) for mu, mult in _run_moves(nu, k, -1))
+            if c:
+                out[nu] = c
+    memo[key] = out
+    return out
+
+
+def _m_to_e(r: int, lam: tuple, memo: dict) -> dict[tuple, int]:
+    """m_lam in r variables as {a: coefficient of e_1^a_1 ... e_r^a_r}; kept in `memo`.
+
+    e^a with a_k = lam_k - lam_(k+1) is m_lam plus multiples of m_mu for mu
+    below lam in dominance order (the fundamental theorem's reduction step).
+    """
+    key = ("m_to_e", r, lam)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    a = tuple(lam[k] - (lam[k + 1] if k + 1 < r else 0) for k in range(r))
+    out = {a: 1}
+    for mu, c in _e_to_m(r, a, memo).items():
+        if mu != lam:
+            for b, x in _m_to_e(r, mu, memo).items():
+                out[b] = out.get(b, 0) - c * x
+    out = memo[key] = {b: x for b, x in out.items() if x}
+    return out
+
+
+def _arrangements(vec: tuple) -> list[tuple]:
+    """Every distinct ordering of the entries of vec."""
+    if not vec:
+        return [()]
+    out = []
+    for v in sorted(set(vec)):
+        rest = list(vec)
+        rest.remove(v)
+        out.extend((v,) + t for t in _arrangements(tuple(rest)))
+    return out
+
+
+def _partition(part: int, r: int, width: int) -> tuple:
+    """The exponents of r packed fields of `width` bits, sorted into a partition."""
+    mask = (1 << width) - 1
+    return tuple(sorted(((part >> (i * width)) & mask for i in range(r)), reverse=True))
+
+
+def _orbit_size(lam: tuple) -> int:
+    """The number of distinct orderings of lam."""
+    size = factorial(len(lam))
+    for count in Counter(lam).values():
+        size //= factorial(count)
+    return size
+
+
 def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) -> SplitClass:
     """Expansion of a class mod the cutoff-th power of the augmentation ideal.
 
@@ -625,20 +972,119 @@ def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) 
     return pk.unpack(pk.filtration(cls), cls.space)
 
 
+class _NoRule(Exception):
+    """No e-coordinate rule applies to a node: it takes the Laurent fallback."""
+
+
+def _is_symbol(e: Expr, ctx: SplitContext) -> bool:
+    """A declared symbol whose class is the sum of its block's roots."""
+    return isinstance(e, (Line, Bundle)) and e.name in ctx.roots and \
+        (isinstance(e, Bundle) or len(ctx.roots[e.name]) == 1)
+
+
+def _split_symbol(e: Expr, ctx: SplitContext) -> str | None:
+    """The symbol e is, through registered pullbacks, if psi, dual and theta act on it by e-rules.
+
+    They do when each of its roots has augmentation 1, which is when the
+    Laurent route lets them act at all.
+    """
+    while isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
+        e = ctx.pull_reducers[e.morphism](e.arg)
+    if _is_symbol(e, ctx) and all(ctx.var_aug[v] == 1 for v in ctx.roots[e.name]):
+        return e.name
+    return None
+
+
+def _ring_terms(e: Expr, pk: _Packing, child: Callable[[Expr], dict]) -> dict | None:
+    """Packed terms of a ring node from `child` of its operands; None for any other node.
+
+    The ring nodes are sums, negations, constants, tensors and powers >= 0.
+    """
+    if isinstance(e, Sum):
+        out: dict[int, object] = {}
+        for t in e.terms:
+            for m, c in child(t).items():
+                out[m] = out.get(m, 0) + c
+        return out
+    if isinstance(e, Neg):
+        return {m: -c for m, c in child(e.arg).items()}
+    if isinstance(e, (IntConst, Unit)):
+        value = e.value if isinstance(e, IntConst) else 1
+        return {0: value} if value else {}
+    if isinstance(e, Tensor):
+        out = {0: 1}
+        for f in e.factors:
+            out = _packed_mul(out, child(f), pk.limit)
+            if not out:
+                break
+        return out
+    if isinstance(e, Power) and e.exponent >= 0:
+        out, square, k = {0: 1}, child(e.base), e.exponent
+        while k:
+            if k & 1:
+                out = _packed_mul(out, square, pk.limit)
+            k >>= 1
+            if k:
+                square = _packed_mul(square, square, pk.limit)
+        return out
+    return None
+
+
+def _adams_terms(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict:
+    """psi^k(e), moved down to split symbols: psi^k is a ring map, and dual is psi^-1.
+
+    Raises _NoRule at a node it does not pass (theta, tau, det, a negative
+    power, an unregistered pullback, an unsplit symbol).
+    """
+    if isinstance(e, Pull):
+        reducer = ctx.pull_reducers.get(e.morphism)
+        if reducer is None:
+            raise _NoRule
+        return _adams_terms(k, reducer(e.arg), ctx, pk)
+    if isinstance(e, Psi):
+        return _adams_terms(k * e.k, e.arg, ctx, pk)
+    if isinstance(e, Dual):
+        return _adams_terms(-k, e.arg, ctx, pk)
+    if isinstance(e, (Line, Bundle)):
+        block = _split_symbol(e, ctx)
+        if block is None:
+            raise _NoRule
+        return pk.adams(block, k)
+    out = _ring_terms(e, pk, lambda x: _adams_terms(k, x, ctx, pk))
+    if out is None:
+        raise _NoRule
+    return out
+
+
+def _operator_leaf(e: Psi | Dual | Theta, ctx: SplitContext, pk: _Packing) -> dict | None:
+    """psi^k, dual or theta^k of e's argument by the e-rules, or None where none applies."""
+    k = -1 if isinstance(e, Dual) else e.k
+    try:
+        if isinstance(e, Theta):
+            block = _split_symbol(e.arg, ctx)
+            return pk.theta(block, k) if block is not None and k >= 1 else None
+        return _adams_terms(k, e.arg, ctx, pk)
+    except (_NoRule, ExprError):
+        return None  # the Laurent route raises whatever error the node has
+
+
 def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     """Evaluate directly in the truncated ring (classes mod I^cutoff); memoized per context.
 
-    The result is keyed by packed monomials, and its space is the context's
+    The result is keyed by packed e-monomials, and its space is the context's
     `_Packing` for `cutoff`: classes of one packing add, scale and compare like
-    any `SplitClass`.  A key's total u-degree is `key >> packing.shift`.
+    any `SplitClass`.  A key's weighted degree is `key >> packing.shift`.
 
     Truncation is a ring quotient, so sums, tensors and nonnegative powers are
     computed on already-truncated operands, and a pullback along a morphism
     with a registered reducer is truncated through its reduced argument (which
-    `eval_expr` evaluates it to by definition).  Only operator leaves (theta,
-    psi, duals, symbols) and unregistered pullbacks fall back to a full
-    evaluation.  This keeps high tensor powers of rank-zero differences, and
-    the products a pullback distributes into, from ever being expanded.
+    `eval_expr` evaluates it to by definition).  Declared symbols, and psi^k,
+    duals and theta^k of split symbols, are built in e-coordinates by their
+    rules; psi^k and duals of other arguments are moved down to split symbols
+    first.  Only the nodes with no rule (tau, det, negative powers, theta of
+    a compound argument, unregistered pullbacks) fall back to a full Laurent
+    evaluation, truncated in the root basis and reduced into e-coordinates;
+    they raise what `eval_expr` raises.
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)
@@ -646,37 +1092,17 @@ def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
         return hit
     pk = ctx._packings.get(cutoff)
     if pk is None:
-        pk = ctx._packings[cutoff] = _Packing(ctx.var_aug, ctx.var_aug, cutoff)
-    if isinstance(e, Sum):
-        out: dict[int, object] = {}
-        for t in e.terms:
-            for m, c in _packed_eval(t, ctx, cutoff).terms.items():
-                out[m] = out.get(m, 0) + c
-    elif isinstance(e, Neg):
-        out = {m: -c for m, c in _packed_eval(e.arg, ctx, cutoff).terms.items()}
-    elif isinstance(e, (IntConst, Unit)):
-        value = e.value if isinstance(e, IntConst) else 1
-        out = {0: value} if value else {}
-    elif isinstance(e, Tensor):
-        out = {0: 1}
-        for f in e.factors:
-            out = _packed_mul(out, _packed_eval(f, ctx, cutoff).terms, pk.limit)
-            if not out:
-                break
-    elif isinstance(e, Power) and e.exponent >= 0:
-        out = {0: 1}
-        square = _packed_eval(e.base, ctx, cutoff).terms
-        k = e.exponent
-        while k:
-            if k & 1:
-                out = _packed_mul(out, square, pk.limit)
-            k >>= 1
-            if k:
-                square = _packed_mul(square, square, pk.limit)
-    elif isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-        out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff).terms
-    else:
-        out = pk.filtration(eval_expr(e, ctx))
+        pk = ctx._packings[cutoff] = _Packing(ctx.roots, ctx.var_aug, cutoff)
+    out = _ring_terms(e, pk, lambda x: _packed_eval(x, ctx, cutoff).terms)
+    if out is None:
+        if isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
+            out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff).terms
+        elif _is_symbol(e, ctx):
+            out = pk.symbol(e.name)
+        elif isinstance(e, (Psi, Dual, Theta)):
+            out = _operator_leaf(e, ctx, pk)
+    if out is None:
+        out = pk.from_roots(pk.roots.filtration(eval_expr(e, ctx)))
     hit = ctx._packed_cache[key] = SplitClass(out, pk)
     return hit
 
@@ -691,18 +1117,28 @@ def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
 
 
 def repack(cls: SplitClass, rename: dict[str, str], into: _Packing) -> SplitClass:
-    """A packed class with each variable v renamed to rename.get(v, v), laid out in `into`.
+    """A packed class with each block b renamed to rename.get(b, b), laid out in `into`.
 
-    The packings share the cutoff: the degree field stays, each used field moves.
+    The packings share the cutoff, so the field width and the degree field
+    stay; the e-fields of each used block move to its renamed block's.
     """
     pk = cls.space
     if pk.cutoff != into.cutoff:
         raise ContextMismatch(f"cannot repack a class from {pk!r} into {into!r}")
-    mask = (1 << pk.width) - 1
-    moves = [(at, into.offset[rename.get(v, v)]) for v, at in pk.fields(cls.terms)]
+    used = 0
+    for m in cls.terms:
+        used |= m
+    moves = []
+    for b, roots in pk.blocks.items():
+        mask = (1 << (pk.width * len(roots))) - 1
+        if (used >> pk.offset[b]) & mask:
+            target = rename.get(b, b)
+            if len(into.blocks.get(target, ())) != len(roots):
+                raise ContextMismatch(f"block {b} of {pk!r} has no block of its rank in {into!r}")
+            moves.append((pk.offset[b], into.offset[target], mask))
     terms: dict[int, object] = {}
     for m, c in cls.terms.items():
-        out = sum((((m >> at) & mask) << to for at, to in moves), (m >> pk.shift) << into.shift)
+        out = sum((((m >> at) & mask) << to for at, to, mask in moves), (m >> pk.shift) << into.shift)
         terms[out] = terms.get(out, 0) + c
     return SplitClass(terms, into)
 

@@ -72,6 +72,23 @@ def test_wrapper_move_condition_sees_exponent_and_argument():
         assert ok is holds, (arg, exp)
 
 
+def test_step1_wrong_exponent_fails_at_its_own_step(monkeypatch):
+    # step (1) writing det[F_S^* Rf_*](L)^(exp+1): its form is given the left
+    # side's grade, so only the det slot's class can see the exponent
+    power = P.GradedLine.power
+
+    def one_more_after_step1(gl, k):
+        moved = any(("detpull", "F_S") in wrappers for wrappers, _ in gl.dets)
+        return power(gl, k + 1 if moved else k)
+
+    monkeypatch.setattr(P.GradedLine, "__pow__", one_more_after_step1)
+    tr = verify_arr_identity(1, 2)
+    assert tr.status == "failed"
+    assert tr.failed_step == 0
+    assert tr.failure == ("side condition failed: "
+                          "argument class and grade unchanged by the wrapper move")
+
+
 # -- theorem (I) --------------------------------------------------------------------
 
 def test_theorem_replay_line_n1_p2():
