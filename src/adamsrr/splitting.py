@@ -15,18 +15,19 @@ functions e_1..e_r of its u = x - aug(x), e_k of weight k, packed with the
 weighted degree into one int per monomial.  Symbols, psi^k, duals and theta^k
 of a bundle are built there directly (Fulton & Lang, Riemann-Roch Algebra,
 ch. I-III); other leaves are evaluated as Laurent classes, truncated in the
-root basis and reduced back.  `truncated_eval` and the grades of `picard`
-unpack e-monomials into root monomials.
+root basis and reduced back by leading terms.  `truncated_eval` and the grades
+of `picard` unpack e-monomials into root monomials.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, inf
+from functools import cache
+from heapq import heapify, heappop, heappush
+from math import comb, inf
 from typing import Callable
 
 from .expr import (
@@ -260,7 +261,9 @@ class SplitClass:
 
     # -- rendering -----------------------------------------------------------
     def term_texts(self) -> list[tuple[str, object]]:
-        """(monomial text, coefficient) in print order."""
+        """(monomial text, coefficient) in print order; a packed class prints in root monomials."""
+        if isinstance(self.space, _Packing):
+            return self.space.unpack(self.terms, None).term_texts()
         return [(monomial_text(m), self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
 
     def render(self, wrap: str | None = None) -> str:
@@ -369,8 +372,12 @@ def eval_expr(e: Expr, ctx: SplitContext) -> SplitClass:
 
 def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
     if isinstance(e, Line):
-        return SplitClass.variable(ctx.roots[e.name][0], ctx.space) if e.name in ctx.roots \
-            else _undeclared(e.name, ctx)
+        roots = ctx.roots.get(e.name)
+        if roots is None:
+            _undeclared(e.name, ctx)
+        if len(roots) != 1:
+            raise EvalError(f"{e.name!r} on space {ctx.space} has {len(roots)} roots, not one line")
+        return SplitClass.variable(roots[0], ctx.space)
     if isinstance(e, Bundle):
         if e.name not in ctx.roots:
             _undeclared(e.name, ctx)
@@ -533,14 +540,17 @@ class _Packing:
     from a list of variable names; each name is then its own block, e_1 = u,
     and the packing is the root basis that `truncated_filtration` works in.
     `roots` is the root basis of a packing's root variables in the same
-    layout (root i of a block in the block's field i): `to_roots` unpacks
-    e-monomials into it, memoizing the short expansions, and `from_roots`
-    reduces a class symmetric in each block's roots back into e-coordinates;
+    layout (root i of a block in the block's field i).  `root_terms` is the
+    one change of basis, e-monomial to root monomials, memoizing the short
+    expansions: `to_roots` unpacks a class through it, and `from_roots`
+    reduces a class symmetric in each block's roots back into e-coordinates
+    by taking off the `root_terms` of its leading e-monomial, one at a time;
     both only touch the blocks of rank >= 2.  `filtration` expands a Laurent
     class in a root basis through the memoized binomial `series` of each
-    variable power and `expanded` of each monomial.  Leaf classes (`symbol`,
-    `adams`, `theta`), power sums, orbits and the changes of basis between
-    e-monomials and monomial symmetric functions are memoized in `memo`.
+    variable power and `expanded` of each monomial.  Leaf classes (`adams`,
+    `theta`), power sums and the root monomials of each orbit are memoized
+    in `memo`; the e-monomials in monomial symmetric functions depend on the
+    rank only, and are cached once for every packing.
     """
 
     __slots__ = ("blocks", "offset", "width", "shift", "limit", "cutoff", "var_aug", "_roots",
@@ -666,7 +676,7 @@ class _Packing:
         """The root monomials (block b's fields only) of its e-monomial `part`, with coefficients."""
         mask = (1 << self.width) - 1
         a = tuple((part >> (k * self.width)) & mask for k in range(r))
-        return [(x, c) for lam, c in _e_to_m(r, a, self.memo).items()
+        return [(x, c) for lam, c in _e_to_m(r, a).items()
                 for x in self._orbit(b, at, lam)]
 
     def _orbit(self, b: str, at: int, lam: tuple) -> tuple[int, ...]:
@@ -680,55 +690,42 @@ class _Packing:
     def from_roots(self, packed: dict[int, object]) -> dict[int, object]:
         """A root-basis class symmetric in each block's roots, in e-coordinates.
 
-        Such a class is a sum of products, over the blocks, of monomial
-        symmetric functions m_lam, one term per orbit of root monomials; each
-        m_lam is rewritten in e_1..e_r by `_m_to_e`.  A class that is not
-        symmetric (an orbit with unequal coefficients or missing members)
-        raises EvalError.
+        Packed ints order monomials by degree, then field by field from the
+        top, and a product of monomials keeps that order.  So the largest key
+        of a class symmetric in each block has exponents v_1 <= ... <= v_r in
+        the fields of each block of rank r, and it is the largest root term,
+        with coefficient 1, of e_1^a_1 ... e_r^a_r with a_k = v_(r-k+1) -
+        v_(r-k) (v_0 = 0).  Taking c times that e-monomial's `root_terms` off
+        and repeating ends at zero exactly when the class is symmetric (the
+        fundamental theorem of symmetric polynomials); a largest key of any
+        other shape raises EvalError.
         """
         wide_bits = self._wide_bits
         if not any(m & wide_bits for m in packed):
             return packed
-        orbits: dict[tuple, list] = {}
-        partitions = self.memo.setdefault("partitions", {0: ()})  # a block's bits in place -> lam
-        for m, c in packed.items():
-            key = [m & ~wide_bits]
-            for _, at, r, mask in self._wide:
-                bits = m & (mask << at)
-                lam = partitions.get(bits)
-                if lam is None:
-                    lam = partitions[bits] = _partition(bits >> at, r, self.width)
-                key.append(lam)
-            key = tuple(key)
-            seen = orbits.get(key)
-            if seen is None:
-                orbits[key] = [c, 1]
-            elif seen[0] != c:
-                raise EvalError("class is not symmetric in the roots of its bundles")
-            else:
-                seen[1] += 1
+        width, mask = self.width, (1 << self.width) - 1
+        rest = dict(packed)
+        heap = [-m for m in rest]  # every key of `rest` not yet taken, negated
+        heapify(heap)
         out: dict[int, object] = {}
-        for (rest, *lams), (c, count) in orbits.items():
-            terms, size = [(rest, c)], 1
-            for (b, at, _, _), lam in zip(self._wide, lams):
-                if lam:
-                    size *= _orbit_size(lam)
-                    terms = [(x + y, cx * cy) for x, cx in terms
-                             for y, cy in self._e_part(b, at, lam)]
-            if size != count:
-                raise EvalError("class is not symmetric in the roots of its bundles")
-            for x, cx in terms:
-                out[x] = out.get(x, 0) + cx
-        return {x: c for x, c in out.items() if c}
-
-    def _e_part(self, b: str, at: int, lam: tuple) -> tuple[tuple[int, int], ...]:
-        """m_lam of block b as e-monomials (block b's fields only) with coefficients."""
-        key = ("m", b, lam)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = tuple((self._place(at, a), c)
-                                         for a, c in _m_to_e(len(lam), lam, self.memo).items())
-        return hit
+        while heap:
+            x = -heappop(heap)
+            c = rest.pop(x)
+            if not c:
+                continue
+            e = x & ~wide_bits
+            for _, at, r, _ in self._wide:
+                v = [0] + [(x >> (at + i * width)) & mask for i in range(r)]
+                if any(v[i] > v[i + 1] for i in range(1, r)):
+                    raise EvalError("class is not symmetric in the roots of its bundles")
+                e |= self._place(at, [v[r - k + 1] - v[r - k] for k in range(1, r + 1)])
+            out[e] = c
+            for y, k in self.root_terms(e):
+                if y != x:  # every other root term is below x, so not taken yet
+                    if y not in rest:
+                        heappush(heap, -y)
+                    rest[y] = rest.get(y, 0) - c * k
+        return out
 
     # -- leaves ------------------------------------------------------------------
     def symbol(self, b: str) -> dict[int, object]:
@@ -894,72 +891,35 @@ def _run_moves(vec: tuple, k: int, step: int) -> list[tuple[tuple, int]]:
     return [(v, mult) for v, mult, left in moves if not left]
 
 
-def _e_to_m(r: int, a: tuple, memo: dict) -> dict[tuple, int]:
-    """e_1^a_1 ... e_r^a_r in r variables, as {lam: coefficient of m_lam}; kept in `memo`.
+@cache
+def _e_to_m(r: int, a: tuple) -> dict[tuple, int]:
+    """e_1^a_1 ... e_r^a_r in r variables as {lam: coefficient of m_lam}; shared, so never changed.
 
     Built one factor e_k at a time: the coefficient of u^nu in A * e_k is the
     sum over the k-sets S with nu - 1_S >= 0 of A's coefficient at sort(nu - 1_S).
     """
-    key = ("e_to_m", r, a)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     k = max((i + 1 for i in range(r) if a[i]), default=0)
-    out = {(0,) * r: 1}
-    if k:
-        prev, out = _e_to_m(r, a[:k - 1] + (a[k - 1] - 1,) + a[k:], memo), {}
-        for nu in {nu for lam in prev for nu, _ in _run_moves(lam, k, 1)}:
-            c = sum(mult * prev.get(mu, 0) for mu, mult in _run_moves(nu, k, -1))
-            if c:
-                out[nu] = c
-    memo[key] = out
+    if not k:
+        return {(0,) * r: 1}
+    prev, out = _e_to_m(r, a[:k - 1] + (a[k - 1] - 1,) + a[k:]), {}
+    for nu in {nu for lam in prev for nu, _ in _run_moves(lam, k, 1)}:
+        c = sum(mult * prev.get(mu, 0) for mu, mult in _run_moves(nu, k, -1))
+        if c:
+            out[nu] = c
     return out
 
 
-def _m_to_e(r: int, lam: tuple, memo: dict) -> dict[tuple, int]:
-    """m_lam in r variables as {a: coefficient of e_1^a_1 ... e_r^a_r}; kept in `memo`.
-
-    e^a with a_k = lam_k - lam_(k+1) is m_lam plus multiples of m_mu for mu
-    below lam in dominance order (the fundamental theorem's reduction step).
-    """
-    key = ("m_to_e", r, lam)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    a = tuple(lam[k] - (lam[k + 1] if k + 1 < r else 0) for k in range(r))
-    out = {a: 1}
-    for mu, c in _e_to_m(r, a, memo).items():
-        if mu != lam:
-            for b, x in _m_to_e(r, mu, memo).items():
-                out[b] = out.get(b, 0) - c * x
-    out = memo[key] = {b: x for b, x in out.items() if x}
-    return out
-
-
-def _arrangements(vec: tuple) -> list[tuple]:
+@cache
+def _arrangements(vec: tuple) -> tuple[tuple, ...]:
     """Every distinct ordering of the entries of vec."""
     if not vec:
-        return [()]
+        return ((),)
     out = []
     for v in sorted(set(vec)):
         rest = list(vec)
         rest.remove(v)
         out.extend((v,) + t for t in _arrangements(tuple(rest)))
-    return out
-
-
-def _partition(part: int, r: int, width: int) -> tuple:
-    """The exponents of r packed fields of `width` bits, sorted into a partition."""
-    mask = (1 << width) - 1
-    return tuple(sorted(((part >> (i * width)) & mask for i in range(r)), reverse=True))
-
-
-def _orbit_size(lam: tuple) -> int:
-    """The number of distinct orderings of lam."""
-    size = factorial(len(lam))
-    for count in Counter(lam).values():
-        size //= factorial(count)
-    return size
+    return tuple(out)
 
 
 def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) -> SplitClass:

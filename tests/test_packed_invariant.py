@@ -113,3 +113,14 @@ def test_repack_renames_fields_into_another_packing():
     assert S.repack(geom.f.truncated(e), rename, twisted.space) == twisted
     with pytest.raises(S.ContextMismatch):
         S.repack(geom.f.truncated(e), rename, S.packed_eval(j_e, geom.ctx_xp, 3).space)
+
+
+def test_packed_classes_print_in_root_monomials():
+    geom = R.Geometry(1, 2, {"L": 1})
+    lam = geom.f.truncated(E.Line("L"))
+    assert repr(lam) == "SplitClass(1 + L)"
+    geom = R.Geometry(2, 3, {"E": 2})
+    e = E.Tensor((E.Bundle("E"), E.Psi(3, E.Bundle(R.OMEGA))))
+    lam = geom.f.truncated(e)
+    assert str(lam) == str(S.truncated_eval(e, geom.ctx_x, lam.space.cutoff))
+    assert "3*E.2*Omega_f.1^2" in str(lam)  # two wide blocks, unpacked into their roots

@@ -13,7 +13,8 @@ from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, _symbol_expr
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
     binomial_identity_check, classes_equal, eval_expr, tau_class,
-    _Packing, tau_equals_theta, tilde_theta_inverse, truncated_eval, truncated_filtration,
+    _Packing, packed_eval, tau_equals_theta, tilde_theta_inverse, truncated_eval,
+    truncated_filtration,
 )
 
 
@@ -393,6 +394,23 @@ def test_truncated_eval_refuses_an_unregistered_pullback():
         truncated_eval(E.Pull("g", E.Line("L")), geom.ctx_x, 3)
     with pytest.raises(EvalError):  # J^* is registered into X' only
         truncated_eval(E.Pull(geom.name_J, E.Line("L")), geom.ctx_x, 3)
+
+
+def test_a_line_of_a_rank_two_bundle_is_refused(ctx):
+    with pytest.raises(EvalError):  # not its first root, E.1
+        eval_expr(E.Line("E"), ctx)
+    with pytest.raises(EvalError):
+        truncated_eval(E.Line("E"), ctx, 3)
+    assert eval_expr(E.Line("L"), ctx) == SplitClass.variable("L", "X")
+
+
+def test_a_line_of_the_rank_zero_omega_is_refused_at_n0():
+    geom = Geometry(0, 2, {"L": 1})
+    assert geom.ctx_x.roots[E.SymbolTable.OMEGA] == []
+    with pytest.raises(EvalError):  # not a bare IndexError
+        eval_expr(E.Line(E.SymbolTable.OMEGA), geom.ctx_x)
+    with pytest.raises(EvalError):
+        packed_eval(E.Line(E.SymbolTable.OMEGA), geom.ctx_x, 2)
 
 
 # -- reference kernel: the tuple-of-pairs truncation the packed kernel replaced --

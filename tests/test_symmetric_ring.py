@@ -58,6 +58,12 @@ def _compound_exprs(p: int) -> list[E.Expr]:
         E.Dual(E.Sum((B2, E.Neg(L)))),
         E.Dual(E.Psi(3, B3)),
         E.Psi(2, E.Dual(E.Tensor((L, E.Bundle(OMEGA))))),
+        # the Laurent fallback, reduced into e-coordinates over blocks of rank 2 and 3
+        E.Tau(2, B3),
+        E.DetClass(E.Sum((B2, B3))),
+        E.Theta(2, E.Sum((B3, L))),
+        E.Tensor((E.Power(E.DetClass(B3), -1), B2)),
+        E.Theta(2, E.Tensor((B2, B3))),
     ]
 
 
@@ -133,10 +139,15 @@ def test_a_class_not_symmetric_in_a_block_is_refused():
 # -- unpack and reduce are inverse ----------------------------------------------------
 
 @st.composite
-def _symmetric_classes(draw):
-    """A packing with blocks of rank 0 to 4 and a random class in its e-coordinates."""
+def _symmetric_classes(draw, wide: bool = False):
+    """A packing with blocks of rank 0 to 4 and a random class in its e-coordinates.
+
+    With `wide`, the last block has rank 2 to 4 and the cutoff is at least 2.
+    """
     ranks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
-    cutoff = draw(st.integers(1, 6))
+    if wide:
+        ranks.append(draw(st.integers(2, 4)))
+    cutoff = draw(st.integers(2 if wide else 1, 6))
     blocks = {f"V{i}": [f"V{i}.{j}" for j in range(1, r + 1)] for i, r in enumerate(ranks)}
     pk = S._Packing(blocks, {}, cutoff)
     fields = [(b, k) for b, roots in pk.blocks.items() for k in range(1, len(roots) + 1)]
@@ -156,6 +167,30 @@ def _symmetric_classes(draw):
 def test_unpacking_then_reducing_is_the_identity(case):
     pk, terms = case
     assert pk.from_roots(pk.to_roots(terms)) == terms
+
+
+@st.composite
+def _symmetric_classes_and_a_stray_monomial(draw):
+    """A symmetric class in a root basis, and a root monomial with unequal exponents in a block."""
+    pk, terms = draw(_symmetric_classes(wide=True))
+    roots = draw(st.sampled_from([roots for roots in pk.blocks.values() if len(roots) > 1]))
+    exps = [0] * len(roots)
+    for i in draw(st.lists(st.integers(0, len(roots) - 1), min_size=1, max_size=pk.cutoff - 1)):
+        exps[i] += 1
+    if len(set(exps)) == 1:
+        exps[0], exps[1] = exps[0] - 1, exps[1] + 1
+    rp = pk.roots
+    stray = sum(e << rp.offset[v] for v, e in zip(roots, exps)) | sum(exps) << rp.shift
+    return pk, pk.to_roots(terms), stray, draw(st.integers(-5, 5).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_classes_and_a_stray_monomial())
+def test_a_symmetric_class_plus_an_unsymmetric_monomial_is_refused(case):
+    pk, roots, stray, c = case
+    roots = {**roots, stray: roots.get(stray, 0) + c}
+    with pytest.raises(S.EvalError):
+        pk.from_roots({m: k for m, k in roots.items() if k})
 
 
 # -- the proof path ---------------------------------------------------------------------
