@@ -25,28 +25,33 @@ EXIT_INTERNAL = 3
 
 
 def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
-    """Line-oriented declarations: 'line L;' 'bundle E rank 2;' 'morphism f dim 1;'."""
+    """Line-oriented UTF-8 declarations: 'line L;' 'bundle E rank 2;' 'morphism f dim 1;'."""
     table = E.SymbolTable(space="X")
     morphisms: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            stmt = raw.split("#", 1)[0].strip()
-            if not stmt:
-                continue
-            if not stmt.endswith(";"):
-                raise E.ParseError(f"declaration missing ';' on line {lineno}", lineno)
-            words = stmt[:-1].split()
-            try:
-                if words[0] == "line" and len(words) == 2:
-                    table.declare_line(words[1])
-                elif words[0] == "bundle" and len(words) == 4 and words[2] == "rank":
-                    table.declare_bundle(words[1], int(words[3]))
-                elif words[0] == "morphism" and len(words) == 4 and words[2] == "dim":
-                    morphisms[words[1]] = int(words[3])
-                else:
-                    raise ValueError
-            except (ValueError, IndexError):
-                raise E.ParseError(f"bad declaration on line {lineno}: {stmt!r}", lineno) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as ex:
+        raise E.ParseError(f"declarations are not UTF-8: {ex.reason}", ex.start) from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        stmt = raw.split("#", 1)[0].strip()
+        if not stmt:
+            continue
+        if not stmt.endswith(";"):
+            raise E.ParseError(f"declaration missing ';' on line {lineno}", lineno)
+        words = stmt[:-1].split()
+        try:
+            if words[0] == "line" and len(words) == 2:
+                table.declare_line(words[1])
+            elif words[0] == "bundle" and len(words) == 4 and words[2] == "rank":
+                table.declare_bundle(words[1], int(words[3]))
+            elif words[0] == "morphism" and len(words) == 4 and words[2] == "dim" \
+                    and int(words[3]) >= 0:
+                morphisms[words[1]] = int(words[3])
+            else:
+                raise ValueError
+        except (ValueError, IndexError):
+            raise E.ParseError(f"bad declaration on line {lineno}: {stmt!r}", lineno) from None
     return table, morphisms
 
 
@@ -229,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if (args.command == "verify" and args.p is not None
-            and args.target in ("arr", "base-change", "km", "binomial")
+            and args.target in ("arr", "base-change", "km", "binomial", "tau")
             and not R.is_prime(args.p)):
         print(f"error: --p {args.p} is not prime", file=sys.stderr)
         return EXIT_USAGE
@@ -241,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (E.ExprError, FileNotFoundError) as ex:
+    except (E.ExprError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as ex:

@@ -275,7 +275,11 @@ def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
 def canonicalize(e: Expr) -> Expr:
     """Flatten sums/tensors, push signs to term level, sort operands.
 
-    The result is the unique form the printer emits; parse(print(e)) equals
+    One walk, `_signed_terms`, collects the canonical terms of e's sum level
+    with their signs; they are sorted by printed text, the negated ones last.
+    No zero term survives: a zero constant, a tensor with a zero factor and
+    a power of a zero base under exponent 1 contribute nothing.  The result
+    is the unique form the printer emits; parse(print(e)) equals
     canonicalize(e) for every well-formed e.  It is computed once per node
     and kept on the node, and the result is marked as its own canonical form.
     """
@@ -290,10 +294,12 @@ def canonicalize(e: Expr) -> Expr:
 
 
 def _canonical_form(e: Expr) -> Expr:
-    pos, neg = _signed_terms(e)
-    pos = sorted(pos, key=_print)
-    neg = sorted(neg, key=_print)
-    terms = list(pos) + [Neg(t) for t in neg]
+    pos: list[Expr] = []
+    neg: list[Expr] = []
+    _signed_terms(e, pos, neg)
+    pos.sort(key=_print)
+    neg.sort(key=_print)
+    terms = pos + [Neg(t) for t in neg]
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -301,109 +307,70 @@ def _canonical_form(e: Expr) -> Expr:
     return Sum(tuple(terms))
 
 
-def _signed_terms(e: Expr) -> tuple[list[Expr], list[Expr]]:
-    """Collect sum-level terms of e as (positive terms, negated terms)."""
-    pos: list[Expr] = []
-    neg: list[Expr] = []
-
-    def emit(term: Expr, sign: bool) -> None:
-        (pos if sign else neg).append(term)
-
+def _signed_terms(e: Expr, pos: list[Expr], neg: list[Expr]) -> None:
+    """Append each canonical sum-level term of e to `pos`, or to `neg` if it is negated."""
     if isinstance(e, Sum):
         for t in e.terms:
-            p, n = _signed_terms(t)
-            pos.extend(p)
-            neg.extend(n)
+            _signed_terms(t, pos, neg)
     elif isinstance(e, Neg):
-        p, n = _signed_terms(e.arg)
-        pos.extend(n)
-        neg.extend(p)
+        _signed_terms(e.arg, neg, pos)
     elif isinstance(e, IntConst):
-        if e.value == 1:
-            emit(UNIT, True)
-        elif e.value == -1:
-            emit(UNIT, False)
-        elif e.value > 0:
-            emit(e, True)
-        elif e.value < 0:
-            emit(IntConst(-e.value), False)
-        # zero contributes nothing
-    else:
-        term, sign = _canonical_term(e)
-        if isinstance(term, Sum):
-            # a tensor or power can degenerate to a lone sum; keep flattening
-            p, n = _signed_terms(term)
-            if sign:
-                pos.extend(p)
-                neg.extend(n)
-            else:
-                pos.extend(n)
-                neg.extend(p)
-        elif term is not None:
-            emit(term, sign)
-    return pos, neg
-
-
-def _canonical_term(e: Expr) -> tuple[Expr | None, bool]:
-    """Canonicalize a non-sum node; returns (term, sign). None = zero."""
-    if isinstance(e, Tensor):
-        sign = True
+        if e.value < 0:
+            neg.append(UNIT if e.value == -1 else IntConst(-e.value))
+        elif e.value:
+            pos.append(UNIT if e.value == 1 else e)
+    elif isinstance(e, Tensor):
         factors: list[Expr] = []
         const = 1
         for f in e.factors:
             f = canonicalize(f)
             if isinstance(f, Neg):
-                sign = not sign
+                pos, neg = neg, pos
                 f = f.arg
             if isinstance(f, IntConst):
                 if f.value == 0:
-                    return None, True
+                    return
                 if f.value < 0:
-                    sign = not sign
-                    f = IntConst(-f.value)
-                const *= f.value
-                continue
-            if isinstance(f, Unit):
-                continue
-            if isinstance(f, Tensor):
+                    pos, neg = neg, pos
+                const *= abs(f.value)
+            elif isinstance(f, Tensor):
                 # a canonical tensor carries its positive constant first
                 for g in f.factors:
                     if isinstance(g, IntConst):
                         const *= g.value
                     else:
                         factors.append(g)
-            else:
+            elif not isinstance(f, Unit):
                 factors.append(f)
         factors.sort(key=_print)
-        if not factors:
-            return (IntConst(const) if const != 1 else UNIT), sign
         if const != 1:
             factors.insert(0, IntConst(const))
-        if len(factors) == 1:
-            return factors[0], sign
-        return Tensor(tuple(factors)), sign
-    if isinstance(e, Power):
-        if e.exponent == 0:
-            return UNIT, True
+        if len(factors) > 1:
+            pos.append(Tensor(tuple(factors)))
+        elif not factors:
+            pos.append(UNIT)
+        elif isinstance(factors[0], Sum):
+            _signed_terms(factors[0], pos, neg)
+        else:
+            pos.append(factors[0])
+    elif isinstance(e, Power) and e.exponent == 0:
+        pos.append(UNIT)
+    elif isinstance(e, Power):
         base = canonicalize(e.base)
-        sign = True
         if isinstance(base, Neg):
-            sign = e.exponent % 2 == 0
+            if e.exponent % 2:
+                pos, neg = neg, pos
             base = base.arg
-        if e.exponent == 1:
-            return base, sign
-        if isinstance(base, Unit):
-            return UNIT, sign
-        return Power(base, e.exponent), sign
-    if isinstance(e, (Line, Bundle, Unit)):
-        return e, True
-    if isinstance(e, Tau):
-        _check_op_index(e.p, "tau")
-    elif isinstance(e, Psi):
-        _check_op_index(e.k, "psi")
-    elif isinstance(e, Theta):
-        _check_op_index(e.k, "theta")
-    return map_children(e, canonicalize), True
+        if e.exponent == 1:  # walked again: a sum base flattens, a zero one adds nothing
+            _signed_terms(base, pos, neg)
+        else:
+            pos.append(UNIT if isinstance(base, Unit) else Power(base, e.exponent))
+    else:
+        if isinstance(e, Tau):
+            _check_op_index(e.p, "tau")
+        elif isinstance(e, (Psi, Theta)):
+            _check_op_index(e.k, type(e).__name__.lower())
+        pos.append(map_children(e, canonicalize))
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,11 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
     """
     lam, symbols = f.truncated(e), f.upstairs._chi_symbols
     pk, terms = lam.space, {}
-    top, roots = (f.rel_dim + 1) << pk.shift, pk.roots
+    top = (f.rel_dim + 1) << pk.shift
     for x, c in pk.to_roots({m: c for m, c in lam.terms.items() if m < top}).items():
         symbol = symbols.get((f.name, f.rel_dim, x))
         if symbol is None:
-            text = S.monomial_text(roots.monomial(x))
+            text = S.monomial_text(pk.monomial(x))
             symbol = symbols[f.name, f.rel_dim, x] = ((f"chi[{f.name}]({text})", 1),)
         terms[symbol] = c
     return S.SplitClass(terms)

@@ -539,22 +539,23 @@ class _Packing:
     Blocks lie in the order given, or in name order when the packing is made
     from a list of variable names; each name is then its own block, e_1 = u,
     and the packing is the root basis that `truncated_filtration` works in.
-    `roots` is the root basis of a packing's root variables in the same
-    layout (root i of a block in the block's field i).  `root_terms` is the
-    one change of basis, e-monomial to root monomials, memoizing the short
-    expansions: `to_roots` unpacks a class through it, and `from_roots`
+    The same fields hold root monomials: `root_offset` puts root i of a block
+    at the block's field i, and the degree field holds the u-degree, so the
+    root basis of a packing's root variables is its own layout.  `root_terms`
+    is the one change of basis, e-monomial to root monomials, memoizing the
+    short expansions: `to_roots` unpacks a class through it, and `from_roots`
     reduces a class symmetric in each block's roots back into e-coordinates
     by taking off the `root_terms` of its leading e-monomial, one at a time;
     both only touch the blocks of rank >= 2.  `filtration` expands a Laurent
-    class in a root basis through the memoized binomial `series` of each
+    class into root monomials through the memoized binomial `series` of each
     variable power and `expanded` of each monomial.  Leaf classes (`adams`,
     `theta`), power sums and the root monomials of each orbit are memoized
     in `memo`; the e-monomials in monomial symmetric functions depend on the
     rank only, and are cached once for every packing.
     """
 
-    __slots__ = ("blocks", "offset", "width", "shift", "limit", "cutoff", "var_aug", "_roots",
-                 "_wide", "_wide_bits", "series", "expanded", "unpacked", "memo")
+    __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
+                 "var_aug", "_wide", "_wide_bits", "series", "expanded", "unpacked", "memo")
 
     def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
         if not isinstance(blocks, dict):
@@ -562,10 +563,13 @@ class _Packing:
         self.blocks = {b: tuple(roots) for b, roots in blocks.items()}
         self.width = max(1, (cutoff - 1).bit_length())
         self.offset: dict[str, int] = {}
+        self.root_offset: dict[str, int] = {}
         self._wide: list[tuple[str, int, int, int]] = []  # (block, offset, rank, mask), rank >= 2
         at = self._wide_bits = 0  # the fields of the blocks of rank >= 2
         for b, roots in self.blocks.items():
             self.offset[b] = at
+            for i, v in enumerate(roots):
+                self.root_offset[v] = at + i * self.width
             if len(roots) > 1:
                 mask = (1 << (self.width * len(roots))) - 1
                 self._wide.append((b, at, len(roots), mask))
@@ -575,7 +579,6 @@ class _Packing:
         self.limit = cutoff << self.shift
         self.cutoff = cutoff
         self.var_aug = var_aug
-        self._roots = None
         self.series: dict[tuple[str, int], dict[int, object]] = {}
         self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
         self.unpacked: dict[int, tuple[tuple[int, object], ...]] = {}
@@ -583,16 +586,6 @@ class _Packing:
 
     def __repr__(self) -> str:
         return f"packing mod I^{self.cutoff} over ({', '.join(self.blocks)})"
-
-    @property
-    def roots(self) -> "_Packing":
-        """The root basis of this packing's root variables, in its layout."""
-        if self._roots is None:
-            if all(roots == (b,) for b, roots in self.blocks.items()):
-                return self
-            self._roots = _Packing({v: (v,) for roots in self.blocks.values() for v in roots},
-                                   self.var_aug, self.cutoff)
-        return self._roots
 
     def _e(self, b: str, k: int) -> int:
         """The packed monomial e_k of block b."""
@@ -604,27 +597,26 @@ class _Packing:
 
     # -- the root basis -------------------------------------------------------
     def fields(self, packed) -> list[tuple[str, int]]:
-        """(variable, offset) of each field some packed monomial of a root basis uses."""
+        """(root variable, offset) of each field some packed root monomial uses."""
         mask = (1 << self.width) - 1
         used = 0
         for m in packed:
             used |= m
-        return [(v, at) for v, at in self.offset.items() if (used >> at) & mask]
+        return [(v, at) for v, at in self.root_offset.items() if (used >> at) & mask]
 
     def monomial(self, m: int, fields=None) -> Monomial:
-        """The root-variable monomial of packed `m` in a root basis, read from `fields` (default: all)."""
+        """The root-variable monomial of packed root monomial `m`, read from `fields` (default: all)."""
         mask = (1 << self.width) - 1
-        return tuple((v, e) for v, at in fields or self.offset.items() if (e := (m >> at) & mask))
+        return tuple((v, e) for v, at in fields or self.root_offset.items() if (e := (m >> at) & mask))
 
     def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
         """The class of packed terms in root-variable monomials."""
-        rp = self.roots
         packed = self.to_roots(packed)
-        fields = rp.fields(packed)
-        return SplitClass({rp.monomial(m, fields): c for m, c in packed.items()}, space)
+        fields = self.fields(packed)
+        return SplitClass({self.monomial(m, fields): c for m, c in packed.items()}, space)
 
     def expand(self, m: Monomial) -> dict[int, object]:
-        """Truncated expansion of a Laurent monomial in a root basis, one variable at a time."""
+        """Truncated expansion of a Laurent monomial in root monomials, one variable at a time."""
         hit = self.expanded.get(m)
         if hit is not None:
             return hit
@@ -645,7 +637,7 @@ class _Packing:
 
     # -- e-coordinates and the root basis --------------------------------------
     def to_roots(self, packed: dict[int, object]) -> dict[int, object]:
-        """Packed terms unpacked into root monomials of `roots`, block by block."""
+        """Packed terms unpacked into root monomials, block by block."""
         wide_bits = self._wide_bits
         if not any(m & wide_bits for m in packed):
             return packed  # the layouts agree off the blocks of rank >= 2
@@ -656,7 +648,7 @@ class _Packing:
         return {x: c for x, c in out.items() if c}
 
     def root_terms(self, m: int) -> tuple[tuple[int, int], ...]:
-        """The root monomials of `roots` that e-monomial m unpacks into, with coefficients."""
+        """The root monomials that e-monomial m unpacks into, with coefficients."""
         wide_bits = self._wide_bits
         if not m & wide_bits:
             return ((m, 1),)
@@ -830,7 +822,7 @@ def _packed_mul(a: dict[int, object], b: dict[int, object], limit: int) -> dict[
 def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
     """Packed terms of (aug + u_v)^e below u-degree cutoff (e may be negative)."""
     aug = pk.var_aug.get(v, 1)
-    unit = (1 << pk.offset[v]) | (1 << pk.shift)  # u_v itself
+    unit = (1 << pk.root_offset[v]) | (1 << pk.shift)  # u_v itself
     if aug == 0:
         # only nonnegative exponents arise for rank-0 reserved symbols
         if e < 0:
@@ -1062,7 +1054,7 @@ def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
         elif isinstance(e, (Psi, Dual, Theta)):
             out = _operator_leaf(e, ctx, pk)
     if out is None:
-        out = pk.from_roots(pk.roots.filtration(eval_expr(e, ctx)))
+        out = pk.from_roots(pk.filtration(eval_expr(e, ctx)))
     hit = ctx._packed_cache[key] = SplitClass(out, pk)
     return hit
 

@@ -199,11 +199,27 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "(" * 101 + "$"), "parentheses nest deeper than 100 (at position 100)"),
     # a morphism name is not declared as a line as well
     (("normalize", "det_rf(f, f)"), "undeclared symbol 'f'"),
+    # files that cannot be read or written, and undecodable declarations
+    (("normalize", "A", "--decls", "DIR"), "Is a directory"),
+    (("verify", "arr", "--trace-json", "DIR"), "Is a directory"),
+    (("normalize", "A", "--decls", "LATIN1"),
+     "declarations are not UTF-8: invalid continuation byte (at position 13)"),
+    # out-of-range numbers in declarations and options
+    (("normalize", "det_rf(f, A)", "--decls", "NEGATIVE_DIM"),
+     "bad declaration on line 2: 'morphism f dim -1;'"),
+    (("verify", "tau", "--p", "0"), "--p 0 is not prime"),
+    (("verify", "tau", "--p", "-2"), "--p -2 is not prime"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
-    decls = tmp_path / "d.txt"
-    decls.write_text("bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n")
-    code, out, err = run(capsys, *(str(decls) if a == "DECLS" else a for a in argv))
+    files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",
+             "LATIN1": b"line L;\nline \xe9;\n",
+             "NEGATIVE_DIM": b"line A;\nmorphism f dim -1;\n"}
+    paths = {"DIR": str(tmp_path)}
+    for name, content in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(content)
+        paths[name] = str(path)
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamsrr import expr as E
 from adamsrr import rewrite as R
@@ -256,6 +258,18 @@ def test_memos_agree_with_cold_copies_on_chain_forms(monkeypatch):
         _check_against_cold_copy(e)
 
 
+@pytest.mark.parametrize("text,canonical", [
+    ("0^1 + L", "L"),
+    ("L - 0^1", "L"),
+    ("(0 (x) M)^1 + L", "L"),
+    ("-(0^1)", "0"),
+])
+def test_a_zero_base_under_exponent_one_leaves_no_term(table, text, canonical):
+    e = parse(text, table)
+    assert print_expr(e) == canonical
+    assert parse(print_expr(e), table) == e
+
+
 def test_canonicalize_is_idempotent():
     rng = random.Random(99)
     for e in [NESTED_CONSTANTS] + [SU.random_expr(rng) for _ in range(200)]:
@@ -319,3 +333,64 @@ def test_reserved_omega_symbol():
     assert t.rank(SymbolTable.OMEGA) == 2
     t0 = SymbolTable(rel_dim=0)
     assert t0.rank(SymbolTable.OMEGA) == 0
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms of trees wider than suite.random_expr
+
+WIDE_TABLE = SU.law_table()
+WIDE_LEAVES = (Line("A"), Line("B"), Bundle("E"), Bundle("F"), UNIT)
+# leaves first, so hypothesis shrinks towards them
+WIDE_KINDS = ("leaf", "int", "sum", "neg", "tensor", "power",
+              "dual", "psi", "theta", "tau", "det", "pull")
+
+
+def wide_expr(choose, depth=4):
+    """A tree over every node type, drawn by `choose(options)`, which returns one option.
+
+    Unlike `suite.random_expr` it draws negative and zero constants, nested
+    negations, powers with exponents -2..3 of negated, zero and unit bases,
+    tensors of two or three factors (constants and tensors among them) and
+    pullbacks; theta and tau arguments need not be effective.
+    """
+    kind = choose(WIDE_KINDS if depth > 0 else WIDE_KINDS[:2])
+    if kind == "leaf":
+        return choose(WIDE_LEAVES)
+    if kind == "int":
+        return IntConst(choose(range(-2, 3)))
+
+    def sub():
+        return wide_expr(choose, depth - 1)
+
+    if kind == "sum":
+        return Sum(tuple(sub() for _ in range(choose((2, 3)))))
+    if kind == "tensor":
+        return Tensor(tuple(sub() for _ in range(choose((2, 3)))))
+    if kind == "neg":
+        return Neg(sub())
+    if kind == "power":
+        base = choose(("zero", "unit", "negated", "tree"))
+        base = {"tree": sub, "negated": lambda: Neg(sub()),
+                "zero": lambda: IntConst(0), "unit": lambda: UNIT}[base]()
+        return Power(base, choose((1, 0, -1, 2, -2, 3)))
+    if kind in ("psi", "theta", "tau"):
+        return {"psi": Psi, "theta": Theta, "tau": E.Tau}[kind](choose((1, 2, 3)), sub())
+    if kind == "pull":
+        return E.Pull("f", sub())
+    return {"dual": Dual, "det": E.DetClass}[kind](sub())
+
+
+def wide_corpus(seed, count):
+    rng = random.Random(seed)
+    return [wide_expr(rng.choice) for _ in range(count)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_wide_trees_print_parse_and_canonicalize_consistently(data):
+    e = wide_expr(lambda options: data.draw(st.sampled_from(options)))
+    canon = canonicalize(e)
+    text = print_expr(e)
+    assert parse(text, WIDE_TABLE) == canon
+    assert print_expr(parse(text, WIDE_TABLE)) == text
+    assert canonicalize(canon) is canon

@@ -129,11 +129,11 @@ def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
 def test_a_class_not_symmetric_in_a_block_is_refused():
     ctx = _x_context(1)
     pk = S.packed_eval(E.UNIT, ctx, 3).space
-    first_root = 1 << pk.roots.offset["B2.1"] | 1 << pk.roots.shift
+    first_root = 1 << pk.root_offset["B2.1"] | 1 << pk.shift
     with pytest.raises(S.EvalError):
         pk.from_roots({first_root: 1})
     with pytest.raises(S.EvalError):  # a full orbit, with unequal coefficients
-        pk.from_roots({first_root: 1, 1 << pk.roots.offset["B2.2"] | 1 << pk.roots.shift: 2})
+        pk.from_roots({first_root: 1, 1 << pk.root_offset["B2.2"] | 1 << pk.shift: 2})
 
 
 # -- unpack and reduce are inverse ----------------------------------------------------
@@ -179,8 +179,7 @@ def _symmetric_classes_and_a_stray_monomial(draw):
         exps[i] += 1
     if len(set(exps)) == 1:
         exps[0], exps[1] = exps[0] - 1, exps[1] + 1
-    rp = pk.roots
-    stray = sum(e << rp.offset[v] for v, e in zip(roots, exps)) | sum(exps) << rp.shift
+    stray = sum(e << pk.root_offset[v] for v, e in zip(roots, exps)) | sum(exps) << pk.shift
     return pk, pk.to_roots(terms), stray, draw(st.integers(-5, 5).filter(bool))
 
 
