@@ -52,6 +52,8 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
                 raise ValueError
         except (ValueError, IndexError):
             raise E.ParseError(f"bad declaration on line {lineno}: {stmt!r}", lineno) from None
+        except E.SymbolError as ex:
+            raise E.ParseError(f"bad declaration on line {lineno}: {ex}", lineno) from None
     return table, morphisms
 
 
@@ -162,6 +164,7 @@ def cmd_verify(args) -> int:
     elif target == "km":
         km = R.knudsen_mumford_expansion(n, p)
         trace = km.trace
+        _write_trace(trace, args)
         if args.format == "json":
             print(json.dumps({"left_exponent": km.left_exponent,
                               "exponents": km.exponents,
@@ -172,7 +175,6 @@ def cmd_verify(args) -> int:
             for factor in km.lambda_factors:
                 print(f"  {factor}")
             print(f"status: {trace.status}")
-        _write_trace(trace, args)
         return EXIT_OK if trace.verified else EXIT_FALSIFIED
     else:
         raise AssertionError(target)

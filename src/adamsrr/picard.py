@@ -16,7 +16,8 @@ the vanishing that makes the pairing multilinear and the rank-zero-power
 reduction fire.  The invariant is `splitting.packed_eval`'s packed class, in
 the e-coordinates of each bundle's roots, whose top field is the weighted
 degree: a grade keeps its terms of degree at most n by one int compare each,
-and unpacks them into root monomials to name its symbols.  The factored
+and names each by its packed monomial, e_k of a bundle B of rank >= 2 being
+gamma^k(B); nothing is unpacked into root monomials.  The factored
 argument expressions are retained for display and for recording which
 reduction applied.
 """
@@ -66,19 +67,19 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
     Keyed by the argument class modulo I^(n+1); Euler characteristics of a
     relative n-fold kill I^(n+1), one degree below the determinant's kernel:
     the packed invariant's terms whose top field, the weighted degree, is <= n.
-    Those are unpacked from e-coordinates into root monomials x, each symbol
-    naming one; it is built once per (morphism, packed x) in the upstairs
-    context.
+    Each names its packed monomial m as it is, in the text of `_Packing.text`
+    (a line's root, gamma^k(B) for e_k of a bundle B of rank >= 2); a symbol
+    is built once per (morphism, packed m) in the upstairs context.
     """
     lam, symbols = f.truncated(e), f.upstairs._chi_symbols
     pk, terms = lam.space, {}
     top = (f.rel_dim + 1) << pk.shift
-    for x, c in pk.to_roots({m: c for m, c in lam.terms.items() if m < top}).items():
-        symbol = symbols.get((f.name, f.rel_dim, x))
-        if symbol is None:
-            text = S.monomial_text(pk.monomial(x))
-            symbol = symbols[f.name, f.rel_dim, x] = ((f"chi[{f.name}]({text})", 1),)
-        terms[symbol] = c
+    for m, c in lam.terms.items():
+        if m < top:
+            symbol = symbols.get((f.name, f.rel_dim, m))
+            if symbol is None:
+                symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
+            terms[symbol] = c
     return S.SplitClass(terms)
 
 

@@ -15,8 +15,9 @@ functions e_1..e_r of its u = x - aug(x), e_k of weight k, packed with the
 weighted degree into one int per monomial.  Symbols, psi^k, duals and theta^k
 of a bundle are built there directly (Fulton & Lang, Riemann-Roch Algebra,
 ch. I-III); other leaves are evaluated as Laurent classes, truncated in the
-root basis and reduced back by leading terms.  `truncated_eval` and the grades
-of `picard` unpack e-monomials into root monomials.
+root basis and reduced back by leading terms.  `truncated_eval` and the
+printer of a packed class unpack e-monomials into root monomials; the grades
+of `picard` name each e-monomial as it is, through `_Packing.text`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, inf
 from typing import Callable
@@ -541,21 +541,23 @@ class _Packing:
     and the packing is the root basis that `truncated_filtration` works in.
     The same fields hold root monomials: `root_offset` puts root i of a block
     at the block's field i, and the degree field holds the u-degree, so the
-    root basis of a packing's root variables is its own layout.  `root_terms`
-    is the one change of basis, e-monomial to root monomials, memoizing the
-    short expansions: `to_roots` unpacks a class through it, and `from_roots`
+    root basis of a packing's root variables is its own layout.  `text` names
+    a packed monomial as it is, e_k(u) of a block B of rank >= 2 being
+    gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III).
+    `root_terms` is the one change of basis, e-monomial to root monomials: a
+    product, in the ring, of each wide block's powers of e_k written in root
+    monomials.  `to_roots` unpacks a class through it, and `from_roots`
     reduces a class symmetric in each block's roots back into e-coordinates
     by taking off the `root_terms` of its leading e-monomial, one at a time;
     both only touch the blocks of rank >= 2.  `filtration` expands a Laurent
     class into root monomials through the memoized binomial `series` of each
     variable power and `expanded` of each monomial.  Leaf classes (`adams`,
-    `theta`), power sums and the root monomials of each orbit are memoized
-    in `memo`; the e-monomials in monomial symmetric functions depend on the
-    rank only, and are cached once for every packing.
+    `theta`), power sums and the powers of each e_k in root monomials are
+    memoized in `memo`.
     """
 
     __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
-                 "var_aug", "_wide", "_wide_bits", "series", "expanded", "unpacked", "memo")
+                 "var_aug", "_wide", "_wide_bits", "series", "expanded", "memo")
 
     def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
         if not isinstance(blocks, dict):
@@ -581,7 +583,6 @@ class _Packing:
         self.var_aug = var_aug
         self.series: dict[tuple[str, int], dict[int, object]] = {}
         self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
-        self.unpacked: dict[int, tuple[tuple[int, object], ...]] = {}
         self.memo: dict[tuple, object] = {}
 
     def __repr__(self) -> str:
@@ -608,6 +609,18 @@ class _Packing:
         """The root-variable monomial of packed root monomial `m`, read from `fields` (default: all)."""
         mask = (1 << self.width) - 1
         return tuple((v, e) for v, at in fields or self.root_offset.items() if (e := (m >> at) & mask))
+
+    def text(self, m: int) -> str:
+        """Packed monomial m in print, factors in field order, joined by `*`; "1" when empty.
+
+        A block of rank 1 prints as its root (`L`, `E.1`), e_k of a wider
+        block B as `gamma^k(B)`; either takes `^a` for an exponent a > 1.
+        """
+        mask = (1 << self.width) - 1
+        return monomial_text(tuple(
+            (v if len(roots) == 1 else f"gamma^{i}({b})", a)
+            for b, roots in self.blocks.items()
+            for i, v in enumerate(roots, 1) if (a := (m >> self.root_offset[v]) & mask)))
 
     def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
         """The class of packed terms in root-variable monomials."""
@@ -643,40 +656,41 @@ class _Packing:
             return packed  # the layouts agree off the blocks of rank >= 2
         out: dict[int, object] = {}
         for m, c in packed.items():
-            for x, k in self.root_terms(m):
+            for x, k in self.root_terms(m).items():
                 out[x] = out.get(x, 0) + c * k
         return {x: c for x, c in out.items() if c}
 
-    def root_terms(self, m: int) -> tuple[tuple[int, int], ...]:
-        """The root monomials that e-monomial m unpacks into, with coefficients."""
-        wide_bits = self._wide_bits
-        if not m & wide_bits:
-            return ((m, 1),)
-        terms = self.unpacked.get(m)
-        if terms is None:
-            terms = [(m & ~wide_bits, 1)]
-            for b, at, r, mask in self._wide:
-                if part := (m >> at) & mask:
-                    terms = [(x + y, cx * cy) for x, cx in terms
-                             for y, cy in self._root_part(b, at, r, part)]
-            terms = tuple(terms)
-            if len(terms) <= _MEMO_TERMS:
-                self.unpacked[m] = terms
-        return terms
+    def root_terms(self, m: int) -> dict[int, object]:
+        """The root monomials that e-monomial m unpacks into, with coefficients.
 
-    def _root_part(self, b: str, at: int, r: int, part: int) -> list[tuple[int, int]]:
-        """The root monomials (block b's fields only) of its e-monomial `part`, with coefficients."""
+        The product, in the truncated ring, of m's fields off the blocks of
+        rank >= 2 and of each wide block's powers of e_k written in root
+        monomials; m has degree below the cutoff, so no term is dropped.
+        """
         mask = (1 << self.width) - 1
-        a = tuple((part >> (k * self.width)) & mask for k in range(r))
-        return [(x, c) for lam, c in _e_to_m(r, a).items()
-                for x in self._orbit(b, at, lam)]
+        rest, factors = m & ~self._wide_bits, []
+        for b, at, r, _ in self._wide:
+            for k in range(1, r + 1):
+                if a := (m >> (at + (k - 1) * self.width)) & mask:
+                    rest -= (k * a) << self.shift
+                    factors.append(self._e_power(b, k, a))
+        out = {rest: 1}
+        for factor in factors:
+            out = _packed_mul(out, factor, self.limit)
+        return out
 
-    def _orbit(self, b: str, at: int, lam: tuple) -> tuple[int, ...]:
-        """The root monomials (block b's fields only) of the monomial symmetric function m_lam."""
-        key = ("orbit", b, lam)
+    def _e_power(self, b: str, k: int, a: int) -> dict[int, object]:
+        """e_k^a of block b in root monomials: the sum over k-sets of its roots, to the a."""
+        key = ("e", b, k, a)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = tuple(self._place(at, v) for v in _arrangements(lam))
+            if a > 1:
+                hit = _packed_mul(self._e_power(b, k, a - 1), self._e_power(b, k, 1), self.limit)
+            else:
+                at = self.offset[b]
+                hit = {sum(1 << (at + i * self.width) for i in s) | (k << self.shift): 1
+                       for s in itertools.combinations(range(len(self.blocks[b])), k)}
+            self.memo[key] = hit
         return hit
 
     def from_roots(self, packed: dict[int, object]) -> dict[int, object]:
@@ -712,7 +726,7 @@ class _Packing:
                     raise EvalError("class is not symmetric in the roots of its bundles")
                 e |= self._place(at, [v[r - k + 1] - v[r - k] for k in range(1, r + 1)])
             out[e] = c
-            for y, k in self.root_terms(e):
+            for y, k in self.root_terms(e).items():
                 if y != x:  # every other root term is below x, so not taken yet
                     if y not in rest:
                         heappush(heap, -y)
@@ -793,9 +807,6 @@ class _Packing:
         return hit
 
 
-_MEMO_TERMS = 64  # `to_roots` keeps the expansion of an e-monomial of at most this many terms
-
-
 def _exact(c):
     """An integral Fraction as an int; anything else as it is."""
     return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
@@ -850,68 +861,6 @@ def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
             break
         j += 1
     return out
-
-
-# -- symmetric functions in r variables ----------------------------------------------
-# A partition is a non-increasing tuple of length r (zeros included); m_lam is
-# the sum of the distinct monomials u^v over the orderings v of lam.
-
-def _run_moves(vec: tuple, k: int, step: int) -> list[tuple[tuple, int]]:
-    """Each way to add `step` (+1 or -1) to k entries of the partition `vec`, as a partition.
-
-    Within a run of equal entries, +1 goes to the first ones and -1 to the
-    last ones (never below 0), so the result stays sorted; each result comes
-    once, with the number of k-sets of entries that give it.
-    """
-    runs, i = [], 0
-    while i < len(vec):
-        j = i
-        while j < len(vec) and vec[j] == vec[i]:
-            j += 1
-        if step > 0 or vec[i]:
-            runs.append((i, j))
-        i = j
-    moves = [(vec, 1, k)]
-    for i, j in runs:
-        nxt = []
-        for v, mult, left in moves:
-            for t in range(min(left, j - i) + 1):
-                changed = range(i, i + t) if step > 0 else range(j - t, j)
-                w = tuple(x + step if q in changed else x for q, x in enumerate(v))
-                nxt.append((w, mult * comb(j - i, t), left - t))
-        moves = nxt
-    return [(v, mult) for v, mult, left in moves if not left]
-
-
-@cache
-def _e_to_m(r: int, a: tuple) -> dict[tuple, int]:
-    """e_1^a_1 ... e_r^a_r in r variables as {lam: coefficient of m_lam}; shared, so never changed.
-
-    Built one factor e_k at a time: the coefficient of u^nu in A * e_k is the
-    sum over the k-sets S with nu - 1_S >= 0 of A's coefficient at sort(nu - 1_S).
-    """
-    k = max((i + 1 for i in range(r) if a[i]), default=0)
-    if not k:
-        return {(0,) * r: 1}
-    prev, out = _e_to_m(r, a[:k - 1] + (a[k - 1] - 1,) + a[k:]), {}
-    for nu in {nu for lam in prev for nu, _ in _run_moves(lam, k, 1)}:
-        c = sum(mult * prev.get(mu, 0) for mu, mult in _run_moves(nu, k, -1))
-        if c:
-            out[nu] = c
-    return out
-
-
-@cache
-def _arrangements(vec: tuple) -> tuple[tuple, ...]:
-    """Every distinct ordering of the entries of vec."""
-    if not vec:
-        return ((),)
-    out = []
-    for v in sorted(set(vec)):
-        rest = list(vec)
-        rest.remove(v)
-        out.extend((v,) + t for t in _arrangements(tuple(rest)))
-    return tuple(out)
 
 
 def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) -> SplitClass:

@@ -202,18 +202,26 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     # files that cannot be read or written, and undecodable declarations
     (("normalize", "A", "--decls", "DIR"), "Is a directory"),
     (("verify", "arr", "--trace-json", "DIR"), "Is a directory"),
+    (("verify", "km", "--trace-json", "DIR"), "Is a directory"),
     (("normalize", "A", "--decls", "LATIN1"),
      "declarations are not UTF-8: invalid continuation byte (at position 13)"),
     # out-of-range numbers in declarations and options
     (("normalize", "det_rf(f, A)", "--decls", "NEGATIVE_DIM"),
      "bad declaration on line 2: 'morphism f dim -1;'"),
+    # a declaration the symbol table refuses names its line and keeps the reason
+    (("normalize", "A", "--decls", "RANK_ZERO"),
+     "bad declaration on line 2: bundle 'E' must have rank >= 1, got 0"),
+    (("normalize", "A", "--decls", "REDECLARED"),
+     "bad declaration on line 2: symbol 'A' redeclared as bundle rank 2, was line rank 1"),
     (("verify", "tau", "--p", "0"), "--p 0 is not prime"),
     (("verify", "tau", "--p", "-2"), "--p -2 is not prime"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",
              "LATIN1": b"line L;\nline \xe9;\n",
-             "NEGATIVE_DIM": b"line A;\nmorphism f dim -1;\n"}
+             "NEGATIVE_DIM": b"line A;\nmorphism f dim -1;\n",
+             "RANK_ZERO": b"line A;\nbundle E rank 0;\n",
+             "REDECLARED": b"line A;\nbundle A rank 2;\n"}
     paths = {"DIR": str(tmp_path)}
     for name, content in files.items():
         path = tmp_path / f"{name}.txt"

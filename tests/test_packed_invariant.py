@@ -2,10 +2,11 @@
 
 Det slots hold `Morphism.truncated(e)`: the class of e modulo I^(n+2) keyed by
 the packed monomials of the upstairs context, and grades are read from its
-degree field.  Every det argument that the chain, the square and the
-Knudsen-Mumford expansion build is checked here against a full Laurent
-evaluation truncated afterwards, and every grade against the old
-`degrees(high=n+1)` filter on that evaluation.
+degree field, each packed monomial named as it is.  Every det argument that
+the chain, the square and the Knudsen-Mumford expansion build is checked here
+against a full Laurent evaluation truncated afterwards, and every grade,
+unpacked here into root monomials, against the old `degrees(high=n+1)`
+filter on that evaluation.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from adamsrr import expr as E
 from adamsrr import picard as P
 from adamsrr import rewrite as R
 from adamsrr import splitting as S
+from adamsrr.cli import main
 
 # (3, 5) is left out: its full Laurent evaluations take about 85 s, against
 # about 10 s for every other case together
@@ -53,12 +55,16 @@ def _record(monkeypatch):
     return invariants, grades
 
 
+def _chi(f: P.Morphism, texts: dict[str, object]) -> S.SplitClass:
+    """The grade sum_m c*chi[f](m) over monomial texts m."""
+    return S.SplitClass({((f"chi[{f.name}]({m})", 1),): c for m, c in texts.items()})
+
+
 def _old_grade(f: P.Morphism, e: E.Expr) -> S.SplitClass:
     """The grade as the root-basis route built it: chi[f](m) over degree <= n of the class."""
     ctx = f.upstairs
     low = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
-    return S.SplitClass({((f"chi[{f.name}]({S.monomial_text(m)})", 1),): c
-                         for m, c in low.degrees(high=f.rel_dim + 1).terms.items()})
+    return _chi(f, {S.monomial_text(m): c for m, c in low.degrees(high=f.rel_dim + 1).terms.items()})
 
 
 @pytest.mark.parametrize("kind,n,p,rank", CASES)
@@ -73,8 +79,51 @@ def test_packed_invariants_and_grades_match_the_root_basis_route(monkeypatch, ki
         want = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
         assert lam.space.unpack(lam.terms, ctx.space) == want, E.print_expr(e)
     for f, e, grade in grades.values():
+        lam = f.truncated(e)
+        pk = lam.space
+        low = {m: c for m, c in lam.terms.items() if m >> pk.shift <= f.rel_dim}
+        # unpacked into root monomials, the grade's terms are the old grade's
+        unpacked = _chi(f, {S.monomial_text(pk.monomial(x)): c for x, c in pk.to_roots(low).items()})
         old = _old_grade(f, e)
-        assert str(grade) == str(old) and grade == old, E.print_expr(e)
+        assert str(unpacked) == str(old) and unpacked == old, E.print_expr(e)
+        # and the grade names those same terms by their packed monomials
+        named = _chi(f, {pk.text(m): c for m, c in low.items()})
+        assert str(grade) == str(named) and grade == named, E.print_expr(e)
+
+
+# -- the proof path names grades without unpacking them ----------------------------
+
+def _refuse_unpacking(monkeypatch):
+    def unpack(*args, **kwargs):
+        raise AssertionError("unpacked a packed class into root monomials")
+
+    monkeypatch.setattr(S._Packing, "root_terms", unpack)
+    monkeypatch.setattr(S._Packing, "to_roots", unpack)
+
+
+@pytest.mark.parametrize("kind,rank", [("chain", 1), ("chain", 2), ("chain", 3),
+                                       ("square", 1), ("square", 2), ("square", 3), ("km", 1)])
+def test_the_proof_path_never_unpacks_into_root_monomials(monkeypatch, kind, rank):
+    _refuse_unpacking(monkeypatch)
+    trace = _run(kind, 3, 2, rank)
+    assert trace.verified, trace.failure
+
+
+def test_normalize_over_a_rank_3_bundle_never_unpacks(monkeypatch, capsys, tmp_path):
+    decls = tmp_path / "decls.txt"
+    decls.write_text("bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n")
+    _refuse_unpacking(monkeypatch)
+    assert main(["normalize", "det_rf(f, (H0-H1) (x) H) (x) det_rf(f, psi(2, H))^2",
+                 "--decls", str(decls)]) == 0
+    # psi^2(H) = 3 + 2 e_1 + e_1^2 - 2 e_2 in the e_k of H's u = x - 1, below degree 3
+    out = capsys.readouterr().out
+    assert "+ 2*chi[f](gamma^1(H)^2)" in out and "- 4*chi[f](gamma^2(H))" in out
+
+
+def test_the_n9_chain_verifies_with_a_small_trace():
+    trace = R.verify_arr_identity(9, 2)
+    assert trace.verified, trace.failure
+    assert len(R.emit_trace(trace, "json").encode()) < 100_000
 
 
 # -- packings do not mix ---------------------------------------------------------

@@ -7,6 +7,7 @@ equal the full Laurent evaluation truncated afterwards,
 `truncated_filtration(eval_expr(e), var_aug, cutoff)`.
 """
 
+import itertools
 from functools import partial
 from math import comb
 
@@ -190,6 +191,35 @@ def test_a_symmetric_class_plus_an_unsymmetric_monomial_is_refused(case):
     roots = {**roots, stray: roots.get(stray, 0) + c}
     with pytest.raises(S.EvalError):
         pk.from_roots({m: k for m, k in roots.items() if k})
+
+
+# -- names of packed monomials --------------------------------------------------------
+
+def test_packed_monomials_print_by_root_or_gamma_name():
+    pk = S._Packing({"L": ("L",), "E": ("E.1",), "B": ("B.1", "B.2", "B.3")}, {}, 10)
+    assert pk.text(0) == "1"
+    assert pk.text(pk._e("E", 1)) == "E.1"
+    m = 2 * pk._e("L", 1) + pk._e("B", 1) + 2 * pk._e("B", 3)
+    assert pk.text(m) == "L^2*gamma^1(B)*gamma^3(B)^2"
+
+
+def _monomials_below_the_cutoff(pk: S._Packing) -> list[int]:
+    out = [0]
+    for b, roots in pk.blocks.items():
+        for k in range(1, len(roots) + 1):
+            e = pk._e(b, k)
+            out = [m + a * e for m in out for a in range(pk.cutoff) if m + a * e < pk.limit]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_packed_monomial_texts_are_injective_below_the_cutoff(cutoff):
+    for size in (1, 2, 3):
+        for ranks in itertools.product(range(1, 5), repeat=size):
+            blocks = {f"V{i}": [f"V{i}.{j}" for j in range(1, r + 1)] for i, r in enumerate(ranks)}
+            pk = S._Packing(blocks, {}, cutoff)
+            monomials = _monomials_below_the_cutoff(pk)
+            assert len({pk.text(m) for m in monomials}) == len(monomials), ranks
 
 
 # -- the proof path ---------------------------------------------------------------------
