@@ -8,6 +8,7 @@ on one line of stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,7 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
         if not stmt:
             continue
         if not stmt.endswith(";"):
-            raise E.ParseError(f"declaration missing ';' on line {lineno}", lineno)
+            raise E.ExprError(f"declaration missing ';' on line {lineno}")
         words = stmt[:-1].split()
         try:
             if words[0] == "line" and len(words) == 2:
@@ -51,9 +52,9 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise E.ParseError(f"bad declaration on line {lineno}: {stmt!r}", lineno) from None
+            raise E.ExprError(f"bad declaration on line {lineno}: {stmt!r}") from None
         except E.SymbolError as ex:
-            raise E.ParseError(f"bad declaration on line {lineno}: {ex}", lineno) from None
+            raise E.ExprError(f"bad declaration on line {lineno}: {ex}") from None
     return table, morphisms
 
 
@@ -201,7 +202,13 @@ def cmd_suite(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The grammar of every command, built on first use and shared by later calls.
+
+    It holds no handler: `main` dispatches on `args.command`, and `parse_args`
+    leaves the parser unchanged, so one call's options never reach the next.
+    """
     ap = argparse.ArgumentParser(prog="adamsrr",
                                  description="determinant-level Adams-Riemann-Roch workbench")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -211,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--decls", help="declarations file (strict mode)")
     norm.add_argument("--n", type=int, default=1, help="relative dimension for det_rf")
     norm.add_argument("--format", choices=("text", "json"), default="text")
-    norm.set_defaults(fn=cmd_normalize)
 
     ver = sub.add_parser("verify", help="run one verification")
     ver.add_argument("target", choices=("arr", "base-change", "km", "tau",
@@ -223,18 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--rank", type=int, help="rank of the test bundle (default: a line)")
     ver.add_argument("--trace-json", dest="trace_json", help="write the trace here")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.set_defaults(fn=cmd_verify)
 
     run = sub.add_parser("suite", help="run the full verification matrix")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.set_defaults(fn=cmd_suite)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command and return its exit code; may be called repeatedly in one process."""
+    args = build_parser().parse_args(argv)
     if (args.command == "verify" and args.p is not None
             and args.target in ("arr", "base-change", "km", "binomial", "tau")
             and not R.is_prime(args.p)):
@@ -246,8 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "rank", None) is not None and args.rank < 1:
         print("error: --rank must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    # looked up per call, so a replaced cmd_* takes effect
+    command = {"normalize": cmd_normalize, "verify": cmd_verify, "suite": cmd_suite}[args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except (E.ExprError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

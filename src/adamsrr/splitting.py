@@ -224,16 +224,21 @@ class SplitClass:
             out[km] = out.get(km, 0) + c
         return SplitClass(out, self.space)
 
-    def augmentation(self, var_aug: dict[str, int] | None = None) -> Fraction:
-        """Value with every root set to 1 (or to its declared augmentation)."""
+    def augmentation(self, var_aug: dict[str, int] | None = None) -> int | Fraction:
+        """Value with every root set to 1 (or to its declared augmentation).
+
+        Exact in ints; a Fraction enters only through a negative power of an
+        augmentation other than 1 (or a Fraction coefficient).
+        """
         if not var_aug:
-            return Fraction(sum(self.terms.values()))
-        total = Fraction(0)
+            return sum(self.terms.values())
+        total = 0
         for m, c in self.terms.items():
-            val = Fraction(1)
             for v, e in m:
-                val *= Fraction(var_aug.get(v, 1)) ** e
-            total += c * val
+                a = var_aug.get(v, 1)
+                if a != 1:
+                    c *= a ** e if e > 0 else Fraction(a) ** e
+            total += c
         return total
 
     def constituents(self) -> list[Monomial]:
@@ -346,7 +351,7 @@ class SplitContext:
             cls = cls + SplitClass.variable(v, self.space)
         return cls
 
-    def augmentation(self, cls: SplitClass) -> Fraction:
+    def augmentation(self, cls: SplitClass) -> int | Fraction:
         return cls.augmentation(self.var_aug)
 
     def has_opaque_vars(self, cls: SplitClass) -> bool:
@@ -465,13 +470,13 @@ def tau_of_class(cls: SplitClass, p: int) -> SplitClass:
     if not cls.is_effective():
         raise NonEffectiveError(f"tau argument is not effective: {cls}")
     lines = cls.constituents()
-    total = SplitClass.constant(0, cls.space)
+    counts: dict[Monomial, int] = {}
     for exps in itertools.product(range(p), repeat=len(lines)):
         mono: Monomial = ()
         for m, i in zip(lines, exps):
             mono = _mono_mul(mono, _mono_pow(m, i))
-        total = total + SplitClass({mono: 1}, cls.space)
-    return total
+        counts[mono] = counts.get(mono, 0) + 1
+    return SplitClass(counts, cls.space)
 
 
 def det_class(cls: SplitClass) -> SplitClass:

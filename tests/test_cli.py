@@ -1,10 +1,12 @@
 """Command line: exit codes, normal forms, verification targets, suite output."""
 
+import argparse
 import json
 from dataclasses import replace
 
 import pytest
 
+from adamsrr import cli
 from adamsrr import expr as E
 from adamsrr import rewrite as R
 from adamsrr import suite as SU
@@ -311,3 +313,65 @@ def test_suite_deterministic_given_seed(capsys):
     strip = lambda text: [{k: v for k, v in c.items() if k != "seconds"}
                           for c in json.loads(text)]
     assert strip(out1) == strip(out2)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, "verify", "mumford", "--n", "3")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, "verify", "mumford", "--n", "3")
+    assert (code, out) == (EXIT_OK, "37\n")
+    assert built == []
+
+
+def test_main_dispatches_to_the_current_command_functions(capsys, monkeypatch):
+    run(capsys, "verify", "mumford", "--n", "3")  # the parser exists before the patch
+    monkeypatch.setattr(cli, "cmd_suite", lambda args: EXIT_FALSIFIED)
+    assert run(capsys, "suite", "--seed", "0") == (EXIT_FALSIFIED, "", "")
+
+
+def test_consecutive_calls_share_no_options(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "tau", "--rank", "2", "--p", "3", "--format", "json")
+    assert code == EXIT_OK and json.loads(out) == [
+        {"rank": 2, "p": 3, "ok": True, "witness": ""}]
+    # neither --rank nor --format carries over to the next call
+    code, out, _ = run(capsys, "verify", "tau", "--p", "3")
+    assert code == EXIT_OK
+    assert out == "".join(f"rank {rank} p 3: equal\n" for rank in SU.TAU_RANKS)
+
+    decls = tmp_path / "d.txt"
+    decls.write_text("line A;\n")
+    assert run(capsys, "normalize", "A", "--decls", str(decls))[:2] == (EXIT_OK, "A\n")
+    # without --decls, A is auto-declared and f is a morphism of dimension --n
+    code, out, err = run(capsys, "normalize", "det_rf(f, A)")
+    assert (code, out, err) == (EXIT_OK, "det_rf[f](A) | grade= chi[f](1) + chi[f](A)\n", "")
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    argv = ("normalize", "psi(2, A) + B (x) C", "--format", "json")
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "nosuch"])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert run(capsys, *argv) == before
+    assert before[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"line A;\nbundle E rank 0;\n",
+     "bad declaration on line 2: bundle 'E' must have rank >= 1, got 0"),
+    (b"line A;\nline B\n", "declaration missing ';' on line 2"),
+    (b"line A;\nmorphism f dim -1;\n", "bad declaration on line 2: 'morphism f dim -1;'"),
+], ids=["rank-zero", "missing-semicolon", "negative-dimension"])
+def test_declaration_errors_name_their_line_once(capsys, tmp_path, content, message):
+    decls = tmp_path / "d.txt"
+    decls.write_bytes(content)
+    code, out, err = run(capsys, "normalize", "det_rf(f, A)", "--decls", str(decls))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
