@@ -3,13 +3,16 @@
 Expressions are formal combinations of line/bundle symbols under sum, tensor,
 dual, integer powers and the operations psi^k (Adams), theta^k (Bott class),
 tau_p (truncated symmetric algebra), det (top exterior class) and pullback
-along a named morphism.  Values are immutable; the canonical printer and the
-parser are mutually inverse on canonical forms.
+along a named morphism.  Values are immutable and interned, so equal trees
+are one object; the canonical printer and the parser are mutually inverse on
+canonical forms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,29 +113,41 @@ def _is_name(s: str) -> bool:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
-    """An immutable expression node.
+    """An immutable expression node, interned: equal trees are one object.
 
-    Each node keeps, once computed, its hash, its canonical form and its
-    printed text in three slots that are not dataclass fields, so equality
-    and repr never see them.  A canonical node marks `_canon` with
-    `_CANONICAL` instead of holding itself, which keeps trees free of
-    reference cycles.
+    Every node is built through one process-wide table (`_intern`), so
+    constructing a node whose class and fields equal those of a live node
+    returns that node.  Equality is therefore identity, and the hash is the
+    hash of the node's key `(cls, *fields)`, computed once.  Each node also
+    keeps, once computed, its canonical form and its printed text, so they
+    are paid once per distinct tree.  These three memos live in slots that
+    are not dataclass fields, so repr never sees them.  A canonical node
+    marks `_canon` with `_CANONICAL` instead of holding itself, which keeps
+    trees free of reference cycles.
     """
 
-    __slots__ = ("_hash", "_canon", "_text")
+    __slots__ = ("_hash", "_canon", "_text", "__weakref__")
+    _fields = ()  # the dataclass field names, in order; `_node` sets them
+    _int_fields = ()  # the positions of the int-valued fields among them
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _intern(key)
+
+    __eq__ = object.__eq__
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = self._field_hash()
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
-    def _field_hash(self) -> int:
-        """hash(tuple(fields)); `_node` puts each node type's generated hash here."""
-        return hash(())
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __str__(self) -> str:
         return print_expr(self)
@@ -140,12 +155,62 @@ class Expr:
 
 _CANONICAL = object()  # the `_canon` of a node that is its own canonical form
 
+# key (cls, *fields) -> weak reference to the live node with that key.  The
+# references have no callback: dead entries stay until `_sweep` drops them,
+# once the table has doubled since the last sweep (and held _SWEEP_FLOOR).
+_table: dict[tuple, weakref.ref] = {}
+_SWEEP_FLOOR = 4096
+_sweep_at = _SWEEP_FLOOR
+
+
+def _intern(key: tuple) -> Expr:
+    """Make the node of `key`, whose table entry is missing or dead, and enter it.
+
+    An int field refuses a bool or any other non-int value.  A value equal
+    to the int field of a live node (`2.0`, `True`) finds that node before
+    it gets here, so no node ever holds anything but an int there.
+    """
+    cls, fields = key[0], key[1:]
+    if len(fields) != len(cls._fields):
+        raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+    for i in cls._int_fields:
+        v = fields[i]
+        if type(v) is not int:
+            raise ExprError(f"{cls.__name__}.{cls._fields[i]} must be an int, got {v!r}")
+    node = object.__new__(cls)
+    for name, v in zip(cls._fields, fields):
+        object.__setattr__(node, name, v)
+    object.__setattr__(node, "_hash", hash(key))
+    object.__setattr__(node, "_canon", None)
+    object.__setattr__(node, "_text", None)
+    _table[key] = weakref.ref(node)
+    if len(_table) >= _sweep_at:
+        _sweep()
+    return node
+
+
+def _sweep() -> None:
+    """Drop the entries of dead nodes, pass after pass until none is left.
+
+    A dropped key releases the children it held, which may die in turn.
+    """
+    global _sweep_at
+    while True:
+        dead = [key for key, ref in _table.items() if ref() is None]
+        if not dead:
+            break
+        for key in dead:
+            del _table[key]
+        del dead, key  # else they keep the last keys' children alive through the next scan
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(_table))
+
 
 def _node(cls):
-    """A frozen dataclass node whose generated hash `Expr.__hash__` computes once."""
-    cls = dataclass(frozen=True)(cls)
-    cls._field_hash = cls.__hash__
-    del cls.__hash__
+    """A frozen dataclass node, constructed by `Expr.__new__` through the intern table."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    cls._fields = tuple(f.name for f in fields)
+    cls._int_fields = tuple(i for i, f in enumerate(fields) if f.type in ("int", int))
     return cls
 
 
@@ -283,7 +348,7 @@ def canonicalize(e: Expr) -> Expr:
     canonicalize(e) for every well-formed e.  It is computed once per node
     and kept on the node, and the result is marked as its own canonical form.
     """
-    canon = getattr(e, "_canon", None)
+    canon = e._canon
     if canon is None:
         canon = _canonical_form(e)
         if canon is not e:
@@ -383,7 +448,7 @@ def print_expr(e: Expr) -> str:
 
 def _print(e: Expr) -> str:
     """The text of a canonical node, computed once and kept on the node."""
-    text = getattr(e, "_text", None)
+    text = e._text
     if text is None:
         text = _print_expr_text(e)
         object.__setattr__(e, "_text", text)

@@ -361,8 +361,9 @@ class SplitContext:
 def eval_expr(e: Expr, ctx: SplitContext) -> SplitClass:
     """Evaluate a virtual-bundle expression to its canonical split class.
 
-    Composite nodes are memoized per context (expressions are immutable and
-    hash structurally), so repeated subterms cost one evaluation.
+    Composite nodes are memoized per context; expressions are immutable and
+    interned, so a lookup reads a stored hash and compares identity, and
+    repeated subterms cost one evaluation.
     """
     composite = not isinstance(e, (Line, Bundle, Unit, IntConst))
     if composite:

@@ -1,6 +1,9 @@
 """Expression language: parser, printer, canonical forms, rank homomorphism."""
 
+import copy
 import dataclasses
+import gc
+import pickle
 import random
 
 import pytest
@@ -171,7 +174,7 @@ def test_nodes_keep_their_memos_in_slots():
 
 
 # ---------------------------------------------------------------------------
-# Memoized hash, canonical form and text against cold rebuilt copies
+# Interned nodes: memoized hash, canonical form and text against recomputation
 
 def _nodes(e):
     out = [e]
@@ -179,48 +182,36 @@ def _nodes(e):
     return out
 
 
-def _fresh(e):
-    """A copy of e that shares no node, so no memo, with it."""
-    def copy(v):
+def _rebuild(e):
+    """e built again node by node through the constructors."""
+    def again(v):
         if isinstance(v, E.Expr):
-            return _fresh(v)
+            return _rebuild(v)
         if isinstance(v, tuple):
-            return tuple(copy(x) for x in v)
+            return tuple(again(x) for x in v)
         return v
-    return type(e)(*(copy(getattr(e, f.name)) for f in dataclasses.fields(e)))
+    return type(e)(*(again(getattr(e, f.name)) for f in dataclasses.fields(e)))
 
 
-class _Hashed:
-    def __init__(self, h):
-        self.h = h
-
-    def __hash__(self):
-        return self.h
+def _key_hash(e):
+    return hash((type(e), *(getattr(e, f.name) for f in dataclasses.fields(e))))
 
 
-def _dataclass_hash(e):
-    """hash(tuple(fields)), the generated frozen-dataclass hash, without calling Expr.__hash__."""
-    def value(v):
-        if isinstance(v, E.Expr):
-            return _Hashed(_dataclass_hash(v))
-        if isinstance(v, tuple):
-            return tuple(value(x) for x in v)
-        return v
-    return hash(tuple(value(getattr(e, f.name)) for f in dataclasses.fields(e)))
-
-
-def _check_against_cold_copy(warm):
-    cold = _fresh(warm)
-    want_hash = _dataclass_hash(warm)
-    assert hash(cold) == want_hash
-    assert cold == warm and warm == cold and repr(cold) == repr(warm)
-    assert print_expr(cold) == print_expr(warm)
-    assert canonicalize(cold) == canonicalize(warm)
-    assert hash(cold) == hash(warm) == want_hash
-    assert cold == warm and repr(cold) == repr(warm)
+def _check_memos(warm):
+    """A rebuild of an interned node is the node itself, so the cold copy of each
+    memo is its recomputation through the uncached `_canonical_form` and
+    `_print_expr_text`."""
+    assert _rebuild(warm) is warm
     canon = canonicalize(warm)
     assert canonicalize(canon) is canon
-    assert hash(canon) == _dataclass_hash(canon)
+    for node in _nodes(warm) + _nodes(canon):
+        assert hash(node) == _key_hash(node)
+        if node._canon is E._CANONICAL:
+            assert E._canonical_form(node) is node
+        elif node._canon is not None:
+            assert node._canon is E._canonical_form(node)
+        if node._text is not None:
+            assert node._text == E._print_expr_text(node)
 
 
 def test_memos_agree_with_cold_copies_on_random_expressions():
@@ -236,7 +227,7 @@ def test_memos_agree_with_cold_copies_on_random_expressions():
         hash(e)
         print_expr(e)
     for e in trees:
-        _check_against_cold_copy(e)
+        _check_memos(e)
 
 
 def test_memos_agree_with_cold_copies_on_chain_forms(monkeypatch):
@@ -250,12 +241,71 @@ def test_memos_agree_with_cold_copies_on_chain_forms(monkeypatch):
     monkeypatch.setattr(E, "canonicalize", record)
     assert R.verify_arr_identity(2, 3).verified
     monkeypatch.undo()
+    # nodes are interned, so this counts distinct trees: 90 for this chain
     forms = list({id(n): n for e in seen.values() for n in _nodes(e)}.values())
-    assert len(forms) > 100
+    assert len(forms) > 80
     assert any(isinstance(e, E.Pull) for e in forms)
     assert any(isinstance(e, Power) for e in forms)
     for e in forms:
-        _check_against_cold_copy(e)
+        _check_memos(e)
+
+
+def test_equal_constructions_are_one_object(table):
+    for e in EVERY_NODE:
+        assert _rebuild(e) is e
+        assert E.map_children(e, _rebuild) is e
+        assert parse(print_expr(e), table) is canonicalize(e)
+        assert canonicalize(_rebuild(e)) is canonicalize(e)
+        for other in EVERY_NODE:
+            assert (other == e) is (other is e)
+    assert parse("psi(2, L) + L", table) is parse("L + psi(2, L)", table)
+    assert E.map_children(Neg(Line("L")), lambda x: Line("M")) is parse("-M", table)
+
+
+def test_int_fields_refuse_bools_and_other_numbers():
+    leaf = Line("IntFieldProbe")
+    for build in (lambda v: Psi(v, leaf), lambda v: Theta(v, leaf),
+                  lambda v: E.Tau(v, leaf), lambda v: Power(leaf, v)):
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(E.ExprError, match="must be an int"):
+                build(bad)
+    for bad in (2.5, "3", None):
+        with pytest.raises(E.ExprError, match="must be an int"):
+            IntConst(bad)
+    # a value equal to the int of a live node finds that node, whose field stays an int
+    two = Psi(2, leaf)
+    assert Psi(2.0, leaf) is two and type(two.k) is int
+    assert print_expr(two) == "psi(2, IntFieldProbe)"
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    for e in EVERY_NODE + [NESTED_CONSTANTS]:
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Line("L").name = "M"
+
+
+def test_the_table_holds_nodes_weakly():
+    # a verdict's nodes die with it by reference counting alone, and one sweep
+    # drops their entries, those of children held only by dead keys included
+    def live_entries():
+        E._sweep()
+        assert all(ref() is not None for ref in E._table.values())
+        return len(E._table)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_entries()
+        assert R.verify_arr_identity(2, 3, symbols={"E": 2}).verified
+        assert R.verify_arr_identity(3, 2).verified
+        assert R.verify_base_change(1, 2).verified
+        assert len(E._table) > before + 100
+        assert live_entries() == before
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("text,canonical", [
