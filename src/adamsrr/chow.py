@@ -1,14 +1,14 @@
 """Truncated intersection-ring model: Chern character, Todd class, pushforward.
 
-Classes are `SplitClass` polynomials with exact rational coefficients in
-declared degree-1 symbols.  The series functions take the working degree D
-as an argument and drop every term above it after each product: truncation
-is a ring quotient (Fulton & Lang, Riemann-Roch Algebra, 1985).  `c1_det_rf`
-works in degree n+1, where c1 det Rf_* lives.  The
-degree-lowering pushforward sends a monomial m of degree >= n to the free
-symbol f_!(m), kept as a `SplitClass` keyed by m; no relations between pushed
-monomials are assumed, so identities checked here hold
-coefficient-by-coefficient.
+Classes have exact rational coefficients in declared degree-1 symbols, in the
+ring truncated above a working degree D (a ring quotient; Fulton & Lang,
+Riemann-Roch Algebra, 1985) on `splitting`'s packed kernel, which forms no
+product above D (Monagan & Pearce, CASC 2007); exp, Todd and inverse Todd are
+one Horner pass each over their coefficients 1/k!, B_k^+/k! and (-1)^k/(k+1)!.
+`c1_det_rf` works in degree n+1, where c1 det Rf_* lives.  The pushforward
+sends a monomial m of degree >= n to the free symbol f_!(m), keyed by m; no
+relations between pushed monomials are assumed, so identities checked here
+hold coefficient-by-coefficient.
 
 The built-in relative-curve model (n = 1, symbols l = c1(L), w = c1(omega),
 relative tangent omega^(-1)) carries the degree-one Riemann-Roch consequences:
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from . import expr as E
 from . import splitting as S
@@ -29,67 +30,57 @@ class ChowError(E.ExprError):
     pass
 
 
-def _mul(a: SplitClass, b: SplitClass, top: int) -> SplitClass:
-    """Product in the ring truncated above degree `top` (a ring quotient)."""
-    return (a * b).degrees(high=top + 1)
+def _ring(assign: dict[str, str], top: int) -> S._Packing:
+    """The layout of the ring over the degree-1 symbols of `assign`, truncated above `top`."""
+    return S._Packing(set(assign.values()), {}, top + 1)
 
 
-def _power(x: SplitClass, k: int, top: int) -> SplitClass:
-    if k < 0:
-        x, k = _inverse(x, top), -k
-    out = SplitClass.constant(1)
-    for _ in range(k):
-        out = _mul(out, x, top)
-    return out
+def _todd_coefficients(top: int) -> list:
+    """x/(1 - e^(-x)) = sum B_k^+ x^k/k!, B_m^+ = 1 - sum_{k<m} C(m, k) B_k^+/(m - k + 1)."""
+    b: list = []  # the Bernoulli numbers B_0^+, B_1^+ = 1/2, ...
+    for m in range(top + 1):
+        b.append(1 - sum(Fraction(comb(m, k), m - k + 1) * b[k] for k in range(m)))
+    return [Fraction(bk, factorial(k)) for k, bk in enumerate(b)]
 
 
-def _inverse(x: SplitClass, top: int) -> SplitClass:
-    """Multiplicative inverse of a unit (nonzero constant term) series."""
-    c0 = x.terms.get((), 0)
-    if not c0:
-        raise ChowError("cannot invert: zero constant term")
-    # Newton-style: iterate inv <- inv * (2 - x*inv); the precision doubles.
-    inv = SplitClass.constant(Fraction(1) / c0)
-    for _ in range(top.bit_length() + 1):
-        inv = _mul(inv, 2 - _mul(x, inv, top), top)
-    return inv
-
-
-# ---------------------------------------------------------------------------
-# Chern character and Todd class
-
-def _exp_series(x: SplitClass, top: int) -> SplitClass:
-    """exp(x) truncated at the working degree; requires zero constant term."""
-    if x.terms.get((), 0):
-        raise ChowError("exp needs a nilpotent (positive-degree) argument")
-    total = power = SplitClass.constant(1)
-    fact = 1
-    for k in range(1, top + 1):
-        power = _mul(power, x, top)
-        fact *= k
-        total = total + power * Fraction(1, fact)
-    return total
-
-
-def _todd_series(x: SplitClass, top: int) -> SplitClass:
-    """x / (1 - e^(-x)) truncated: 1 + x/2 + x^2/12 - x^4/720 + ..."""
-    # denominator (1 - e^(-x))/x = 1 - x/2 + x^2/6 - ...
-    denom = power = SplitClass.constant(1)
-    fact = 1
-    for k in range(1, top + 1):
-        power = _mul(power, -x, top)
-        fact *= k + 1
-        denom = denom + power * Fraction(1, fact)
-    return _inverse(denom, top)
-
-
-def _c1_of_monomial(m: S.Monomial, assign: dict[str, str]) -> SplitClass:
-    """First Chern class of a line monomial: sum of e * c1(root)."""
-    total = SplitClass.constant(0)
+def _series(coefficients: list, m: S.Monomial, assign: dict[str, str], pk: S._Packing) -> dict:
+    """sum_k coefficients[k] * x^k by Horner's rule, x = c1(m) = sum of e * c1(root) over m."""
+    x: dict[int, object] = {}
     for v, e in m:
         if v not in assign:
             raise ChowError(f"no first-Chern symbol assigned to root {v!r}")
-        total = total + SplitClass.variable(assign[v]) * e
+        symbol = pk._e(assign[v], 1)
+        x[symbol] = x.get(symbol, 0) + e
+    out: dict[int, object] = {}
+    for c in reversed(coefficients):
+        out = S._packed_mul(out, x, pk.limit)
+        if c:
+            out[0] = c  # x has no constant term, so out has none
+    return out
+
+
+def _ch(e: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._Packing) -> dict:
+    exp = [Fraction(1, factorial(k)) for k in range(pk.cutoff)]
+    total: dict[int, object] = {}
+    for m, c in S.eval_expr(e, S.SplitContext(table)).terms.items():
+        for x, a in _series(exp, m, assign, pk).items():
+            total[x] = total.get(x, 0) + a * c
+    return total
+
+
+def _todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._Packing) -> dict:
+    total: dict[int, object] = {0: 1}
+    for m, c in S.eval_expr(tangent, S.SplitContext(table)).terms.items():
+        # td(x) for a line, 1/td(x) = (1 - e^(-x))/x = sum_k (-1)^k x^k/(k+1)! for a negated one
+        base = _todd_coefficients(pk.cutoff - 1) if c > 0 else \
+            [Fraction((-1) ** k, factorial(k + 1)) for k in range(pk.cutoff)]
+        piece, k = _series(base, m, assign, pk), abs(c)  # eval_expr gives integers
+        while k:  # total * piece^k, by squaring
+            if k & 1:
+                total = S._packed_mul(total, piece, pk.limit)
+            k >>= 1
+            if k:
+                piece = S._packed_mul(piece, piece, pk.limit)
     return total
 
 
@@ -100,27 +91,17 @@ def chern_character(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
     `assign` maps root variables (line symbol names, or "E.i" for bundle
     roots) to degree-1 symbols.
     """
-    cls = S.eval_expr(e, S.SplitContext(table))
-    total = SplitClass.constant(0)
-    for m, c in cls.terms.items():
-        total = total + _exp_series(_c1_of_monomial(m, assign), top) * c
-    return total
+    pk = _ring(assign, top)
+    return pk.unpack(_ch(e, table, assign, pk), None)
 
 
-def todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str],
-         top: int) -> SplitClass:
+def todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], top: int) -> SplitClass:
     """Todd class of a tangent class, multiplicative over its line pieces.
 
-    A negative multiplicity (a negated line) takes the series inverse.
+    A negative multiplicity (a negated line) takes the inverse Todd series.
     """
-    cls = S.eval_expr(tangent, S.SplitContext(table))
-    total = SplitClass.constant(1)
-    for m, c in cls.terms.items():
-        if c.denominator != 1:
-            raise ChowError(f"Todd class of a non-integral class: {cls}")
-        piece = _todd_series(_c1_of_monomial(m, assign), top)
-        total = _mul(total, _power(piece, int(c), top), top)
-    return total
+    pk = _ring(assign, top)
+    return pk.unpack(_todd(tangent, table, assign, pk), None)
 
 
 def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
@@ -132,15 +113,20 @@ def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
     return x.degrees(low=rel_dim)
 
 
+def _c1_det_rf(ch: dict, td: dict, pk: S._Packing) -> SplitClass:
+    """f_! of the part of ch * td in the working degree n+1, keyed by the pushed monomials."""
+    product = S._packed_mul(ch, td, pk.limit)
+    return pk.unpack({m: c for m, c in product.items() if m >> pk.shift == pk.cutoff - 1}, None)
+
+
 def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
               tangent: E.Expr, rel_dim: int) -> SplitClass:
     """Degree-1 part of f_!(ch(e) * td(T_f)): the first Chern class of det Rf_*.
 
     It lives in degree n+1 upstairs, so n+1 is the working degree.
     """
-    top = rel_dim + 1
-    total = _mul(chern_character(e, table, assign, top), todd(tangent, table, assign, top), top)
-    return pushforward(total, rel_dim).degrees(rel_dim + 1, rel_dim + 2)
+    pk = _ring(assign, rel_dim + 1)
+    return _c1_det_rf(_ch(e, table, assign, pk), _todd(tangent, table, assign, pk), pk)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +134,18 @@ def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
 
 @dataclass
 class CurveModel:
-    """Fixed n=1 setup: line L with c1 = l, canonical line omega with c1 = w."""
+    """Fixed n=1 setup: line L with c1 = l, canonical line omega with c1 = w.
+
+    The tangent's Todd class is built once, for every `c1_det_rf` of the model.
+    """
 
     table: E.SymbolTable
     assign: dict[str, str]
     tangent: E.Expr
+
+    def __post_init__(self):
+        self._pk = _ring(self.assign, 2)
+        self._td = _todd(self.tangent, self.table, self.assign, self._pk)
 
     @staticmethod
     def standard() -> "CurveModel":
@@ -162,7 +155,7 @@ class CurveModel:
         return CurveModel(t, {"L": "l", "omega": "w"}, E.Dual(E.Line("omega")))
 
     def c1_det_rf(self, e: E.Expr) -> SplitClass:
-        return c1_det_rf(e, self.table, self.assign, self.tangent, rel_dim=1)
+        return _c1_det_rf(_ch(e, self.table, self.assign, self._pk), self._td, self._pk)
 
 
 @dataclass

@@ -24,6 +24,11 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# the verify targets that read each option; the others refuse it
+OPTION_READERS = {"--p": ("arr", "base-change", "km", "tau", "binomial"),
+                  "--rank": ("arr", "base-change", "tau"),
+                  "--trace-json": ("arr", "base-change", "km")}
+
 
 def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
     """Line-oriented UTF-8 declarations: 'line L;' 'bundle E rank 2;' 'morphism f dim 1;'."""
@@ -239,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; may be called repeatedly in one process."""
     args = build_parser().parse_args(argv)
-    if (args.command == "verify" and args.p is not None
-            and args.target in ("arr", "base-change", "km", "binomial", "tau")
-            and not R.is_prime(args.p)):
+    for flag, readers in OPTION_READERS.items() if args.command == "verify" else ():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.target not in readers:
+            print(f"error: verify {args.target} does not use {flag}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.command == "verify" and args.p is not None and not R.is_prime(args.p):
         print(f"error: --p {args.p} is not prime", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "n", 0) < 0:

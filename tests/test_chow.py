@@ -1,5 +1,6 @@
 """Truncated intersection ring: ch/td series, pushforward, curve identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 
 from adamsrr import chow as C
 from adamsrr import expr as E
+from adamsrr import splitting as S
 from adamsrr.chow import (
-    CurveModel, chern_character, deligne_residual, mumford_exponent, pushforward, todd,
+    CurveModel, c1_det_rf, chern_character, deligne_residual, mumford_exponent, pushforward, todd,
 )
 from adamsrr.splitting import SplitClass
 
@@ -75,7 +77,10 @@ def test_todd_multiplicative_on_sum_of_lines():
 def test_todd_of_negated_class_inverts_series():
     table, assign = two_line_table()
     got = todd(E.Neg(E.Line("L")), table, assign, 4)
-    assert got == C._inverse(todd(E.Line("L"), table, assign, 4), 4)
+    # (1 - e^(-l))/l, the inverse of l/(1 - e^(-l))
+    l = sym("l")
+    assert got == sum((l ** k * Fraction((-1) ** k, math.factorial(k + 1)) for k in range(5)),
+                      SplitClass.constant(0))
     assert (got * todd(E.Line("L"), table, assign, 4)).degrees(high=5) == 1
 
 
@@ -163,13 +168,134 @@ def test_ch_is_ring_homomorphism_on_random_line_expressions():
 
 def test_chow_truncation_drops_high_degree():
     l = sym("l")
-    assert C._mul(C._mul(l, l, 2), l, 2).is_zero()
-    assert C._power(l, 2, 2) == l * l
+    pk = C._ring({"L": "l"}, 2)
+    x = {pk._e("l", 1): 1}
+    assert S._packed_mul(S._packed_mul(x, x, pk.limit), x, pk.limit) == {}
+    assert pk.unpack(S._packed_mul(x, x, pk.limit), None) == l * l
+    # Horner's rule keeps the terms up to the working degree and no others
+    assert pk.unpack(C._series([1, 1, 1, 1], (("L", 1),), {"L": "l"}, pk), None) == 1 + l + l * l
 
 
 def test_chow_inverse_of_unit_series():
-    w = sym("w")
-    series = 1 + w + w * w * Fraction(1, 2)
-    assert C._mul(series, C._inverse(series, 3), 3) == 1
+    table, assign = two_line_table()
+    for top in range(5):
+        # exp(w) * exp(-w) and td(L) * td(-L) are 1 in the truncated ring
+        ch = chern_character(E.Line("L"), table, assign, top)
+        ch_dual = chern_character(E.Dual(E.Line("L")), table, assign, top)
+        assert (ch * ch_dual).degrees(high=top + 1) == 1
+        td = todd(E.Line("L"), table, assign, top)
+        td_inverse = todd(E.Neg(E.Line("L")), table, assign, top)
+        assert (td * td_inverse).degrees(high=top + 1) == 1
     with pytest.raises(C.ChowError):
-        C._inverse(w, 3)
+        chern_character(E.Line("M"), table, {"L": "l"}, 3)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the packed kernel against full products filtered by degree
+
+def slow_mul(a, b, top):
+    return (a * b).degrees(high=top + 1)
+
+
+def slow_inverse(x, top):
+    """Newton's iteration inv <- inv * (2 - x * inv); the precision doubles."""
+    inv = SplitClass.constant(Fraction(1) / x.terms[()])
+    for _ in range(top.bit_length() + 1):
+        inv = slow_mul(inv, 2 - slow_mul(x, inv, top), top)
+    return inv
+
+
+def slow_series(coefficient, x, top):
+    total, power = SplitClass.constant(0), SplitClass.constant(1)
+    for k in range(top + 1):
+        total = total + power * coefficient(k)
+        power = slow_mul(power, x, top)
+    return total
+
+
+def slow_c1(m, assign):
+    return sum((sym(assign[v]) * e for v, e in m), SplitClass.constant(0))
+
+
+def slow_chern_character(e, table, assign, top):
+    cls = S.eval_expr(e, S.SplitContext(table))
+    return sum((slow_series(lambda k: Fraction(1, math.factorial(k)), slow_c1(m, assign), top) * c
+                for m, c in cls.terms.items()), SplitClass.constant(0))
+
+
+def slow_todd(tangent, table, assign, top):
+    """The product of each line's series inverse of (1 - e^(-x))/x, to its multiplicity."""
+    total = SplitClass.constant(1)
+    for m, c in S.eval_expr(tangent, S.SplitContext(table)).terms.items():
+        denominator = slow_series(lambda k: Fraction((-1) ** k, math.factorial(k + 1)),
+                                  slow_c1(m, assign), top)
+        piece = slow_inverse(denominator, top) if c > 0 else denominator
+        for _ in range(abs(c)):
+            total = slow_mul(total, piece, top)
+    return total
+
+
+def slow_c1_det_rf(e, table, assign, tangent, rel_dim):
+    top = rel_dim + 1
+    total = slow_mul(slow_chern_character(e, table, assign, top),
+                     slow_todd(tangent, table, assign, top), top)
+    return pushforward(total, rel_dim).degrees(rel_dim + 1, rel_dim + 2)
+
+
+def random_line_expr(rng, lines, depth=3):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([E.Line(rng.choice(lines)), E.Dual(E.Line(rng.choice(lines))), E.UNIT])
+    sub = [random_line_expr(rng, lines, depth - 1) for _ in range(2)]
+    return rng.choice([E.Sum(tuple(sub)), E.Tensor(tuple(sub)), E.Neg(sub[0]),
+                       E.Power(sub[0], rng.randint(-2, 3)) if isinstance(sub[0], E.Line)
+                       else E.Sum((sub[0], sub[0]))])
+
+
+def random_tangent(rng, lines):
+    """A sum of lines and duals, each with a multiplicity of -2, -1, 1 or 2."""
+    pieces = []
+    for name in rng.sample(lines, rng.randint(1, len(lines))):
+        piece, k = rng.choice([E.Line(name), E.Dual(E.Line(name))]), rng.choice([-2, -1, 1, 2])
+        pieces += [E.Neg(piece) if k < 0 else piece] * abs(k)
+    return E.Sum(tuple(pieces)) if len(pieces) > 1 else pieces[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_packed_chow_agrees_with_full_products(seed):
+    rng = random.Random(seed)
+    lines = [f"L{i}" for i in range(rng.randint(2, 5))]
+    table = E.SymbolTable(space="X")
+    for name in lines:
+        table.declare_line(name)
+    assign = {name: f"l{i}" for i, name in enumerate(lines)}
+    top = rng.randint(1, 5)
+    for _ in range(3):
+        e, tangent = random_line_expr(rng, lines), random_tangent(rng, lines)
+        assert chern_character(e, table, assign, top) == slow_chern_character(e, table, assign, top)
+        assert todd(tangent, table, assign, top) == slow_todd(tangent, table, assign, top)
+        if top >= 2:
+            assert c1_det_rf(e, table, assign, tangent, top - 1) == \
+                slow_c1_det_rf(e, table, assign, tangent, top - 1)
+
+
+def test_a_negative_multiplicity_reaches_the_oracle():
+    table, assign = two_line_table()
+    tangent = E.Neg(E.Sum((E.Line("L"), E.Line("L"), E.Dual(E.Line("M")))))
+    assert S.eval_expr(tangent, S.SplitContext(table)).terms == {(("L", 1),): -2, (("M", -1),): -1}
+    assert todd(tangent, table, assign, 4) == slow_todd(tangent, table, assign, 4)
+
+
+def test_the_curve_model_builds_its_todd_class_once(monkeypatch):
+    calls = []
+    build = C._todd
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(C, "_todd", counted)
+    assert deligne_residual().ok
+    assert calls == [E.Dual(E.Line("omega"))]
+    calls.clear()
+    assert mumford_exponent(10) == 541
+    assert len(calls) == 1

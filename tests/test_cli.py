@@ -217,6 +217,17 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
      "bad declaration on line 2: symbol 'A' redeclared as bundle rank 2, was line rank 1"),
     (("verify", "tau", "--p", "0"), "--p 0 is not prime"),
     (("verify", "tau", "--p", "-2"), "--p -2 is not prime"),
+    # an option the target does not read is refused, not ignored
+    (("verify", "mumford", "--trace-json", "OUT"), "verify mumford does not use --trace-json"),
+    (("verify", "deligne", "--trace-json", "OUT"), "verify deligne does not use --trace-json"),
+    (("verify", "binomial", "--trace-json", "OUT"), "verify binomial does not use --trace-json"),
+    (("verify", "tau", "--trace-json", "OUT"), "verify tau does not use --trace-json"),
+    (("verify", "km", "--rank", "2"), "verify km does not use --rank"),
+    (("verify", "mumford", "--rank", "1"), "verify mumford does not use --rank"),
+    (("verify", "deligne", "--rank", "2"), "verify deligne does not use --rank"),
+    (("verify", "binomial", "--rank", "2"), "verify binomial does not use --rank"),
+    (("verify", "mumford", "--p", "3"), "verify mumford does not use --p"),
+    (("verify", "deligne", "--p", "2"), "verify deligne does not use --p"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",
@@ -224,7 +235,7 @@ def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
              "NEGATIVE_DIM": b"line A;\nmorphism f dim -1;\n",
              "RANK_ZERO": b"line A;\nbundle E rank 0;\n",
              "REDECLARED": b"line A;\nbundle A rank 2;\n"}
-    paths = {"DIR": str(tmp_path)}
+    paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "trace.json")}
     for name, content in files.items():
         path = tmp_path / f"{name}.txt"
         path.write_bytes(content)
@@ -234,6 +245,7 @@ def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     assert out == ""
     assert message in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "trace.json").exists()
 
 
 def _raise_recursion(*args, **kwargs):

@@ -1,8 +1,9 @@
-"""Property tests of the degree filter and the truncated series inverse.
+"""Property tests of the degree filter and the truncated Todd series.
 
 Truncation at a working degree is a ring quotient, so products may be
 filtered after every step; the Chow model's Todd classes of negative classes
-rely on the series inverse being exact below the working degree.
+rely on its inverse Todd series being the inverse of the Todd series below
+the working degree.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adamsrr import chow as C
+from adamsrr import expr as E
 from adamsrr.splitting import SplitClass
 
 VARIABLES = ("a", "b", "c")
@@ -40,16 +42,28 @@ def test_degree_filter_splits_a_class(a, low, high):
 
 
 @settings(deadline=None)
-@given(classes, coefficients.filter(bool), st.integers(0, 5))
-def test_series_inverse_below_the_working_degree(x, unit, top):
-    series = x.degrees(low=1) + unit  # nonzero constant term: a unit series
-    inverse = C._inverse(series, top)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(0, 5))
+def test_series_inverse_below_the_working_degree(exponents, top):
+    # a line monomial over up to three lines, and its negation as a tangent class
+    table = E.SymbolTable(space="X")
+    for v in VARIABLES:
+        table.declare_line(v.upper())
+    assign = {v.upper(): v for v in VARIABLES}
+    line = E.Tensor(tuple(E.Power(E.Line(v.upper()), e) for v, e in zip(VARIABLES, exponents)))
+    td = C.todd(line, table, assign, top)
+    inverse = C.todd(E.Neg(line), table, assign, top)
+    assert td.degrees(high=top + 1) == td
     assert inverse.degrees(high=top + 1) == inverse
-    assert (series * inverse).degrees(high=top + 1) == 1
+    assert (td * inverse).degrees(high=top + 1) == 1
 
 
 def test_series_inverse_of_one_plus_w():
+    # x/(1 - e^(-x)) = sum B_k^+ x^k/k!, and (1 - e^(-x))/x = sum (-1)^k x^k/(k+1)!
+    assert C._todd_coefficients(8) == [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0,
+                                       Fraction(1, 30240), 0, Fraction(-1, 1209600)]
+    table = E.SymbolTable(space="X")
+    table.declare_line("W")
     w = SplitClass.variable("w")
-    inverse = C._inverse(1 + w, 3)
-    assert inverse == 1 - w + w * w - w * w * w
-    assert C._inverse(SplitClass.constant(Fraction(2, 3)), 2) == Fraction(3, 2)
+    inverse = C.todd(E.Neg(E.Line("W")), table, {"W": "w"}, 3)
+    assert inverse == 1 - w * Fraction(1, 2) + w * w * Fraction(1, 6) - w * w * w * Fraction(1, 24)
+    assert C.todd(E.Sum((E.Line("W"), E.Neg(E.Line("W")))), table, {"W": "w"}, 2) == 1
