@@ -51,12 +51,7 @@ def _series(coefficients: list, m: S.Monomial, assign: dict[str, str], pk: S._Pa
             raise ChowError(f"no first-Chern symbol assigned to root {v!r}")
         symbol = pk._e(assign[v], 1)
         x[symbol] = x.get(symbol, 0) + e
-    out: dict[int, object] = {}
-    for c in reversed(coefficients):
-        out = S._packed_mul(out, x, pk.limit)
-        if c:
-            out[0] = c  # x has no constant term, so out has none
-    return out
+    return S._horner(coefficients, x, pk.limit)
 
 
 def _ch(e: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._Packing) -> dict:
@@ -74,13 +69,8 @@ def _todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._
         # td(x) for a line, 1/td(x) = (1 - e^(-x))/x = sum_k (-1)^k x^k/(k+1)! for a negated one
         base = _todd_coefficients(pk.cutoff - 1) if c > 0 else \
             [Fraction((-1) ** k, factorial(k + 1)) for k in range(pk.cutoff)]
-        piece, k = _series(base, m, assign, pk), abs(c)  # eval_expr gives integers
-        while k:  # total * piece^k, by squaring
-            if k & 1:
-                total = S._packed_mul(total, piece, pk.limit)
-            k >>= 1
-            if k:
-                piece = S._packed_mul(piece, piece, pk.limit)
+        piece = S._packed_pow(_series(base, m, assign, pk), abs(c), pk.limit)  # c is an integer
+        total = S._packed_mul(total, piece, pk.limit)
     return total
 
 

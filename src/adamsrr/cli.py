@@ -25,7 +25,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # the verify targets that read each option; the others refuse it
-OPTION_READERS = {"--p": ("arr", "base-change", "km", "tau", "binomial"),
+OPTION_READERS = {"--n": ("arr", "base-change", "km", "binomial", "mumford"),
+                  "--p": ("arr", "base-change", "km", "tau", "binomial"),
                   "--rank": ("arr", "base-change", "tau"),
                   "--trace-json": ("arr", "base-change", "km")}
 
@@ -113,7 +114,7 @@ def _write_trace(trace: R.ProofTrace, args) -> None:
 
 def cmd_verify(args) -> int:
     target = args.target
-    n, p = args.n, 2 if args.p is None else args.p
+    n, p = 1 if args.n is None else args.n, 2 if args.p is None else args.p
     if target == "binomial":
         w = S.binomial_identity_check(n, p)
         if args.format == "json":
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one verification")
     ver.add_argument("target", choices=("arr", "base-change", "km", "tau",
                                         "mumford", "deligne", "binomial"))
-    ver.add_argument("--n", type=int, default=1,
-                     help="relative dimension (for mumford: the power k)")
+    ver.add_argument("--n", type=int,
+                     help="relative dimension, default 1 (for mumford: the power k)")
     ver.add_argument("--p", type=int,
                      help="the prime characteristic (default 2; tau: every prime of its grid)")
     ver.add_argument("--rank", type=int, help="rank of the test bundle (default: a line)")
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify" and args.p is not None and not R.is_prime(args.p):
         print(f"error: --p {args.p} is not prime", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "n", 0) < 0:
+    if (getattr(args, "n", None) or 0) < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "rank", None) is not None and args.rank < 1:

@@ -12,12 +12,13 @@ The truncated ring (classes mod I^cutoff, I the augmentation ideal) is kept
 in e-coordinates: every class the evaluator builds is symmetric in each
 bundle's roots, so `packed_eval` holds a bundle as the elementary symmetric
 functions e_1..e_r of its u = x - aug(x), e_k of weight k, packed with the
-weighted degree into one int per monomial.  Symbols, psi^k, duals and theta^k
-of a bundle are built there directly (Fulton & Lang, Riemann-Roch Algebra,
-ch. I-III); other leaves are evaluated as Laurent classes, truncated in the
-root basis and reduced back by leading terms.  `truncated_eval` and the
-printer of a packed class unpack e-monomials into root monomials; the grades
-of `picard` name each e-monomial as it is, through `_Packing.text`.
+weighted degree into one int per monomial.  Every node is built there by its
+own rule, as psi^k of the node (dual being psi^-1): psi^k is a ring map moved
+down to the symbols, and theta^k, tau_p, det and inverses are multiplicative
+classes, power series in the power sums of their argument (Fulton & Lang,
+Riemann-Roch Algebra, ch. I-III).  `truncated_eval` and the printer of a
+packed class unpack e-monomials into root monomials; the grades of `picard`
+name each e-monomial as it is, through `_Packing.text`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import comb, inf
 from typing import Callable
 
@@ -405,30 +405,19 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
             prod = prod * eval_expr(f, ctx)
         return prod
     if isinstance(e, Dual):
-        cls = eval_expr(e.arg, ctx)
-        _no_opaque(ctx, cls, "dual")
-        return cls.dual()
+        return _operand(e.arg, ctx, "dual").dual()
     if isinstance(e, Psi):
-        cls = eval_expr(e.arg, ctx)
-        _no_opaque(ctx, cls, "psi")
-        return cls.adams(e.k)
+        return _operand(e.arg, ctx, "psi").adams(e.k)
     if isinstance(e, Theta):
-        cls = eval_expr(e.arg, ctx)
-        _no_opaque(ctx, cls, "theta")
-        return theta_class(cls, e.k)
+        return theta_class(_operand(e.arg, ctx, "theta"), e.k)
     if isinstance(e, Tau):
-        cls = eval_expr(e.arg, ctx)
-        _no_opaque(ctx, cls, "tau")
-        return tau_of_class(cls, e.p)
+        return tau_of_class(_operand(e.arg, ctx, "tau"), e.p)
     if isinstance(e, DetClass):
-        cls = eval_expr(e.arg, ctx)
-        _no_opaque(ctx, cls, "det")
-        return det_class(cls)
+        return det_class(_operand(e.arg, ctx, "det"))
     if isinstance(e, Power):
-        base = eval_expr(e.base, ctx)
-        if e.exponent < 0 and not base.is_monomial():
-            raise EvalError(f"negative power of a non-line class: {e}")
-        return base**e.exponent
+        if e.exponent < 0:
+            return _inverse_operand(e, ctx) ** -e.exponent
+        return eval_expr(e.base, ctx) ** e.exponent
     if isinstance(e, Pull):
         reducer = ctx.pull_reducers.get(e.morphism)
         if reducer is None:
@@ -441,15 +430,32 @@ def _undeclared(name: str, ctx: SplitContext):
     raise EvalError(f"undeclared symbol {name!r} on space {ctx.space}")
 
 
-def _no_opaque(ctx: SplitContext, cls: SplitClass, what: str) -> None:
+def _operand(e: Expr, ctx: SplitContext, what: str) -> SplitClass:
+    """The class of operator `what`'s argument e, refused if it holds an opaque bundle class."""
+    cls = eval_expr(e, ctx)
     if ctx.has_opaque_vars(cls):
         raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class")
+    return cls
+
+
+def _inverse_operand(e: Power, ctx: SplitContext) -> SplitClass:
+    """The inverse of a negative power's base, refused unless it is a line monomial of coefficient +-1."""
+    base = eval_expr(e.base, ctx)
+    if not base.is_monomial():
+        raise EvalError(f"negative power of a non-line class: {e}")
+    return base.monomial_inverse()
+
+
+def _effective(cls: SplitClass, what: str) -> SplitClass:
+    """cls, refused as operator `what`'s argument unless it is effective."""
+    if not cls.is_effective():
+        raise NonEffectiveError(f"{what} argument is not effective: {cls}")
+    return cls
 
 
 def theta_class(cls: SplitClass, k: int) -> SplitClass:
     """theta^k as a product of 1 + m + ... + m^(k-1) over constituent lines."""
-    if not cls.is_effective():
-        raise NonEffectiveError(f"theta argument is not effective: {cls}")
+    _effective(cls, "theta")
     prod = SplitClass.constant(1, cls.space)
     for m in cls.constituents():
         line = SplitClass({m: 1}, cls.space)
@@ -468,9 +474,7 @@ def tau_of_class(cls: SplitClass, p: int) -> SplitClass:
     Sums the monomials prod_j m_j^(i_j) over all exponent vectors 0 <= i_j < p
     indexed by the constituent lines; independent of the theta product route.
     """
-    if not cls.is_effective():
-        raise NonEffectiveError(f"tau argument is not effective: {cls}")
-    lines = cls.constituents()
+    lines = _effective(cls, "tau").constituents()
     counts: dict[Monomial, int] = {}
     for exps in itertools.product(range(p), repeat=len(lines)):
         mono: Monomial = ()
@@ -492,12 +496,14 @@ def det_class(cls: SplitClass) -> SplitClass:
 
 def tau_class(symbol: str, p: int, ctx: SplitContext) -> SplitClass:
     """tau of a declared line/bundle symbol by direct basis enumeration."""
+    return tau_of_class(_operand(_symbol_expr(symbol, ctx), ctx, "tau"), p)
+
+
+def _symbol_expr(symbol: str, ctx: SplitContext) -> Expr:
+    """The declared symbol as an expression: its bundle, or its line."""
     if symbol not in ctx.roots:
         _undeclared(symbol, ctx)
-    cls = ctx.root_class(symbol) if ctx.table.kind(symbol) == BUNDLE \
-        else SplitClass.variable(ctx.roots[symbol][0], ctx.space)
-    _no_opaque(ctx, cls, "tau")
-    return tau_of_class(cls, p)
+    return Bundle(symbol) if ctx.table.kind(symbol) == BUNDLE else Line(symbol)
 
 
 @dataclass
@@ -512,9 +518,7 @@ class Verdict:
 
 
 def tau_equals_theta(symbol: str, p: int, ctx: SplitContext) -> Verdict:
-    diff = tau_class(symbol, p, ctx) - eval_expr(
-        Theta(p, Bundle(symbol) if ctx.table.kind(symbol) == BUNDLE else Line(symbol)), ctx
-    )
+    diff = tau_class(symbol, p, ctx) - eval_expr(Theta(p, _symbol_expr(symbol, ctx)), ctx)
     if diff.is_zero():
         return Verdict(True)
     return Verdict(False, str(diff))
@@ -552,14 +556,14 @@ class _Packing:
     gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III).
     `root_terms` is the one change of basis, e-monomial to root monomials: a
     product, in the ring, of each wide block's powers of e_k written in root
-    monomials.  `to_roots` unpacks a class through it, and `from_roots`
-    reduces a class symmetric in each block's roots back into e-coordinates
-    by taking off the `root_terms` of its leading e-monomial, one at a time;
-    both only touch the blocks of rank >= 2.  `filtration` expands a Laurent
-    class into root monomials through the memoized binomial `series` of each
-    variable power and `expanded` of each monomial.  Leaf classes (`adams`,
-    `theta`), power sums and the powers of each e_k in root monomials are
-    memoized in `memo`.
+    monomials.  `to_roots` unpacks a class through it, touching only the
+    blocks of rank >= 2; no class needs the way back, since `packed_eval`
+    builds each one in e-coordinates.  `filtration` expands a Laurent class
+    into root monomials, for `truncated_filtration`, through the memoized
+    binomial `series` of each variable power and `expanded` of each monomial.
+    `memo` holds the symbols' `adams` classes and power sums, the powers of
+    each e_k in root monomials, the `_terms` of each (k, node) and the
+    series coefficients of `_log_derivative`.
     """
 
     __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
@@ -597,10 +601,6 @@ class _Packing:
     def _e(self, b: str, k: int) -> int:
         """The packed monomial e_k of block b."""
         return (1 << (self.offset[b] + (k - 1) * self.width)) | (k << self.shift)
-
-    def _place(self, at: int, exponents: tuple) -> int:
-        """Exponents packed into consecutive fields from offset `at` (no degree field)."""
-        return sum(e << (at + i * self.width) for i, e in enumerate(exponents))
 
     # -- the root basis -------------------------------------------------------
     def fields(self, packed) -> list[tuple[str, int]]:
@@ -699,46 +699,6 @@ class _Packing:
             self.memo[key] = hit
         return hit
 
-    def from_roots(self, packed: dict[int, object]) -> dict[int, object]:
-        """A root-basis class symmetric in each block's roots, in e-coordinates.
-
-        Packed ints order monomials by degree, then field by field from the
-        top, and a product of monomials keeps that order.  So the largest key
-        of a class symmetric in each block has exponents v_1 <= ... <= v_r in
-        the fields of each block of rank r, and it is the largest root term,
-        with coefficient 1, of e_1^a_1 ... e_r^a_r with a_k = v_(r-k+1) -
-        v_(r-k) (v_0 = 0).  Taking c times that e-monomial's `root_terms` off
-        and repeating ends at zero exactly when the class is symmetric (the
-        fundamental theorem of symmetric polynomials); a largest key of any
-        other shape raises EvalError.
-        """
-        wide_bits = self._wide_bits
-        if not any(m & wide_bits for m in packed):
-            return packed
-        width, mask = self.width, (1 << self.width) - 1
-        rest = dict(packed)
-        heap = [-m for m in rest]  # every key of `rest` not yet taken, negated
-        heapify(heap)
-        out: dict[int, object] = {}
-        while heap:
-            x = -heappop(heap)
-            c = rest.pop(x)
-            if not c:
-                continue
-            e = x & ~wide_bits
-            for _, at, r, _ in self._wide:
-                v = [0] + [(x >> (at + i * width)) & mask for i in range(r)]
-                if any(v[i] > v[i + 1] for i in range(1, r)):
-                    raise EvalError("class is not symmetric in the roots of its bundles")
-                e |= self._place(at, [v[r - k + 1] - v[r - k] for k in range(1, r + 1)])
-            out[e] = c
-            for y, k in self.root_terms(e).items():
-                if y != x:  # every other root term is below x, so not taken yet
-                    if y not in rest:
-                        heappush(heap, -y)
-                    rest[y] = rest.get(y, 0) - c * k
-        return out
-
     # -- leaves ------------------------------------------------------------------
     def symbol(self, b: str) -> dict[int, object]:
         """The symbol of block b: the sum of its roots, sum_i aug(x_i) + e_1."""
@@ -749,13 +709,13 @@ class _Packing:
         return {m: c for m, c in terms.items() if c}
 
     def power_sums(self, b: str) -> list[dict[int, object]]:
-        """P_j = sum_i u_i^j of block b for j < cutoff (P_0 left out), by Newton's identities."""
+        """P_j = sum_i u_i^j of block b for j < cutoff (P_0 = r), by Newton's identities."""
         key = ("P", b)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         r = len(self.blocks[b])
-        sums: list[dict[int, object]] = [{}]
+        sums: list[dict[int, object]] = [{0: r} if r else {}]
         for j in range(1, self.cutoff):
             # P_j = sum_{i<j} (-1)^(i-1) e_i P_(j-i) + (-1)^(j-1) j e_j
             acc: dict[int, object] = {}
@@ -771,51 +731,28 @@ class _Packing:
         return sums
 
     def adams(self, b: str, k: int) -> dict[int, object]:
-        """psi^k of block b's symbol (roots of augmentation 1): r + sum_j C(k, j) P_j."""
+        """psi^k of block b's symbol (roots of augmentation 1): sum_j C(k, j) P_j."""
         key = ("psi", b, k)
         hit = self.memo.get(key)
         if hit is None:
-            terms = {0: len(self.blocks[b])}
+            terms: dict[int, object] = {}
             for j, pj in enumerate(self.power_sums(b)):
                 cj = _binom(k, j)
-                if j and cj:
+                if cj:
                     for m, c in pj.items():
                         terms[m] = terms.get(m, 0) + cj * c
             hit = self.memo[key] = {m: c for m, c in terms.items() if c}
-        return hit
-
-    def theta(self, b: str, k: int) -> dict[int, object]:
-        """theta^k (k >= 1) of block b's symbol: prod_i g(u_i), g(u) = sum_j C(k, j+1) u^j.
-
-        With u g'(u)/g(u) = sum_j b_j u^j, the Euler operator gives the part of
-        degree d of the product G as (1/d) sum_j b_j P_j G_(d-j), from
-        G_0 = k^r: the logarithm of G is sum_i log g(u_i), a series in the
-        power sums, and this is its exponential, degree by degree.
-        """
-        key = ("theta", b, k)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        g = [comb(k, j + 1) for j in range(self.cutoff)]
-        bs = [Fraction(0)] * self.cutoff
-        for j in range(1, self.cutoff):
-            bs[j] = Fraction(j * g[j] - sum(g[i] * bs[j - i] for i in range(1, j)), g[0])
-        sums = self.power_sums(b)
-        parts: list[dict[int, object]] = [{0: k ** len(self.blocks[b])}]
-        for d in range(1, self.cutoff):
-            acc: dict[int, object] = {}
-            for j in range(1, d + 1):
-                if bs[j]:
-                    for m, c in _packed_mul(sums[j], parts[d - j], self.limit).items():
-                        acc[m] = acc.get(m, 0) + bs[j] * c
-            parts.append({m: _exact(c / d) for m, c in acc.items() if c})
-        hit = self.memo[key] = {m: c for part in parts for m, c in part.items()}
         return hit
 
 
 def _exact(c):
     """An integral Fraction as an int; anything else as it is."""
     return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _quotient(c, d: int):
+    """c / d, exact: an int when c is an int that d divides, else through Fraction."""
+    return c // d if isinstance(c, int) and not c % d else _exact(Fraction(c, d))
 
 
 def _binom(k: int, j: int) -> int:
@@ -836,6 +773,31 @@ def _packed_mul(a: dict[int, object], b: dict[int, object], limit: int) -> dict[
     return {m: c for m, c in out.items() if c}
 
 
+def _horner(coefficients: list, x: dict[int, object], limit: int) -> dict[int, object]:
+    """sum_k coefficients[k] * x^k by Horner's rule, truncated; x has no constant term."""
+    out: dict[int, object] = {}
+    for c in reversed(coefficients):
+        out = _packed_mul(out, x, limit)
+        if c:
+            out[0] = c  # x has no constant term, so out has none
+    return out
+
+
+def _packed_pow(x: dict[int, object], k: int, limit: int) -> dict[int, object]:
+    """x^k (k >= 0), truncated, by squaring."""
+    out: dict[int, object] = {0: 1}
+    while k:
+        if k & 1:
+            out = _packed_mul(out, x, limit)
+        k >>= 1
+        if k:
+            x = _packed_mul(x, x, limit)
+    return out
+
+
+_RANK_ZERO_INVERSE = "cannot invert a rank-0 class in the filtration expansion"
+
+
 def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
     """Packed terms of (aug + u_v)^e below u-degree cutoff (e may be negative)."""
     aug = pk.var_aug.get(v, 1)
@@ -843,7 +805,7 @@ def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
     if aug == 0:
         # only nonnegative exponents arise for rank-0 reserved symbols
         if e < 0:
-            raise EvalError("cannot invert a rank-0 class in the filtration expansion")
+            raise EvalError(_RANK_ZERO_INVERSE)
         return {e * unit: 1} if e < pk.cutoff else {}
     out: dict[int, object] = {}
     if e >= 0:
@@ -857,12 +819,7 @@ def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
         if coeff:
             out[j * unit] = coeff
         # next generalized binomial coefficient: C(e, j+1)/C(e, j) = (e-j)/(j+1)
-        num = coeff * (e - j)
-        den = (j + 1) * aug
-        if isinstance(num, int) and num % den == 0:
-            coeff = num // den
-        else:
-            coeff = Fraction(num) / den
+        coeff = _quotient(coeff * (e - j), (j + 1) * aug)
         if e >= 0 and j >= e:
             break
         j += 1
@@ -880,7 +837,7 @@ def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) 
 
 
 class _NoRule(Exception):
-    """No e-coordinate rule applies to a node: it takes the Laurent fallback."""
+    """No e-coordinate rule applies to a node; `packed_eval` raises the Laurent route's error."""
 
 
 def _is_symbol(e: Expr, ctx: SplitContext) -> bool:
@@ -890,11 +847,7 @@ def _is_symbol(e: Expr, ctx: SplitContext) -> bool:
 
 
 def _split_symbol(e: Expr, ctx: SplitContext) -> str | None:
-    """The symbol e is, through registered pullbacks, if psi, dual and theta act on it by e-rules.
-
-    They do when each of its roots has augmentation 1, which is when the
-    Laurent route lets them act at all.
-    """
+    """The symbol e is, through registered pullbacks, if its roots all have augmentation 1."""
     while isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
         e = ctx.pull_reducers[e.morphism](e.arg)
     if _is_symbol(e, ctx) and all(ctx.var_aug[v] == 1 for v in ctx.roots[e.name]):
@@ -902,96 +855,155 @@ def _split_symbol(e: Expr, ctx: SplitContext) -> str | None:
     return None
 
 
-def _ring_terms(e: Expr, pk: _Packing, child: Callable[[Expr], dict]) -> dict | None:
-    """Packed terms of a ring node from `child` of its operands; None for any other node.
+def _terms(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
+    """psi^k(e) in pk's e-coordinates, k = 1 being e itself; memoized in `pk.memo`."""
+    key = (k, e)
+    hit = pk.memo.get(key)
+    if hit is None:
+        hit = pk.memo[key] = _rule(k, e, ctx, pk)
+    return hit
 
-    The ring nodes are sums, negations, constants, tensors and powers >= 0.
+
+def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
+    """The e-coordinate rule of psi^k(e), on the `_terms` of e's operands.
+
+    psi^k is a ring map: it passes sums, negations, constants, tensors and
+    powers, composes with psi^j into psi^jk and with a dual into psi^-k, and
+    ends at a symbol's `adams` class; a pullback with a registered reducer is
+    its reduced argument.  theta^m, tau_p = theta^p and det commute with
+    psi^k and are multiplicative, so they are `_multiplicative` series in the
+    power sums of psi^k of their argument; the inverse of a + y, y in I, is
+    sum_j (-1)^j y^j / a^(j+1).  These first refuse their argument as
+    `eval_expr` does.  Any other node (an unregistered pullback, an unsplit
+    symbol under psi^k with k != 1) raises _NoRule.
     """
     if isinstance(e, Sum):
         out: dict[int, object] = {}
         for t in e.terms:
-            for m, c in child(t).items():
+            for m, c in _terms(k, t, ctx, pk).items():
                 out[m] = out.get(m, 0) + c
-        return out
+        return {m: c for m, c in out.items() if c}
     if isinstance(e, Neg):
-        return {m: -c for m, c in child(e.arg).items()}
+        return {m: -c for m, c in _terms(k, e.arg, ctx, pk).items()}
     if isinstance(e, (IntConst, Unit)):
         value = e.value if isinstance(e, IntConst) else 1
         return {0: value} if value else {}
     if isinstance(e, Tensor):
         out = {0: 1}
         for f in e.factors:
-            out = _packed_mul(out, child(f), pk.limit)
-            if not out:
-                break
+            out = _packed_mul(out, _terms(k, f, ctx, pk), pk.limit)
         return out
-    if isinstance(e, Power) and e.exponent >= 0:
-        out, square, k = {0: 1}, child(e.base), e.exponent
-        while k:
-            if k & 1:
-                out = _packed_mul(out, square, pk.limit)
-            k >>= 1
-            if k:
-                square = _packed_mul(square, square, pk.limit)
-        return out
-    return None
-
-
-def _adams_terms(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict:
-    """psi^k(e), moved down to split symbols: psi^k is a ring map, and dual is psi^-1.
-
-    Raises _NoRule at a node it does not pass (theta, tau, det, a negative
-    power, an unregistered pullback, an unsplit symbol).
-    """
-    if isinstance(e, Pull):
-        reducer = ctx.pull_reducers.get(e.morphism)
-        if reducer is None:
-            raise _NoRule
-        return _adams_terms(k, reducer(e.arg), ctx, pk)
-    if isinstance(e, Psi):
-        return _adams_terms(k * e.k, e.arg, ctx, pk)
-    if isinstance(e, Dual):
-        return _adams_terms(-k, e.arg, ctx, pk)
-    if isinstance(e, (Line, Bundle)):
-        block = _split_symbol(e, ctx)
+    if isinstance(e, Power):
+        if e.exponent >= 0:
+            return _packed_pow(_terms(k, e.base, ctx, pk), e.exponent, pk.limit)
+        _inverse_operand(e, ctx)
+        return _packed_pow(_inverse(_terms(k, e.base, ctx, pk), pk), -e.exponent, pk.limit)
+    if isinstance(e, (Psi, Dual)):
+        j = k * e.k if isinstance(e, Psi) else -k
+        if j == 1:  # the identity, which still refuses an opaque class
+            _operand(e.arg, ctx, "psi" if isinstance(e, Psi) else "dual")
+        return _terms(j, e.arg, ctx, pk)
+    if isinstance(e, (Theta, Tau, DetClass)):
+        if isinstance(e, DetClass):
+            what, g = "det", (1, 1, *[0] * (pk.cutoff - 2))  # det(x) = x = 1 + u on a line
+        else:
+            what, m = ("theta", e.k) if isinstance(e, Theta) else ("tau", e.p)
+            g = tuple(comb(m, j + 1) if m > 0 else 0 for j in range(pk.cutoff))  # (x^m - 1)/u
+        block = _split_symbol(e.arg, ctx)
         if block is None:
-            raise _NoRule
-        return pk.adams(block, k)
-    out = _ring_terms(e, pk, lambda x: _adams_terms(k, x, ctx, pk))
-    if out is None:
-        raise _NoRule
-    return out
+            cls = _operand(e.arg, ctx, what)
+            if what != "det":
+                _effective(cls, what)
+        sums = pk.power_sums(block) if block is not None and k == 1 else \
+            _power_sums(k, e.arg, ctx, pk)
+        return _multiplicative(g, sums, pk)
+    if isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
+        return _terms(k, ctx.pull_reducers[e.morphism](e.arg), ctx, pk)
+    if k == 1 and _is_symbol(e, ctx):
+        return pk.symbol(e.name)
+    if _split_symbol(e, ctx) is not None:
+        return pk.adams(e.name, k)
+    raise _NoRule
 
 
-def _operator_leaf(e: Psi | Dual | Theta, ctx: SplitContext, pk: _Packing) -> dict | None:
-    """psi^k, dual or theta^k of e's argument by the e-rules, or None where none applies."""
-    k = -1 if isinstance(e, Dual) else e.k
-    try:
-        if isinstance(e, Theta):
-            block = _split_symbol(e.arg, ctx)
-            return pk.theta(block, k) if block is not None and k >= 1 else None
-        return _adams_terms(k, e.arg, ctx, pk)
-    except (_NoRule, ExprError):
-        return None  # the Laurent route raises whatever error the node has
+def _power_sums(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> list[dict[int, object]]:
+    """P_j(psi^k e) = sum_l C(j, l) (-1)^(j-l) psi^(lk)(e) for j < cutoff, psi^0(e) the rank.
+
+    Each root x of e has augmentation 1, and u = x^k - 1 for psi^k e; the
+    rank is the constant term of psi^k e.
+    """
+    psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 2))]
+    psi[0] = {0: psi[1].get(0, 0)}
+    sums = []
+    for j in range(pk.cutoff):
+        acc: dict[int, object] = {}
+        for l in range(j + 1):
+            s = comb(j, l) if (j - l) % 2 == 0 else -comb(j, l)
+            for m, c in psi[l].items():
+                acc[m] = acc.get(m, 0) + s * c
+        sums.append({m: c for m, c in acc.items() if c})
+    return sums
 
 
-def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
+def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> dict[int, object]:
+    """prod_i g(u_i) over the roots of the class whose power sums P_j are `sums`, P_0 its rank.
+
+    With u g'(u)/g(u) = sum_j b_j u^j, the logarithm of the product is
+    rank * log g(0) + sum_j b_j P_j / j.  Its exponential is built part by
+    part in a grading that gives P_j degree j: G_0 = g(0)^rank and, by the
+    Euler operator, G_d = (1/d) sum_j b_j P_j G_(d-j).  P_j lies in I^j, so
+    G_d lies in I^d.  The power sums of a compound class are not homogeneous,
+    so the parts share monomials, and are added.
+    """
+    rank = sums[0].get(0, 0)
+    if not g[0]:  # theta^m with m < 1 is 0 on each line
+        return {} if rank else {0: 1}
+    bs = _log_derivative(g, pk)
+    parts: list[dict[int, object]] = [{0: g[0] ** rank if rank >= 0 else _quotient(1, g[0] ** -rank)}]
+    total = dict(parts[0])
+    for d in range(1, pk.cutoff):
+        acc: dict[int, object] = {}
+        for j in range(1, d + 1):
+            if bs[j]:
+                for m, c in _packed_mul(sums[j], parts[d - j], pk.limit).items():
+                    acc[m] = acc.get(m, 0) + bs[j] * c
+        parts.append({m: _quotient(c, d) for m, c in acc.items() if c})
+        for m, c in parts[d].items():
+            total[m] = total.get(m, 0) + c
+    return {m: _exact(c) for m, c in total.items() if c}
+
+
+def _log_derivative(g: tuple, pk: _Packing) -> list:
+    """b_0..b_(len(g)-1) of u g'(u)/g(u) = sum_j b_j u^j, exact; memoized in `pk.memo`."""
+    bs = pk.memo.get(("b", g))
+    if bs is None:
+        bs = pk.memo["b", g] = [0] * len(g)
+        for j in range(1, len(g)):
+            bs[j] = _quotient(j * g[j] - sum(g[i] * bs[j - i] for i in range(1, j)), g[0])
+    return bs
+
+
+def _inverse(x: dict[int, object], pk: _Packing) -> dict[int, object]:
+    """1/x for x = a + y, y in I: sum_j (-1)^j y^j / a^(j+1); a = 0 is a rank-0 class."""
+    a = x.get(0, 0)
+    if not a:
+        raise EvalError(_RANK_ZERO_INVERSE)
+    return _horner([_quotient((-1) ** j, a ** (j + 1)) for j in range(pk.cutoff)],
+                   {m: c for m, c in x.items() if m}, pk.limit)
+
+
+def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     """Evaluate directly in the truncated ring (classes mod I^cutoff); memoized per context.
 
     The result is keyed by packed e-monomials, and its space is the context's
     `_Packing` for `cutoff`: classes of one packing add, scale and compare like
     any `SplitClass`.  A key's weighted degree is `key >> packing.shift`.
 
-    Truncation is a ring quotient, so sums, tensors and nonnegative powers are
-    computed on already-truncated operands, and a pullback along a morphism
-    with a registered reducer is truncated through its reduced argument (which
-    `eval_expr` evaluates it to by definition).  Declared symbols, and psi^k,
-    duals and theta^k of split symbols, are built in e-coordinates by their
-    rules; psi^k and duals of other arguments are moved down to split symbols
-    first.  Only the nodes with no rule (tau, det, negative powers, theta of
-    a compound argument, unregistered pullbacks) fall back to a full Laurent
-    evaluation, truncated in the root basis and reduced into e-coordinates;
-    they raise what `eval_expr` raises.
+    Every node is built by its e-coordinate rule (`_rule`), on truncated
+    operands, since truncation is a ring quotient.  A node refused there
+    raises what `eval_expr` raises; so does a node with no rule, except where
+    psi^k or a dual meets opaque classes that cancel in the Laurent class, as
+    in psi^2(FsO - FsO), which raises EvalError.
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)
@@ -1000,21 +1012,13 @@ def _packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     pk = ctx._packings.get(cutoff)
     if pk is None:
         pk = ctx._packings[cutoff] = _Packing(ctx.roots, ctx.var_aug, cutoff)
-    out = _ring_terms(e, pk, lambda x: _packed_eval(x, ctx, cutoff).terms)
-    if out is None:
-        if isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-            out = _packed_eval(ctx.pull_reducers[e.morphism](e.arg), ctx, cutoff).terms
-        elif _is_symbol(e, ctx):
-            out = pk.symbol(e.name)
-        elif isinstance(e, (Psi, Dual, Theta)):
-            out = _operator_leaf(e, ctx, pk)
-    if out is None:
-        out = pk.from_roots(pk.filtration(eval_expr(e, ctx)))
-    hit = ctx._packed_cache[key] = SplitClass(out, pk)
+    try:
+        terms = _terms(1, e, ctx, pk)
+    except _NoRule:
+        eval_expr(e, ctx)  # raises the Laurent route's error, if it has one
+        raise EvalError(f"psi or dual of an opaque (unsplit) bundle class in {e}") from None
+    hit = ctx._packed_cache[key] = SplitClass(terms, pk)
     return hit
-
-
-packed_eval = _packed_eval  # the public name; the recursion calls the private one
 
 
 def truncated_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:

@@ -228,6 +228,9 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("verify", "binomial", "--rank", "2"), "verify binomial does not use --rank"),
     (("verify", "mumford", "--p", "3"), "verify mumford does not use --p"),
     (("verify", "deligne", "--p", "2"), "verify deligne does not use --p"),
+    (("verify", "deligne", "--n", "3"), "verify deligne does not use --n"),
+    (("verify", "tau", "--n", "7", "--rank", "1", "--p", "2"), "verify tau does not use --n"),
+    (("verify", "arr", "--n", "-1"), "--n must be >= 0"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",

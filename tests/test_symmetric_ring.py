@@ -1,10 +1,11 @@
 """The truncated ring in e-coordinates against the Laurent route.
 
-`packed_eval` builds symbols, psi^k, duals and theta^k of split symbols
-directly in the elementary symmetric functions e_1..e_r of each bundle's
-u = x - 1 coordinates.  Unpacked into root monomials, every such class must
-equal the full Laurent evaluation truncated afterwards,
-`truncated_filtration(eval_expr(e), var_aug, cutoff)`.
+`packed_eval` builds every class directly in the elementary symmetric
+functions e_1..e_r of each bundle's u = x - 1 coordinates, by one rule per
+node.  Unpacked into root monomials, every such class must equal the full
+Laurent evaluation truncated afterwards,
+`truncated_filtration(eval_expr(e), var_aug, cutoff)`, and an input the
+Laurent route refuses must be refused with the same error.
 """
 
 import itertools
@@ -12,8 +13,6 @@ from functools import partial
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adamsrr import expr as E
 from adamsrr import rewrite as R
@@ -49,7 +48,7 @@ def _leaf_exprs(p: int) -> list[E.Expr]:
 
 
 def _compound_exprs(p: int) -> list[E.Expr]:
-    L, B2, B3 = E.Line("L"), E.Bundle("B2"), E.Bundle("B3")
+    L, B2, B3, om = E.Line("L"), E.Bundle("B2"), E.Bundle("B3"), E.Bundle(OMEGA)
     return [
         E.Theta(p, E.Sum((L, B2))),
         E.Theta(2, E.Tensor((L, B2))),
@@ -58,13 +57,31 @@ def _compound_exprs(p: int) -> list[E.Expr]:
         E.Psi(3, E.Sum((B3, E.Neg(L), E.IntConst(2)))),
         E.Dual(E.Sum((B2, E.Neg(L)))),
         E.Dual(E.Psi(3, B3)),
-        E.Psi(2, E.Dual(E.Tensor((L, E.Bundle(OMEGA))))),
-        # the Laurent fallback, reduced into e-coordinates over blocks of rank 2 and 3
+        E.Psi(2, E.Dual(E.Tensor((L, om)))),
         E.Tau(2, B3),
+        E.Tau(p, E.Sum((L, B2))),
         E.DetClass(E.Sum((B2, B3))),
+        E.DetClass(E.Sum((B3, E.Neg(E.Psi(2, B2)), E.IntConst(3)))),
         E.Theta(2, E.Sum((B3, L))),
         E.Tensor((E.Power(E.DetClass(B3), -1), B2)),
+        E.Power(E.Tensor((E.Neg(L), E.DetClass(E.Dual(B2)))), -3),
+        # theta and det of tensors with blocks of rank 2 and 3
         E.Theta(2, E.Tensor((B2, B3))),
+        E.Theta(3, E.Tensor((L, E.Dual(B3)))),
+        E.DetClass(E.Tensor((B2, B3))),
+        E.DetClass(E.Tensor((E.Psi(2, B2), E.Dual(B3)))),
+        # psi^k and dual over theta, tau, det and negative powers
+        E.Psi(2, E.Theta(p, E.Sum((L, B2)))),
+        E.Dual(E.Theta(3, E.Sum((L, om)))),
+        E.Psi(p, E.Tau(2, E.Tensor((L, B2)))),
+        E.Dual(E.Tau(p, B2)),
+        E.Psi(3, E.DetClass(E.Sum((B2, E.Neg(L))))),
+        E.Dual(E.DetClass(B3)),
+        E.Psi(2, E.Power(E.DetClass(B2), -2)),
+        E.Dual(E.Power(E.Tensor((L, E.Dual(E.DetClass(B3)))), -1)),
+        E.Psi(-2, E.Theta(2, E.Psi(2, B2))),
+        # theta^0 and tau_0 are 0 on each line, so 1 on a class of rank 0
+        E.Theta(0, E.Sum((L, B2))), E.Tau(0, B3), E.Dual(E.Theta(0, om)),
     ]
 
 
@@ -93,9 +110,8 @@ def test_rank_zero_omega_at_n0_matches_the_laurent_route():
             assert _matches_laurent(e, ctx, cutoff), (E.print_expr(e), cutoff)
 
 
-@pytest.mark.parametrize("n,p", CASES)
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_pullbacks_through_the_reducers_match_the_laurent_route(n, p, rank):
+def _pullback_cases(n: int, p: int, rank: int) -> list[tuple[S.SplitContext, list[E.Expr]]]:
+    """Pullbacks through the reducers of the chain's geometry, and a composite one, per context."""
     symbols = {"L": 1, "E": rank}
     geom = R.Geometry(n, p, symbols)
     geom_t = R.Geometry(n, p, {"g_" + name: rk for name, rk in symbols.items()}, suffix="T")
@@ -113,10 +129,103 @@ def test_pullbacks_through_the_reducers_match_the_laurent_route(n, p, rank):
              E.Sum((E.Tensor((R.FSO, j_l)), E.Neg(E.IntConst(p ** n))))]
     on_t = [E.Psi(p, E.Pull("gp", B)), E.Theta(p, E.Pull("gp", om)),
             E.Pull("gp", E.Tensor((B, E.Dual(L)))), E.Dual(E.Pull("gp", E.Psi(2, L)))]
-    for ctx, exprs in ((geom.ctx_x, on_x), (geom.ctx_xp, on_xp), (geom_t.ctx_x, on_t)):
+    return [(geom.ctx_x, on_x), (geom.ctx_xp, on_xp), (geom_t.ctx_x, on_t)]
+
+
+@pytest.mark.parametrize("n,p", CASES)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pullbacks_through_the_reducers_match_the_laurent_route(n, p, rank):
+    for ctx, exprs in _pullback_cases(n, p, rank):
         for e in exprs:
             for cutoff in range(1, n + 3):
                 assert _matches_laurent(e, ctx, cutoff), (E.print_expr(e), cutoff)
+
+
+@pytest.mark.parametrize("n,p", [(0, 3), (2, 2), (4, 5)])
+def test_no_class_is_truncated_in_the_root_basis(monkeypatch, n, p):
+    """Every class above is built in e-coordinates: the Laurent expansion never runs."""
+    cases = [(_x_context(n), _leaf_exprs(p) + _compound_exprs(p))]
+    for rank in (1, 2, 3):
+        cases += _pullback_cases(n, p, rank)
+
+    def expand(*args):
+        raise AssertionError("a class was expanded from its Laurent form")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(S._Packing, "filtration", expand)
+        got = [S.truncated_eval(e, ctx, cutoff) for ctx, exprs in cases for e in exprs
+               for cutoff in range(1, n + 3)]
+    want = [S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff)
+            for ctx, exprs in cases for e in exprs for cutoff in range(1, n + 3)]
+    assert got == want
+
+
+# -- refusals ----------------------------------------------------------------------------
+
+def _refusal(evaluate):
+    try:
+        evaluate()
+    except S.ExprError as ex:
+        return type(ex), str(ex)
+    return None
+
+
+def _opaque_context(n: int) -> S.SplitContext:
+    """`_x_context` with FsO, an opaque bundle of rank 2^n."""
+    table = E.SymbolTable(rel_dim=n, space="X")
+    table.declare_line("L")
+    table.declare_bundle("B2", 2)
+    table.declare_bundle(R.PUSHED_STRUCTURE, 2 ** n)
+    return S.SplitContext(table, opaque=frozenset({R.PUSHED_STRUCTURE}))
+
+
+def _refused_exprs() -> list[E.Expr]:
+    L, B2, F = E.Line("L"), E.Bundle("B2"), R.FSO
+    return [
+        # arguments that are not effective
+        E.Theta(2, E.Sum((L, E.Neg(B2)))), E.Tau(3, E.Sum((B2, E.Neg(L), E.Neg(L)))),
+        E.Psi(2, E.Theta(2, E.Neg(L))), E.Dual(E.Tau(2, E.IntConst(-1))),
+        # the opaque FsO under each operator, and the identity psi^1
+        E.Psi(2, F), E.Psi(2, E.Sum((L, F))), E.Dual(F), E.Dual(E.Dual(F)), E.Psi(1, F),
+        E.Theta(2, F), E.Tau(2, E.Tensor((F, L))), E.DetClass(F), E.Psi(3, E.Power(F, -1)),
+        # negative powers of a sum, and of a coefficient other than 1 or -1
+        E.Power(E.Sum((L, B2)), -1), E.Power(E.Tensor((E.IntConst(2), L)), -1),
+        E.Psi(2, E.Power(E.Sum((L, L)), -2)),
+        # an unregistered pullback, undeclared symbols and a bundle read as a line
+        E.Pull("nowhere", L), E.Psi(2, E.Pull("nowhere", L)), E.Theta(2, E.Pull("nowhere", L)),
+        E.Line("M"), E.Psi(2, E.Bundle("M")), E.DetClass(E.Line("M")),
+        E.Line("B2"), E.Dual(E.Line("B2")), E.Theta(3, E.Line("B2")),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_refusals_match_the_laurent_route(n):
+    ctx = _opaque_context(n)
+    for e in _refused_exprs():
+        for cutoff in (1, 2, 3):
+            want = _refusal(lambda: S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff))
+            assert want is not None, E.print_expr(e)
+            assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, (E.print_expr(e), cutoff)
+
+
+def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion():
+    table = E.SymbolTable(rel_dim=0, space="X")
+    ctx = S.SplitContext(table, opaque=frozenset({OMEGA}))
+    e = E.Power(E.Bundle(OMEGA), -1)
+    for cutoff in (1, 2, 3):
+        want = _refusal(lambda: S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff))
+        assert want == (S.EvalError, "cannot invert a rank-0 class in the filtration expansion")
+        assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want
+
+
+def test_psi_of_cancelling_opaque_classes_is_refused():
+    # the Laurent class FsO - FsO is 0, so the Laurent route applies psi^2 to it;
+    # psi^2 has no rule on an opaque class, so the truncated ring refuses it
+    ctx = _opaque_context(1)
+    e = E.Psi(2, E.Sum((R.FSO, E.Neg(R.FSO))))
+    assert S.eval_expr(e, ctx).is_zero()
+    with pytest.raises(S.EvalError, match="opaque"):
+        S.packed_eval(e, ctx, 3)
 
 
 def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
@@ -125,72 +234,6 @@ def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
     ctx = _x_context(2)
     assert not _matches_laurent(E.Psi(2, E.Bundle("B2")), ctx, 3)
     assert not _matches_laurent(E.Psi(3, E.Line("L")), ctx, 3)
-
-
-def test_a_class_not_symmetric_in_a_block_is_refused():
-    ctx = _x_context(1)
-    pk = S.packed_eval(E.UNIT, ctx, 3).space
-    first_root = 1 << pk.root_offset["B2.1"] | 1 << pk.shift
-    with pytest.raises(S.EvalError):
-        pk.from_roots({first_root: 1})
-    with pytest.raises(S.EvalError):  # a full orbit, with unequal coefficients
-        pk.from_roots({first_root: 1, 1 << pk.root_offset["B2.2"] | 1 << pk.shift: 2})
-
-
-# -- unpack and reduce are inverse ----------------------------------------------------
-
-@st.composite
-def _symmetric_classes(draw, wide: bool = False):
-    """A packing with blocks of rank 0 to 4 and a random class in its e-coordinates.
-
-    With `wide`, the last block has rank 2 to 4 and the cutoff is at least 2.
-    """
-    ranks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
-    if wide:
-        ranks.append(draw(st.integers(2, 4)))
-    cutoff = draw(st.integers(2 if wide else 1, 6))
-    blocks = {f"V{i}": [f"V{i}.{j}" for j in range(1, r + 1)] for i, r in enumerate(ranks)}
-    pk = S._Packing(blocks, {}, cutoff)
-    fields = [(b, k) for b, roots in pk.blocks.items() for k in range(1, len(roots) + 1)]
-    terms = {}
-    for _ in range(draw(st.integers(0, 8))):
-        m = 0
-        for b, k in fields:
-            for _ in range(draw(st.integers(0, 2))):
-                m += pk._e(b, k)
-        if m < pk.limit:
-            terms[m] = terms.get(m, 0) + draw(st.integers(-5, 5).filter(bool))
-    return pk, {m: c for m, c in terms.items() if c}
-
-
-@settings(max_examples=150, deadline=None)
-@given(_symmetric_classes())
-def test_unpacking_then_reducing_is_the_identity(case):
-    pk, terms = case
-    assert pk.from_roots(pk.to_roots(terms)) == terms
-
-
-@st.composite
-def _symmetric_classes_and_a_stray_monomial(draw):
-    """A symmetric class in a root basis, and a root monomial with unequal exponents in a block."""
-    pk, terms = draw(_symmetric_classes(wide=True))
-    roots = draw(st.sampled_from([roots for roots in pk.blocks.values() if len(roots) > 1]))
-    exps = [0] * len(roots)
-    for i in draw(st.lists(st.integers(0, len(roots) - 1), min_size=1, max_size=pk.cutoff - 1)):
-        exps[i] += 1
-    if len(set(exps)) == 1:
-        exps[0], exps[1] = exps[0] - 1, exps[1] + 1
-    stray = sum(e << pk.root_offset[v] for v, e in zip(roots, exps)) | sum(exps) << pk.shift
-    return pk, pk.to_roots(terms), stray, draw(st.integers(-5, 5).filter(bool))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_symmetric_classes_and_a_stray_monomial())
-def test_a_symmetric_class_plus_an_unsymmetric_monomial_is_refused(case):
-    pk, roots, stray, c = case
-    roots = {**roots, stray: roots.get(stray, 0) + c}
-    with pytest.raises(S.EvalError):
-        pk.from_roots({m: k for m, k in roots.items() if k})
 
 
 # -- names of packed monomials --------------------------------------------------------
