@@ -909,13 +909,14 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
         else:
             what, m = ("theta", e.k) if isinstance(e, Theta) else ("tau", e.p)
             g = tuple(comb(m, j + 1) if m > 0 else 0 for j in range(pk.cutoff))  # (x^m - 1)/u
-        block = _split_symbol(e.arg, ctx)
-        if block is None:
+        if _split_symbol(e.arg, ctx) is None:
             cls = _operand(e.arg, ctx, what)
             if what != "det":
                 _effective(cls, what)
-        sums = pk.power_sums(block) if block is not None and k == 1 else \
-            _power_sums(k, e.arg, ctx, pk)
+        try:
+            sums = _power_sums(k, e.arg, ctx, pk)
+        except _NoRule:  # opaque classes, which cancel in the Laurent class
+            raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
         return _multiplicative(g, sums, pk)
     if isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
         return _terms(k, ctx.pull_reducers[e.morphism](e.arg), ctx, pk)
@@ -930,9 +931,10 @@ def _power_sums(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> list[dict[i
     """P_j(psi^k e) = sum_l C(j, l) (-1)^(j-l) psi^(lk)(e) for j < cutoff, psi^0(e) the rank.
 
     Each root x of e has augmentation 1, and u = x^k - 1 for psi^k e; the
-    rank is the constant term of psi^k e.
+    rank is the constant term of psi^k e.  psi^2k(e) is built at any cutoff,
+    so an opaque class in e, which has no psi^2k, raises _NoRule at every cutoff.
     """
-    psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 2))]
+    psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 3))]
     psi[0] = {0: psi[1].get(0, 0)}
     sums = []
     for j in range(pk.cutoff):
@@ -1001,9 +1003,9 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
 
     Every node is built by its e-coordinate rule (`_rule`), on truncated
     operands, since truncation is a ring quotient.  A node refused there
-    raises what `eval_expr` raises; so does a node with no rule, except where
-    psi^k or a dual meets opaque classes that cancel in the Laurent class, as
-    in psi^2(FsO - FsO), which raises EvalError.
+    raises what `eval_expr` raises; so does a node with no rule, except that
+    psi^k, a dual, theta, tau and det refuse opaque classes at every cutoff
+    even where they cancel in the Laurent class, as in det(FsO - FsO).
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)

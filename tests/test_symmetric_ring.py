@@ -218,14 +218,20 @@ def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion(
         assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want
 
 
-def test_psi_of_cancelling_opaque_classes_is_refused():
-    # the Laurent class FsO - FsO is 0, so the Laurent route applies psi^2 to it;
-    # psi^2 has no rule on an opaque class, so the truncated ring refuses it
+def test_operators_on_cancelling_opaque_classes_are_refused_at_every_cutoff():
+    # the Laurent class FsO - FsO is 0, so the Laurent route applies each operator
+    # to it; psi^k has no rule on an opaque class, and theta, tau and det, whose
+    # power sums need psi^k of their argument, refuse it by name at every cutoff
     ctx = _opaque_context(1)
-    e = E.Psi(2, E.Sum((R.FSO, E.Neg(R.FSO))))
-    assert S.eval_expr(e, ctx).is_zero()
-    with pytest.raises(S.EvalError, match="opaque"):
-        S.packed_eval(e, ctx, 3)
+    L, gone = E.Line("L"), E.Sum((R.FSO, E.Neg(R.FSO)))
+    cases = [(E.Psi(2, gone), "psi or dual"), (E.Dual(E.Sum((L, gone))), "psi or dual"),
+             (E.DetClass(gone), "det cannot"), (E.Theta(2, E.Sum((L, gone))), "theta cannot"),
+             (E.Psi(2, E.Tau(2, E.Tensor((L, gone)))), "tau cannot")]
+    for e, what in cases:
+        S.eval_expr(e, ctx)
+        for cutoff in (1, 2, 3):
+            with pytest.raises(S.EvalError, match=what):
+                S.packed_eval(e, ctx, cutoff)
 
 
 def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
