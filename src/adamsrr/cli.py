@@ -1,8 +1,9 @@
 """Command line front end: normalize expressions, run verifications, emit traces.
 
 Exit codes: 0 = verified/normalized, 1 = a verification falsified, 2 = usage,
-parse or declaration error, 3 = internal error (any other exception, reported
-on one line of stderr).
+parse or declaration error, or a reader that closed stdout early (reported on
+nothing), 3 = internal error (any other exception, reported on one line of
+stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import chow as C
@@ -261,7 +263,16 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a replaced cmd_* takes effect
     command = {"normalize": cmd_normalize, "verify": cmd_verify, "suite": cmd_suite}[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered, and whatever the
+        # interpreter flushes at exit, goes to os.devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (E.ExprError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

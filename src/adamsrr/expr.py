@@ -121,14 +121,16 @@ class Expr:
     constructing a node whose class and fields equal those of a live node
     returns that node.  Equality is therefore identity, and the hash is the
     hash of the node's key `(cls, *fields)`, computed once.  Each node also
-    keeps, once computed, its canonical form and its printed text, so they
-    are paid once per distinct tree.  These three memos live in slots that
-    are not dataclass fields, so repr never sees them.  A canonical node
-    marks `_canon` with `_CANONICAL` instead of holding itself, which keeps
-    trees free of reference cycles.
+    keeps, once computed, its canonical form, its printed text and, on a
+    canonical node, its multilinear expansion (`expand_top`), so they are
+    paid once per distinct tree.  These four memos live in slots that are
+    not dataclass fields, so repr never sees them.  A node never holds
+    itself: a canonical node marks `_canon` with `_CANONICAL`, and a node
+    that is its own one monomial marks `_expansion` with `_ATOMIC`, which
+    keeps trees free of reference cycles.
     """
 
-    __slots__ = ("_hash", "_canon", "_text", "__weakref__")
+    __slots__ = ("_hash", "_canon", "_text", "_expansion", "__weakref__")
     _fields = ()  # the dataclass field names, in order; `_node` sets them
     _int_fields = ()  # the positions of the int-valued fields among them
 
@@ -154,6 +156,7 @@ class Expr:
 
 
 _CANONICAL = object()  # the `_canon` of a node that is its own canonical form
+_ATOMIC = object()  # the `_expansion` of a node that is its own one monomial
 
 # key (cls, *fields) -> weak reference to the live node with that key.  The
 # references have no callback: dead entries stay until `_sweep` drops them,
@@ -183,6 +186,7 @@ def _intern(key: tuple) -> Expr:
     object.__setattr__(node, "_hash", hash(key))
     object.__setattr__(node, "_canon", None)
     object.__setattr__(node, "_text", None)
+    object.__setattr__(node, "_expansion", None)
     _table[key] = weakref.ref(node)
     if len(_table) >= _sweep_at:
         _sweep()
@@ -308,9 +312,10 @@ UNIT = Unit()
 ZERO = IntConst(0)
 
 
-def _check_op_index(k: int, what: str) -> None:
+def _check_op_index(e: Psi | Theta | Tau) -> None:
+    k = e.p if isinstance(e, Tau) else e.k
     if k < 1:
-        raise ExprError(f"{what} index must be >= 1, got {k}")
+        raise ExprError(f"{type(e).__name__.lower()} index must be >= 1, got {k}")
 
 
 def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
@@ -431,10 +436,8 @@ def _signed_terms(e: Expr, pos: list[Expr], neg: list[Expr]) -> None:
         else:
             pos.append(UNIT if isinstance(base, Unit) else Power(base, e.exponent))
     else:
-        if isinstance(e, Tau):
-            _check_op_index(e.p, "tau")
-        elif isinstance(e, (Psi, Theta)):
-            _check_op_index(e.k, type(e).__name__.lower())
+        if isinstance(e, (Psi, Theta, Tau)):
+            _check_op_index(e)
         pos.append(map_children(e, canonicalize))
 
 
@@ -507,6 +510,58 @@ def _print_primary(e: Expr) -> str:
     if isinstance(e, (Sum, Neg, Tensor, Power)):
         return f"({_print(e)})"
     raise ExprError(f"unknown expression node {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Multilinear expansion
+
+def expand_top(e: Expr) -> tuple[tuple[int, Expr], ...]:
+    """Top-level multilinear expansion of canonicalize(e) into (integer coeff, tensor monomial).
+
+    Sums distribute; integer constants and signs become coefficients; powers
+    and operator terms stay atomic so factored shapes survive.  Each tensor
+    monomial's factors are sorted by printed text.  The expansion is a pure
+    function of the canonical node, so it is computed once and kept there.
+    """
+    e = canonicalize(e)
+    terms = e._expansion
+    if terms is None:
+        terms = _expansion(e)
+        object.__setattr__(e, "_expansion", _ATOMIC if terms == ((1, e),) else terms)
+        return terms
+    return ((1, e),) if terms is _ATOMIC else terms
+
+
+def _expansion(e: Expr) -> tuple[tuple[int, Expr], ...]:
+    if isinstance(e, Sum):
+        return tuple(cm for t in e.terms for cm in expand_top(t))
+    if isinstance(e, Neg):
+        return tuple((-c, m) for c, m in expand_top(e.arg))
+    if isinstance(e, IntConst):
+        return ((e.value, UNIT),) if e.value else ()
+    if not isinstance(e, Tensor):
+        return ((1, e),)
+    acc: list[tuple[int, list[Expr]]] = [(1, [])]
+    for f in e.factors:
+        acc = [(c0 * c1, facs + _factors_of(m)) for c0, facs in acc for c1, m in expand_top(f)]
+    out = []
+    for c, facs in acc:
+        if c == 0:
+            continue
+        facs.sort(key=print_expr)
+        if not facs:
+            out.append((c, UNIT))
+        elif len(facs) == 1:
+            out.append((c, facs[0]))
+        else:
+            out.append((c, Tensor(tuple(facs))))
+    return tuple(out)
+
+
+def _factors_of(m: Expr) -> list[Expr]:
+    if isinstance(m, Tensor):
+        return list(m.factors)
+    return [] if isinstance(m, Unit) else [m]
 
 
 # ---------------------------------------------------------------------------

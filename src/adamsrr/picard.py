@@ -20,6 +20,10 @@ and names each by its packed monomial, e_k of a bundle B of rank >= 2 being
 gamma^k(B); nothing is unpacked into root monomials.  The factored
 argument expressions are retained for display and for recording which
 reduction applied.
+
+Per-argument work is paid once per distinct argument: `normalize`'s
+expansion lives on the canonical node (`expr.expand_top`), and a grade in
+the upstairs context, keyed by (morphism, argument).
 """
 
 from __future__ import annotations
@@ -69,8 +73,13 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
     the packed invariant's terms whose top field, the weighted degree, is <= n.
     Each names its packed monomial m as it is, in the text of `_Packing.text`
     (a line's root, gamma^k(B) for e_k of a bundle B of rank >= 2); a symbol
-    is built once per (morphism, packed m) in the upstairs context.
+    is built once per (morphism, packed m), and a grade once per (morphism,
+    e), in the upstairs context.  The grade is shared: callers scale copies.
     """
+    grades = f.upstairs._chi_grades
+    grade = grades.get((f.name, f.rel_dim, e))
+    if grade is not None:
+        return grade
     lam, symbols = f.truncated(e), f.upstairs._chi_symbols
     pk, terms = lam.space, {}
     top = (f.rel_dim + 1) << pk.shift
@@ -80,7 +89,8 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
             if symbol is None:
                 symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
             terms[symbol] = c
-    return S.SplitClass(terms)
+    grade = grades[f.name, f.rel_dim, e] = S.SplitClass(terms)
+    return grade
 
 
 # ---------------------------------------------------------------------------
@@ -228,52 +238,6 @@ def pull_line(g: str, gl: GradedLine) -> GradedLine:
 # ---------------------------------------------------------------------------
 # Normalization
 
-def expand_top(e: E.Expr) -> list[tuple[int, E.Expr]]:
-    """Top-level multilinear expansion into (integer coeff, tensor monomial).
-
-    Sums distribute; integer constants and signs become coefficients; powers
-    and operator terms stay atomic so factored shapes survive.
-    """
-    e = E.canonicalize(e)
-    if isinstance(e, E.Sum):
-        out: list[tuple[int, E.Expr]] = []
-        for t in e.terms:
-            out.extend(expand_top(t))
-        return out
-    if isinstance(e, E.Neg):
-        return [(-c, m) for c, m in expand_top(e.arg)]
-    if isinstance(e, E.IntConst):
-        return [(e.value, E.UNIT)] if e.value else []
-    if isinstance(e, E.Unit):
-        return [(1, E.UNIT)]
-    if isinstance(e, E.Tensor):
-        acc: list[tuple[int, list[E.Expr]]] = [(1, [])]
-        for f in e.factors:
-            fs = expand_top(f)
-            acc = [(c0 * c1, facs + _factors_of(m)) for c0, facs in acc for c1, m in fs]
-        out = []
-        for c, facs in acc:
-            if c == 0:
-                continue
-            facs = sorted((x for x in facs if not isinstance(x, E.Unit)), key=E.print_expr)
-            if not facs:
-                out.append((c, E.UNIT))
-            elif len(facs) == 1:
-                out.append((c, facs[0]))
-            else:
-                out.append((c, E.Tensor(tuple(facs))))
-        return out
-    return [(1, e)]
-
-
-def _factors_of(m: E.Expr) -> list[E.Expr]:
-    if isinstance(m, E.Tensor):
-        return list(m.factors)
-    if isinstance(m, E.Unit):
-        return []
-    return [m]
-
-
 def argument_is_trivial(f: Morphism, e: E.Expr) -> bool:
     """True iff the argument class lies in I^(n+2), so det Rf_*(e) ~ O."""
     return f.truncated(e).is_zero()
@@ -283,7 +247,8 @@ def normalize(gl: GradedLine) -> GradedLine:
     """Det-additivity splitting + triviality reduction + merge/sort; idempotent.
 
     The semantic slot invariants are untouched (they are canonical already);
-    this canonicalizes the displayed factorization.
+    this canonicalizes the displayed factorization.  Expansions and
+    triviality tests are memos, so a second pass recomputes neither.
     """
     dets = {}
     for slot, (lam, disp) in gl.dets.items():
@@ -292,7 +257,7 @@ def normalize(gl: GradedLine) -> GradedLine:
         for e, x in disp:
             if not x:
                 continue
-            for c, mono in expand_top(e):
+            for c, mono in E.expand_top(e):
                 if argument_is_trivial(f, mono):
                     continue
                 key = E.print_expr(mono)

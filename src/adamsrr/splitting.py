@@ -50,6 +50,7 @@ from .expr import (
     Tensor,
     Theta,
     Unit,
+    _check_op_index,
 )
 
 
@@ -327,8 +328,10 @@ class SplitContext:
         self.roots: dict[str, list[str]] = {}
         self.var_aug: dict[str, int] = {}
         self._eval_cache: dict[Expr, SplitClass] = {}
-        # the grade variables of det atoms over this upstairs space, kept by picard
+        # the grade variables of det atoms over this upstairs space, and each
+        # (morphism, argument)'s grade in them, kept by picard
         self._chi_symbols: dict[tuple[str, int, int], Monomial] = {}
+        self._chi_grades: dict[tuple[str, int, Expr], SplitClass] = {}
         self._packed_cache: dict[tuple[Expr, int], SplitClass] = {}
         self._packings: dict[int, _Packing] = {}
         for name in self.table.names():
@@ -363,7 +366,8 @@ def eval_expr(e: Expr, ctx: SplitContext) -> SplitClass:
 
     Composite nodes are memoized per context; expressions are immutable and
     interned, so a lookup reads a stored hash and compares identity, and
-    repeated subterms cost one evaluation.
+    repeated subterms cost one evaluation.  An operator index below 1 is
+    refused, as `parse` and `canonicalize` refuse it.
     """
     composite = not isinstance(e, (Line, Bundle, Unit, IntConst))
     if composite:
@@ -406,6 +410,8 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
         return prod
     if isinstance(e, Dual):
         return _operand(e.arg, ctx, "dual").dual()
+    if isinstance(e, (Psi, Theta, Tau)):
+        _check_op_index(e)
     if isinstance(e, Psi):
         return _operand(e.arg, ctx, "psi").adams(e.k)
     if isinstance(e, Theta):
@@ -874,7 +880,8 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     psi^k and are multiplicative, so they are `_multiplicative` series in the
     power sums of psi^k of their argument; the inverse of a + y, y in I, is
     sum_j (-1)^j y^j / a^(j+1).  These first refuse their argument as
-    `eval_expr` does.  Any other node (an unregistered pullback, an unsplit
+    `eval_expr` does; psi^k, theta^m and tau_p refuse an index below 1 as
+    `canonicalize` does.  Any other node (an unregistered pullback, an unsplit
     symbol under psi^k with k != 1) raises _NoRule.
     """
     if isinstance(e, Sum):
@@ -898,6 +905,8 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
             return _packed_pow(_terms(k, e.base, ctx, pk), e.exponent, pk.limit)
         _inverse_operand(e, ctx)
         return _packed_pow(_inverse(_terms(k, e.base, ctx, pk), pk), -e.exponent, pk.limit)
+    if isinstance(e, (Psi, Theta, Tau)):
+        _check_op_index(e)
     if isinstance(e, (Psi, Dual)):
         j = k * e.k if isinstance(e, Psi) else -k
         if j == 1:  # the identity, which still refuses an opaque class
@@ -908,7 +917,7 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
             what, g = "det", (1, 1, *[0] * (pk.cutoff - 2))  # det(x) = x = 1 + u on a line
         else:
             what, m = ("theta", e.k) if isinstance(e, Theta) else ("tau", e.p)
-            g = tuple(comb(m, j + 1) if m > 0 else 0 for j in range(pk.cutoff))  # (x^m - 1)/u
+            g = tuple(comb(m, j + 1) for j in range(pk.cutoff))  # (x^m - 1)/u
         if _split_symbol(e.arg, ctx) is None:
             cls = _operand(e.arg, ctx, what)
             if what != "det":
@@ -958,8 +967,6 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
     so the parts share monomials, and are added.
     """
     rank = sums[0].get(0, 0)
-    if not g[0]:  # theta^m with m < 1 is 0 on each line
-        return {} if rank else {0: 1}
     bs = _log_derivative(g, pk)
     parts: list[dict[int, object]] = [{0: g[0] ** rank if rank >= 0 else _quotient(1, g[0] ** -rank)}]
     total = dict(parts[0])

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +394,22 @@ def test_declaration_errors_name_their_line_once(capsys, tmp_path, content, mess
     decls.write_bytes(content)
     code, out, err = run(capsys, "normalize", "det_rf(f, A)", "--decls", str(decls))
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_with_nothing_on_stderr(unbuffered):
+    # stdout is a pipe whose reading end is closed before the command starts, as
+    # `| head -1` closes it once it has its line; development mode would show a
+    # warning at shutdown
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "adamsrr.cli", "verify", "arr",
+                               "--n", "1", "--p", "2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")

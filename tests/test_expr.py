@@ -199,8 +199,8 @@ def _key_hash(e):
 
 def _check_memos(warm):
     """A rebuild of an interned node is the node itself, so the cold copy of each
-    memo is its recomputation through the uncached `_canonical_form` and
-    `_print_expr_text`."""
+    memo is its recomputation through the uncached `_canonical_form`,
+    `_print_expr_text` and `_expansion`."""
     assert _rebuild(warm) is warm
     canon = canonicalize(warm)
     assert canonicalize(canon) is canon
@@ -212,6 +212,10 @@ def _check_memos(warm):
             assert node._canon is E._canonical_form(node)
         if node._text is not None:
             assert node._text == E._print_expr_text(node)
+        if node._expansion is E._ATOMIC:
+            assert E._expansion(node) == ((1, node),)
+        elif node._expansion is not None:
+            assert node._expansion == E._expansion(node)
 
 
 def test_memos_agree_with_cold_copies_on_random_expressions():
@@ -226,6 +230,7 @@ def test_memos_agree_with_cold_copies_on_random_expressions():
     for e in trees:  # fill every memo first
         hash(e)
         print_expr(e)
+        E.expand_top(e)
     for e in trees:
         _check_memos(e)
 

@@ -1,6 +1,8 @@
 """Graded lines: tensor/swap laws, det atoms, Deligne pairing, triviality."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -11,6 +13,7 @@ from adamsrr.picard import (
     GradedLine, PairingExpr, PicardError, RankMismatch, det_rf_atom, make_morphism, normalize,
     pairing_to_det,
 )
+from adamsrr import splitting as S
 from adamsrr.splitting import SplitClass
 
 
@@ -200,3 +203,109 @@ def test_normalize_splits_sums(curve):
     g = normalize(det_rf_atom(curve, E.Sum((E.Line("A"), E.Line("B")))))
     text = g.render()
     assert "det_rf[f](A)" in text and "det_rf[f](B)" in text
+
+
+# -- memoized expansion and grades ---------------------------------------------------
+
+def _expand_top_reference(e):
+    """The multilinear expansion recomputed at every call, as it was before its memo."""
+    e = E.canonicalize(e)
+    if isinstance(e, E.Sum):
+        return [cm for t in e.terms for cm in _expand_top_reference(t)]
+    if isinstance(e, E.Neg):
+        return [(-c, m) for c, m in _expand_top_reference(e.arg)]
+    if isinstance(e, E.IntConst):
+        return [(e.value, E.UNIT)] if e.value else []
+    if isinstance(e, E.Unit):
+        return [(1, E.UNIT)]
+    if isinstance(e, E.Tensor):
+        acc = [(1, [])]
+        for f in e.factors:
+            acc = [(c0 * c1, facs + (list(m.factors) if isinstance(m, E.Tensor) else
+                                     [] if isinstance(m, E.Unit) else [m]))
+                   for c0, facs in acc for c1, m in _expand_top_reference(f)]
+        out = []
+        for c, facs in acc:
+            if c == 0:
+                continue
+            facs = sorted((x for x in facs if not isinstance(x, E.Unit)), key=E.print_expr)
+            if not facs:
+                out.append((c, E.UNIT))
+            elif len(facs) == 1:
+                out.append((c, facs[0]))
+            else:
+                out.append((c, E.Tensor(tuple(facs))))
+        return out
+    return [(1, e)]
+
+
+def _chi_grade_reference(f, e):
+    """The chi grade built afresh at every call, symbols included."""
+    lam = f.truncated(e)
+    pk, top = lam.space, (f.rel_dim + 1) << lam.space.shift
+    return SplitClass({((f"chi[{f.name}]({pk.text(m)})", 1),): c
+                       for m, c in lam.terms.items() if m < top})
+
+
+def _det_and_pairing_texts(n, exprs, entries):
+    t = SU.law_table()
+    f = make_morphism("f", n, t)
+    out = []
+    for e in exprs:
+        try:
+            out.append(normalize(det_rf_atom(f, e)).render())
+        except E.ExprError as ex:
+            out.append(f"{type(ex).__name__}: {ex}")
+    out += [pairing_to_det(PairingExpr(f, es)).render() for es in entries]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_memoized_normal_forms_equal_memo_free_ones(monkeypatch, n):
+    rng = random.Random(2024 + n)
+    exprs = [SU.random_expr(rng) for _ in range(150)]
+    exprs += [E.Tensor((a, b)) for a, b in zip(exprs[::2], exprs[1::2])]
+    entries = [tuple(SU.random_line_entry(rng) for _ in range(n + 1)) for _ in range(80)]
+    with monkeypatch.context() as patched:
+        patched.setattr(E, "expand_top", _expand_top_reference)
+        patched.setattr(P, "chi_grade", _chi_grade_reference)
+        want = _det_and_pairing_texts(n, exprs, entries)
+    assert sum(not text.startswith(("EvalError", "NonEffective")) for text in want) > 200
+    cold = _det_and_pairing_texts(n, exprs, entries)
+    assert cold == want
+    # again, over the nodes' memos filled above and a fresh context
+    assert _det_and_pairing_texts(n, exprs, entries) == want
+    for e in exprs:
+        assert list(E.expand_top(e)) == _expand_top_reference(e)
+
+
+@pytest.mark.parametrize("build", [lambda q, r: q, lambda q, r: E.Tensor((q, r))],
+                         ids=["atom", "canonical-tensor"])
+def test_a_dropped_normalized_argument_dies_without_the_collector(build):
+    # each is its own one monomial, so it marks its expansion instead of holding itself
+    gc.disable()
+    try:
+        table = E.SymbolTable(space="X")
+        table.declare_line("Q")
+        table.declare_line("R")
+        f = make_morphism("f", 1, table)
+        e = build(E.Line("Q"), E.Line("R"))
+        line = normalize(normalize(det_rf_atom(f, e)))
+        assert line.dets[((), "f")][1] == ((e, 1),)
+        assert E.expand_top(e) == ((1, e),) and e._expansion is E._ATOMIC
+        ref = weakref.ref(e)
+        del e, line, f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_psi_wrapped_atom_leaves_the_cached_grade_unscaled(curve):
+    e = E.canonicalize(E.Sum((E.Line("A"), E.Bundle("H"))))
+    plain = det_rf_atom(curve, e)
+    grade = S.SplitClass(dict(plain.grade.terms))
+    wrapped = det_rf_atom(curve, e, wrappers=(("psi", 3),))
+    assert wrapped.grade == grade * 3
+    assert plain.grade == grade
+    assert P.chi_grade(curve, e) is plain.grade
+    assert det_rf_atom(curve, e).grade == grade

@@ -79,9 +79,7 @@ def _compound_exprs(p: int) -> list[E.Expr]:
         E.Dual(E.DetClass(B3)),
         E.Psi(2, E.Power(E.DetClass(B2), -2)),
         E.Dual(E.Power(E.Tensor((L, E.Dual(E.DetClass(B3)))), -1)),
-        E.Psi(-2, E.Theta(2, E.Psi(2, B2))),
-        # theta^0 and tau_0 are 0 on each line, so 1 on a class of rank 0
-        E.Theta(0, E.Sum((L, B2))), E.Tau(0, B3), E.Dual(E.Theta(0, om)),
+        E.Dual(E.Psi(2, E.Theta(2, E.Psi(2, B2)))),
     ]
 
 
@@ -206,6 +204,25 @@ def test_refusals_match_the_laurent_route(n):
             want = _refusal(lambda: S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff))
             assert want is not None, E.print_expr(e)
             assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, (E.print_expr(e), cutoff)
+
+
+def test_operator_indices_below_one_are_refused_as_canonicalize_refuses_them():
+    ctx = _x_context(1)
+    L, B2, B3, om = E.Line("L"), E.Bundle("B2"), E.Bundle("B3"), E.Bundle(OMEGA)
+    refusals = [
+        (E.Theta(0, E.Sum((L, B2))), "theta index must be >= 1, got 0"),
+        (E.Tau(0, B3), "tau index must be >= 1, got 0"),
+        (E.Dual(E.Theta(0, om)), "theta index must be >= 1, got 0"),
+        (E.Psi(0, B2), "psi index must be >= 1, got 0"),
+        (E.Psi(-2, E.Theta(2, E.Psi(2, B2))), "psi index must be >= 1, got -2"),
+        (E.Psi(2, E.Tau(-1, L)), "tau index must be >= 1, got -1"),
+    ]
+    for e, message in refusals:
+        want = (E.ExprError, message)
+        assert _refusal(lambda: E.canonicalize(e)) == want
+        assert _refusal(lambda: S.eval_expr(e, ctx)) == want
+        for cutoff in (1, 2, 3):
+            assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, cutoff
 
 
 def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion():
