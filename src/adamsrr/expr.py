@@ -90,6 +90,10 @@ class SymbolTable:
     def kind(self, name: str) -> str:
         return self._lookup(name)[0]
 
+    def symbol(self, name: str) -> "Expr":
+        """The declared symbol as an expression: its `Line`, or its `Bundle`."""
+        return (Line if self.kind(name) == LINE else Bundle)(name)
+
     def rank(self, name: str) -> int:
         return self._lookup(name)[1]
 
@@ -766,9 +770,7 @@ def _parse_primary(toks: _Tokens, table: SymbolTable) -> tuple[Expr, int]:
             return UNIT, 1
         if value not in table:
             raise ParseError(f"undeclared symbol {value!r}", pos)
-        if table.kind(value) == LINE:
-            return Line(value), 1
-        return Bundle(value), 1
+        return table.symbol(value), 1
     if kind == "EOF":
         raise ParseError("unexpected end of input", pos)
     raise ParseError(f"unexpected token {value!r}", pos)

@@ -8,17 +8,17 @@ smooth projective family of relative dimension n in characteristic p:
 together with its base-change square and the Knudsen-Mumford-style expansion
 of the right side into lambda factors.  Every step cites a rule and records
 the side conditions it computes: class identities evaluated through the
-Geometry's pullback reducers and the split engine, and the checks each move
-needs (so a tampered rule fails at its own step, not at the end).  The chain,
-the square and the expansion are tables of `Step`s run by one runner, which
-looks up the cited rules and records each step or its failure.
+pullback tables the Geometry registers on its contexts and the split engine,
+and the checks each move needs (so a tampered rule fails at its own step,
+not at the end).  The chain, the square and the expansion are tables of
+`Step`s run by one runner, which looks up the cited rules and records each
+step or its failure.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb, isqrt
 from typing import Callable
 
@@ -67,14 +67,16 @@ FSO = E.Bundle(PUSHED_STRUCTURE)
 
 
 class Geometry:
-    """Symbol tables and pullback reducers for one family f: X -> S in char p.
+    """Symbol tables and pullback tables for one family f: X -> S in char p.
 
     Holds the X and Frobenius-twist symbol tables, the split contexts over
     them, the morphisms f and f', and the names of the relative Frobenius F,
-    the twist projection J and the absolute Frobenii F_S, F_X.  The pullback
-    reducers registered on the contexts (F^*, J^*, F_X^*) realize those
-    morphisms' actions on classes; they are the ground truth the step checks
-    evaluate through.
+    the twist projection J and the absolute Frobenii F_S, F_X.  `twist`
+    names the twist-side copy J^* s of each X symbol s; the X' table, the
+    pullback tables registered on the contexts (J^*, F^*, F_X^*) and the
+    composition F^* J^* = F_X^* that step (7) distributes (`compose`) are all
+    built from it.  The registered tables realize those morphisms' actions
+    on classes; they are the ground truth the step checks evaluate through.
     """
 
     def __init__(self, n: int, p: int, symbols: dict[str, int] | None = None,
@@ -92,13 +94,14 @@ class Geometry:
                 self.table_x.declare_line(name)
             else:
                 self.table_x.declare_bundle(name, rk)
+        self.twist = {name: "J_" + name for name in self.table_x.entries}
 
         self.table_xp = E.SymbolTable(rel_dim=n, space="X'" + suffix)
         for name, (kind, rk) in self.table_x.entries.items():
             if kind == E.LINE:
-                self.table_xp.declare_line("J_" + name)
+                self.table_xp.declare_line(self.twist[name])
             else:
-                self.table_xp.reserve_bundle("J_" + name, rk)
+                self.table_xp.reserve_bundle(self.twist[name], rk)
         self.table_xp.declare_bundle(PUSHED_STRUCTURE, p**n)
 
         self.name_f = "f" + suffix
@@ -108,54 +111,21 @@ class Geometry:
         self.name_FS = "F_S" + suffix
         self.name_FX = "F_X" + suffix
 
+        # F_X^* s = psi^p(s); F^*(J^* s) = F_X^* s, and F^*(F_*O_X) = theta^p(Omega_f)
+        absolute = {name: E.Psi(p, self.table_x.symbol(name)) for name in self.twist}
         self.ctx_x = S.SplitContext(self.table_x)
+        self.ctx_x.pullbacks[self.name_FX] = absolute
+        self.ctx_x.pullbacks[self.name_F] = {
+            PUSHED_STRUCTURE: E.Theta(p, E.Bundle(OMEGA)),
+            **{self.twist[name]: image for name, image in absolute.items()}}
         self.ctx_xp = S.SplitContext(self.table_xp, opaque=frozenset({PUSHED_STRUCTURE}))
-        # reducers close over the symbol tables only, so that no context
-        # refers back to its Geometry and a verdict frees both by refcount
-        self.ctx_x.pull_reducers[self.name_F] = partial(_frobenius_reduce, p, self.table_x)
-        self.ctx_x.pull_reducers[self.name_FX] = partial(E.Psi, p)
-        self.ctx_xp.pull_reducers[self.name_J] = partial(_j_reduce, self.table_xp)
+        self.ctx_xp.pullbacks[self.name_J] = {
+            name: self.table_xp.symbol(image) for name, image in self.twist.items()}
+        self.compose = {image: E.Pull(self.name_FX, self.table_x.symbol(name))
+                        for name, image in self.twist.items()}
 
         self.f = P.Morphism(self.name_f, n, self.ctx_x)
         self.fp = P.Morphism(self.name_fp, n, self.ctx_xp)
-
-
-def _symbol_expr(name: str, table: E.SymbolTable) -> E.Expr:
-    return E.Line(name) if table.kind(name) == E.LINE else E.Bundle(name)
-
-
-def _j_reduce(table_xp: E.SymbolTable, e: E.Expr) -> E.Expr:
-    """J^*: rename X symbols into their twist-side copies (naturality)."""
-    return _map_symbols(e, lambda name: _symbol_expr("J_" + name, table_xp)
-                        if "J_" + name in table_xp else _fail_symbol(name, "J^*"))
-
-
-def _frobenius_reduce(p: int, table_x: E.SymbolTable, e: E.Expr) -> E.Expr:
-    """F^*: the relative-Frobenius pullback on twist-side classes.
-
-    F^*(F_*O_X) = theta^p(Omega_f); F^*(J^* s) = F_X^* s = psi^p(s).
-    """
-    def on_symbol(name: str) -> E.Expr:
-        if name == PUSHED_STRUCTURE:
-            return E.Theta(p, E.Bundle(OMEGA))
-        if name.startswith("J_") and name[2:] in table_x:
-            return E.Psi(p, _symbol_expr(name[2:], table_x))
-        return _fail_symbol(name, "F^*")
-
-    return _map_symbols(e, on_symbol)
-
-
-def _fail_symbol(name: str, what: str) -> E.Expr:
-    raise VerifierError(f"{what} has no registered action on symbol {name!r}")
-
-
-def _map_symbols(e: E.Expr, fn: Callable[[str], E.Expr]) -> E.Expr:
-    """Apply a symbol substitution through the expression operators."""
-    if isinstance(e, (E.Line, E.Bundle)):
-        return fn(e.name)
-    if isinstance(e, E.Pull):
-        raise VerifierError(f"cannot substitute under an unresolved pullback: {e}")
-    return E.map_children(e, lambda x: _map_symbols(x, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +396,16 @@ def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine,
     return ("argument class and grade unchanged by the wrapper move", arg0 == arg1 and kept)
 
 
-def distribute_pull(e: E.Expr, morphism: str, compose: Callable[[str], E.Expr | None],
+def distribute_pull(e: E.Expr, morphism: str, compose: dict[str, E.Expr],
                     through_psi: bool = False) -> E.Expr:
     """Push Pull(morphism, .) through the ring structure down to symbol leaves.
 
-    `compose` resolves a symbol name to its pulled-back expression, or None to
-    keep the pullback pending on that leaf.  Adams operations block the
-    distribution unless `through_psi` is set (that exchange is rule R7).
+    `compose` maps a symbol name to its pulled-back expression; a symbol it
+    does not name keeps the pullback pending on its leaf.  Adams operations
+    block the distribution unless `through_psi` is set (that exchange is rule R7).
     """
     if isinstance(e, (E.Line, E.Bundle)):
-        composed = compose(e.name)
-        return composed if composed is not None else E.Pull(morphism, e)
+        return compose[e.name] if e.name in compose else E.Pull(morphism, e)
     if isinstance(e, E.Pull) or (isinstance(e, E.Psi) and not through_psi):
         return E.Pull(morphism, e)
     return E.map_children(e, lambda x: distribute_pull(x, morphism, compose, through_psi))
@@ -477,7 +446,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     The trace is verified iff every step's side conditions hold (the
     univariate binomial-identity oracle behind the expansion steps, and the
     class identity of each rewritten argument through the Geometry's
-    reducers), and the final form equals the goal's right side atom-for-atom.
+    pullback tables), and the final form equals the goal's right side
+    atom-for-atom.
     """
     if symbols is None:
         symbols = {"L": 1}
@@ -490,7 +460,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     a = p**n
     sign = (-1) ** (n + 1)
     theta_omega = E.Theta(p, E.Bundle(OMEGA))
-    j_e = E.canonicalize(_j_reduce(geom.table_xp, e))
+    j_e = E.canonicalize(S.pull_back(geom.name_J, e, geom.ctx_xp))
 
     lhs = P.psi_line(p, P.det_rf_atom(geom.f, e)) ** m
     rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
@@ -520,11 +490,10 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
 
     def step2(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
-        rename = {name: "J_" + name for name in geom.table_x.names()}
         twisted = geom.fp.truncated(j_e)
         return form(geom.fp, j_e, exp), [
             ("twist-side argument is the J-pullback of the original",
-             S.repack(geom.f.truncated(arg), rename, twisted.space) == twisted)]
+             S.repack(geom.f.truncated(arg), geom.twist, twisted.space) == twisted)]
 
     def step3(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
@@ -569,14 +538,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         slot, arg, exp = _sole_det(cur)
         if not isinstance(arg, E.Pull):
             raise VerifierError("expected a pending relative-Frobenius pullback")
-
-        def compose(name: str) -> E.Expr | None:
-            # F^*(F_*O_X) stays for rule R5
-            if name.startswith("J_") and name[2:] in geom.table_x:
-                return E.Pull(geom.name_FX, _symbol_expr(name[2:], geom.table_x))
-            return None
-
-        after = form(geom.f, distribute_pull(arg.arg, geom.name_F, compose, through_psi=True),
+        # F^*(F_*O_X) stays for rule R5
+        after = form(geom.f, distribute_pull(arg.arg, geom.name_F, geom.compose, through_psi=True),
                      exp)
         return after, [_class_equal_condition(cur, after)]
 
@@ -647,15 +610,16 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     geom = Geometry(n, p, symbols)
     rules = rule_set(n, p) if rules is None else rules
 
-    symbols_t = {"g_" + name: rk for name, rk in symbols.items()}
+    # g'^* renames each X symbol into the pulled-back family's (Omega to Omega)
+    rename_t = {name: name if name == OMEGA else "g_" + name for name in geom.table_x.entries}
+    symbols_t = {rename_t[name]: rk for name, rk in symbols.items()}
     geom_t = Geometry(n, p, symbols_t, suffix="T")
     name_g, name_gp = "g", "gp"
-
-    gp_reduce = partial(_gp_reduce, geom_t.table_x)
-    geom_t.ctx_x.pull_reducers[name_gp] = gp_reduce
+    geom_t.ctx_x.pullbacks[name_gp] = {
+        name: geom_t.table_x.symbol(image) for name, image in rename_t.items()}
 
     m = p ** (n * (n + 2))
-    e_t = E.canonicalize(gp_reduce(e))
+    e_t = E.canonicalize(S.pull_back(name_gp, e, geom_t.ctx_x))
     theta_omega = E.Theta(p, E.Bundle(OMEGA))
     rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
     rhs_expr_t = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e_t)))
@@ -683,8 +647,6 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         sub = verify_arr_identity(n, p, e, symbols, rules, geometry=geom)
         return P.pull_line(name_g, P.det_rf_atom(geom.f, rhs_expr)), \
             [("theorem (I) verified over the original family", sub.verified)]
-
-    rename_t = {name: name if name == OMEGA else "g_" + name for name in geom.table_x.names()}
 
     def base_change(pulled: Callable[[E.Expr], E.Expr]):
         # the det atom over f becomes one over f_T whose argument is `pulled(arg)`
@@ -728,14 +690,15 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         Step("bottom(2)", "R2", "R2", "cohomology base change along the square (g, g')",
              base_change(lambda arg: rules["R2"].action(name_gp, arg))),
         Step("bottom(3)", "R9", "R9", "distribute g'^* through the ring structure",
-             bottom(lambda arg: distribute_pull(arg.arg, name_gp, lambda name: None))),
+             bottom(lambda arg: distribute_pull(arg.arg, name_gp, {}))),
         Step("bottom(4)", "R7", "R7", "commute g'^* past the Adams operation",
              bottom(commute_psi)),
         Step("bottom(5)", "R9", "R9",
              "rename pulled symbols into the pulled-back family's table "
              "(Omega pulls back to Omega)",
              bottom(lambda arg: _replace_pulls(
-                 arg, lambda pl: gp_reduce(pl.arg) if pl.morphism == name_gp else pl))),
+                 arg, lambda pl: S.pull_back(name_gp, pl.arg, geom_t.ctx_x)
+                 if pl.morphism == name_gp else pl))),
         Step("square", "-", "composite paths around the square",
              "compare the two routes into the bottom-right corner",
              lambda cur: (br_right, [("both composite paths agree", cur.same_atoms(br_right))])),
@@ -743,18 +706,6 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     if _run_steps(trace, tl, top_and_right, rules) is not None:
         _run_steps(trace, tl, left_and_bottom, rules)
     return trace
-
-
-def _gp_reduce(table_t: E.SymbolTable, e: E.Expr) -> E.Expr:
-    """g'^*: rename X symbols into the pulled-back family's (Omega to Omega)."""
-    def on_symbol(name: str) -> E.Expr:
-        if name == OMEGA:
-            return E.Bundle(OMEGA)
-        if "g_" + name in table_t:
-            return _symbol_expr("g_" + name, table_t)
-        return _fail_symbol(name, "g'^*")
-
-    return _map_symbols(e, on_symbol)
 
 
 # ---------------------------------------------------------------------------

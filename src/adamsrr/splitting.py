@@ -28,10 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, inf
-from typing import Callable
 
 from .expr import (
-    BUNDLE,
     LINE,
     Bundle,
     DetClass,
@@ -51,6 +49,7 @@ from .expr import (
     Theta,
     Unit,
     _check_op_index,
+    map_children,
 )
 
 
@@ -315,13 +314,14 @@ class SplitContext:
 
     Bundles named in `opaque` evaluate to a single generator of their declared
     rank instead of being split into roots (used where a rank-p^n pushforward
-    bundle would explode into p^n roots).  `pull_reducers` map a morphism name
-    to the syntactic substitution realizing its pullback into this space.
+    bundle would explode into p^n roots).  `pullbacks` maps a morphism name
+    to its pullback into this space as data: the image of each symbol it
+    acts on, which `pull_back` substitutes.
     """
 
     table: SymbolTable
     opaque: frozenset[str] = frozenset()
-    pull_reducers: dict[str, Callable[[Expr], Expr]] = field(default_factory=dict)
+    pullbacks: dict[str, dict[str, Expr]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.space = self.table.space
@@ -425,11 +425,26 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
             return _inverse_operand(e, ctx) ** -e.exponent
         return eval_expr(e.base, ctx) ** e.exponent
     if isinstance(e, Pull):
-        reducer = ctx.pull_reducers.get(e.morphism)
-        if reducer is None:
-            raise EvalError(f"no pullback registered for morphism {e.morphism!r} into {ctx.space}")
-        return eval_expr(reducer(e.arg), ctx)
+        return eval_expr(pull_back(e.morphism, e.arg, ctx), ctx)
     raise EvalError(f"unknown expression node {e!r}")
+
+
+def pull_back(morphism: str, e: Expr, ctx: SplitContext) -> Expr:
+    """morphism^*(e) on ctx: each symbol of e replaced by its image in `ctx.pullbacks[morphism]`.
+
+    Refuses a morphism with no table on ctx, a symbol with no image, and a
+    pullback nested in e.
+    """
+    images = ctx.pullbacks.get(morphism)
+    if images is None:
+        raise EvalError(f"no pullback registered for morphism {morphism!r} into {ctx.space}")
+    if isinstance(e, (Line, Bundle)):
+        if e.name not in images:
+            raise EvalError(f"{morphism}^* has no registered action on symbol {e.name!r}")
+        return images[e.name]
+    if isinstance(e, Pull):
+        raise EvalError(f"cannot substitute under an unresolved pullback: {e}")
+    return map_children(e, lambda x: pull_back(morphism, x, ctx))
 
 
 def _undeclared(name: str, ctx: SplitContext):
@@ -502,14 +517,7 @@ def det_class(cls: SplitClass) -> SplitClass:
 
 def tau_class(symbol: str, p: int, ctx: SplitContext) -> SplitClass:
     """tau of a declared line/bundle symbol by direct basis enumeration."""
-    return tau_of_class(_operand(_symbol_expr(symbol, ctx), ctx, "tau"), p)
-
-
-def _symbol_expr(symbol: str, ctx: SplitContext) -> Expr:
-    """The declared symbol as an expression: its bundle, or its line."""
-    if symbol not in ctx.roots:
-        _undeclared(symbol, ctx)
-    return Bundle(symbol) if ctx.table.kind(symbol) == BUNDLE else Line(symbol)
+    return tau_of_class(_operand(ctx.table.symbol(symbol), ctx, "tau"), p)
 
 
 @dataclass
@@ -524,7 +532,7 @@ class Verdict:
 
 
 def tau_equals_theta(symbol: str, p: int, ctx: SplitContext) -> Verdict:
-    diff = tau_class(symbol, p, ctx) - eval_expr(Theta(p, _symbol_expr(symbol, ctx)), ctx)
+    diff = tau_class(symbol, p, ctx) - eval_expr(Theta(p, ctx.table.symbol(symbol)), ctx)
     if diff.is_zero():
         return Verdict(True)
     return Verdict(False, str(diff))
@@ -610,12 +618,16 @@ class _Packing:
 
     # -- the root basis -------------------------------------------------------
     def fields(self, packed) -> list[tuple[str, int]]:
-        """(root variable, offset) of each field some packed root monomial uses."""
+        """(root variable, offset) of each field some packed root monomial uses, by variable name.
+
+        Name order is the order of every other monomial of the package
+        (`_mono_mul`); a block of rank >= 10 lays `E.10` before `E.2` there.
+        """
         mask = (1 << self.width) - 1
         used = 0
         for m in packed:
             used |= m
-        return [(v, at) for v, at in self.root_offset.items() if (used >> at) & mask]
+        return sorted((v, at) for v, at in self.root_offset.items() if (used >> at) & mask)
 
     def monomial(self, m: int, fields=None) -> Monomial:
         """The root-variable monomial of packed root monomial `m`, read from `fields` (default: all)."""
@@ -853,9 +865,9 @@ def _is_symbol(e: Expr, ctx: SplitContext) -> bool:
 
 
 def _split_symbol(e: Expr, ctx: SplitContext) -> str | None:
-    """The symbol e is, through registered pullbacks, if its roots all have augmentation 1."""
-    while isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-        e = ctx.pull_reducers[e.morphism](e.arg)
+    """The symbol e is, through a registered pullback, if its roots all have augmentation 1."""
+    if isinstance(e, Pull) and e.morphism in ctx.pullbacks:
+        e = pull_back(e.morphism, e.arg, ctx)
     if _is_symbol(e, ctx) and all(ctx.var_aug[v] == 1 for v in ctx.roots[e.name]):
         return e.name
     return None
@@ -875,10 +887,11 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
 
     psi^k is a ring map: it passes sums, negations, constants, tensors and
     powers, composes with psi^j into psi^jk and with a dual into psi^-k, and
-    ends at a symbol's `adams` class; a pullback with a registered reducer is
-    its reduced argument.  theta^m, tau_p = theta^p and det commute with
-    psi^k and are multiplicative, so they are `_multiplicative` series in the
-    power sums of psi^k of their argument; the inverse of a + y, y in I, is
+    ends at a symbol's `adams` class; a pullback registered on the context
+    is its argument with each symbol replaced by its image (`pull_back`).
+    theta^m, tau_p = theta^p and det commute with psi^k and are
+    multiplicative, so they are `_multiplicative` series in the power sums
+    of psi^k of their argument; the inverse of a + y, y in I, is
     sum_j (-1)^j y^j / a^(j+1).  These first refuse their argument as
     `eval_expr` does; psi^k, theta^m and tau_p refuse an index below 1 as
     `canonicalize` does.  Any other node (an unregistered pullback, an unsplit
@@ -927,8 +940,8 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
         except _NoRule:  # opaque classes, which cancel in the Laurent class
             raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
         return _multiplicative(g, sums, pk)
-    if isinstance(e, Pull) and e.morphism in ctx.pull_reducers:
-        return _terms(k, ctx.pull_reducers[e.morphism](e.arg), ctx, pk)
+    if isinstance(e, Pull) and e.morphism in ctx.pullbacks:
+        return _terms(k, pull_back(e.morphism, e.arg, ctx), ctx, pk)
     if k == 1 and _is_symbol(e, ctx):
         return pk.symbol(e.name)
     if _split_symbol(e, ctx) is not None:

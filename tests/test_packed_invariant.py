@@ -156,12 +156,11 @@ def test_lines_over_two_contexts_of_one_name_do_not_mix():
 def test_repack_renames_fields_into_another_packing():
     geom = R.Geometry(2, 3, {"E": 2})
     e = E.Tensor((E.Bundle("E"), E.Psi(3, E.Bundle(R.OMEGA))))
-    j_e = E.canonicalize(R._j_reduce(geom.table_xp, e))
-    rename = {name: "J_" + name for name in geom.table_x.names()}
+    j_e = E.canonicalize(S.pull_back(geom.name_J, e, geom.ctx_xp))
     twisted = geom.fp.truncated(j_e)
-    assert S.repack(geom.f.truncated(e), rename, twisted.space) == twisted
+    assert S.repack(geom.f.truncated(e), geom.twist, twisted.space) == twisted
     with pytest.raises(S.ContextMismatch):
-        S.repack(geom.f.truncated(e), rename, S.packed_eval(j_e, geom.ctx_xp, 3).space)
+        S.repack(geom.f.truncated(e), geom.twist, S.packed_eval(j_e, geom.ctx_xp, 3).space)
 
 
 def test_packed_classes_print_in_root_monomials():

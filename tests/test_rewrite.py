@@ -35,7 +35,7 @@ def test_rule_set_requires_prime():
 
 def test_r5_rewrites_pushed_structure_to_bott_class():
     geom = Geometry(2, 3)
-    got = geom.ctx_x.pull_reducers[geom.name_F](FSO)
+    got = S.pull_back(geom.name_F, FSO, geom.ctx_x)
     assert got == E.Theta(3, E.Bundle(OMEGA))
     # the Bott class has the right rank p^n
     assert E.rank(got, geom.table_x) == 3**2
@@ -43,7 +43,7 @@ def test_r5_rewrites_pushed_structure_to_bott_class():
 
 def test_frobenius_reduce_composes_through_twist_symbols():
     geom = Geometry(1, 2, {"L": 1})
-    got = geom.ctx_x.pull_reducers[geom.name_F](E.Line("J_L"))
+    got = S.pull_back(geom.name_F, E.Line("J_L"), geom.ctx_x)
     assert got == E.Psi(2, E.Line("L"))
 
 
@@ -131,6 +131,18 @@ def test_tampered_r5_fails_at_its_step():
     assert tr.status == "failed"
     assert "R5" in tr.steps[tr.failed_step].rule
     assert tr.steps[tr.failed_step].label == "(8)"
+
+
+def test_a_renaming_that_is_not_j_pullback_fails_at_its_own_step():
+    # step (2) repacks by `twist`; the J^* table registered on X' is the ground
+    # truth, so swapping two lines in the renaming fails step (2) and no other
+    symbols = {"L": 1, "M": 1}
+    assert verify_arr_identity(1, 2, symbols=symbols, geometry=Geometry(1, 2, symbols)).verified
+    geom = Geometry(1, 2, symbols)
+    geom.twist["L"], geom.twist["M"] = geom.twist["M"], geom.twist["L"]
+    tr = verify_arr_identity(1, 2, symbols=symbols, geometry=geom)
+    assert tr.status == "failed" and tr.failed_step == 1
+    assert "twist-side argument is the J-pullback of the original" in tr.failure
 
 
 @pytest.mark.parametrize("n,p", [(1, 2), (2, 3), (3, 2)])
@@ -295,7 +307,7 @@ def test_right_edge_fails_when_the_replayed_chain_starts_elsewhere(monkeypatch):
 
 
 def test_verdicts_free_their_contexts_without_the_cycle_collector():
-    # no reducer, traversal or step closure refers back to its Geometry, so a
+    # no pullback table, traversal or step closure refers back to its Geometry, so a
     # verdict's SplitContexts are freed by reference counting alone
     def live_contexts():
         return sum(isinstance(o, S.SplitContext) for o in gc.get_objects())

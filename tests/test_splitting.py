@@ -9,11 +9,11 @@ import pytest
 
 from adamsrr import expr as E
 from adamsrr import suite as SU
-from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, _symbol_expr
+from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, verify_base_change
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
     binomial_identity_check, classes_equal, eval_expr, tau_class,
-    _Packing, packed_eval, tau_equals_theta, tilde_theta_inverse, truncated_eval,
+    _Packing, packed_eval, pull_back, tau_equals_theta, tilde_theta_inverse, truncated_eval,
     truncated_filtration,
 )
 
@@ -324,8 +324,7 @@ def _random_pull_expr(rng, geom, space, depth, pulls=True):
             names = ["L", "E", E.SymbolTable.OMEGA]
         else:
             names = ["J_L", "J_E"] + ([PUSHED_STRUCTURE] if opaque_ok else [])
-        return _symbol_expr(rng.choice(names), geom.table_x if space == "X"
-                            else geom.table_xp)
+        return (geom.table_x if space == "X" else geom.table_xp).symbol(rng.choice(names))
 
     def go(d, opaque_ok, pulls):
         r = rng.random()
@@ -358,9 +357,9 @@ def _random_pull_expr(rng, geom, space, depth, pulls=True):
 def _under_frobenius(rng, geom, depth):
     """An X' expression in which F_*O_X may sit under operators (no pullbacks)."""
     names = ["J_L", "J_E", PUSHED_STRUCTURE]
-    e = _symbol_expr(rng.choice(names), geom.table_xp)
+    e = geom.table_xp.symbol(rng.choice(names))
     for _ in range(depth):
-        other = _symbol_expr(rng.choice(names), geom.table_xp)
+        other = geom.table_xp.symbol(rng.choice(names))
         e = rng.choice((E.Sum((e, other)), E.Tensor((e, other)), E.Neg(e),
                         E.Power(e, rng.randint(0, 3)), E.Dual(e), E.Psi(2, e)))
     return e
@@ -386,6 +385,44 @@ def test_truncated_eval_through_pullbacks_matches_full_expansion(n, p):
             want = truncated_filtration(eval_expr(e, ctx_slow), ctx_slow.var_aug, cutoff)
             assert truncated_eval(e, ctx_fast, cutoff) == want, (E.print_expr(e), cutoff)
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_pullback_tables_satisfy_r5_and_r6_on_every_symbol(n, p):
+    # F^*(J^* s) = F_X^* s = psi^p(s) for every X symbol s (R6, with R1), and
+    # F^*(F_*O_X) = theta^p(Omega_f) of rank p^n (R5, R8), packed and by the Laurent route
+    geom = Geometry(n, p, {"L": 1, "E": 2, "V": 3})
+    ctx = geom.ctx_x
+    for name in geom.table_x.names():
+        s = geom.table_x.symbol(name)
+        j_s = pull_back(geom.name_J, s, geom.ctx_xp)
+        assert j_s == geom.table_xp.symbol(geom.twist[name])
+        classes = [E.Pull(geom.name_F, j_s), E.Pull(geom.name_FX, s), E.Psi(p, s)]
+        for route in (lambda e: packed_eval(e, ctx, n + 2), lambda e: eval_expr(e, ctx)):
+            got = [route(e) for e in classes]
+            assert got[0] == got[1] == got[2], name
+    bott = E.Theta(p, E.Bundle(E.SymbolTable.OMEGA))
+    assert pull_back(geom.name_F, FSO, ctx) == bott
+    assert packed_eval(E.Pull(geom.name_F, FSO), ctx, n + 2) == packed_eval(bott, ctx, n + 2)
+    laurent = eval_expr(E.Pull(geom.name_F, FSO), ctx)
+    assert laurent == eval_expr(bott, ctx) and ctx.augmentation(laurent) == p**n
+    assert E.rank(pull_back(geom.name_F, FSO, ctx), geom.table_x) == p**n
+
+
+def test_pull_back_refuses_a_symbol_with_no_image_and_a_nested_pullback():
+    geom = Geometry(1, 2, {"L": 1})
+    omega = E.Bundle(E.SymbolTable.OMEGA)
+    with pytest.raises(EvalError, match=r"^F\^\* has no registered action on symbol 'Omega_f'$"):
+        pull_back(geom.name_F, E.Tensor((FSO, omega)), geom.ctx_x)  # Omega_f on X'
+    with pytest.raises(EvalError, match=r"^J\^\* has no registered action on symbol 'FsO'$"):
+        pull_back(geom.name_J, FSO, geom.ctx_xp)
+    with pytest.raises(EvalError, match=r"^gp\^\* has no registered action on symbol 'M'$"):
+        verify_base_change(1, 2, E.Line("M"), {"L": 1})
+    with pytest.raises(EvalError, match="cannot substitute under an unresolved pullback"):
+        pull_back(geom.name_F, E.Pull(geom.name_J, E.Line("L")), geom.ctx_x)
+    with pytest.raises(EvalError, match="no pullback registered for morphism 'g'"):
+        pull_back("g", E.Line("L"), geom.ctx_x)
 
 
 def test_truncated_eval_refuses_an_unregistered_pullback():

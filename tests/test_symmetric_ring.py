@@ -9,7 +9,6 @@ Laurent route refuses must be refused with the same error.
 """
 
 import itertools
-from functools import partial
 from math import comb
 
 import pytest
@@ -109,11 +108,12 @@ def test_rank_zero_omega_at_n0_matches_the_laurent_route():
 
 
 def _pullback_cases(n: int, p: int, rank: int) -> list[tuple[S.SplitContext, list[E.Expr]]]:
-    """Pullbacks through the reducers of the chain's geometry, and a composite one, per context."""
+    """Pullbacks through the tables of the chain's geometry, and a composite one, per context."""
     symbols = {"L": 1, "E": rank}
     geom = R.Geometry(n, p, symbols)
     geom_t = R.Geometry(n, p, {"g_" + name: rk for name, rk in symbols.items()}, suffix="T")
-    geom_t.ctx_x.pull_reducers["gp"] = partial(R._gp_reduce, geom_t.table_x)
+    geom_t.ctx_x.pullbacks["gp"] = {name: geom_t.table_x.symbol(name if name == OMEGA else "g_" + name)
+                                    for name in geom.table_x.entries}
     L, B, om = E.Line("L"), E.Bundle("E") if rank > 1 else E.Line("E"), E.Bundle(OMEGA)
     j_l, j_b = E.Line("J_L"), E.Bundle("J_E") if rank > 1 else E.Line("J_E")
     on_x = [E.Pull(geom.name_F, R.FSO), E.Pull(geom.name_F, E.Sum((R.FSO, j_b))),
@@ -257,6 +257,20 @@ def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
     ctx = _x_context(2)
     assert not _matches_laurent(E.Psi(2, E.Bundle("B2")), ctx, 3)
     assert not _matches_laurent(E.Psi(3, E.Line("L")), ctx, 3)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_root_monomials_of_bundles_of_rank_ten_and_more_match_the_laurent_route(cutoff):
+    # root variables sort by name, E.10 before E.2, in packed classes as in Laurent ones
+    table = E.SymbolTable(space="X")
+    table.declare_bundle("E", 10)
+    table.declare_bundle("F", 11)
+    ctx = S.SplitContext(table)
+    b, f = E.Bundle("E"), E.Bundle("F")
+    for e in (E.Power(b, 2), E.Theta(2, b), E.Tensor((b, f)), E.Psi(3, E.Sum((f, E.Dual(b))))):
+        want = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff)
+        assert S.truncated_eval(e, ctx, cutoff) == want, E.print_expr(e)
+        assert str(S.packed_eval(e, ctx, cutoff)) == str(want), E.print_expr(e)
 
 
 # -- names of packed monomials --------------------------------------------------------
