@@ -3,12 +3,16 @@
 Classes have exact rational coefficients in declared degree-1 symbols, in the
 ring truncated above a working degree D (a ring quotient; Fulton & Lang,
 Riemann-Roch Algebra, 1985) on `splitting`'s packed kernel, which forms no
-product above D (Monagan & Pearce, CASC 2007); exp, Todd and inverse Todd are
-one Horner pass each over their coefficients 1/k!, B_k^+/k! and (-1)^k/(k+1)!.
-`c1_det_rf` works in degree n+1, where c1 det Rf_* lives.  The pushforward
-sends a monomial m of degree >= n to the free symbol f_!(m), keyed by m; no
-relations between pushed monomials are assumed, so identities checked here
-hold coefficient-by-coefficient.
+product above D (Monagan & Pearce, CASC 2007).  Inside, a class is int
+numerators over one int denominator, so the kernel sees ints only: exp, Todd
+and inverse Todd are one Horner pass each over the numerators D!/k!, the
+B_k^+/k! over their lcm, and (-1)^k (D+1)!/(k+1)!, and a piece raised to a
+multiplicity takes its denominator to that power.  Each public class is
+divided once per coefficient at the end.  `c1_det_rf` works in degree n+1,
+where c1 det Rf_* lives, and forms only the products of that degree.  The
+pushforward sends a monomial m of degree >= n to the free symbol f_!(m),
+keyed by m; no relations between pushed monomials are assumed, so identities
+checked here hold coefficient-by-coefficient.
 
 The built-in relative-curve model (n = 1, symbols l = c1(L), w = c1(omega),
 relative tangent omega^(-1)) carries the degree-one Riemann-Roch consequences:
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, gcd
 
 from . import expr as E
 from . import splitting as S
@@ -35,17 +39,36 @@ def _ring(assign: dict[str, str], top: int) -> S._Packing:
     return S._Packing(set(assign.values()), {}, top + 1)
 
 
-def _todd_coefficients(top: int) -> list:
-    """x/(1 - e^(-x)) = sum B_k^+ x^k/k!, B_m^+ = 1 - sum_{k<m} C(m, k) B_k^+/(m - k + 1)."""
-    b: list = []  # the Bernoulli numbers B_0^+, B_1^+ = 1/2, ...
-    for m in range(top + 1):
-        b.append(1 - sum(Fraction(comb(m, k), m - k + 1) * b[k] for k in range(m)))
-    return [Fraction(bk, factorial(k)) for k, bk in enumerate(b)]
+def _exp_coefficients(top: int) -> tuple[list[int], int]:
+    """e^x = sum x^k/k! for k <= top: the numerators top!/k! over top!."""
+    den = factorial(top)
+    return [den // factorial(k) for k in range(top + 1)], den
 
 
-def _series(coefficients: list, m: S.Monomial, assign: dict[str, str], pk: S._Packing) -> dict:
+def _inverse_todd_coefficients(top: int) -> tuple[list[int], int]:
+    """(1 - e^(-x))/x = sum (-1)^k x^k/(k+1)! for k <= top: (-1)^k (top+1)!/(k+1)! over (top+1)!."""
+    den = factorial(top + 1)
+    return [(-1) ** k * (den // factorial(k + 1)) for k in range(top + 1)], den
+
+
+def _todd_coefficients(top: int) -> tuple[list[int], int]:
+    """x/(1 - e^(-x)) = sum B_k^+ x^k/k! for k <= top: numerators over the lcm of B_k^+/k!.
+
+    The series inverse of (1 - e^(-x))/x = S(x)/f, S in ints and f = S(0):
+    f/S(x) = sum_k R_k x^k / f^k with R_0 = 1, R_k = -sum_(0<i<=k) S_i f^(i-1) R_(k-i).
+    """
+    s, f = _inverse_todd_coefficients(top)
+    r = [1]
+    for k in range(1, top + 1):
+        r.append(-sum(s[i] * f ** (i - 1) * r[k - i] for i in range(1, k + 1)))
+    nums = [rk * f ** (top - k) for k, rk in enumerate(r)]
+    g = gcd(f ** top, *nums)
+    return [c // g for c in nums], f ** top // g
+
+
+def _series(coefficients: list[int], m: S.Monomial, assign: dict[str, str], pk: S._Packing) -> dict:
     """sum_k coefficients[k] * x^k by Horner's rule, x = c1(m) = sum of e * c1(root) over m."""
-    x: dict[int, object] = {}
+    x: dict[int, int] = {}
     for v, e in m:
         if v not in assign:
             raise ChowError(f"no first-Chern symbol assigned to root {v!r}")
@@ -54,24 +77,34 @@ def _series(coefficients: list, m: S.Monomial, assign: dict[str, str], pk: S._Pa
     return S._horner(coefficients, x, pk.limit)
 
 
-def _ch(e: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._Packing) -> dict:
-    exp = [Fraction(1, factorial(k)) for k in range(pk.cutoff)]
-    total: dict[int, object] = {}
-    for m, c in S.eval_expr(e, S.SplitContext(table)).terms.items():
+def _ch(e: E.Expr, ctx: S.SplitContext, assign: dict[str, str], pk: S._Packing) -> tuple[dict, int]:
+    """ch(e) as int numerators over one denominator."""
+    exp, den = _exp_coefficients(pk.cutoff - 1)
+    total: dict[int, int] = {}
+    for m, c in S.eval_expr(e, ctx).terms.items():
         for x, a in _series(exp, m, assign, pk).items():
             total[x] = total.get(x, 0) + a * c
-    return total
+    return total, den
 
 
-def _todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], pk: S._Packing) -> dict:
-    total: dict[int, object] = {0: 1}
-    for m, c in S.eval_expr(tangent, S.SplitContext(table)).terms.items():
-        # td(x) for a line, 1/td(x) = (1 - e^(-x))/x = sum_k (-1)^k x^k/(k+1)! for a negated one
-        base = _todd_coefficients(pk.cutoff - 1) if c > 0 else \
-            [Fraction((-1) ** k, factorial(k + 1)) for k in range(pk.cutoff)]
+def _todd(tangent: E.Expr, ctx: S.SplitContext, assign: dict[str, str],
+          pk: S._Packing) -> tuple[dict, int]:
+    """td(tangent) as int numerators over one denominator: a piece to the |c| takes den^|c|."""
+    total: dict[int, int] = {0: 1}
+    den = 1
+    for m, c in S.eval_expr(tangent, ctx).terms.items():
+        # td(x) for a line, 1/td(x) = (1 - e^(-x))/x for a negated one
+        base, d = (_todd_coefficients if c > 0 else _inverse_todd_coefficients)(pk.cutoff - 1)
         piece = S._packed_pow(_series(base, m, assign, pk), abs(c), pk.limit)  # c is an integer
         total = S._packed_mul(total, piece, pk.limit)
-    return total
+        den *= d ** abs(c)
+    return total, den
+
+
+def _unpack(fraction: tuple[dict, int], pk: S._Packing) -> SplitClass:
+    """The class of int numerators over a denominator, divided once per coefficient."""
+    terms, den = fraction
+    return pk.unpack({m: S._quotient(c, den) for m, c in terms.items()}, None)
 
 
 def chern_character(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
@@ -82,7 +115,7 @@ def chern_character(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
     roots) to degree-1 symbols.
     """
     pk = _ring(assign, top)
-    return pk.unpack(_ch(e, table, assign, pk), None)
+    return _unpack(_ch(e, S.SplitContext(table), assign, pk), pk)
 
 
 def todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], top: int) -> SplitClass:
@@ -91,7 +124,7 @@ def todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], top: int
     A negative multiplicity (a negated line) takes the inverse Todd series.
     """
     pk = _ring(assign, top)
-    return pk.unpack(_todd(tangent, table, assign, pk), None)
+    return _unpack(_todd(tangent, S.SplitContext(table), assign, pk), pk)
 
 
 def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
@@ -103,10 +136,22 @@ def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
     return x.degrees(low=rel_dim)
 
 
-def _c1_det_rf(ch: dict, td: dict, pk: S._Packing) -> SplitClass:
-    """f_! of the part of ch * td in the working degree n+1, keyed by the pushed monomials."""
-    product = S._packed_mul(ch, td, pk.limit)
-    return pk.unpack({m: c for m, c in product.items() if m >> pk.shift == pk.cutoff - 1}, None)
+def _c1_det_rf(ch: tuple[dict, int], td: tuple[dict, int], pk: S._Packing) -> SplitClass:
+    """f_! of the part of ch * td in the working degree n+1, keyed by the pushed monomials.
+
+    Only the pairs whose degrees sum to n+1 are formed, and the sum of their
+    products is divided once by the two denominators' product.
+    """
+    (a, den_ch), (b, den_td) = ch, td
+    top = pk.cutoff - 1
+    by_degree: dict[int, list[tuple[int, int]]] = {}
+    for m, c in b.items():
+        by_degree.setdefault(m >> pk.shift, []).append((m, c))
+    out: dict[int, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in by_degree.get(top - (m1 >> pk.shift), ()):
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return _unpack((out, den_ch * den_td), pk)
 
 
 def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
@@ -116,7 +161,8 @@ def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
     It lives in degree n+1 upstairs, so n+1 is the working degree.
     """
     pk = _ring(assign, rel_dim + 1)
-    return _c1_det_rf(_ch(e, table, assign, pk), _todd(tangent, table, assign, pk), pk)
+    ctx = S.SplitContext(table)
+    return _c1_det_rf(_ch(e, ctx, assign, pk), _todd(tangent, ctx, assign, pk), pk)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +172,8 @@ def c1_det_rf(e: E.Expr, table: E.SymbolTable, assign: dict[str, str],
 class CurveModel:
     """Fixed n=1 setup: line L with c1 = l, canonical line omega with c1 = w.
 
-    The tangent's Todd class is built once, for every `c1_det_rf` of the model.
+    The tangent's Todd class and the split context are built once, for every
+    `c1_det_rf` of the model.
     """
 
     table: E.SymbolTable
@@ -135,7 +182,8 @@ class CurveModel:
 
     def __post_init__(self):
         self._pk = _ring(self.assign, 2)
-        self._td = _todd(self.tangent, self.table, self.assign, self._pk)
+        self._ctx = S.SplitContext(self.table)
+        self._td = _todd(self.tangent, self._ctx, self.assign, self._pk)
 
     @staticmethod
     def standard() -> "CurveModel":
@@ -145,7 +193,7 @@ class CurveModel:
         return CurveModel(t, {"L": "l", "omega": "w"}, E.Dual(E.Line("omega")))
 
     def c1_det_rf(self, e: E.Expr) -> SplitClass:
-        return _c1_det_rf(_ch(e, self.table, self.assign, self._pk), self._td, self._pk)
+        return _c1_det_rf(_ch(e, self._ctx, self.assign, self._pk), self._td, self._pk)
 
 
 @dataclass

@@ -27,7 +27,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf
 
 from .expr import (
     LINE,
@@ -50,6 +50,7 @@ from .expr import (
     Unit,
     _check_op_index,
     map_children,
+    rank,
 )
 
 
@@ -432,16 +433,20 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
 def pull_back(morphism: str, e: Expr, ctx: SplitContext) -> Expr:
     """morphism^*(e) on ctx: each symbol of e replaced by its image in `ctx.pullbacks[morphism]`.
 
-    Refuses a morphism with no table on ctx, a symbol with no image, and a
-    pullback nested in e.
+    Refuses a morphism with no table on ctx, a symbol with no image, a `Line`
+    leaf naming a bundle (a pullback keeps the rank, so its image is not of
+    rank 1), and a pullback nested in e.
     """
     images = ctx.pullbacks.get(morphism)
     if images is None:
         raise EvalError(f"no pullback registered for morphism {morphism!r} into {ctx.space}")
     if isinstance(e, (Line, Bundle)):
-        if e.name not in images:
+        image = images.get(e.name)
+        if image is None:
             raise EvalError(f"{morphism}^* has no registered action on symbol {e.name!r}")
-        return images[e.name]
+        if isinstance(e, Line) and (r := rank(image, ctx.table)) != 1:
+            raise EvalError(f"{morphism}^*({e.name}) has rank {r}, not one line")
+        return image
     if isinstance(e, Pull):
         raise EvalError(f"cannot substitute under an unresolved pullback: {e}")
     return map_children(e, lambda x: pull_back(morphism, x, ctx))
@@ -763,14 +768,12 @@ class _Packing:
         return hit
 
 
-def _exact(c):
-    """An integral Fraction as an int; anything else as it is."""
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
 def _quotient(c, d: int):
-    """c / d, exact: an int when c is an int that d divides, else through Fraction."""
-    return c // d if isinstance(c, int) and not c % d else _exact(Fraction(c, d))
+    """c / d, exact: an int where the quotient is integral, else a Fraction."""
+    if isinstance(c, int) and not c % d:
+        return c // d
+    q = Fraction(c, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _binom(k: int, j: int) -> int:
@@ -978,40 +981,67 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
     Euler operator, G_d = (1/d) sum_j b_j P_j G_(d-j).  P_j lies in I^j, so
     G_d lies in I^d.  The power sums of a compound class are not homogeneous,
     so the parts share monomials, and are added.
+
+    The parts are kept as int numerators: G_d = N_d / (d! g(0)^d D_0), with
+    N_0 D_0 = g(0)^rank, and with B_j = g(0)^j b_j (`_log_derivative`)
+    N_d = sum_j B_j (d-1)!/(d-j)! P_j N_(d-j).  Their sum is taken over the
+    common denominator c! g(0)^c D_0, c = cutoff - 1, and divided once per
+    coefficient.
     """
-    rank = sums[0].get(0, 0)
+    r = sums[0].get(0, 0)
     bs = _log_derivative(g, pk)
-    parts: list[dict[int, object]] = [{0: g[0] ** rank if rank >= 0 else _quotient(1, g[0] ** -rank)}]
-    total = dict(parts[0])
+    g0, c = g[0], pk.cutoff - 1
+    n0, d0 = (g0 ** r, 1) if r >= 0 else (1, g0 ** -r)
+    parts: list[dict[int, object]] = [{0: n0}]
+    scale = factorial(c) * g0 ** c  # c!/d! g(0)^(c-d), the weight of N_d in the sum
+    total: dict[int, object] = {0: n0 * scale}
     for d in range(1, pk.cutoff):
         acc: dict[int, object] = {}
+        weight = 1  # (d-1)!/(d-j)!
         for j in range(1, d + 1):
             if bs[j]:
-                for m, c in _packed_mul(sums[j], parts[d - j], pk.limit).items():
-                    acc[m] = acc.get(m, 0) + bs[j] * c
-        parts.append({m: _quotient(c, d) for m, c in acc.items() if c})
-        for m, c in parts[d].items():
-            total[m] = total.get(m, 0) + c
-    return {m: _exact(c) for m, c in total.items() if c}
+                bw = bs[j] * weight
+                for m, x in _packed_mul(sums[j], parts[d - j], pk.limit).items():
+                    acc[m] = acc.get(m, 0) + bw * x
+            weight *= d - j
+        parts.append({m: x for m, x in acc.items() if x})
+        scale //= d * g0
+        for m, x in parts[d].items():
+            total[m] = total.get(m, 0) + scale * x
+    den = factorial(c) * g0 ** c * d0
+    return {m: _quotient(x, den) for m, x in total.items() if x}
 
 
-def _log_derivative(g: tuple, pk: _Packing) -> list:
-    """b_0..b_(len(g)-1) of u g'(u)/g(u) = sum_j b_j u^j, exact; memoized in `pk.memo`."""
+def _log_derivative(g: tuple, pk: _Packing) -> list[int]:
+    """B_j = g(0)^j b_j, integers, where u g'(u)/g(u) = sum_j b_j u^j; memoized in `pk.memo`.
+
+    From g(0) b_j = j g_j - sum_(0<i<j) g_i b_(j-i):
+    B_j = j g_j g(0)^(j-1) - sum_(0<i<j) g_i g(0)^(i-1) B_(j-i).
+    """
     bs = pk.memo.get(("b", g))
     if bs is None:
         bs = pk.memo["b", g] = [0] * len(g)
+        g0 = g[0]
         for j in range(1, len(g)):
-            bs[j] = _quotient(j * g[j] - sum(g[i] * bs[j - i] for i in range(1, j)), g[0])
+            bs[j] = j * g[j] * g0 ** (j - 1) - \
+                sum(g[i] * g0 ** (i - 1) * bs[j - i] for i in range(1, j))
     return bs
 
 
 def _inverse(x: dict[int, object], pk: _Packing) -> dict[int, object]:
-    """1/x for x = a + y, y in I: sum_j (-1)^j y^j / a^(j+1); a = 0 is a rank-0 class."""
+    """1/x for x = a + y, y in I; a = 0 is a rank-0 class.
+
+    1/x = sum_j (-1)^j y^j / a^(j+1), c = cutoff - 1: Horner's rule on the
+    ints (-1)^j a^(c-j), and one division by a^(c+1) per coefficient.
+    """
     a = x.get(0, 0)
     if not a:
         raise EvalError(_RANK_ZERO_INVERSE)
-    return _horner([_quotient((-1) ** j, a ** (j + 1)) for j in range(pk.cutoff)],
-                   {m: c for m, c in x.items() if m}, pk.limit)
+    c = pk.cutoff - 1
+    terms = _horner([(-1) ** j * a ** (c - j) for j in range(pk.cutoff)],
+                    {m: v for m, v in x.items() if m}, pk.limit)
+    den = a ** (c + 1)
+    return {m: _quotient(v, den) for m, v in terms.items()}
 
 
 def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:

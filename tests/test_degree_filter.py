@@ -59,8 +59,13 @@ def test_series_inverse_below_the_working_degree(exponents, top):
 
 def test_series_inverse_of_one_plus_w():
     # x/(1 - e^(-x)) = sum B_k^+ x^k/k!, and (1 - e^(-x))/x = sum (-1)^k x^k/(k+1)!
-    assert C._todd_coefficients(8) == [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0,
-                                       Fraction(1, 30240), 0, Fraction(-1, 1209600)]
+    # each series is int numerators over one denominator, the lcm of its coefficients
+    nums, den = C._todd_coefficients(8)
+    assert den == 1209600 and all(isinstance(c, int) for c in nums)
+    assert [Fraction(c, den) for c in nums] == [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720),
+                                                0, Fraction(1, 30240), 0, Fraction(-1, 1209600)]
+    nums, den = C._inverse_todd_coefficients(3)
+    assert [Fraction(c, den) for c in nums] == [1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 24)]
     table = E.SymbolTable(space="X")
     table.declare_line("W")
     w = SplitClass.variable("w")

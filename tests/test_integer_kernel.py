@@ -1,0 +1,200 @@
+"""The packed kernel on int numerators over one denominator.
+
+The series of the truncated ring (`_multiplicative`, `_log_derivative`,
+`_inverse`) are compared with the Fraction versions they replace, term by
+term and by type; and the kernel's products (`_packed_mul`, `_horner`,
+`_packed_pow`) are watched for a coefficient that is not an int on the
+chain, the square, KM and the Chow ring.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from adamsrr import chow as C
+from adamsrr import expr as E
+from adamsrr import rewrite as R
+from adamsrr import splitting as S
+
+# ---------------------------------------------------------------------------
+# Fraction references: each part and coefficient a Fraction, reduced to an int
+# where integral
+
+
+def _ref_exact(c):
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _ref_quotient(c, d):
+    return c // d if isinstance(c, int) and not c % d else _ref_exact(Fraction(c, d))
+
+
+def _ref_log_derivative(g):
+    bs = [0] * len(g)
+    for j in range(1, len(g)):
+        bs[j] = _ref_quotient(j * g[j] - sum(g[i] * bs[j - i] for i in range(1, j)), g[0])
+    return bs
+
+
+def _ref_multiplicative(g, sums, pk):
+    rank = sums[0].get(0, 0)
+    bs = _ref_log_derivative(g)
+    parts = [{0: g[0] ** rank if rank >= 0 else _ref_quotient(1, g[0] ** -rank)}]
+    total = dict(parts[0])
+    for d in range(1, pk.cutoff):
+        acc = {}
+        for j in range(1, d + 1):
+            if bs[j]:
+                for m, c in S._packed_mul(sums[j], parts[d - j], pk.limit).items():
+                    acc[m] = acc.get(m, 0) + bs[j] * c
+        parts.append({m: _ref_quotient(c, d) for m, c in acc.items() if c})
+        for m, c in parts[d].items():
+            total[m] = total.get(m, 0) + c
+    return {m: _ref_exact(c) for m, c in total.items() if c}
+
+
+def _ref_inverse(x, pk):
+    a = x[0]
+    return S._horner([_ref_quotient((-1) ** j, a ** (j + 1)) for j in range(pk.cutoff)],
+                     {m: c for m, c in x.items() if m}, pk.limit)
+
+
+def _typed(terms):
+    return {m: (c, type(c)) for m, c in terms.items()}
+
+
+def _series_g(what, m, cutoff):
+    """The g of `_rule`: (x^m - 1)/u for theta^m and tau_m, x = 1 + u for det."""
+    if what == "det":
+        return (1, 1, *[0] * (cutoff - 2))
+    return tuple(comb(m, j + 1) for j in range(cutoff))
+
+
+def _table():
+    t = E.SymbolTable(space="X")
+    t.declare_line("L")
+    t.declare_line("M")
+    t.declare_bundle("E", 2)
+    t.declare_bundle("FsO", 8)
+    return t
+
+
+L, M, B = E.Line("L"), E.Line("M"), E.Bundle("E")
+
+# one class of each rank -2..3, with compound power sums among them
+RANKED = {-2: E.Neg(E.Sum((L, E.Psi(2, M)))), -1: E.Neg(E.Tensor((L, E.Dual(M)))),
+          0: E.Sum((L, E.Neg(E.Psi(3, M)))), 1: E.Tensor((L, M)), 2: E.Sum((B, E.Neg(L), M)),
+          3: E.Sum((E.Tensor((B, L)), M))}
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_log_derivative_is_the_scaled_fraction_series(cutoff):
+    pk = S._Packing({}, {}, cutoff)
+    for what, m in [("theta", k) for k in (2, 3, 5, 7)] + [("det", 1)]:
+        g = _series_g(what, m, cutoff)
+        bs = S._log_derivative(g, pk)
+        assert all(type(b) is int for b in bs), (what, m)
+        assert bs == [g[0] ** j * b for j, b in enumerate(_ref_log_derivative(g))], (what, m)
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_multiplicative_agrees_with_the_fraction_series(cutoff):
+    ctx = S.SplitContext(_table())
+    pk = S._Packing(ctx.roots, ctx.var_aug, cutoff)
+    for rank, e in RANKED.items():
+        sums = S._power_sums(1, e, ctx, pk)
+        assert sums[0] == ({0: rank} if rank else {})
+        for what, m in [("theta", k) for k in (2, 3, 5, 7)] + [("det", 1)]:
+            g = _series_g(what, m, cutoff)
+            got = S._multiplicative(g, sums, pk)
+            assert _typed(got) == _typed(_ref_multiplicative(g, sums, pk)), (what, m, rank)
+            if what == "det":  # g(0) = 1: every denominator is 1
+                assert all(type(c) is int for c in got.values()), rank
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_inverse_agrees_with_the_fraction_series(cutoff):
+    ctx = S.SplitContext(_table(), opaque=frozenset({"FsO"}))
+    pk = S._Packing(ctx.roots, ctx.var_aug, cutoff)
+    p_n = 8  # FsO, opaque, of rank p^n = 2^3
+    cases = {1: E.Tensor((L, E.Psi(2, M))), -1: E.Neg(E.Tensor((L, E.Dual(M)))),
+             2: E.Sum((L, E.Tensor((M, E.Dual(L))))), -2: E.Neg(B), p_n: E.Bundle("FsO")}
+    for a, e in cases.items():
+        x = S._terms(1, e, ctx, pk)
+        assert x[0] == a
+        got = S._inverse(x, pk)
+        assert _typed(got) == _typed(_ref_inverse(x, pk)), a
+        assert (a in (1, -1)) == all(type(c) is int for c in got.values()), a
+        # x * (1/x) = 1 in the truncated ring
+        assert S._packed_mul(x, got, pk.limit) == {0: 1}, a
+
+
+# ---------------------------------------------------------------------------
+# No Fraction reaches the kernel's products
+
+
+@pytest.fixture
+def int_only_kernel(monkeypatch):
+    """Patch `_packed_mul`, `_horner` and `_packed_pow` to assert int coefficients in and out."""
+    seen = {"_packed_mul": 0, "_horner": 0, "_packed_pow": 0}
+
+    def ints(*dicts):
+        for d in dicts:
+            for c in d.values():
+                assert type(c) is int, f"{type(c).__name__} coefficient {c} in the kernel"
+
+    mul, horner, power = S._packed_mul, S._horner, S._packed_pow
+
+    def checked_mul(a, b, limit):
+        seen["_packed_mul"] += 1
+        ints(a, b)
+        out = mul(a, b, limit)
+        ints(out)
+        return out
+
+    def checked_horner(coefficients, x, limit):
+        seen["_horner"] += 1
+        ints(dict(enumerate(coefficients)), x)
+        out = horner(coefficients, x, limit)
+        ints(out)
+        return out
+
+    def checked_pow(x, k, limit):
+        seen["_packed_pow"] += 1
+        ints(x)
+        out = power(x, k, limit)
+        ints(out)
+        return out
+
+    monkeypatch.setattr(S, "_packed_mul", checked_mul)
+    monkeypatch.setattr(S, "_horner", checked_horner)
+    monkeypatch.setattr(S, "_packed_pow", checked_pow)
+    return seen
+
+
+def test_the_chow_ring_runs_on_ints(int_only_kernel):
+    assert C.deligne_residual().ok
+    assert [C.mumford_exponent(k) for k in range(11)] == [6 * k * k - 6 * k + 1 for k in range(11)]
+    table = E.SymbolTable(space="X")
+    table.declare_line("L")
+    table.declare_line("M")
+    assign = {"L": "l", "M": "m"}
+    e = E.Sum((E.Tensor((E.Power(L, 2), E.Dual(M))), E.Neg(M), E.UNIT))
+    tangent = E.Sum((L, L, E.Neg(E.Dual(M)), E.Neg(L)))
+    for top in range(7):
+        C.chern_character(e, table, assign, top)
+        C.todd(tangent, table, assign, top)
+    assert all(int_only_kernel.values()), int_only_kernel
+
+
+@pytest.mark.parametrize("n, p, symbols", [(3, 3, {"L": 1}), (2, 5, {"E": 2})])
+def test_the_chain_runs_on_ints(int_only_kernel, n, p, symbols):
+    assert R.verify_arr_identity(n, p, R.geom_default_expr(symbols), symbols).verified
+    assert int_only_kernel["_packed_mul"] and int_only_kernel["_packed_pow"]
+
+
+def test_the_square_and_km_run_on_ints(int_only_kernel):
+    assert R.verify_base_change(2, 3).verified
+    assert R.knudsen_mumford_expansion(3, 2).verified
+    assert int_only_kernel["_packed_mul"] and int_only_kernel["_packed_pow"]

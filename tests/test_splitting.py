@@ -425,6 +425,39 @@ def test_pull_back_refuses_a_symbol_with_no_image_and_a_nested_pullback():
         pull_back("g", E.Line("L"), geom.ctx_x)
 
 
+def _line_leaves_naming_bundles():
+    """(context, pullback of a `Line` leaf that names a bundle) under each registered table."""
+    geom = Geometry(1, 2, {"L": 1, "E": 2})
+    geom_t = Geometry(1, 2, {"g_L": 1, "g_E": 2}, suffix="T")
+    geom_t.ctx_x.pullbacks["gp"] = {name: geom_t.table_x.symbol(name if name == E.SymbolTable.OMEGA
+                                                                else "g_" + name)
+                                    for name in geom.table_x.entries}
+    return [(geom.ctx_x, E.Pull(geom.name_FX, E.Line("E"))),
+            (geom.ctx_xp, E.Pull(geom.name_J, E.Line("E"))),
+            (geom.ctx_x, E.Pull(geom.name_F, E.Line("J_E"))),
+            (geom.ctx_x, E.Pull(geom.name_F, E.Line(PUSHED_STRUCTURE))),
+            (geom_t.ctx_x, E.Pull("gp", E.Line("E")))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_pull_back_refuses_a_line_leaf_that_names_a_bundle(case):
+    ctx, pull = _line_leaves_naming_bundles()[case]
+    assert eval_expr(E.Pull(pull.morphism, E.Bundle(pull.arg.name)), ctx)  # the bundle itself
+    with pytest.raises(EvalError, match=r"has rank \d+, not one line$"):
+        pull_back(pull.morphism, pull.arg, ctx)
+    for e in (pull, E.Psi(2, pull), E.Dual(pull), E.Tensor((pull, E.Line("L")))):
+        with pytest.raises(EvalError):
+            eval_expr(e, ctx)
+        for cutoff in (1, 2, 3):
+            with pytest.raises(EvalError):
+                packed_eval(e, ctx, cutoff)
+
+
+def test_the_square_refuses_a_line_naming_a_bundle_through_its_own_gp_table():
+    with pytest.raises(EvalError, match=r"^gp\^\*\(E\) has rank 2, not one line$"):
+        verify_base_change(1, 2, E.Line("E"), {"E": 2})
+
+
 def test_truncated_eval_refuses_an_unregistered_pullback():
     geom = Geometry(1, 2, {"L": 1})
     with pytest.raises(EvalError):
