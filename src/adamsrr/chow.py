@@ -95,8 +95,9 @@ def _todd(tangent: E.Expr, ctx: S.SplitContext, assign: dict[str, str],
     for m, c in S.eval_expr(tangent, ctx).terms.items():
         # td(x) for a line, 1/td(x) = (1 - e^(-x))/x for a negated one
         base, d = (_todd_coefficients if c > 0 else _inverse_todd_coefficients)(pk.cutoff - 1)
-        piece = S._packed_pow(_series(base, m, assign, pk), abs(c), pk.limit)  # c is an integer
-        total = S._packed_mul(total, piece, pk.limit)
+        piece = _series(base, m, assign, pk)
+        for _ in range(abs(c)):  # c is an integer
+            total = S._packed_mul(total, piece, pk.limit)
         den *= d ** abs(c)
     return total, den
 

@@ -14,11 +14,12 @@ bundle's roots, so `packed_eval` holds a bundle as the elementary symmetric
 functions e_1..e_r of its u = x - aug(x), e_k of weight k, packed with the
 weighted degree into one int per monomial.  Every node is built there by its
 own rule, as psi^k of the node (dual being psi^-1): psi^k is a ring map moved
-down to the symbols, and theta^k, tau_p, det and inverses are multiplicative
-classes, power series in the power sums of their argument (Fulton & Lang,
-Riemann-Roch Algebra, ch. I-III).  `truncated_eval` and the printer of a
-packed class unpack e-monomials into root monomials; the grades of `picard`
-name each e-monomial as it is, through `_Packing.text`.
+down to the symbols; theta^k, tau_p and det are multiplicative classes, power
+series in the power sums of their argument (Fulton & Lang, Riemann-Roch
+Algebra, ch. I-III); and a power of either sign is one finite binomial sum
+in the powers of its base's part in the augmentation ideal.  `truncated_eval`
+and the printer of a packed class unpack e-monomials into root monomials;
+the grades of `picard` name each e-monomial as it is, through `_Packing.text`.
 """
 
 from __future__ import annotations
@@ -580,9 +581,10 @@ class _Packing:
     builds each one in e-coordinates.  `filtration` expands a Laurent class
     into root monomials, for `truncated_filtration`, through the memoized
     binomial `series` of each variable power and `expanded` of each monomial.
-    `memo` holds the symbols' `adams` classes and power sums, the powers of
-    each e_k in root monomials, the `_terms` of each (k, node) and the
-    series coefficients of `_log_derivative`.
+    `memo` holds the symbols' `adams` classes and power sums, the `powers`
+    tables (of each e_k in root monomials, and of the part y in I of each
+    power's base), the `_terms` of each (k, node) and the series
+    coefficients of `_log_derivative`.
     """
 
     __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
@@ -677,50 +679,48 @@ class _Packing:
                 total[mono] = total.get(mono, 0) + coeff * c
         return {m: c for m, c in total.items() if c}
 
+    def powers(self, key: tuple, y, top: int) -> list[dict[int, object]]:
+        """The table `memo[key]` of y^0, y^1, ... for a y in I, through y^min(top, cutoff - 1).
+
+        `y()` makes y when the table is new.  The table grows on demand, one
+        product a power, and stops at y^(cutoff - 1): y^i = 0 from i = cutoff on.
+        """
+        table = self.memo.get(key)
+        if table is None:
+            table = self.memo[key] = [{0: 1}, y()]
+        while len(table) <= min(top, self.cutoff - 1):
+            table.append(_packed_mul(table[-1], table[1], self.limit))
+        return table
+
     # -- e-coordinates and the root basis --------------------------------------
     def to_roots(self, packed: dict[int, object]) -> dict[int, object]:
         """Packed terms unpacked into root monomials, block by block."""
         wide_bits = self._wide_bits
         if not any(m & wide_bits for m in packed):
             return packed  # the layouts agree off the blocks of rank >= 2
-        out: dict[int, object] = {}
-        for m, c in packed.items():
-            for x, k in self.root_terms(m).items():
-                out[x] = out.get(x, 0) + c * k
-        return {x: c for x, c in out.items() if c}
+        return _combine(packed.values(), map(self.root_terms, packed))
 
     def root_terms(self, m: int) -> dict[int, object]:
         """The root monomials that e-monomial m unpacks into, with coefficients.
 
         The product, in the truncated ring, of m's fields off the blocks of
         rank >= 2 and of each wide block's powers of e_k written in root
-        monomials; m has degree below the cutoff, so no term is dropped.
+        monomials (e_k the sum over k-sets of the block's roots, its powers
+        a `powers` table); m has degree below the cutoff, so no term is dropped.
         """
-        mask = (1 << self.width) - 1
+        mask, width = (1 << self.width) - 1, self.width
         rest, factors = m & ~self._wide_bits, []
         for b, at, r, _ in self._wide:
             for k in range(1, r + 1):
-                if a := (m >> (at + (k - 1) * self.width)) & mask:
+                if a := (m >> (at + (k - 1) * width)) & mask:
                     rest -= (k * a) << self.shift
-                    factors.append(self._e_power(b, k, a))
+                    factors.append(self.powers(("e", b, k), lambda: {
+                        sum(1 << (at + i * width) for i in s) | (k << self.shift): 1
+                        for s in itertools.combinations(range(r), k)}, a)[a])
         out = {rest: 1}
         for factor in factors:
             out = _packed_mul(out, factor, self.limit)
         return out
-
-    def _e_power(self, b: str, k: int, a: int) -> dict[int, object]:
-        """e_k^a of block b in root monomials: the sum over k-sets of its roots, to the a."""
-        key = ("e", b, k, a)
-        hit = self.memo.get(key)
-        if hit is None:
-            if a > 1:
-                hit = _packed_mul(self._e_power(b, k, a - 1), self._e_power(b, k, 1), self.limit)
-            else:
-                at = self.offset[b]
-                hit = {sum(1 << (at + i * self.width) for i in s) | (k << self.shift): 1
-                       for s in itertools.combinations(range(len(self.blocks[b])), k)}
-            self.memo[key] = hit
-        return hit
 
     # -- leaves ------------------------------------------------------------------
     def symbol(self, b: str) -> dict[int, object]:
@@ -758,13 +758,8 @@ class _Packing:
         key = ("psi", b, k)
         hit = self.memo.get(key)
         if hit is None:
-            terms: dict[int, object] = {}
-            for j, pj in enumerate(self.power_sums(b)):
-                cj = _binom(k, j)
-                if cj:
-                    for m, c in pj.items():
-                        terms[m] = terms.get(m, 0) + cj * c
-            hit = self.memo[key] = {m: c for m, c in terms.items() if c}
+            hit = self.memo[key] = _combine([_binom(k, j) for j in range(self.cutoff)],
+                                            self.power_sums(b))
         return hit
 
 
@@ -794,6 +789,17 @@ def _packed_mul(a: dict[int, object], b: dict[int, object], limit: int) -> dict[
     return {m: c for m, c in out.items() if c}
 
 
+def _combine(coefficients, classes) -> dict[int, object]:
+    """sum_i coefficients[i] * classes[i], the classes packed terms; zero terms are dropped."""
+    out: dict[int, object] = {}
+    get = out.get
+    for a, terms in zip(coefficients, classes):
+        if a:
+            for m, c in terms.items():
+                out[m] = get(m, 0) + a * c
+    return {m: c for m, c in out.items() if c}
+
+
 def _horner(coefficients: list, x: dict[int, object], limit: int) -> dict[int, object]:
     """sum_k coefficients[k] * x^k by Horner's rule, truncated; x has no constant term."""
     out: dict[int, object] = {}
@@ -801,18 +807,6 @@ def _horner(coefficients: list, x: dict[int, object], limit: int) -> dict[int, o
         out = _packed_mul(out, x, limit)
         if c:
             out[0] = c  # x has no constant term, so out has none
-    return out
-
-
-def _packed_pow(x: dict[int, object], k: int, limit: int) -> dict[int, object]:
-    """x^k (k >= 0), truncated, by squaring."""
-    out: dict[int, object] = {0: 1}
-    while k:
-        if k & 1:
-            out = _packed_mul(out, x, limit)
-        k >>= 1
-        if k:
-            x = _packed_mul(x, x, limit)
     return out
 
 
@@ -894,10 +888,10 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     is its argument with each symbol replaced by its image (`pull_back`).
     theta^m, tau_p = theta^p and det commute with psi^k and are
     multiplicative, so they are `_multiplicative` series in the power sums
-    of psi^k of their argument; the inverse of a + y, y in I, is
-    sum_j (-1)^j y^j / a^(j+1).  These first refuse their argument as
-    `eval_expr` does; psi^k, theta^m and tau_p refuse an index below 1 as
-    `canonicalize` does.  Any other node (an unregistered pullback, an unsplit
+    of psi^k of their argument; a power x^j of either sign is `_power`'s
+    binomial sum in the powers of y = x - a, y in I.  These first refuse
+    their argument as `eval_expr` does; psi^k, theta^m and tau_p refuse an
+    index below 1 as `canonicalize` does.  Any other node (an unregistered pullback, an unsplit
     symbol under psi^k with k != 1) raises _NoRule.
     """
     if isinstance(e, Sum):
@@ -917,10 +911,9 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
             out = _packed_mul(out, _terms(k, f, ctx, pk), pk.limit)
         return out
     if isinstance(e, Power):
-        if e.exponent >= 0:
-            return _packed_pow(_terms(k, e.base, ctx, pk), e.exponent, pk.limit)
-        _inverse_operand(e, ctx)
-        return _packed_pow(_inverse(_terms(k, e.base, ctx, pk), pk), -e.exponent, pk.limit)
+        if e.exponent < 0:
+            _inverse_operand(e, ctx)
+        return _power(_terms(k, e.base, ctx, pk), e.exponent, ("y", k, e.base), pk)
     if isinstance(e, (Psi, Theta, Tau)):
         _check_op_index(e)
     if isinstance(e, (Psi, Dual)):
@@ -961,15 +954,8 @@ def _power_sums(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> list[dict[i
     """
     psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 3))]
     psi[0] = {0: psi[1].get(0, 0)}
-    sums = []
-    for j in range(pk.cutoff):
-        acc: dict[int, object] = {}
-        for l in range(j + 1):
-            s = comb(j, l) if (j - l) % 2 == 0 else -comb(j, l)
-            for m, c in psi[l].items():
-                acc[m] = acc.get(m, 0) + s * c
-        sums.append({m: c for m, c in acc.items() if c})
-    return sums
+    return [_combine([comb(j, l) if (j - l) % 2 == 0 else -comb(j, l) for l in range(j + 1)], psi)
+            for j in range(pk.cutoff)]
 
 
 def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> dict[int, object]:
@@ -993,8 +979,6 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
     g0, c = g[0], pk.cutoff - 1
     n0, d0 = (g0 ** r, 1) if r >= 0 else (1, g0 ** -r)
     parts: list[dict[int, object]] = [{0: n0}]
-    scale = factorial(c) * g0 ** c  # c!/d! g(0)^(c-d), the weight of N_d in the sum
-    total: dict[int, object] = {0: n0 * scale}
     for d in range(1, pk.cutoff):
         acc: dict[int, object] = {}
         weight = 1  # (d-1)!/(d-j)!
@@ -1005,11 +989,10 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
                     acc[m] = acc.get(m, 0) + bw * x
             weight *= d - j
         parts.append({m: x for m, x in acc.items() if x})
-        scale //= d * g0
-        for m, x in parts[d].items():
-            total[m] = total.get(m, 0) + scale * x
+    # N_d is weighted c!/d! g(0)^(c-d) in the sum
+    total = _combine([factorial(c) // factorial(d) * g0 ** (c - d) for d in range(c + 1)], parts)
     den = factorial(c) * g0 ** c * d0
-    return {m: _quotient(x, den) for m, x in total.items() if x}
+    return {m: _quotient(x, den) for m, x in total.items()}
 
 
 def _log_derivative(g: tuple, pk: _Packing) -> list[int]:
@@ -1028,19 +1011,24 @@ def _log_derivative(g: tuple, pk: _Packing) -> list[int]:
     return bs
 
 
-def _inverse(x: dict[int, object], pk: _Packing) -> dict[int, object]:
-    """1/x for x = a + y, y in I; a = 0 is a rank-0 class.
+def _power(x: dict[int, object], j: int, key: tuple, pk: _Packing) -> dict[int, object]:
+    """x^j for every integer j, x = a + y with a its constant term (the rank) and y in I.
 
-    1/x = sum_j (-1)^j y^j / a^(j+1), c = cutoff - 1: Horner's rule on the
-    ints (-1)^j a^(c-j), and one division by a^(c+1) per coefficient.
+    y^i = 0 from i = cutoff on, so x^j = sum_(i<=c) C(j,i) a^(j-i) y^i, with
+    c = cutoff - 1, on the powers of y in the table `pk.powers(key)`.  For
+    j >= 0 the sum stops at min(j, c).  For j < 0 it takes all c + 1 terms,
+    as the int numerators C(j,i) a^(c-i) over a^(c-j), divided once per
+    coefficient; a = 0 is a rank-0 class, which has no inverse.
     """
-    a = x.get(0, 0)
-    if not a:
+    a, c = x.get(0, 0), pk.cutoff - 1
+    if j < 0 and not a:
         raise EvalError(_RANK_ZERO_INVERSE)
-    c = pk.cutoff - 1
-    terms = _horner([(-1) ** j * a ** (c - j) for j in range(pk.cutoff)],
-                    {m: v for m, v in x.items() if m}, pk.limit)
-    den = a ** (c + 1)
+    top = min(j, c) if j >= 0 else c
+    ys = pk.powers(key, lambda: {m: v for m, v in x.items() if m}, top)
+    if j >= 0:
+        return _combine([_binom(j, i) * a ** (j - i) for i in range(top + 1)], ys)
+    den = a ** (c - j)
+    terms = _combine([_binom(j, i) * a ** (c - i) for i in range(top + 1)], ys)
     return {m: _quotient(v, den) for m, v in terms.items()}
 
 

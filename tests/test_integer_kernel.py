@@ -1,12 +1,15 @@
 """The packed kernel on int numerators over one denominator.
 
-The series of the truncated ring (`_multiplicative`, `_log_derivative`,
-`_inverse`) are compared with the Fraction versions they replace, term by
-term and by type; and the kernel's products (`_packed_mul`, `_horner`,
-`_packed_pow`) are watched for a coefficient that is not an int on the
-chain, the square, KM and the Chow ring.
+The series of the truncated ring (`_multiplicative`, `_log_derivative`, and
+`_power` at exponent -1) are compared with the Fraction versions they
+replace, term by term and by type; `_power` is compared with the squaring
+and Horner inverse it replaces, and watched for products it need not form;
+and the kernel's routines (`_packed_mul`, `_horner`, `_power`, `_combine`)
+are watched for a coefficient that is not an int on the chain, the square,
+KM and the Chow ring.
 """
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -54,10 +57,50 @@ def _ref_multiplicative(g, sums, pk):
     return {m: _ref_exact(c) for m, c in total.items() if c}
 
 
+def _ref_horner(coefficients, x, limit):
+    out = {}
+    for c in reversed(coefficients):
+        out = S._packed_mul(out, x, limit)
+        if c:
+            out[0] = c
+    return out
+
+
 def _ref_inverse(x, pk):
     a = x[0]
-    return S._horner([_ref_quotient((-1) ** j, a ** (j + 1)) for j in range(pk.cutoff)],
-                     {m: c for m, c in x.items() if m}, pk.limit)
+    return _ref_horner([_ref_quotient((-1) ** j, a ** (j + 1)) for j in range(pk.cutoff)],
+                       {m: c for m, c in x.items() if m}, pk.limit)
+
+
+# the squaring and the Horner inverse that `_power` replaced, kept as its reference
+
+def _ref_packed_pow(x, k, limit):
+    out = {0: 1}
+    while k:
+        if k & 1:
+            out = S._packed_mul(out, x, limit)
+        k >>= 1
+        if k:
+            x = S._packed_mul(x, x, limit)
+    return out
+
+
+def _ref_int_inverse(x, pk):
+    """Horner's rule on the ints (-1)^j a^(c-j), c = cutoff - 1, and one division by a^(c+1)."""
+    a = x.get(0, 0)
+    if not a:
+        raise S.EvalError(S._RANK_ZERO_INVERSE)
+    c = pk.cutoff - 1
+    terms = _ref_horner([(-1) ** j * a ** (c - j) for j in range(pk.cutoff)],
+                        {m: v for m, v in x.items() if m}, pk.limit)
+    return {m: S._quotient(v, a ** (c + 1)) for m, v in terms.items()}
+
+
+def _ref_power(x, j, pk):
+    if j >= 0:
+        return _ref_packed_pow(x, j, pk.limit)
+    power = _ref_packed_pow(_ref_int_inverse(x, pk), -j, pk.limit)
+    return {m: _ref_exact(c) for m, c in power.items()}
 
 
 def _typed(terms):
@@ -76,6 +119,7 @@ def _table():
     t.declare_line("L")
     t.declare_line("M")
     t.declare_bundle("E", 2)
+    t.declare_bundle("F", 2)
     t.declare_bundle("FsO", 8)
     return t
 
@@ -123,11 +167,79 @@ def test_inverse_agrees_with_the_fraction_series(cutoff):
     for a, e in cases.items():
         x = S._terms(1, e, ctx, pk)
         assert x[0] == a
-        got = S._inverse(x, pk)
+        got = S._power(x, -1, ("y", 1, e), pk)
         assert _typed(got) == _typed(_ref_inverse(x, pk)), a
         assert (a in (1, -1)) == all(type(c) is int for c in got.values()), a
         # x * (1/x) = 1 in the truncated ring
         assert S._packed_mul(x, got, pk.limit) == {0: 1}, a
+
+
+# one base of each kind, with its constant term a: a line, a dual line, a rank-2
+# bundle, a dense tensor of theta classes, a rank-0 class and an opaque F_*O of rank p^n
+POWER_BASES = {"line": (L, 1), "dual line": (E.Dual(M), 1), "rank 2": (B, 2),
+               "theta tensor": (E.Tensor((E.Theta(3, B), E.Dual(E.Theta(3, E.Bundle("F"))))), 81),
+               "rank 0": (E.Sum((B, E.IntConst(-2))), 0), "FsO": (E.Bundle("FsO"), 8)}
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_power_agrees_with_squaring_and_the_horner_inverse(cutoff):
+    """x^j by the binomial rule, against the squaring of x or of its Horner inverse."""
+    ctx = S.SplitContext(_table(), opaque=frozenset({"FsO"}))
+    pk = S._Packing(ctx.roots, ctx.var_aug, cutoff)
+    for name, (base, a) in POWER_BASES.items():
+        x = S._terms(1, base, ctx, pk)
+        assert x.get(0, 0) == a, name
+        for j in [*range(-6, 13), 40, 100000]:
+            if j == 100000 and name == "theta tensor" and cutoff > 3:
+                continue  # the reference's squarings of its 10^5-digit coefficients take 7-60 s
+            if j < 0 and not a:
+                with pytest.raises(S.EvalError, match=S._RANK_ZERO_INVERSE):
+                    S._power(x, j, ("y", 1, base), pk)
+                continue
+            want = _typed(_ref_power(x, j, pk))
+            assert _typed(S._power(x, j, ("y", 1, base), pk)) == want, (name, j)
+            if j >= 0 or name in ("line", "dual line", "FsO"):  # a negative power needs a line
+                assert _typed(S.packed_eval(E.Power(base, j), ctx, cutoff).terms) == want, (name, j)
+            else:
+                with pytest.raises(S.EvalError, match="negative power of a non-line class"):
+                    S.packed_eval(E.Power(base, j), ctx, cutoff)
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    """Patch `_packed_mul` to count its calls."""
+    count = [0]
+    mul = S._packed_mul
+
+    def counted(a, b, limit):
+        count[0] += 1
+        return mul(a, b, limit)
+
+    monkeypatch.setattr(S, "_packed_mul", counted)
+    return count
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_a_low_power_forms_no_more_products_than_squaring(counted_products, j):
+    """x^j of a dense class grows the powers of y to y^j: j - 1 products, squaring's j at most."""
+    ctx = S.SplitContext(_table())
+    x = E.Tensor((E.Theta(3, B), E.Dual(E.Theta(3, E.Bundle("F")))))
+    S.packed_eval(x, ctx, 10)
+    before = counted_products[0]
+    S.packed_eval(E.Power(x, j), ctx, 10)
+    assert counted_products[0] - before <= j
+
+
+def test_a_high_power_of_a_line_is_a_few_products_and_does_not_recurse(counted_products):
+    """x^5000 at cutoff 5 takes y^2..y^4, under the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    ctx = S.SplitContext(_table())
+    S.packed_eval(L, ctx, 5)
+    before = counted_products[0]
+    got = S.packed_eval(E.Power(L, 5000), ctx, 5)
+    assert counted_products[0] - before <= 4
+    pk = got.space
+    assert got.terms == {i * pk._e("L", 1): comb(5000, i) for i in range(5)}
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +248,15 @@ def test_inverse_agrees_with_the_fraction_series(cutoff):
 
 @pytest.fixture
 def int_only_kernel(monkeypatch):
-    """Patch `_packed_mul`, `_horner` and `_packed_pow` to assert int coefficients in and out."""
-    seen = {"_packed_mul": 0, "_horner": 0, "_packed_pow": 0}
+    """Patch `_packed_mul`, `_horner`, `_power` and `_combine` to assert int coefficients."""
+    seen = {"_packed_mul": 0, "_horner": 0, "_power": 0, "_combine": 0}
 
     def ints(*dicts):
         for d in dicts:
             for c in d.values():
                 assert type(c) is int, f"{type(c).__name__} coefficient {c} in the kernel"
 
-    mul, horner, power = S._packed_mul, S._horner, S._packed_pow
+    mul, horner, power, combine = S._packed_mul, S._horner, S._power, S._combine
 
     def checked_mul(a, b, limit):
         seen["_packed_mul"] += 1
@@ -160,16 +272,25 @@ def int_only_kernel(monkeypatch):
         ints(out)
         return out
 
-    def checked_pow(x, k, limit):
-        seen["_packed_pow"] += 1
+    def checked_power(x, j, key, pk):
+        seen["_power"] += 1
         ints(x)
-        out = power(x, k, limit)
+        out = power(x, j, key, pk)
+        ints(out)
+        return out
+
+    def checked_combine(coefficients, classes):
+        seen["_combine"] += 1
+        pairs = list(zip(coefficients, classes))
+        ints({i: a for i, (a, _) in enumerate(pairs)}, *(terms for _, terms in pairs))
+        out = combine([a for a, _ in pairs], [terms for _, terms in pairs])
         ints(out)
         return out
 
     monkeypatch.setattr(S, "_packed_mul", checked_mul)
     monkeypatch.setattr(S, "_horner", checked_horner)
-    monkeypatch.setattr(S, "_packed_pow", checked_pow)
+    monkeypatch.setattr(S, "_power", checked_power)
+    monkeypatch.setattr(S, "_combine", checked_combine)
     return seen
 
 
@@ -185,16 +306,16 @@ def test_the_chow_ring_runs_on_ints(int_only_kernel):
     for top in range(7):
         C.chern_character(e, table, assign, top)
         C.todd(tangent, table, assign, top)
-    assert all(int_only_kernel.values()), int_only_kernel
+    assert int_only_kernel["_packed_mul"] and int_only_kernel["_horner"], int_only_kernel
 
 
 @pytest.mark.parametrize("n, p, symbols", [(3, 3, {"L": 1}), (2, 5, {"E": 2})])
 def test_the_chain_runs_on_ints(int_only_kernel, n, p, symbols):
     assert R.verify_arr_identity(n, p, R.geom_default_expr(symbols), symbols).verified
-    assert int_only_kernel["_packed_mul"] and int_only_kernel["_packed_pow"]
+    assert all(int_only_kernel[f] for f in ("_packed_mul", "_power", "_combine")), int_only_kernel
 
 
 def test_the_square_and_km_run_on_ints(int_only_kernel):
     assert R.verify_base_change(2, 3).verified
     assert R.knudsen_mumford_expansion(3, 2).verified
-    assert int_only_kernel["_packed_mul"] and int_only_kernel["_packed_pow"]
+    assert all(int_only_kernel[f] for f in ("_packed_mul", "_power", "_combine")), int_only_kernel
