@@ -89,7 +89,7 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
             if symbol is None:
                 symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
             terms[symbol] = c
-    grade = grades[f.name, f.rel_dim, e] = S.SplitClass(terms)
+    grade = grades[f.name, f.rel_dim, e] = S.SplitClass._of(terms, None)  # lam has no zero term
     return grade
 
 
@@ -106,15 +106,18 @@ class GradedLine:
     `dets` maps a slot (wrapper chain, morphism) to its packed truncated-filtration
     class (the semantic invariant, additive under tensor) plus a display list
     of (argument expression, exponent) contributions.  The grade is a
-    `SplitClass` in the symbols chi[f](m).
+    `SplitClass` in the symbols chi[f](m).  A line is not mutated after
+    construction: nothing writes `dets` or `grade` later, so `render` keeps
+    its text in `_text`, and a line to the power 1 is the line itself.
     """
 
-    __slots__ = ("dets", "grade", "_morphisms")
+    __slots__ = ("dets", "grade", "_morphisms", "_text")
 
     def __init__(self, dets=None, grade=None, morphisms=None):
         self.dets: dict[Slot, tuple[S.SplitClass, tuple[tuple[E.Expr, int], ...]]] = dets or {}
         self.grade: S.SplitClass = S.SplitClass() if grade is None else grade
         self._morphisms: dict[str, Morphism] = morphisms or {}
+        self._text = None
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -137,17 +140,16 @@ class GradedLine:
     __mul__ = tensor
 
     def inverse(self) -> "GradedLine":
-        dets = {slot: (-lam, tuple((e, -x) for e, x in disp))
-                for slot, (lam, disp) in self.dets.items()}
-        return GradedLine(dets, -self.grade, dict(self._morphisms))
+        return self.power(-1)
 
     def power(self, k: int) -> "GradedLine":
+        if k == 1:
+            return self
         if k == 0:
             return GradedLine.trivial()
-        base = self if k > 0 else self.inverse()
-        dets = {slot: (lam * abs(k), tuple((e, x * abs(k)) for e, x in disp))
-                for slot, (lam, disp) in base.dets.items()}
-        return GradedLine(dets, base.grade * abs(k), dict(base._morphisms))
+        dets = {slot: (lam * k, tuple((e, x * k) for e, x in disp))
+                for slot, (lam, disp) in self.dets.items()}
+        return GradedLine(dets, self.grade * k, dict(self._morphisms))
 
     __pow__ = power
 
@@ -171,6 +173,8 @@ class GradedLine:
 
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:
+        if self._text is not None:
+            return self._text
         parts: list[str] = []
         for slot in sorted(self.dets, key=repr):
             _, disp = self.dets[slot]
@@ -180,7 +184,8 @@ class GradedLine:
                 body = _render_slot_atom(slot, e)
                 parts.append(body if x == 1 else f"{body}^{x}")
         text = " (x) ".join(parts) if parts else "1 (trivial)"
-        return f"{text} | grade= {self.grade}"
+        self._text = f"{text} | grade= {self.grade}"
+        return self._text
 
     def __str__(self) -> str:
         return self.render()

@@ -99,14 +99,23 @@ class SplitClass:
     Coefficients are Fractions or plain ints (exact either way; ints are kept
     unboxed for speed and compare equal to the same Fraction).  `space` is a
     space name, or the `_Packing` whose ints key a truncated class; adding or
-    comparing classes of two spaces raises `ContextMismatch`.
+    comparing classes of two spaces raises `ContextMismatch`.  A class is
+    not mutated after construction, so `str` keeps its text in `_text`; `_of`
+    builds a class from a dict that already holds no zero coefficient.
     """
 
-    __slots__ = ("terms", "space")
+    __slots__ = ("terms", "space", "_text")
 
     def __init__(self, terms: dict | None = None, space: object = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self.space = space
+        self._text = None
+
+    @staticmethod
+    def _of(terms: dict, space: object) -> "SplitClass":
+        cls = object.__new__(SplitClass)
+        cls.terms, cls.space, cls._text = terms, space, None
+        return cls
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -140,12 +149,12 @@ class SplitClass:
                 out[m] = nc
             else:
                 out.pop(m, None)
-        return SplitClass(out, space)
+        return SplitClass._of(out, space)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SplitClass":
-        return SplitClass({m: -c for m, c in self.terms.items()}, self.space)
+        return SplitClass._of({m: -c for m, c in self.terms.items()}, self.space)
 
     def __sub__(self, other) -> "SplitClass":
         return self + (-other)
@@ -155,7 +164,8 @@ class SplitClass:
 
     def __mul__(self, other) -> "SplitClass":
         if isinstance(other, (int, Fraction)):
-            return SplitClass({m: c * other for m, c in self.terms.items()}, self.space)
+            return SplitClass._of({m: c * other for m, c in self.terms.items()} if other else {},
+                                  self.space)
         if not isinstance(other, SplitClass):
             return NotImplemented
         space = self._join(other)
@@ -168,22 +178,17 @@ class SplitClass:
                     out[m] = nc
                 else:
                     out.pop(m, None)
-        return SplitClass(out, space)
+        return SplitClass._of(out, space)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SplitClass":
         if k < 0:
             return self.monomial_inverse() ** (-k)
-        result = SplitClass.constant(1, self.space)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k < 2:
+            return self if k else SplitClass.constant(1, self.space)
+        half = self ** (k >> 1)
+        return half * half * self if k & 1 else half * half
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -292,7 +297,9 @@ class SplitClass:
         return " ".join(parts) or "0"
 
     def __str__(self) -> str:
-        return self.render()
+        if self._text is None:
+            self._text = self.render()
+        return self._text
 
     def __repr__(self) -> str:
         return f"SplitClass({self})"
@@ -1057,7 +1064,7 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     except _NoRule:
         eval_expr(e, ctx)  # raises the Laurent route's error, if it has one
         raise EvalError(f"psi or dual of an opaque (unsplit) bundle class in {e}") from None
-    hit = ctx._packed_cache[key] = SplitClass(terms, pk)
+    hit = ctx._packed_cache[key] = SplitClass._of(terms, pk)  # every rule drops zero terms
     return hit
 
 
@@ -1107,9 +1114,10 @@ def tilde_theta_inverse(n: int, p: int, x):
     if n < 0:
         raise ValueError("n must be >= 0")
     a = p**n
+    powers = [x ** 0, *itertools.accumulate([x] * (n + 1), lambda u, v: u * v)]  # one product each
     total = None
     for i in range(n + 2):
-        term = x ** (n + 1 - i) * (comb(n + 2, i) * (-a) ** i)
+        term = powers[n + 1 - i] * (comb(n + 2, i) * (-a) ** i)
         total = term if total is None else total + term
     return total * ((-1) ** (n + 1))
 
@@ -1135,12 +1143,27 @@ def binomial_identity_check(n: int, p: int) -> BinomialWitness:
 
     The divisor is monic of degree n+2 and lhs has degree at most n+2, so one
     division step is exact: the quotient is lhs's y^(n+2) coefficient and the
-    remainder lhs - quotient*divisor (any higher term of lhs stays in it).
+    remainder lhs - quotient*divisor (any higher term of lhs stays in it),
+    each an int list of the coefficients of y^0, y^1, ... read off the tilde.
     """
-    y = SplitClass.variable("y")
-    lhs = y * tilde_theta_inverse(n, p, y) - p ** (n * (n + 2))
-    divisor = (y - p**n) ** (n + 2)
-    quot = SplitClass.constant(lhs.terms.get((("y", n + 2),), 0))
-    rem = lhs - quot * divisor
-    ok = rem.is_zero() and quot == (-1) ** (n + 1)
-    return BinomialWitness(n, p, ok, quot, rem, lhs, divisor)
+    a, top = p**n, n + 2
+    tilde = tilde_theta_inverse(n, p, SplitClass.variable("y"))
+    terms = [(_y_degree(m), c) for m, c in tilde.terms.items()]
+    lhs = [0] * (max([top - 1] + [d for d, _ in terms]) + 2)
+    for d, c in terms:
+        lhs[d + 1] += c
+    lhs[0] -= a**top
+    divisor = [comb(top, i) * (-a) ** (top - i) for i in range(top + 1)]
+    quot = lhs[top]
+    rem = [c - quot * d for c, d in zip(lhs, divisor)] + lhs[top + 1:]
+    ok = not any(rem) and quot == (-1) ** (n + 1)
+    return BinomialWitness(n, p, ok, *(
+        SplitClass._of({(("y", i),) if i else (): c for i, c in enumerate(cs) if c}, None)
+        for cs in ([quot], rem, lhs, divisor)))
+
+
+def _y_degree(m: Monomial) -> int:
+    """i for the monomial y^i, i >= 0; any other monomial is refused."""
+    if m and (len(m) > 1 or m[0][0] != "y" or m[0][1] < 0):
+        raise EvalError(f"not a power of y: {monomial_text(m)}")
+    return m[0][1] if m else 0

@@ -72,3 +72,13 @@ def test_series_inverse_of_one_plus_w():
     inverse = C.todd(E.Neg(E.Line("W")), table, {"W": "w"}, 3)
     assert inverse == 1 - w * Fraction(1, 2) + w * w * Fraction(1, 6) - w * w * w * Fraction(1, 24)
     assert C.todd(E.Sum((E.Line("W"), E.Neg(E.Line("W")))), table, {"W": "w"}, 2) == 1
+
+
+@settings(deadline=None)
+@given(classes, classes, st.sampled_from([*range(-3, 4), Fraction(1, 2)]))
+def test_sums_and_scalings_hold_no_zero_coefficient(a, b, k):
+    # built without the constructor's filtering pass, so each must be zero-free already
+    assert (a + (-a)).is_zero()
+    for x in (a + b, a + (-a), (a + b) + (-b), a - b, a * k, k * a, -a):
+        assert all(x.terms.values())
+        assert x == SplitClass(dict(x.terms))

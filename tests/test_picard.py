@@ -309,3 +309,26 @@ def test_a_psi_wrapped_atom_leaves_the_cached_grade_unscaled(curve):
     assert plain.grade == grade
     assert P.chi_grade(curve, e) is plain.grade
     assert det_rf_atom(curve, e).grade == grade
+
+
+# -- powers --------------------------------------------------------------------
+
+def _power_reference(gl, k):
+    """gl^k built as the inverse's slots scaled by |k| for k < 0, and rebuilt for k = 1."""
+    if k == 0:
+        return GradedLine.trivial()
+    base = gl if k > 0 else gl.inverse()
+    dets = {slot: (lam * abs(k), tuple((e, x * abs(k)) for e, x in disp))
+            for slot, (lam, disp) in base.dets.items()}
+    return GradedLine(dets, base.grade * abs(k), dict(base._morphisms))
+
+
+def test_a_line_to_the_power_one_is_itself(curve):
+    atom = det_rf_atom(curve, E.canonicalize(E.Sum((E.Line("A"), E.Bundle("H")))))
+    for gl in (atom, P.psi_line(3, atom), P.pull_line("g", atom), atom * P.psi_line(2, atom)):
+        assert gl ** 1 is gl
+        for k in (-3, -1, 0, 2, 3):
+            got, want = gl ** k, _power_reference(gl, k)
+            assert got.dets == want.dets and got.grade == want.grade, k
+            assert got.render() == want.render() and got._morphisms == want._morphisms
+            assert all(all(lam.terms.values()) for lam, _ in got.dets.values())

@@ -392,3 +392,21 @@ def test_emit_trace_text_numbers_steps():
 
 def test_is_prime():
     assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("verify", [lambda: verify_arr_identity(2, 3),
+                                    lambda: verify_base_change(1, 2)], ids=["arr", "base-change"])
+def test_a_verdict_renders_each_class_once(monkeypatch, verify):
+    # the forms of a chain share their grade, whose text is kept on the class
+    rendered = []
+    render = S.SplitClass.render
+
+    def counting(self, wrap=None):
+        rendered.append(self)  # kept alive, so no two calls share an id by reuse
+        return render(self, wrap)
+
+    monkeypatch.setattr(S.SplitClass, "render", counting)
+    tr = verify()
+    assert tr.verified, tr.failure
+    assert rendered
+    assert len({id(c) for c in rendered}) == len(rendered)

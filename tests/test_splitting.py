@@ -267,17 +267,67 @@ def test_binomial_identity_matches_oracle_on_grid():
             assert _coeffs(w.lhs) == {d: sign * c for d, c in _binom_oracle(n, p).items()}
 
 
+def _tilde_reference(n, p, x):
+    """The tilde built by class arithmetic, each power x^j by square-and-multiply."""
+    a = p**n
+    total = None
+    for i in range(n + 2):
+        term = x ** (n + 1 - i) * (comb(n + 2, i) * (-a) ** i)
+        total = term if total is None else total + term
+    return total * ((-1) ** (n + 1))
+
+
+def _binomial_reference(n, p, tilde=_tilde_reference):
+    """The witness by class arithmetic: (ok, quotient, remainder, lhs, divisor)."""
+    y = SplitClass.variable("y")
+    lhs = y * tilde(n, p, y) - p ** (n * (n + 2))
+    divisor = (y - p**n) ** (n + 2)
+    quot = SplitClass.constant(lhs.terms.get((("y", n + 2),), 0))
+    rem = lhs - quot * divisor
+    return rem.is_zero() and quot == (-1) ** (n + 1), quot, rem, lhs, divisor
+
+
+def _witness_texts(w):
+    return [str(c) for c in (w.quotient, w.remainder, w.lhs, w.divisor)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_binomial_witness_matches_the_class_arithmetic_reference(p):
+    for n in range(11):
+        assert tilde_theta_inverse(n, p, Y) == _tilde_reference(n, p, Y)
+        ok, *fields = _binomial_reference(n, p)
+        w = binomial_identity_check(n, p)
+        assert w.ok is ok is True, (n, p)
+        assert _witness_texts(w) == [str(c) for c in fields], (n, p)
+
+
 @pytest.mark.parametrize("n,p", [(0, 2), (1, 3), (2, 2)])
 def test_binomial_identity_rejects_a_wrong_tilde(monkeypatch, n, p):
     from adamsrr import splitting as S
     right = S.tilde_theta_inverse
-    # a term above the divisor's degree, and a wrong constant term
-    for extra in (Y ** (n + 2), SplitClass.constant(1)):
-        monkeypatch.setattr(S, "tilde_theta_inverse",
-                            lambda n_, p_, x, extra=extra: right(n_, p_, x) + extra)
+    # terms above the divisor's degree, which stay in the remainder, and a
+    # wrong constant term
+    for extra in (Y ** (n + 2), Y ** (n + 3), 5 * Y ** (n + 6), SplitClass.constant(1)):
+        def wrong(n_, p_, x, extra=extra):
+            return right(n_, p_, x) + extra
+        monkeypatch.setattr(S, "tilde_theta_inverse", wrong)
         w = binomial_identity_check(n, p)
         assert not w.ok
         assert not w.remainder.is_zero()
+        ok, *fields = _binomial_reference(n, p, wrong)
+        assert _witness_texts(w) == [str(c) for c in fields]
+
+
+def test_str_of_a_class_is_its_render_kept(ctx):
+    from adamsrr import picard as P
+    e = E.canonicalize(E.Sum((E.Line("L"), E.Bundle("E"))))
+    w = binomial_identity_check(2, 3)
+    classes = [SplitClass({(("x", 1),): 2, (): 0}), SplitClass._of({(("x", 2),): -1}, None),
+               packed_eval(e, ctx, 3), P.chi_grade(P.Morphism("f", 1, ctx), e),
+               w.quotient, w.remainder, w.lhs, w.divisor, Y ** 1, Y ** 0]
+    for c in classes:
+        text = str(c)
+        assert text == c.render() and str(c) is text
 
 
 def test_render_wraps_each_monomial():
