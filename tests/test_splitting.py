@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from adamsrr import expr as E
+from adamsrr import picard as P
 from adamsrr import suite as SU
 from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, verify_base_change
 from adamsrr.splitting import (
@@ -319,7 +320,6 @@ def test_binomial_identity_rejects_a_wrong_tilde(monkeypatch, n, p):
 
 
 def test_str_of_a_class_is_its_render_kept(ctx):
-    from adamsrr import picard as P
     e = E.canonicalize(E.Sum((E.Line("L"), E.Bundle("E"))))
     w = binomial_identity_check(2, 3)
     classes = [SplitClass({(("x", 1),): 2, (): 0}), SplitClass._of({(("x", 2),): -1}, None),
