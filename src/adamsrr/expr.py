@@ -121,31 +121,37 @@ def _is_name(s: str) -> bool:
 class Expr:
     """An immutable expression node, interned: equal trees are one object.
 
-    Every node is built through one process-wide table (`_intern`), so
-    constructing a node whose class and fields equal those of a live node
-    returns that node.  Equality is therefore identity, and the hash is the
-    hash of the node's key `(cls, *fields)`, computed once.  Each node also
-    keeps, once computed, its canonical form, its printed text and, on a
-    canonical node, its multilinear expansion (`expand_top`), so they are
-    paid once per distinct tree.  These four memos live in slots that are
-    not dataclass fields, so repr never sees them.  A node never holds
-    itself: a canonical node marks `_canon` with `_CANONICAL`, and a node
-    that is its own one monomial marks `_expansion` with `_ATOMIC`, which
-    keeps trees free of reference cycles.
+    Each node class keeps its own intern table (`_table`), so constructing
+    a node whose fields equal those of a live node of its class returns
+    that node.  A class of one field keys its table by the field itself
+    (the name, the int, the child node or the tuple of children), a class
+    of two by the pair, and one of none by `()`.  Equality is therefore
+    identity, and the hash is `hash((cls, *fields))`, computed once.  Each
+    node also keeps, once computed, its canonical form, its printed text
+    and, on a canonical node, its multilinear expansion (`expand_top`), so
+    they are paid once per distinct tree.  These four memos live in slots
+    that are not dataclass fields, so repr never sees them.  A node never
+    holds itself: a canonical node marks `_canon` with `_CANONICAL`, and a
+    node that is its own one monomial marks `_expansion` with `_ATOMIC`,
+    which keeps trees free of reference cycles.
     """
 
     __slots__ = ("_hash", "_canon", "_text", "_expansion", "__weakref__")
     _fields = ()  # the dataclass field names, in order; `_node` sets them
     _int_fields = ()  # the positions of the int-valued fields among them
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        ref = _table.get(key)
+    def __init_subclass__(cls, **kwargs):  # every subclass, decorated or not, interns apart
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+        _tables.append(cls._table)
+
+    def __new__(cls):  # a class without fields; `_node` gives the others `_new1` or `_new2`
+        ref = cls._table.get(())
         if ref is not None:
             node = ref()
             if node is not None:
                 return node
-        return _intern(key)
+        return _intern(cls, (), ())
 
     __eq__ = object.__eq__
 
@@ -159,27 +165,46 @@ class Expr:
         return print_expr(self)
 
 
+def _new1(cls, a):
+    ref = cls._table.get(a)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    return _intern(cls, a, (a,))
+
+
+def _new2(cls, a, b):
+    key = (a, b)
+    ref = cls._table.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    return _intern(cls, key, key)
+
+
 _CANONICAL = object()  # the `_canon` of a node that is its own canonical form
 _ATOMIC = object()  # the `_expansion` of a node that is its own one monomial
 
-# key (cls, *fields) -> weak reference to the live node with that key.  The
-# references have no callback: dead entries stay until `_sweep` drops them,
-# once the table has doubled since the last sweep (and held _SWEEP_FLOOR).
-_table: dict[tuple, weakref.ref] = {}
+# One table per node class, `cls._table`: its key (see `Expr`) -> a weak
+# reference to the live node.  The references have no callback: a dead entry
+# stays, holding its key's children, until `_sweep` drops it, once the
+# tables together have doubled since the last sweep (and hold _SWEEP_FLOOR).
+_tables: list[dict] = []
 _SWEEP_FLOOR = 4096
 _sweep_at = _SWEEP_FLOOR
+_entries = 0  # the entries of all tables together
 
 
-def _intern(key: tuple) -> Expr:
-    """Make the node of `key`, whose table entry is missing or dead, and enter it.
+def _intern(cls, key, fields: tuple) -> Expr:
+    """Make the node of `fields`, whose entry `key` is missing or dead, and enter it.
 
     An int field refuses a bool or any other non-int value.  A value equal
     to the int field of a live node (`2.0`, `True`) finds that node before
     it gets here, so no node ever holds anything but an int there.
     """
-    cls, fields = key[0], key[1:]
-    if len(fields) != len(cls._fields):
-        raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+    global _entries
     for i in cls._int_fields:
         v = fields[i]
         if type(v) is not int:
@@ -187,12 +212,15 @@ def _intern(key: tuple) -> Expr:
     node = object.__new__(cls)
     for name, v in zip(cls._fields, fields):
         object.__setattr__(node, name, v)
-    object.__setattr__(node, "_hash", hash(key))
+    object.__setattr__(node, "_hash", hash((cls, *fields)))
     object.__setattr__(node, "_canon", None)
     object.__setattr__(node, "_text", None)
     object.__setattr__(node, "_expansion", None)
-    _table[key] = weakref.ref(node)
-    if len(_table) >= _sweep_at:
+    table = cls._table
+    size = len(table)
+    table[key] = weakref.ref(node)
+    _entries += len(table) - size
+    if _entries >= _sweep_at:
         _sweep()
     return node
 
@@ -202,23 +230,28 @@ def _sweep() -> None:
 
     A dropped key releases the children it held, which may die in turn.
     """
-    global _sweep_at
-    while True:
-        dead = [key for key, ref in _table.items() if ref() is None]
-        if not dead:
-            break
-        for key in dead:
-            del _table[key]
-        del dead, key  # else they keep the last keys' children alive through the next scan
-    _sweep_at = max(_SWEEP_FLOOR, 2 * len(_table))
+    global _sweep_at, _entries
+    while sum(map(_drop_dead, _tables)):
+        pass
+    _entries = sum(map(len, _tables))
+    _sweep_at = max(_SWEEP_FLOOR, 2 * _entries)
+
+
+def _drop_dead(table: dict) -> int:
+    dead = [key for key, ref in table.items() if ref() is None]
+    for key in dead:
+        del table[key]
+    return len(dead)
 
 
 def _node(cls):
-    """A frozen dataclass node, constructed by `Expr.__new__` through the intern table."""
+    """A frozen dataclass node of at most two fields, built through its class's intern table."""
     cls = dataclass(frozen=True, eq=False, init=False)(cls)
     fields = dataclasses.fields(cls)
     cls._fields = tuple(f.name for f in fields)
     cls._int_fields = tuple(i for i, f in enumerate(fields) if f.type in ("int", int))
+    if fields:
+        cls.__new__ = (_new1, _new2)[len(fields) - 1]
     return cls
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import comb, isqrt
 from typing import Callable
 
@@ -237,26 +238,7 @@ class ProofTrace:
 def emit_trace(trace: ProofTrace, format: str = "json") -> str:
     """Serialize a trace; text mirrors the numbered chain, json follows the schema."""
     if format == "json":
-        doc = {
-            "goal": {"lhs": trace.goal_lhs, "rhs": trace.goal_rhs},
-            "params": {"n": trace.n, "p": trace.p},
-            "steps": [
-                {
-                    "label": s.label,
-                    "rule": s.rule,
-                    "anchor": s.anchor,
-                    "before": s.before,
-                    "after": s.after,
-                    "conditions": [{"name": c, "holds": h} for c, h in s.conditions],
-                }
-                for s in trace.steps
-            ],
-            "status": trace.status,
-        }
-        if trace.failed_step is not None:
-            doc["failed_step"] = trace.failed_step
-            doc["failure"] = trace.failure
-        return json.dumps(doc, indent=2)
+        return _json_trace(trace)
     if format == "text":
         lines = [f"goal: {trace.goal_lhs}", f"  ~   {trace.goal_rhs}",
                  f"params: n={trace.n} p={trace.p}"]
@@ -272,6 +254,52 @@ def emit_trace(trace: ProofTrace, format: str = "json") -> str:
                         if trace.failed_step is not None else ""))
         return "\n".join(lines)
     raise ValueError(f"unknown trace format {format!r}")
+
+
+def _json_trace(trace: ProofTrace) -> str:
+    """The trace's schema document, byte for byte as `json.dumps(doc, indent=2)` writes it.
+
+    The document is `goal` {lhs, rhs}, `params` {n, p}, `steps` (each with
+    its label, rule, anchor, before, after and `conditions`, each {name,
+    holds}), `status`, and `failed_step` and `failure` once a step failed.
+    """
+    v = _json_value
+    steps = ",".join(
+        f'\n    {{\n      "label": {v(s.label)},\n      "rule": {v(s.rule)},'
+        f'\n      "anchor": {v(s.anchor)},\n      "before": {v(s.before)},'
+        f'\n      "after": {v(s.after)},\n      "conditions": {_json_conditions(s)}\n    }}'
+        for s in trace.steps)
+    out = [f'{{\n  "goal": {{\n    "lhs": {v(trace.goal_lhs)},\n    "rhs": {v(trace.goal_rhs)}'
+           f'\n  }},\n  "params": {{\n    "n": {v(trace.n)},\n    "p": {v(trace.p)}\n  }},'
+           '\n  "steps": ', f"[{steps}\n  ]" if steps else "[]",
+           f',\n  "status": {v(trace.status)}']
+    if trace.failed_step is not None:
+        out.append(f',\n  "failed_step": {v(trace.failed_step)},\n  "failure": {v(trace.failure)}')
+    out.append("\n}")
+    return "".join(out)
+
+
+def _json_conditions(step: TraceStep) -> str:
+    v = _json_value
+    conditions = ",".join(
+        f'\n        {{\n          "name": {v(c)},\n          "holds": {v(h)}\n        }}'
+        for c, h in step.conditions)
+    return f"[{conditions}\n      ]" if conditions else "[]"
+
+
+def _json_value(x: str | int | bool | None) -> str:
+    """A JSON scalar as `json.dumps` writes it: strings through the C encoder, ASCII only."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"a trace field holds a {type(x).__name__}, not a JSON scalar")
 
 
 def parse_trace_json(text: str) -> ProofTrace:

@@ -292,13 +292,53 @@ def test_copy_and_pickle_return_the_interned_node():
         Line("L").name = "M"
 
 
+def test_each_class_keeps_its_own_table():
+    # a table's key is the field, or the pair of fields, without the class: nodes of
+    # different classes with equal fields stay apart
+    leaf, pair = Line("TableProbe"), (Line("TableProbe"), Bundle("TableProbe"))
+    groups = [[Line("TableProbe"), Bundle("TableProbe")],
+              [Neg(leaf), Dual(leaf), E.DetClass(leaf)],
+              [Sum(pair), Tensor(pair)],
+              [Psi(2, leaf), Theta(2, leaf), E.Tau(2, leaf), E.Pull("2", leaf)],
+              [Power(leaf, 2)]]
+    nodes = [node for group in groups for node in group]
+    assert len({id(node) for node in nodes}) == len(nodes)
+    for node in nodes:
+        fields = tuple(getattr(node, name) for name in node._fields)
+        assert type(node)(*fields) is node
+        assert hash(node) == hash((type(node), *fields))
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+    # an equal int finds the live node, whose field stays an int
+    one, two = IntConst(1), IntConst(2)
+    assert IntConst(True) is one and IntConst(2.0) is two
+    assert type(one.value) is int and type(two.value) is int
+    for build in (lambda: Line(), lambda: Line("L", "M"), lambda: Psi(2),
+                  lambda: Psi(2, leaf, leaf), lambda: E.Unit(leaf)):
+        with pytest.raises(TypeError):
+            build()
+
+    class First(E.Expr):  # undecorated subclasses have no fields and a table each
+        pass
+
+    class Second(E.Expr):
+        pass
+
+    assert First() is First() and type(First()) is First
+    assert Second() is not First() and type(Second()) is Second
+
+
 def test_the_table_holds_nodes_weakly():
     # a verdict's nodes die with it by reference counting alone, and one sweep
     # drops their entries, those of children held only by dead keys included
+    def entries():
+        return [ref for table in E._tables for ref in table.values()]
+
     def live_entries():
         E._sweep()
-        assert all(ref() is not None for ref in E._table.values())
-        return len(E._table)
+        assert all(ref() is not None for ref in entries())
+        return len(entries())
 
     gc.collect()
     gc.disable()
@@ -307,7 +347,7 @@ def test_the_table_holds_nodes_weakly():
         assert R.verify_arr_identity(2, 3, symbols={"E": 2}).verified
         assert R.verify_arr_identity(3, 2).verified
         assert R.verify_base_change(1, 2).verified
-        assert len(E._table) > before + 100
+        assert len(entries()) > before + 100
         assert live_entries() == before
     finally:
         gc.enable()

@@ -390,6 +390,109 @@ def test_emit_trace_text_numbers_steps():
     assert "status: verified" in text
 
 
+def _schema_document(tr):
+    """What the JSON trace holds, as the dict that `json.dumps(indent=2)` writes: the oracle."""
+    doc = {
+        "goal": {"lhs": tr.goal_lhs, "rhs": tr.goal_rhs},
+        "params": {"n": tr.n, "p": tr.p},
+        "steps": [{"label": s.label, "rule": s.rule, "anchor": s.anchor, "before": s.before,
+                   "after": s.after,
+                   "conditions": [{"name": c, "holds": h} for c, h in s.conditions]}
+                  for s in tr.steps],
+        "status": tr.status,
+    }
+    if tr.failed_step is not None:
+        doc["failed_step"] = tr.failed_step
+        doc["failure"] = tr.failure
+    return doc
+
+
+ODD_TEXT = ['say "hi"', "back\\slash \\n", "tab\tline\nnul\x00 us\x1f del\x7f", "\u03b3^2(E)",
+            "\u2028 \ud83d\ude00 \U0001d4aa", "", "/"]
+
+
+def test_the_json_writer_writes_what_json_dumps_writes(monkeypatch):
+    traces = [verify_arr_identity(2, 3), verify_base_change(1, 2),
+              knudsen_mumford_expansion(1, 2).trace]
+    # failed: a tampered rule in the chain, a missing one in the square, a stubbed
+    # binomial oracle under KM
+    rules = rule_set(1, 2)
+    rules["R5"] = replace(rules["R5"], action=lambda: E.Line("L"))
+    traces.append(verify_arr_identity(1, 2, rules=rules))
+    rules = rule_set(1, 2)
+    del rules["R7"]
+    traces.append(verify_base_change(1, 2, rules=rules))
+    real = S.binomial_identity_check
+
+    def bad_oracle(n, p):
+        w = real(n, p)
+        w.ok = False
+        return w
+
+    with monkeypatch.context() as m:
+        m.setattr(S, "binomial_identity_check", bad_oracle)
+        traces.append(knudsen_mumford_expansion(1, 2).trace)
+    assert [tr.status for tr in traces] == ["verified"] * 3 + ["failed"] * 3
+    # tampered after the run: a form edited, a condition flipped, the status claimed
+    for tr in traces[:6]:
+        steps = [replace(s, after=s.after + " (x) L", conditions=[("edited", False)])
+                 if i == 1 else s for i, s in enumerate(tr.steps)]
+        traces.append(replace(tr, steps=steps, status="verified"))
+    # no steps; a step with no conditions; a failure; strings JSON must escape
+    odd = [R.TraceStep(t, t, t, t, t, t, [(t, True), (t, False)]) for t in ODD_TEXT]
+    bare = R.TraceStep("(1)", "-", "-", "", "A", "B", [])
+    traces += [R.ProofTrace("A", "B", 0, 2),
+               R.ProofTrace("A", "B", 1, 3, [bare]),
+               R.ProofTrace("A", "B", 1, 3, [bare], "failed", 0,
+                            'side condition failed: "\u03b3" \\ \t'),
+               R.ProofTrace(ODD_TEXT[3], ODD_TEXT[4], 10**30, -7, odd, ODD_TEXT[2], 6,
+                            ODD_TEXT[0])]
+    for tr in traces:
+        text = emit_trace(tr, "json")
+        assert text == json.dumps(_schema_document(tr), indent=2)
+        assert emit_trace(parse_trace_json(text), "json") == text
+    with pytest.raises(TypeError, match="not a JSON scalar"):
+        emit_trace(R.ProofTrace("A", "B", 1.0, 2), "json")
+
+
+def test_a_verdict_leaves_no_reference_cycles():
+    # reference counting alone frees a verdict, its JSON and text traces and the
+    # trace read back, so the cycle collector finds nothing to free
+    def run():
+        traces = [verify_arr_identity(2, 3, symbols={"E": 2}), verify_base_change(1, 2),
+                  knudsen_mumford_expansion(1, 2).trace]
+        for tr in traces:
+            assert tr.verified, tr.failure
+            assert emit_trace(tr, "text")
+            assert revalidate_trace(parse_trace_json(emit_trace(tr, "json")))
+
+    run()  # the first calls fill module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _run(*links):
+    """A verified trace of steps (label, before, after), each with one true condition."""
+    steps = [R.TraceStep(label, "-", "-", "", before, after, [("holds", True)])
+             for label, before, after in links]
+    return R.ProofTrace(links[0][1], links[-1][2], 1, 2, steps)
+
+
+def test_revalidate_chains_each_step_to_the_next_number():
+    assert revalidate_trace(_run(("(1)", "A", "B"), ("(2)", "B", "C"), ("(3)", "C", "D")))
+    # (2) ends where (3) does not start
+    assert not revalidate_trace(_run(("(1)", "A", "B"), ("(2)", "B", "C"), ("(3)", "X", "D")))
+
+
+def test_revalidate_does_not_chain_across_a_gap_in_the_numbers():
+    assert revalidate_trace(_run(("(1)", "A", "B"), ("(3)", "C", "D")))
+
+
 def test_is_prime():
     assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
