@@ -5,14 +5,15 @@ ring truncated above a working degree D (a ring quotient; Fulton & Lang,
 Riemann-Roch Algebra, 1985) on `splitting`'s packed kernel, which forms no
 product above D (Monagan & Pearce, CASC 2007).  Inside, a class is int
 numerators over one int denominator, so the kernel sees ints only: exp, Todd
-and inverse Todd are one Horner pass each over the numerators D!/k!, the
-B_k^+/k! over their lcm, and (-1)^k (D+1)!/(k+1)!, and a piece raised to a
-multiplicity takes its denominator to that power.  Each public class is
-divided once per coefficient at the end.  `c1_det_rf` works in degree n+1,
-where c1 det Rf_* lives, and forms only the products of that degree.  The
-pushforward sends a monomial m of degree >= n to the free symbol f_!(m),
-keyed by m; no relations between pushed monomials are assumed, so identities
-checked here hold coefficient-by-coefficient.
+and inverse Todd are sums over the packing's shared table of the powers of
+c1(m), with the numerators D!/k!, the B_k^+/k! over their lcm, and
+(-1)^k (D+1)!/(k+1)!; a piece raised to a multiplicity takes its denominator
+to that power.  Each public class is divided once per coefficient at the
+end.  `c1_det_rf` works in degree n+1, where c1 det Rf_* lives, and forms
+only the products of that degree.  The pushforward sends a monomial m of
+degree >= n to the free symbol f_!(m), keyed by m; no relations between
+pushed monomials are assumed, so identities checked here hold
+coefficient-by-coefficient.
 
 The built-in relative-curve model (n = 1, symbols l = c1(L), w = c1(omega),
 relative tangent omega^(-1)) carries the degree-one Riemann-Roch consequences:
@@ -67,14 +68,14 @@ def _todd_coefficients(top: int) -> tuple[list[int], int]:
 
 
 def _series(coefficients: list[int], m: S.Monomial, assign: dict[str, str], pk: S._Packing) -> dict:
-    """sum_k coefficients[k] * x^k by Horner's rule, x = c1(m) = sum of e * c1(root) over m."""
+    """sum_k coefficients[k] * x^k, x = c1(m) = sum of e * c1(root) over m, on m's powers table."""
     x: dict[int, int] = {}
     for v, e in m:
         if v not in assign:
             raise ChowError(f"no first-Chern symbol assigned to root {v!r}")
         symbol = pk._e(assign[v], 1)
         x[symbol] = x.get(symbol, 0) + e
-    return S._horner(coefficients, x, pk.limit)
+    return S._combine(coefficients, pk.powers(("c1", m), lambda: x, len(coefficients) - 1))
 
 
 def _ch(e: E.Expr, ctx: S.SplitContext, assign: dict[str, str], pk: S._Packing) -> tuple[dict, int]:

@@ -97,13 +97,13 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
 # Graded lines
 
 Wrapper = tuple  # ("psi", k) | ("pull", name) | ("detpull", name)
-Slot = tuple  # (wrappers: tuple[Wrapper, ...], morphism name)
+Slot = tuple  # (wrappers: tuple[Wrapper, ...], Morphism)
 
 
 class GradedLine:
     """Element of the Picard model: det slots and a grade.
 
-    `dets` maps a slot (wrapper chain, morphism) to its packed truncated-filtration
+    `dets` maps a slot (wrapper chain, `Morphism`) to its packed truncated-filtration
     class (the semantic invariant, additive under tensor) plus a display list
     of (argument expression, exponent) contributions.  The grade is a
     `SplitClass` in the symbols chi[f](m).  A line is not mutated after
@@ -111,12 +111,11 @@ class GradedLine:
     its text in `_text`, and a line to the power 1 is the line itself.
     """
 
-    __slots__ = ("dets", "grade", "_morphisms", "_text")
+    __slots__ = ("dets", "grade", "_text")
 
-    def __init__(self, dets=None, grade=None, morphisms=None):
+    def __init__(self, dets=None, grade=None):
         self.dets: dict[Slot, tuple[S.SplitClass, tuple[tuple[E.Expr, int], ...]]] = dets or {}
         self.grade: S.SplitClass = S.SplitClass() if grade is None else grade
-        self._morphisms: dict[str, Morphism] = morphisms or {}
         self._text = None
 
     # -- constructors ------------------------------------------------------
@@ -134,8 +133,7 @@ class GradedLine:
             else:
                 dets[slot] = (lam, disp)
         dets = {slot: v for slot, v in dets.items() if not _slot_empty(v)}
-        morphs = {**self._morphisms, **other._morphisms}
-        return GradedLine(dets, self.grade + other.grade, morphs)
+        return GradedLine(dets, self.grade + other.grade)
 
     __mul__ = tensor
 
@@ -149,12 +147,12 @@ class GradedLine:
             return GradedLine.trivial()
         dets = {slot: (lam * k, tuple((e, x * k) for e, x in disp))
                 for slot, (lam, disp) in self.dets.items()}
-        return GradedLine(dets, self.grade * k, dict(self._morphisms))
+        return GradedLine(dets, self.grade * k)
 
     __pow__ = power
 
     def with_grade(self, grade: S.SplitClass) -> "GradedLine":
-        return GradedLine(dict(self.dets), grade, dict(self._morphisms))
+        return GradedLine(dict(self.dets), grade)
 
     # -- comparison ----------------------------------------------------------
     def is_trivial(self) -> bool:
@@ -176,7 +174,7 @@ class GradedLine:
         if self._text is not None:
             return self._text
         parts: list[str] = []
-        for slot in sorted(self.dets, key=repr):
+        for slot in sorted(self.dets, key=lambda slot: repr((slot[0], slot[1].name))):
             _, disp = self.dets[slot]
             for e, x in disp:
                 if x == 0:
@@ -200,7 +198,7 @@ def _slot_empty(v) -> bool:
 
 
 def _render_slot_atom(slot: Slot, e: E.Expr) -> str:
-    wrappers, fname = slot
+    wrappers, fname = slot[0], slot[1].name
     body = f"det_rf[{fname}]({E.print_expr(e)})"
     for w in reversed(wrappers):
         if w[0] == "psi":
@@ -224,20 +222,19 @@ def det_rf_atom(f: Morphism, e: E.Expr, wrappers: tuple = (),
         for w in wrappers:
             if w[0] == "psi":
                 grade = grade * w[1]
-    return GradedLine(dets={(wrappers, f.name): (f.truncated(e), ((e, 1),))}, grade=grade,
-                      morphisms={f.name: f})
+    return GradedLine(dets={(wrappers, f): (f.truncated(e), ((e, 1),))}, grade=grade)
 
 
 def psi_line(k: int, gl: GradedLine) -> GradedLine:
     """Unevaluated Adams operation on a line; it scales the grade by k."""
     dets = {((("psi", k),) + slot[0], slot[1]): v for slot, v in gl.dets.items()}
-    return GradedLine(dets, gl.grade * k, dict(gl._morphisms))
+    return GradedLine(dets, gl.grade * k)
 
 
 def pull_line(g: str, gl: GradedLine) -> GradedLine:
     """Pullback of a graded line along the base-change morphism named g."""
     dets = {((("pull", g),) + slot[0], slot[1]): v for slot, v in gl.dets.items()}
-    return GradedLine(dets, gl.grade, dict(gl._morphisms))
+    return GradedLine(dets, gl.grade)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +254,7 @@ def normalize(gl: GradedLine) -> GradedLine:
     """
     dets = {}
     for slot, (lam, disp) in gl.dets.items():
-        f = gl._morphisms[slot[1]]
+        f = slot[1]
         merged: dict[str, tuple[E.Expr, int]] = {}
         for e, x in disp:
             if not x:
@@ -271,7 +268,7 @@ def normalize(gl: GradedLine) -> GradedLine:
         kept = tuple((mono, c) for _, (mono, c) in sorted(merged.items()) if c)
         if kept or not lam.is_zero():
             dets[slot] = (lam, kept)
-    return GradedLine(dets, gl.grade, dict(gl._morphisms))
+    return GradedLine(dets, gl.grade)
 
 
 # ---------------------------------------------------------------------------

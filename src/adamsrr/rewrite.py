@@ -46,22 +46,6 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The finite tilde-inverse as an expression
-
-def tilde_inverse_expr(n: int, p: int, base: E.Expr) -> E.Expr:
-    """(-1)^(n+1) sum_{i=0}^{n+1} C(n+2,i) base^(n+1-i) (-p^n)^i as an AST."""
-    a = p**n
-    terms = []
-    for i in range(n + 2):
-        coeff = comb(n + 2, i) * (-a) ** i
-        terms.append(E.Tensor((E.IntConst(coeff), E.Power(base, n + 1 - i))))
-    body: E.Expr = E.Sum(tuple(terms))
-    if (n + 1) % 2:
-        body = E.Neg(body)
-    return E.canonicalize(body)
-
-
-# ---------------------------------------------------------------------------
 # Frobenius geometry
 
 FSO = E.Bundle(PUSHED_STRUCTURE)
@@ -303,19 +287,44 @@ def _json_value(x: str | int | bool | None) -> str:
 
 
 def parse_trace_json(text: str) -> ProofTrace:
+    """Read a JSON trace; a field of the wrong type raises `VerifierError` naming it.
+
+    Texts are strings, `n` and `p` ints (not bools), each `holds` a bool,
+    `status` is verified or failed, and `failed_step` an int when present.
+    """
     doc = json.loads(text)
-    trace = ProofTrace(doc["goal"]["lhs"], doc["goal"]["rhs"],
-                       doc["params"]["n"], doc["params"]["p"])
-    for s in doc["steps"]:
+    goal, params = doc["goal"], doc["params"]
+    trace = ProofTrace(_typed(goal["lhs"], str, "goal.lhs"), _typed(goal["rhs"], str, "goal.rhs"),
+                       _typed(params["n"], int, "params.n"), _typed(params["p"], int, "params.p"))
+    for i, s in enumerate(doc["steps"]):
         trace.steps.append(TraceStep(
-            s.get("label", ""), s["rule"], s["anchor"], s.get("description", ""),
-            s["before"], s["after"],
-            [(c["name"], c["holds"]) for c in s["conditions"]],
-        ))
-    trace.status = doc["status"]
-    trace.failed_step = doc.get("failed_step")
-    trace.failure = doc.get("failure", "")
+            _typed(s.get("label", ""), str, i, "label"), _typed(s["rule"], str, i, "rule"),
+            _typed(s["anchor"], str, i, "anchor"),
+            _typed(s.get("description", ""), str, i, "description"),
+            _typed(s["before"], str, i, "before"), _typed(s["after"], str, i, "after"),
+            [(_typed(c["name"], str, i, j, "name"), _typed(c["holds"], bool, i, j, "holds"))
+             for j, c in enumerate(s["conditions"])]))
+    trace.status = _typed(doc["status"], str, "status")
+    if trace.status not in ("verified", "failed"):
+        raise VerifierError(f"trace field status is {trace.status!r}, not verified or failed")
+    if "failed_step" in doc:
+        trace.failed_step = _typed(doc["failed_step"], int, "failed_step")
+    trace.failure = _typed(doc.get("failure", ""), str, "failure")
     return trace
+
+
+def _typed(value, kind: type, *path):
+    """`value` when its type is exactly `kind`, so that a bool is no int; else refused by name.
+
+    `path` is a top-level field's name, or (step index, [condition index,] key);
+    the name is only formatted for a refusal.
+    """
+    if type(value) is not kind:
+        *at, key = path
+        name = "".join(f"{part}[{i}]." for part, i in zip(("steps", "conditions"), at)) + key
+        raise VerifierError(f"trace field {name} is a {type(value).__name__}, "
+                            f"not a {kind.__name__}")
+    return value
 
 
 def revalidate_trace(trace: ProofTrace) -> bool:
@@ -406,8 +415,27 @@ def _atom(morph: P.Morphism, wrappers: tuple, arg: E.Expr, exp: int) -> P.Graded
     return P.det_rf_atom(morph, arg, wrappers=wrappers) ** exp
 
 
+def _form(morph: P.Morphism, arg: E.Expr, exp: int, grade: S.SplitClass,
+          wrappers: tuple = ()) -> P.GradedLine:
+    """det_rf[morph](arg)^exp under wrappers, given the grade of the form it was rewritten from."""
+    return (P.det_rf_atom(morph, arg, wrappers, S.SplitClass()) ** exp).with_grade(grade)
+
+
 def _class_equal_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[str, bool]:
     return ("argument classes equal (split-engine identity)", after.same_atoms(before))
+
+
+def _keq(morph: P.Morphism, rewrite_arg: Callable[[E.Expr], E.Expr]):
+    """A class-preserving step: the sole det atom's argument rewritten over `morph`.
+
+    The exponent and the form's grade are kept; the step records that the
+    argument classes agree.
+    """
+    def apply(cur: P.GradedLine):
+        _, arg, exp = _sole_det(cur)
+        after = _form(morph, rewrite_arg(arg), exp, cur.grade)
+        return after, [_class_equal_condition(cur, after)]
+    return apply
 
 
 def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine,
@@ -448,15 +476,17 @@ def _replace_pulls(e: E.Expr, fn: Callable[[E.Pull], E.Expr]) -> E.Expr:
 # ---------------------------------------------------------------------------
 # Rule-application helpers
 
-def _rank_zero_summand(geom: Geometry, arg: E.Expr, l: int
-                       ) -> tuple[E.Expr, list[tuple[str, bool]]]:
-    """R3's summand (F_*O_X - p^n)^(x)l (x) arg and the side conditions for inserting it."""
-    n, p = geom.n, geom.p
-    diff = E.Sum((FSO, E.Neg(E.IntConst(p**n))))
-    inserted = E.Tensor((E.Power(diff, l), arg))
+def _rank_zero_summand(geom: Geometry, arg: E.Expr) -> tuple[E.Expr, list[tuple[str, bool]]]:
+    """R3's summand (F_*O_X - p^n)^(x)(n+2) (x) arg and the side conditions for inserting it.
+
+    The rank of F_*O_X is checked against F's registered image of it,
+    theta^p(Omega_f), whose constant term in the truncated ring is its rank.
+    """
+    rank = E.rank(FSO, geom.table_xp)
+    inserted = E.Tensor((E.Power(E.Sum((FSO, E.Neg(E.IntConst(rank)))), geom.n + 2), arg))
     return inserted, [
-        ("rank(F_*O_X - p^n) = 0", E.rank(diff, geom.table_xp) == 0),
-        (f"l = {l} >= n+2 = {n + 2}", l >= n + 2),
+        ("rank of F^*(F_*O_X) = theta^p(Omega_f) is the declared rank p^n of F_*O_X",
+         geom.f.truncated(E.Pull(geom.name_F, FSO)).terms.get(0, 0) == rank),
         ("inserted summand class lies in I^(n+2)",
          P.argument_is_trivial(geom.fp, inserted)),
     ]
@@ -491,13 +521,9 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     j_e = E.canonicalize(S.pull_back(geom.name_J, e, geom.ctx_xp))
 
     lhs = P.psi_line(p, P.det_rf_atom(geom.f, e)) ** m
-    rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
+    rhs_expr = E.Tensor((S.tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
     rhs = P.det_rf_atom(geom.f, rhs_expr)
     trace = ProofTrace(lhs.render(), rhs.render(), n, p)
-
-    def form(morph: P.Morphism, arg: E.Expr, exp: int = 1, wrappers: tuple = ()) -> P.GradedLine:
-        # every form of the chain keeps the left side's grade, so none is computed for it
-        return (P.det_rf_atom(morph, arg, wrappers, S.SplitClass()) ** exp).with_grade(lhs.grade)
 
     def signed(x: E.Expr) -> E.Expr:
         return E.Neg(x) if sign < 0 else x
@@ -513,36 +539,33 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         (wrappers, _), arg, exp = _sole_det(cur)
         if not wrappers or wrappers[0] != ("psi", p):
             raise VerifierError("R1 expects a leading psi^p wrapper")
-        after = form(geom.f, arg, exp, (("detpull", geom.name_FS),))
+        after = _form(geom.f, arg, exp, cur.grade, (("detpull", geom.name_FS),))
         return after, [_wrapper_move_condition(cur, after, same_exponent=True)]
 
     def step2(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
         twisted = geom.fp.truncated(j_e)
-        return form(geom.fp, j_e, exp), [
+        return _form(geom.fp, j_e, exp, cur.grade), [
             ("twist-side argument is the J-pullback of the original",
              S.repack(geom.f.truncated(arg), geom.twist, twisted.space) == twisted)]
 
     def step3(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
-        inserted, conditions = _rank_zero_summand(geom, arg, n + 2)
-        after = form(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))))
+        inserted, conditions = _rank_zero_summand(geom, arg)
+        after = _form(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))),
+                      1, cur.grade)
         return after, conditions + [_class_equal_condition(cur, after)]
 
     def step4(cur: P.GradedLine):
         w = S.binomial_identity_check(n, p)
-        after = form(geom.fp, E.Sum((
+        after = _form(geom.fp, E.Sum((
             E.Tensor((E.IntConst(m), j_e)),
             signed(E.Tensor((binom_sum(n + 2), j_e))),
             E.Neg(E.Tensor((E.IntConst(a ** (n + 2)), j_e))),
-        )))
+        )), 1, cur.grade)
         return after, [("binomial identity oracle: y*tilde(y) - p^(n(n+2)) = "
                         "(-1)^(n+1) (y - p^n)^(n+2)", bool(w)),
                        _class_equal_condition(cur, after)]
-
-    def step5(cur: P.GradedLine):
-        after = form(geom.fp, signed(E.Tensor((FSO, binom_sum(n + 1), j_e))))
-        return after, [_class_equal_condition(cur, after)]
 
     def step6(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
@@ -557,37 +580,23 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         if negated:
             w_expr = E.Neg(w_expr)
         after_arg = rules["R4"].action(geom.name_F, w_expr)
-        return form(geom.f, after_arg, exp), [
+        return _form(geom.f, after_arg, exp, cur.grade), [
             ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
              geom.f.truncated(E.Pull(geom.name_F, arg)) ==
              geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
 
-    def step7(cur: P.GradedLine):
-        slot, arg, exp = _sole_det(cur)
+    def distribute_frobenius(arg: E.Expr) -> E.Expr:
         if not isinstance(arg, E.Pull):
             raise VerifierError("expected a pending relative-Frobenius pullback")
         # F^*(F_*O_X) stays for rule R5
-        after = form(geom.f, distribute_pull(arg.arg, geom.name_F, geom.compose, through_psi=True),
-                     exp)
-        return after, [_class_equal_condition(cur, after)]
+        return distribute_pull(arg.arg, geom.name_F, geom.compose, through_psi=True)
 
-    def step8(cur: P.GradedLine):
-        slot, arg, exp = _sole_det(cur)
-        replacement = rules["R5"].action()
-
-        def resolve(pl: E.Pull) -> E.Expr:
-            if pl.morphism == geom.name_F and pl.arg == FSO:
-                return replacement
-            if pl.morphism == geom.name_FX:
-                return E.Psi(p, pl.arg)
-            return pl
-
-        after = form(geom.f, _replace_pulls(arg, resolve), exp)
-        return after, [_class_equal_condition(cur, after)]
-
-    def step9(cur: P.GradedLine):
-        after = form(geom.f, rhs_expr)
-        return after, [_class_equal_condition(cur, after)]
+    def resolve(pl: E.Pull) -> E.Expr:
+        if pl.morphism == geom.name_F and pl.arg == FSO:
+            return rules["R5"].action()
+        if pl.morphism == geom.name_FX:
+            return E.Psi(p, pl.arg)
+        return pl
 
     steps = [
         Step("(1)", "R1,R2", "R1",
@@ -597,13 +606,16 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
              "insert the det-trivial summand (F_*O_X - p^n)^(x)(n+2) (x) J^*E", step3),
         Step("(4)", "KEQ", "KEQ",
              "expand the rank-zero power binomially, splitting off the i = n+2 term", step4),
-        Step("(5)", "KEQ", "KEQ", "cancel the constant terms and factor out F_*O_X", step5),
+        Step("(5)", "KEQ", "KEQ", "cancel the constant terms and factor out F_*O_X",
+             _keq(geom.fp, lambda arg: signed(E.Tensor((FSO, binom_sum(n + 1), j_e))))),
         Step("(6)", "R4", "R4",
              "projection formula: det Rf'_*(F_*O_X (x) W) = det Rf_*(F^* W)", step6),
-        Step("(7)", "R9,R6", "R6", "distribute F^* and compose F^* J^* = F_X^*", step7),
-        Step("(8)", "R5,R1", "R5",
-             "substitute the Bott class of Omega_f and realize psi^p", step8),
-        Step("(9)", "KEQ", "KEQ", "fold the sum into the tilde-inverse notation", step9),
+        Step("(7)", "R9,R6", "R6", "distribute F^* and compose F^* J^* = F_X^*",
+             _keq(geom.f, distribute_frobenius)),
+        Step("(8)", "R5,R1", "R5", "substitute the Bott class of Omega_f and realize psi^p",
+             _keq(geom.f, lambda arg: _replace_pulls(arg, resolve))),
+        Step("(9)", "KEQ", "KEQ", "fold the sum into the tilde-inverse notation",
+             _keq(geom.f, lambda arg: rhs_expr)),
     ]
     cur = _run_steps(trace, lhs, steps, rules)
     if cur is not None and not cur.same_atoms(rhs):
@@ -649,8 +661,9 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     m = p ** (n * (n + 2))
     e_t = E.canonicalize(S.pull_back(name_gp, e, geom_t.ctx_x))
     theta_omega = E.Theta(p, E.Bundle(OMEGA))
-    rhs_expr = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e)))
-    rhs_expr_t = E.Tensor((tilde_inverse_expr(n, p, theta_omega), E.Psi(p, e_t)))
+    tilde = S.tilde_inverse_expr(n, p, theta_omega)
+    rhs_expr = E.Tensor((tilde, E.Psi(p, e)))
+    rhs_expr_t = E.Tensor((tilde, E.Psi(p, e_t)))
 
     tl = P.pull_line(name_g, P.psi_line(p, P.det_rf_atom(geom.f, e))) ** m
     br_right = P.det_rf_atom(geom_t.f, rhs_expr_t)
@@ -687,15 +700,6 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
                 S.repack(geom.f.truncated(arg), rename_t, pulled_back.space) == pulled_back)]
         return apply
 
-    def bottom(rewrite_arg: Callable[[E.Expr], E.Expr]):
-        # a move on the bottom edge's argument over f_T, keeping the form's grade
-        def apply(cur: P.GradedLine):
-            slot, arg, exp = _sole_det(cur)
-            after = P.det_rf_atom(geom_t.f, rewrite_arg(arg), (), S.SplitClass()) ** exp
-            after = after.with_grade(cur.grade)
-            return after, [_class_equal_condition(cur, after)]
-        return apply
-
     def commute_psi(arg: E.Expr) -> E.Expr:
         return _replace_pulls(
             arg, lambda pl: rules["R7"].action(pl) if isinstance(pl.arg, E.Psi) else pl)
@@ -718,13 +722,13 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
         Step("bottom(2)", "R2", "R2", "cohomology base change along the square (g, g')",
              base_change(lambda arg: rules["R2"].action(name_gp, arg))),
         Step("bottom(3)", "R9", "R9", "distribute g'^* through the ring structure",
-             bottom(lambda arg: distribute_pull(arg.arg, name_gp, {}))),
+             _keq(geom_t.f, lambda arg: distribute_pull(arg.arg, name_gp, {}))),
         Step("bottom(4)", "R7", "R7", "commute g'^* past the Adams operation",
-             bottom(commute_psi)),
+             _keq(geom_t.f, commute_psi)),
         Step("bottom(5)", "R9", "R9",
              "rename pulled symbols into the pulled-back family's table "
              "(Omega pulls back to Omega)",
-             bottom(lambda arg: _replace_pulls(
+             _keq(geom_t.f, lambda arg: _replace_pulls(
                  arg, lambda pl: S.pull_back(name_gp, pl.arg, geom_t.ctx_x)
                  if pl.morphism == name_gp else pl))),
         Step("square", "-", "composite paths around the square",
@@ -777,7 +781,7 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
         lambda_exprs.append(E.canonicalize(signed_arg))
         product = product * (P.det_rf_atom(geom.f, signed_arg) ** exponents[i])
 
-    rhs = P.det_rf_atom(geom.f, E.Tensor((tilde_inverse_expr(n, p, theta_omega),
+    rhs = P.det_rf_atom(geom.f, E.Tensor((S.tilde_inverse_expr(n, p, theta_omega),
                                           E.Psi(p, e))))
     _run_steps(trace, rhs, [
         Step("(km)", "KEQ", "det additivity over the binomial sum",

@@ -6,7 +6,9 @@ substitution on roots, theta^k = product of truncated geometric series over
 the constituent line monomials, det = product of constituents, dual = monomial
 inversion).  `SplitClass` is the package's one exact polynomial class: it also
 carries the y-polynomial witness for the binomial identity behind the
-tilde-inverse and the classes of the intersection-ring model in `chow`.
+tilde-inverse, whose int coefficient lists are read off the expansion of the
+chain's own `tilde_inverse_expr`, and the classes of the intersection-ring
+model in `chow`.
 
 The truncated ring (classes mod I^cutoff, I the augmentation ideal) is kept
 in e-coordinates: every class the evaluator builds is symmetric in each
@@ -50,6 +52,8 @@ from .expr import (
     Theta,
     Unit,
     _check_op_index,
+    canonicalize,
+    expand_top,
     map_children,
     rank,
 )
@@ -589,8 +593,9 @@ class _Packing:
     into root monomials, for `truncated_filtration`, through the memoized
     binomial `series` of each variable power and `expanded` of each monomial.
     `memo` holds the symbols' `adams` classes and power sums, the `powers`
-    tables (of each e_k in root monomials, and of the part y in I of each
-    power's base), the `_terms` of each (k, node) and the series
+    tables (of each e_k in root monomials, of the part y in I of each
+    power's base, and of c1 of each monomial of `chow`'s series), the
+    `_terms` of each (k, node) and the series
     coefficients of `_log_derivative`.
     """
 
@@ -805,16 +810,6 @@ def _combine(coefficients, classes) -> dict[int, object]:
             for m, c in terms.items():
                 out[m] = get(m, 0) + a * c
     return {m: c for m, c in out.items() if c}
-
-
-def _horner(coefficients: list, x: dict[int, object], limit: int) -> dict[int, object]:
-    """sum_k coefficients[k] * x^k by Horner's rule, truncated; x has no constant term."""
-    out: dict[int, object] = {}
-    for c in reversed(coefficients):
-        out = _packed_mul(out, x, limit)
-        if c:
-            out[0] = c  # x has no constant term, so out has none
-    return out
 
 
 _RANK_ZERO_INVERSE = "cannot invert a rank-0 class in the filtration expansion"
@@ -1104,22 +1099,18 @@ def repack(cls: SplitClass, rename: dict[str, str], into: _Packing) -> SplitClas
 # ---------------------------------------------------------------------------
 # The binomial kernel
 
-def tilde_theta_inverse(n: int, p: int, x):
-    """Finite substitute for the inverse Bott class.
+def tilde_inverse_expr(n: int, p: int, base: Expr) -> Expr:
+    """The finite tilde-inverse (-1)^(n+1) sum_{i=0}^{n+1} C(n+2,i) base^(n+1-i) (-p^n)^i.
 
-    Returns (-1)^(n+1) * sum_{i=0}^{n+1} C(n+2,i) x^(n+1-i) (-p^n)^i, with
-    exact coefficients; x may be a SplitClass (a class, or the variable y of
-    the binomial witness), or anything with ring operations against ints.
+    One canonical expression serves the chain's goal, the base-change square,
+    the Knudsen-Mumford expansion and, at base y, the binomial witness.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     a = p**n
-    powers = [x ** 0, *itertools.accumulate([x] * (n + 1), lambda u, v: u * v)]  # one product each
-    total = None
-    for i in range(n + 2):
-        term = powers[n + 1 - i] * (comb(n + 2, i) * (-a) ** i)
-        total = term if total is None else total + term
-    return total * ((-1) ** (n + 1))
+    body: Expr = Sum(tuple(Tensor((IntConst(comb(n + 2, i) * (-a) ** i), Power(base, n + 1 - i)))
+                           for i in range(n + 2)))
+    return canonicalize(Neg(body) if (n + 1) % 2 else body)
 
 
 @dataclass
@@ -1144,11 +1135,11 @@ def binomial_identity_check(n: int, p: int) -> BinomialWitness:
     The divisor is monic of degree n+2 and lhs has degree at most n+2, so one
     division step is exact: the quotient is lhs's y^(n+2) coefficient and the
     remainder lhs - quotient*divisor (any higher term of lhs stays in it),
-    each an int list of the coefficients of y^0, y^1, ... read off the tilde.
+    each an int list of the coefficients of y^0, y^1, ... read off the
+    expansion of the chain's own tilde at base y.
     """
     a, top = p**n, n + 2
-    tilde = tilde_theta_inverse(n, p, SplitClass.variable("y"))
-    terms = [(_y_degree(m), c) for m, c in tilde.terms.items()]
+    terms = [(_y_degree(m), c) for c, m in expand_top(tilde_inverse_expr(n, p, Line("y")))]
     lhs = [0] * (max([top - 1] + [d for d, _ in terms]) + 2)
     for d, c in terms:
         lhs[d + 1] += c
@@ -1162,8 +1153,12 @@ def binomial_identity_check(n: int, p: int) -> BinomialWitness:
         for cs in ([quot], rem, lhs, divisor)))
 
 
-def _y_degree(m: Monomial) -> int:
+def _y_degree(m: Expr) -> int:
     """i for the monomial y^i, i >= 0; any other monomial is refused."""
-    if m and (len(m) > 1 or m[0][0] != "y" or m[0][1] < 0):
-        raise EvalError(f"not a power of y: {monomial_text(m)}")
-    return m[0][1] if m else 0
+    if m == Unit():
+        return 0
+    if m == Line("y"):
+        return 1
+    if isinstance(m, Power) and m.base == Line("y") and m.exponent >= 0:
+        return m.exponent
+    raise EvalError(f"not a power of y: {m}")

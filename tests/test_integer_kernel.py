@@ -4,9 +4,9 @@ The series of the truncated ring (`_multiplicative`, `_log_derivative`, and
 `_power` at exponent -1) are compared with the Fraction versions they
 replace, term by term and by type; `_power` is compared with the squaring
 and Horner inverse it replaces, and watched for products it need not form;
-and the kernel's routines (`_packed_mul`, `_horner`, `_power`, `_combine`)
-are watched for a coefficient that is not an int on the chain, the square,
-KM and the Chow ring.
+and the kernel's routines (`_packed_mul`, `_power`, `_combine`) are watched
+for a coefficient that is not an int on the chain, the square, KM and the
+Chow ring.
 """
 
 import sys
@@ -248,27 +248,20 @@ def test_a_high_power_of_a_line_is_a_few_products_and_does_not_recurse(counted_p
 
 @pytest.fixture
 def int_only_kernel(monkeypatch):
-    """Patch `_packed_mul`, `_horner`, `_power` and `_combine` to assert int coefficients."""
-    seen = {"_packed_mul": 0, "_horner": 0, "_power": 0, "_combine": 0}
+    """Patch `_packed_mul`, `_power` and `_combine` to assert int coefficients."""
+    seen = {"_packed_mul": 0, "_power": 0, "_combine": 0}
 
     def ints(*dicts):
         for d in dicts:
             for c in d.values():
                 assert type(c) is int, f"{type(c).__name__} coefficient {c} in the kernel"
 
-    mul, horner, power, combine = S._packed_mul, S._horner, S._power, S._combine
+    mul, power, combine = S._packed_mul, S._power, S._combine
 
     def checked_mul(a, b, limit):
         seen["_packed_mul"] += 1
         ints(a, b)
         out = mul(a, b, limit)
-        ints(out)
-        return out
-
-    def checked_horner(coefficients, x, limit):
-        seen["_horner"] += 1
-        ints(dict(enumerate(coefficients)), x)
-        out = horner(coefficients, x, limit)
         ints(out)
         return out
 
@@ -288,7 +281,6 @@ def int_only_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_packed_mul", checked_mul)
-    monkeypatch.setattr(S, "_horner", checked_horner)
     monkeypatch.setattr(S, "_power", checked_power)
     monkeypatch.setattr(S, "_combine", checked_combine)
     return seen
@@ -306,7 +298,8 @@ def test_the_chow_ring_runs_on_ints(int_only_kernel):
     for top in range(7):
         C.chern_character(e, table, assign, top)
         C.todd(tangent, table, assign, top)
-    assert int_only_kernel["_packed_mul"] and int_only_kernel["_horner"], int_only_kernel
+    # each series is a `_combine` over the powers of c1, built by `_packed_mul`
+    assert int_only_kernel["_packed_mul"] and int_only_kernel["_combine"], int_only_kernel
 
 
 @pytest.mark.parametrize("n, p, symbols", [(3, 3, {"L": 1}), (2, 5, {"E": 2})])

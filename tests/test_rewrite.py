@@ -4,8 +4,10 @@ import ast
 import gc
 import inspect
 import json
+import re
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from adamsrr import splitting as S
 from adamsrr.rewrite import (
     CHAIN_RULES, FSO, Geometry, OMEGA, _rank_zero_summand, _wrapper_move_condition, emit_trace,
     is_prime, knudsen_mumford_expansion, parse_trace_json, revalidate_trace, rule_set,
-    tilde_inverse_expr, verify_base_change, verify_arr_identity,
+    verify_base_change, verify_arr_identity,
 )
 
 
@@ -47,17 +49,30 @@ def test_frobenius_reduce_composes_through_twist_symbols():
     assert got == E.Psi(2, E.Line("L"))
 
 
-def test_r3_refuses_below_boundary_and_records_it():
+def test_r3_summand_is_trivial_at_n_plus_2_and_not_below():
     geom = Geometry(1, 2, {"L": 1})
     arg = E.Line("J_L")
-    _, conds = _rank_zero_summand(geom, arg, geom.n + 1)
-    recorded = dict(conds)
-    assert recorded["l = 2 >= n+2 = 3"] is False
-    assert recorded["inserted summand class lies in I^(n+2)"] is False
-    inserted, conds2 = _rank_zero_summand(geom, arg, geom.n + 2)
-    assert all(h for _, h in conds2)
+    diff = E.Sum((FSO, E.Neg(E.IntConst(2))))
+    assert not P.argument_is_trivial(geom.fp, E.Tensor((E.Power(diff, geom.n + 1), arg)))
+    inserted, conds = _rank_zero_summand(geom, arg)
+    assert inserted == E.Tensor((E.Power(diff, geom.n + 2), arg))
+    assert all(h for _, h in conds)
     gl = P.det_rf_atom(geom.fp, arg)
     assert (gl * P.det_rf_atom(geom.fp, inserted)).same_atoms(gl)  # det-trivial summand
+
+
+@pytest.mark.parametrize("n,p", [(0, 2), (1, 2), (3, 5), (4, 2)])
+def test_r3_rank_condition_reads_the_frobenius_image(n, p):
+    # the rank of F_*O_X is the constant term of its F-image theta^p(Omega_f),
+    # computed in the truncated ring; an image of rank p^(n+1) fails it
+    holds = []
+    for image in (E.Bundle(OMEGA), E.Sum((E.Bundle(OMEGA), E.UNIT))):
+        geom = Geometry(n, p, {"L": 1})
+        geom.ctx_x.pullbacks[geom.name_F][R.PUSHED_STRUCTURE] = E.Theta(p, image)
+        (name, ok), *_ = _rank_zero_summand(geom, E.Line("J_L"))[1]
+        assert "declared rank p^n" in name
+        holds.append(ok)
+    assert holds == [True, False]
 
 
 def test_wrapper_move_condition_sees_exponent_and_argument():
@@ -205,6 +220,22 @@ def test_stubbed_binomial_oracle_fails_the_chain(monkeypatch):
     assert tr.steps[tr.failed_step].label == "(4)"
 
 
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 3)])
+def test_a_wrong_tilde_fails_at_the_binomial_step(monkeypatch, n, p):
+    # the goal and the step-(4) witness read the one tilde, so a tilde with
+    # one extra top term fails at (4), not at the fold of step (9)
+    right = S.tilde_inverse_expr
+
+    def wrong(n_, p_, base):
+        return E.canonicalize(E.Sum((right(n_, p_, base), E.Power(base, n_ + 2))))
+
+    monkeypatch.setattr(S, "tilde_inverse_expr", wrong)
+    tr = verify_arr_identity(n, p)
+    assert tr.status == "failed"
+    assert tr.failed_step == 3 and tr.steps[3].label == "(4)"
+    assert dict(tr.steps[3].conditions)["argument classes equal (split-engine identity)"]
+
+
 def test_every_step_records_at_least_one_condition():
     traces = [verify_arr_identity(2, 2), verify_base_change(1, 2), verify_base_change(2, 3),
               knudsen_mumford_expansion(1, 2).trace, knudsen_mumford_expansion(2, 3).trace]
@@ -226,13 +257,22 @@ def test_no_condition_is_a_literal_true():
     assert literal == []
 
 
+def _tilde_reference(n, p, x):
+    """The tilde built by class arithmetic on x."""
+    total = x * 0
+    for i in range(n + 2):
+        total = total + x ** (n + 1 - i) * (comb(n + 2, i) * (-(p**n)) ** i)
+    return total * (-1) ** (n + 1)
+
+
 def test_tilde_expr_matches_polynomial_kernel():
-    # the AST-level tilde evaluates to the same class as the generic ring version
-    geom = Geometry(1, 2)
-    theta = E.Theta(2, E.Bundle(OMEGA))
-    ast_val = S.eval_expr(tilde_inverse_expr(1, 2, theta), geom.ctx_x)
-    ring_val = S.tilde_theta_inverse(1, 2, S.eval_expr(theta, geom.ctx_x))
-    assert S.classes_equal(ast_val, ring_val)
+    # the one tilde expression evaluates to the class arithmetic's tilde
+    for n, p in [(0, 2), (1, 2), (2, 3)]:
+        geom = Geometry(n, p)
+        theta = E.Theta(p, E.Bundle(OMEGA))
+        ast_val = S.eval_expr(S.tilde_inverse_expr(n, p, theta), geom.ctx_x)
+        ring_val = _tilde_reference(n, p, S.eval_expr(theta, geom.ctx_x))
+        assert S.classes_equal(ast_val, ring_val), (n, p)
 
 
 def test_trivial_summand_reduction_is_order_independent():
@@ -450,9 +490,50 @@ def test_the_json_writer_writes_what_json_dumps_writes(monkeypatch):
     for tr in traces:
         text = emit_trace(tr, "json")
         assert text == json.dumps(_schema_document(tr), indent=2)
+        if tr.status not in ("verified", "failed"):  # the odd status is written, not read back
+            with pytest.raises(R.VerifierError, match="trace field status"):
+                parse_trace_json(text)
+            continue
         assert emit_trace(parse_trace_json(text), "json") == text
     with pytest.raises(TypeError, match="not a JSON scalar"):
         emit_trace(R.ProofTrace("A", "B", 1.0, 2), "json")
+
+
+def test_an_ill_typed_trace_is_refused_by_field():
+    good = json.loads(emit_trace(verify_arr_identity(1, 2), "json"))
+    # goal sides a number and a list, n a string, p null, a condition holding 1
+    bad = json.loads(json.dumps(good))
+    bad["goal"] = {"lhs": 1, "rhs": [2]}
+    bad["params"] = {"n": "1", "p": None}
+    bad["steps"][0]["conditions"][0]["holds"] = 1
+    with pytest.raises(R.VerifierError, match="goal.lhs"):
+        parse_trace_json(json.dumps(bad))
+    edits = [(("goal", "rhs"), [2]), (("params", "n"), "1"), (("params", "p"), None),
+             (("params", "p"), True), (("steps", 2, "label"), 3), (("steps", 2, "rule"), None),
+             (("steps", 2, "anchor"), 1.5), (("steps", 2, "before"), ["A"]),
+             (("steps", 2, "after"), {}), (("steps", 0, "conditions", 0, "name"), 0),
+             (("steps", 0, "conditions", 0, "holds"), 1), (("status",), "maybe"),
+             (("status",), False), (("failed_step",), "3"), (("failed_step",), True)]
+    for path, value in edits:
+        doc = json.loads(json.dumps(good))
+        at = doc
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
+        name = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))  # steps[2].label
+        with pytest.raises(R.VerifierError, match=re.escape(name)):
+            parse_trace_json(json.dumps(doc))
+    assert emit_trace(parse_trace_json(json.dumps(good)), "json") == json.dumps(good, indent=2)
+
+
+def test_golden_traces_round_trip():
+    golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
+    traces = [c["stdout"] for c in golden
+              if c["argv"][:2] in (["verify", "arr"], ["verify", "base-change"])
+              and "json" in c["argv"]]
+    assert len(traces) >= 5
+    for text in traces:
+        assert emit_trace(parse_trace_json(text), "json") + "\n" == text
 
 
 def test_a_verdict_leaves_no_reference_cycles():

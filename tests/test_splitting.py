@@ -14,7 +14,7 @@ from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, verify_base_change
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
     binomial_identity_check, classes_equal, eval_expr, tau_class,
-    _Packing, packed_eval, pull_back, tau_equals_theta, tilde_theta_inverse, truncated_eval,
+    _Packing, packed_eval, pull_back, tau_equals_theta, tilde_inverse_expr, truncated_eval,
     truncated_filtration,
 )
 
@@ -194,14 +194,21 @@ def _coeffs(poly):
     return {dict(m).get("y", 0): c for m, c in poly.terms.items()}
 
 
+def _tilde_at_y(n, p):
+    """The chain's tilde expression at base y, evaluated as a class in the line y."""
+    t = E.SymbolTable(space="Y")
+    t.declare_line("y")
+    return eval_expr(tilde_inverse_expr(n, p, E.Line("y")), SplitContext(t))
+
+
 def test_tilde_n1_p2():
-    got = tilde_theta_inverse(1, 2, Y)
+    got = _tilde_at_y(1, 2)
     assert _coeffs(got) == {2: 1, 1: -6, 0: 12}
     assert _coeffs(got) == _tilde_oracle(1, 2)
 
 
 def test_tilde_n0_p2():
-    got = tilde_theta_inverse(0, 2, Y)
+    got = _tilde_at_y(0, 2)
     assert _coeffs(got) == {1: -1, 0: 2}
     assert _coeffs(got) == _tilde_oracle(0, 2)
 
@@ -209,14 +216,14 @@ def test_tilde_n0_p2():
 def test_tilde_leading_coefficient_is_sign():
     for n in range(6):
         for p in (2, 3, 5):
-            got = tilde_theta_inverse(n, p, Y)
+            got = _tilde_at_y(n, p)
             assert _coeffs(got)[n + 1] == (-1) ** (n + 1)
             assert _coeffs(got) == _tilde_oracle(n, p)
 
 
 def test_tilde_on_split_classes(ctx):
     x = eval_expr(E.Theta(2, E.Bundle("E")), ctx)
-    got = tilde_theta_inverse(1, 2, x)
+    got = eval_expr(tilde_inverse_expr(1, 2, E.Theta(2, E.Bundle("E"))), ctx)
     assert classes_equal(got, x * x - 6 * x + 12)
 
 
@@ -295,7 +302,7 @@ def _witness_texts(w):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_binomial_witness_matches_the_class_arithmetic_reference(p):
     for n in range(11):
-        assert tilde_theta_inverse(n, p, Y) == _tilde_reference(n, p, Y)
+        assert _tilde_at_y(n, p) == _tilde_reference(n, p, Y)
         ok, *fields = _binomial_reference(n, p)
         w = binomial_identity_check(n, p)
         assert w.ok is ok is True, (n, p)
@@ -305,17 +312,22 @@ def test_binomial_witness_matches_the_class_arithmetic_reference(p):
 @pytest.mark.parametrize("n,p", [(0, 2), (1, 3), (2, 2)])
 def test_binomial_identity_rejects_a_wrong_tilde(monkeypatch, n, p):
     from adamsrr import splitting as S
-    right = S.tilde_theta_inverse
-    # terms above the divisor's degree, which stay in the remainder, and a
-    # wrong constant term
-    for extra in (Y ** (n + 2), Y ** (n + 3), 5 * Y ** (n + 6), SplitClass.constant(1)):
-        def wrong(n_, p_, x, extra=extra):
-            return right(n_, p_, x) + extra
-        monkeypatch.setattr(S, "tilde_theta_inverse", wrong)
+    right = S.tilde_inverse_expr
+    # c * y^d: terms above the divisor's degree, which stay in the remainder,
+    # and a wrong constant term
+    for d, c in ((n + 2, 1), (n + 3, 1), (n + 6, 5), (0, 1)):
+        def wrong(n_, p_, base, d=d, c=c):
+            return E.canonicalize(E.Sum((right(n_, p_, base),
+                                         E.Tensor((E.IntConst(c), E.Power(base, d))))))
+
+        def wrong_reference(n_, p_, y, d=d, c=c):
+            return _tilde_reference(n_, p_, y) + c * y ** d
+
+        monkeypatch.setattr(S, "tilde_inverse_expr", wrong)
         w = binomial_identity_check(n, p)
         assert not w.ok
         assert not w.remainder.is_zero()
-        ok, *fields = _binomial_reference(n, p, wrong)
+        ok, *fields = _binomial_reference(n, p, wrong_reference)
         assert _witness_texts(w) == [str(c) for c in fields]
 
 
