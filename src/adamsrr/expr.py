@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import re
-import weakref
 from dataclasses import dataclass
+from sys import getrefcount
 from typing import Callable
 
 
@@ -121,11 +121,11 @@ def _is_name(s: str) -> bool:
 class Expr:
     """An immutable expression node, interned: equal trees are one object.
 
-    Each node class keeps its own intern table (`_table`), so constructing
-    a node whose fields equal those of a live node of its class returns
-    that node.  A class of one field keys its table by the field itself
-    (the name, the int, the child node or the tuple of children), a class
-    of two by the pair, and one of none by `()`.  Equality is therefore
+    Each node class keeps its own intern table (`_table`), holding its nodes
+    strongly, so constructing a node whose fields equal those of a node in
+    the table returns that node.  A class of one field keys its table by the
+    field itself (the name, the int, the child node or the tuple of children),
+    a class of two by the pair, and one of none by `()`.  Equality is therefore
     identity, and the hash is `hash((cls, *fields))`, computed once.  Each
     node also keeps, once computed, its canonical form, its printed text
     and, on a canonical node, its multilinear expansion (`expand_top`), so
@@ -133,7 +133,7 @@ class Expr:
     that are not dataclass fields, so repr never sees them.  A node never
     holds itself: a canonical node marks `_canon` with `_CANONICAL`, and a
     node that is its own one monomial marks `_expansion` with `_ATOMIC`,
-    which keeps trees free of reference cycles.
+    so trees hold no reference cycle, which no sweep could drop.
     """
 
     __slots__ = ("_hash", "_canon", "_text", "_expansion", "__weakref__")
@@ -146,12 +146,7 @@ class Expr:
         _tables.append(cls._table)
 
     def __new__(cls):  # a class without fields; `_node` gives the others `_new1` or `_new2`
-        ref = cls._table.get(())
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        return _intern(cls, (), ())
+        return cls._table.get(()) or _intern(cls, (), ())
 
     __eq__ = object.__eq__
 
@@ -166,30 +161,20 @@ class Expr:
 
 
 def _new1(cls, a):
-    ref = cls._table.get(a)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    return _intern(cls, a, (a,))
+    return cls._table.get(a) or _intern(cls, a, (a,))
 
 
 def _new2(cls, a, b):
     key = (a, b)
-    ref = cls._table.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    return _intern(cls, key, key)
+    return cls._table.get(key) or _intern(cls, key, key)
 
 
 _CANONICAL = object()  # the `_canon` of a node that is its own canonical form
 _ATOMIC = object()  # the `_expansion` of a node that is its own one monomial
 
-# One table per node class, `cls._table`: its key (see `Expr`) -> a weak
-# reference to the live node.  The references have no callback: a dead entry
-# stays, holding its key's children, until `_sweep` drops it, once the
+# One table per node class, `cls._table`: its key (see `Expr`) -> the node, held
+# strongly, so a verdict's nodes and their memos carry over to the next verdict.
+# An entry whose node nothing else holds stays until `_sweep` drops it, once the
 # tables together have doubled since the last sweep (and hold _SWEEP_FLOOR).
 _tables: list[dict] = []
 _SWEEP_FLOOR = 4096
@@ -198,11 +183,11 @@ _entries = 0  # the entries of all tables together
 
 
 def _intern(cls, key, fields: tuple) -> Expr:
-    """Make the node of `fields`, whose entry `key` is missing or dead, and enter it.
+    """Make the node of `fields`, whose entry `key` is missing, and enter it.
 
     An int field refuses a bool or any other non-int value.  A value equal
-    to the int field of a live node (`2.0`, `True`) finds that node before
-    it gets here, so no node ever holds anything but an int there.
+    to the int field of a node in the table (`2.0`, `True`) finds that node
+    before it gets here, so no node ever holds anything but an int there.
     """
     global _entries
     for i in cls._int_fields:
@@ -216,19 +201,17 @@ def _intern(cls, key, fields: tuple) -> Expr:
     object.__setattr__(node, "_canon", None)
     object.__setattr__(node, "_text", None)
     object.__setattr__(node, "_expansion", None)
-    table = cls._table
-    size = len(table)
-    table[key] = weakref.ref(node)
-    _entries += len(table) - size
+    cls._table[key] = node
+    _entries += 1
     if _entries >= _sweep_at:
         _sweep()
     return node
 
 
 def _sweep() -> None:
-    """Drop the entries of dead nodes, pass after pass until none is left.
+    """Drop the entries of nodes that only their entry holds, pass after pass until none is left.
 
-    A dropped key releases the children it held, which may die in turn.
+    A dropped node releases its children, its key's and its memos' nodes, which may go in turn.
     """
     global _sweep_at, _entries
     while sum(map(_drop_dead, _tables)):
@@ -238,10 +221,17 @@ def _sweep() -> None:
 
 
 def _drop_dead(table: dict) -> int:
-    dead = [key for key, ref in table.items() if ref() is None]
+    dead = [key for key, node in table.items() if getrefcount(node) == _ALONE]
     for key in dead:
         del table[key]
     return len(dead)
+
+
+# what `getrefcount` reads in `_drop_dead`'s loop (with its name, argument and cached item
+# pair) for a node its entry alone holds, found by that very loop over probes only a dict holds
+_ALONE = 1
+while not _drop_dead({None: object()}):
+    _ALONE += 1
 
 
 def _node(cls):

@@ -287,43 +287,53 @@ def _json_value(x: str | int | bool | None) -> str:
 
 
 def parse_trace_json(text: str) -> ProofTrace:
-    """Read a JSON trace; a field of the wrong type raises `VerifierError` naming it.
+    """Read a JSON trace; a document of the wrong shape raises `VerifierError` naming the field.
 
-    Texts are strings, `n` and `p` ints (not bools), each `holds` a bool,
-    `status` is verified or failed, and `failed_step` an int when present.
+    Fields are as `_json_trace` writes them (a step may lack `label` and `description`), `n` and
+    `p` no bools, `status` verified or failed, and only a failed trace has `failed_step`, `failure`.
     """
-    doc = json.loads(text)
-    goal, params = doc["goal"], doc["params"]
-    trace = ProofTrace(_typed(goal["lhs"], str, "goal.lhs"), _typed(goal["rhs"], str, "goal.rhs"),
-                       _typed(params["n"], int, "params.n"), _typed(params["p"], int, "params.p"))
-    for i, s in enumerate(doc["steps"]):
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as ex:  # RecursionError: nested too deep to decode
+        raise VerifierError(f"a trace is not JSON: {ex}") from None
+    goal, params = _field(doc, dict, "goal"), _field(doc, dict, "params")
+    trace = ProofTrace(_field(goal, str, "goal", "lhs"), _field(goal, str, "goal", "rhs"),
+                       _field(params, int, "params", "n"), _field(params, int, "params", "p"))
+    for i, s in enumerate(_field(doc, list, "steps")):
         trace.steps.append(TraceStep(
-            _typed(s.get("label", ""), str, i, "label"), _typed(s["rule"], str, i, "rule"),
-            _typed(s["anchor"], str, i, "anchor"),
-            _typed(s.get("description", ""), str, i, "description"),
-            _typed(s["before"], str, i, "before"), _typed(s["after"], str, i, "after"),
-            [(_typed(c["name"], str, i, j, "name"), _typed(c["holds"], bool, i, j, "holds"))
-             for j, c in enumerate(s["conditions"])]))
-    trace.status = _typed(doc["status"], str, "status")
+            _field(s, str, "steps", i, "label", default=""), _field(s, str, "steps", i, "rule"),
+            _field(s, str, "steps", i, "anchor"),
+            _field(s, str, "steps", i, "description", default=""),
+            _field(s, str, "steps", i, "before"), _field(s, str, "steps", i, "after"),
+            [(_field(c, str, "steps", i, "conditions", j, "name"),
+              _field(c, bool, "steps", i, "conditions", j, "holds"))
+             for j, c in enumerate(_field(s, list, "steps", i, "conditions"))]))
+    trace.status = _field(doc, str, "status")
     if trace.status not in ("verified", "failed"):
         raise VerifierError(f"trace field status is {trace.status!r}, not verified or failed")
-    if "failed_step" in doc:
-        trace.failed_step = _typed(doc["failed_step"], int, "failed_step")
-    trace.failure = _typed(doc.get("failure", ""), str, "failure")
+    trace.failed_step = _field(doc, int, "failed_step") if "failed_step" in doc else None
+    trace.failure = _field(doc, str, "failure", default="")
+    if trace.verified and (trace.failed_step is not None or trace.failure):
+        raise VerifierError("trace fields failed_step and failure belong to a failed trace")
     return trace
 
 
-def _typed(value, kind: type, *path):
-    """`value` when its type is exactly `kind`, so that a bool is no int; else refused by name.
+def _field(doc: dict, kind: type, *path, default=...):
+    """`doc[path[-1]]` when its type is exactly `kind`, so that a bool is no int; else refused by name.
 
-    `path` is a top-level field's name, or (step index, [condition index,] key);
-    the name is only formatted for a refusal.
+    A missing key reads `default` (`...`: required).  `path` leads from the document to the
+    value, ("steps", 2, "label") to steps[2].label; it is formatted only to refuse.
     """
+    try:
+        value = doc[path[-1]]
+    except KeyError:
+        value = default
+    except TypeError:  # `doc` is no object, so it is refused itself
+        value, kind, path = doc, dict, path[:-1]
     if type(value) is not kind:
-        *at, key = path
-        name = "".join(f"{part}[{i}]." for part, i in zip(("steps", "conditions"), at)) + key
-        raise VerifierError(f"trace field {name} is a {type(value).__name__}, "
-                            f"not a {kind.__name__}")
+        name = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:] or "document"
+        what = "missing" if value is ... else f"a {type(value).__name__}, not a {kind.__name__}"
+        raise VerifierError(f"trace field {name} is {what}")
     return value
 
 

@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import pickle
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -329,28 +331,107 @@ def test_each_class_keeps_its_own_table():
     assert Second() is not First() and type(Second()) is Second
 
 
-def test_the_table_holds_nodes_weakly():
-    # a verdict's nodes die with it by reference counting alone, and one sweep
-    # drops their entries, those of children held only by dead keys included
-    def entries():
-        return [ref for table in E._tables for ref in table.values()]
+def test_a_sweep_drops_what_a_verdict_left():
+    # the tables hold a verdict's nodes after it; one sweep drops every node that only
+    # its entry holds, children held only by dropped keys and memos included, by
+    # reference counting alone, and keeps every node held from outside its entry
+    def counts(table):
+        return [sys.getrefcount(node) for node in table.values()]
 
-    def live_entries():
+    alone = counts({None: object()})[0]  # what `counts` reads for a value only its dict holds
+
+    def swept():
         E._sweep()
-        assert all(ref() is not None for ref in entries())
-        return len(entries())
+        assert all(n > alone for table in E._tables for n in counts(table))
+        return sum(map(len, E._tables))
 
     gc.collect()
     gc.disable()
     try:
-        before = live_entries()
+        before = swept()
         assert R.verify_arr_identity(2, 3, symbols={"E": 2}).verified
         assert R.verify_arr_identity(3, 2).verified
         assert R.verify_base_change(1, 2).verified
-        assert len(entries()) > before + 100
-        assert live_entries() == before
+        assert sum(map(len, E._tables)) > before + 100
+        assert swept() == before
     finally:
         gc.enable()
+
+
+def _tree_nodes(e):
+    """`e` and its descendants, parents first."""
+    out = [e]
+    for name in e._fields:
+        value = getattr(e, name)
+        for child in value if type(value) is tuple else (value,):
+            if isinstance(child, E.Expr):
+                out += _tree_nodes(child)
+    return out
+
+
+def test_a_held_node_and_its_children_survive_sweeps():
+    class Fieldless(E.Expr):  # an undecorated subclass: no fields, a table of its own
+        pass
+
+    def build():  # two-field Psi and Power, one-field Tensor, Neg, Line and Bundle, no field
+        leaf = Line("SweepProbe")
+        return [Psi(3, Tensor((Neg(leaf), Power(Bundle("SweepProbe"), 2)))), Fieldless(),
+                E.Unit()]
+
+    held = build()
+    refs = [weakref.ref(n) for e in held for n in _tree_nodes(e)]
+    assert len(refs) == 8
+    for _ in range(3):
+        E._sweep()
+    assert [r() for r in refs] == [n for e in held for n in _tree_nodes(e)]
+    rebuilt = build()
+    assert all(a is b for a, b in zip(rebuilt, held))
+    assert all(r() is n for r, n in zip(refs, (n for e in rebuilt for n in _tree_nodes(e))))
+    # once nothing holds them, one sweep frees them all but the module's own UNIT
+    del held, rebuilt
+    E._sweep()
+    assert [r() for r in refs] == [None] * 7 + [UNIT]
+
+
+def test_the_sweep_drops_an_entry_only_its_table_holds():
+    # `_drop_dead`'s baseline, calibrated at import by its own loop, holds wherever an
+    # entry sits in its table: held only by the table, it goes; held once more, it stays
+    held = [object() for _ in range(3)]
+    table = {0: object(), 1: held[0], 2: object(), 3: object(), 4: held[1], 5: held[2]}
+    assert E._drop_dead(table) == 3
+    assert list(table) == [1, 4, 5] and all(a is b for a, b in zip(table.values(), held))
+    Line("AloneProbe")
+    kept = Line("KeptProbe")
+    E._sweep()
+    assert "AloneProbe" not in Line._table and Line._table["KeptProbe"] is kept
+
+
+def _verdicts():
+    rules = R.rule_set(1, 2)
+    rules["R5"] = dataclasses.replace(rules["R5"], action=lambda: Line("L"))
+    return [lambda: R.emit_trace(R.verify_arr_identity(2, 3, symbols={"E": 2})),
+            lambda: R.emit_trace(R.verify_base_change(2, 3)),
+            lambda: R.emit_trace(R.knudsen_mumford_expansion(2, 2).trace),
+            lambda: R.emit_trace(R.verify_arr_identity(1, 2, rules=rules), "text")]
+
+
+def test_the_traces_do_not_depend_on_the_sweeps(monkeypatch):
+    # a node swept between verdicts is rebuilt with fresh memos; one kept is reused
+    def traces(sweep: bool) -> list[str]:
+        out = []
+        for verdict in _verdicts():
+            if sweep:
+                E._sweep()
+            out.append(verdict())
+        return out
+
+    E._sweep()
+    with monkeypatch.context() as m:
+        m.setattr(E, "_sweep_at", float("inf"))  # no sweep runs on its own
+        kept = traces(sweep=False)
+    swept = traces(sweep=True)
+    assert swept == kept
+    assert "status: failed" in kept[3] and '"status": "verified"' in kept[0]
 
 
 @pytest.mark.parametrize("text,canonical", [

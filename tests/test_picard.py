@@ -282,7 +282,8 @@ def test_memoized_normal_forms_equal_memo_free_ones(monkeypatch, n):
 @pytest.mark.parametrize("build", [lambda q, r: q, lambda q, r: E.Tensor((q, r))],
                          ids=["atom", "canonical-tensor"])
 def test_a_dropped_normalized_argument_dies_without_the_collector(build):
-    # each is its own one monomial, so it marks its expansion instead of holding itself
+    # each is its own one monomial, so it marks its expansion instead of holding itself,
+    # and one sweep frees it by reference counting alone
     gc.disable()
     try:
         table = E.SymbolTable(space="X")
@@ -295,6 +296,7 @@ def test_a_dropped_normalized_argument_dies_without_the_collector(build):
         assert E.expand_top(e) == ((1, e),) and e._expansion is E._ATOMIC
         ref = weakref.ref(e)
         del e, line, f
+        E._sweep()
         assert ref() is None
     finally:
         gc.enable()

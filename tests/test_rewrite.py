@@ -494,6 +494,10 @@ def test_the_json_writer_writes_what_json_dumps_writes(monkeypatch):
             with pytest.raises(R.VerifierError, match="trace field status"):
                 parse_trace_json(text)
             continue
+        if tr.verified and tr.failed_step is not None:  # so is a claimed status over a failure
+            with pytest.raises(R.VerifierError, match="failed_step and failure belong"):
+                parse_trace_json(text)
+            continue
         assert emit_trace(parse_trace_json(text), "json") == text
     with pytest.raises(TypeError, match="not a JSON scalar"):
         emit_trace(R.ProofTrace("A", "B", 1.0, 2), "json")
@@ -524,6 +528,74 @@ def test_an_ill_typed_trace_is_refused_by_field():
         with pytest.raises(R.VerifierError, match=re.escape(name)):
             parse_trace_json(json.dumps(doc))
     assert emit_trace(parse_trace_json(json.dumps(good)), "json") == json.dumps(good, indent=2)
+
+
+_DROP = object()  # a key the edit deletes
+
+
+@pytest.fixture(scope="module")
+def good_trace():
+    return emit_trace(verify_arr_identity(1, 2), "json")
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("{", "a trace is not JSON"),
+    ("", "a trace is not JSON"),
+    ('{"goal": {"lhs": "A", "rhs": "B"}}} ', "a trace is not JSON"),
+    pytest.param("[" * 100_000, "a trace is not JSON", id="nested-too-deep"),
+    (((), [1]), "trace field document is a list, not a dict"),
+    (((), "x"), "trace field document is a str, not a dict"),
+    ((("goal",), [1]), "trace field goal is a list, not a dict"),
+    ((("params",), "x"), "trace field params is a str, not a dict"),
+    ((("steps",), 5), "trace field steps is a int, not a list"),
+    ((("steps",), {}), "trace field steps is a dict, not a list"),
+    ((("steps", 0), 3), r"trace field steps\[0\] is a int, not a dict"),
+    ((("steps", 1, "conditions"), 5), r"trace field steps\[1\].conditions is a int, not a list"),
+    ((("steps", 1, "conditions", 0), []),
+     r"trace field steps\[1\].conditions\[0\] is a list, not a dict"),
+    ((("goal",), _DROP), "trace field goal is missing"),
+    ((("goal", "lhs"), _DROP), "trace field goal.lhs is missing"),
+    ((("params",), _DROP), "trace field params is missing"),
+    ((("params", "p"), _DROP), "trace field params.p is missing"),
+    ((("steps",), _DROP), "trace field steps is missing"),
+    ((("steps", 2, "rule"), _DROP), r"trace field steps\[2\].rule is missing"),
+    ((("steps", 2, "after"), _DROP), r"trace field steps\[2\].after is missing"),
+    ((("steps", 2, "conditions"), _DROP), r"trace field steps\[2\].conditions is missing"),
+    ((("steps", 0, "conditions", 0, "holds"), _DROP),
+     r"trace field steps\[0\].conditions\[0\].holds is missing"),
+    ((("status",), _DROP), "trace field status is missing"),
+    ((("failed_step",), 2), "trace fields failed_step and failure belong to a failed trace"),
+    ((("failure",), "R5 failed"), "trace fields failed_step and failure belong to a failed trace"),
+    ((("failed_step",), None), "trace field failed_step is a NoneType, not a int"),
+])
+def test_a_malformed_trace_is_refused_by_field(good_trace, edit, message):
+    if isinstance(edit, str):
+        text = edit
+    else:
+        path, value = edit
+        doc = json.loads(good_trace)
+        if not path:
+            doc = value
+        else:
+            at = doc
+            for key in path[:-1]:
+                at = at[key]
+            if value is _DROP:
+                del at[path[-1]]
+            else:
+                at[path[-1]] = value
+        text = json.dumps(doc)
+    with pytest.raises(R.VerifierError, match=message):
+        parse_trace_json(text)
+
+
+def test_a_trace_may_omit_a_label_and_carry_an_empty_failure(good_trace):
+    doc = json.loads(good_trace)
+    del doc["steps"][0]["label"]
+    doc["failure"] = ""
+    back = parse_trace_json(json.dumps(doc))
+    assert back.verified and back.steps[0].label == "" and back.failure == ""
+    assert revalidate_trace(back)
 
 
 def test_golden_traces_round_trip():
