@@ -126,17 +126,18 @@ class Expr:
     the table returns that node.  A class of one field keys its table by the
     field itself (the name, the int, the child node or the tuple of children),
     a class of two by the pair, and one of none by `()`.  Equality is therefore
-    identity, and the hash is `hash((cls, *fields))`, computed once.  Each
-    node also keeps, once computed, its canonical form, its printed text
-    and, on a canonical node, its multilinear expansion (`expand_top`), so
-    they are paid once per distinct tree.  These four memos live in slots
+    identity, and so is the hash (`object.__hash__`), which costs no Python
+    call in the memos and tables keyed by nodes.  Each node also keeps, once
+    computed, its canonical form, its printed text and, on a canonical node,
+    its multilinear expansion (`expand_top`), so they are paid once per
+    distinct tree.  These three memos live in slots
     that are not dataclass fields, so repr never sees them.  A node never
     holds itself: a canonical node marks `_canon` with `_CANONICAL`, and a
     node that is its own one monomial marks `_expansion` with `_ATOMIC`,
     so trees hold no reference cycle, which no sweep could drop.
     """
 
-    __slots__ = ("_hash", "_canon", "_text", "_expansion", "__weakref__")
+    __slots__ = ("_canon", "_text", "_expansion", "__weakref__")
     _fields = ()  # the dataclass field names, in order; `_node` sets them
     _int_fields = ()  # the positions of the int-valued fields among them
 
@@ -149,9 +150,7 @@ class Expr:
         return cls._table.get(()) or _intern(cls, (), ())
 
     __eq__ = object.__eq__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -197,7 +196,6 @@ def _intern(cls, key, fields: tuple) -> Expr:
     node = object.__new__(cls)
     for name, v in zip(cls._fields, fields):
         object.__setattr__(node, name, v)
-    object.__setattr__(node, "_hash", hash((cls, *fields)))
     object.__setattr__(node, "_canon", None)
     object.__setattr__(node, "_text", None)
     object.__setattr__(node, "_expansion", None)

@@ -885,16 +885,20 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     """The e-coordinate rule of psi^k(e), on the `_terms` of e's operands.
 
     psi^k is a ring map: it passes sums, negations, constants, tensors and
-    powers, composes with psi^j into psi^jk and with a dual into psi^-k, and
-    ends at a symbol's `adams` class; a pullback registered on the context
-    is its argument with each symbol replaced by its image (`pull_back`).
-    theta^m, tau_p = theta^p and det commute with psi^k and are
-    multiplicative, so they are `_multiplicative` series in the power sums
-    of psi^k of their argument; a power x^j of either sign is `_power`'s
-    binomial sum in the powers of y = x - a, y in I.  These first refuse
-    their argument as `eval_expr` does; psi^k, theta^m and tau_p refuse an
-    index below 1 as `canonicalize` does.  Any other node (an unregistered pullback, an unsplit
-    symbol under psi^k with k != 1) raises _NoRule.
+    powers.  A tensor's int factors multiply one scalar, and the product of
+    its other factors starts from the first of them; each of these is still
+    evaluated, and may refuse, when the scalar is 0, and the result is a new
+    dict, never a factor's memo.  psi^k composes with psi^j into psi^jk and
+    with a dual into psi^-k, and ends at a symbol's `adams` class; a pullback
+    registered on the context is its argument with each symbol replaced by
+    its image (`pull_back`).  theta^m, tau_p = theta^p and det commute with
+    psi^k and are multiplicative, so they are `_multiplicative` series in
+    the power sums of psi^k of their argument; a power x^j of either sign is
+    `_power`'s binomial sum in the powers of y = x - a, y in I.  These first
+    refuse their argument as `eval_expr` does; psi^k, theta^m and tau_p
+    refuse an index below 1 as `canonicalize` does.  Any other node (an
+    unregistered pullback, an unsplit symbol under psi^k with k != 1) raises
+    _NoRule.
     """
     if isinstance(e, Sum):
         out: dict[int, object] = {}
@@ -908,10 +912,16 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
         value = e.value if isinstance(e, IntConst) else 1
         return {0: value} if value else {}
     if isinstance(e, Tensor):
-        out = {0: 1}
+        scale, out = 1, None
         for f in e.factors:
-            out = _packed_mul(out, _terms(k, f, ctx, pk), pk.limit)
-        return out
+            if isinstance(f, IntConst):
+                scale *= f.value
+            else:
+                terms = _terms(k, f, ctx, pk)
+                out = terms if out is None else _packed_mul(out, terms, pk.limit)
+        if out is None or not scale:
+            return {0: scale} if scale else {}
+        return {m: scale * c for m, c in out.items()}
     if isinstance(e, Power):
         if e.exponent < 0:
             _inverse_operand(e, ctx)

@@ -413,3 +413,22 @@ def test_a_closed_stdout_exits_2_with_nothing_on_stderr(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")
+
+
+@pytest.mark.parametrize("argv", [["arr", "--n", "3", "--p", "2", "--rank", "2"],
+                                  ["base-change", "--n", "2", "--p", "3"]],
+                         ids=["arr-rank-2", "base-change"])
+def test_json_traces_do_not_follow_the_hash_seed(argv):
+    # nodes hash by identity, so set and dict orders over them follow addresses as
+    # well as the seed; the emitted bytes must follow neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1234"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "adamsrr.cli", "verify", *argv,
+                               "--format", "json"],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])

@@ -176,7 +176,7 @@ def test_nodes_keep_their_memos_in_slots():
 
 
 # ---------------------------------------------------------------------------
-# Interned nodes: memoized hash, canonical form and text against recomputation
+# Interned nodes: identity hash, memoized canonical form and text against recomputation
 
 def _nodes(e):
     out = [e]
@@ -195,8 +195,12 @@ def _rebuild(e):
     return type(e)(*(again(getattr(e, f.name)) for f in dataclasses.fields(e)))
 
 
-def _key_hash(e):
-    return hash((type(e), *(getattr(e, f.name) for f in dataclasses.fields(e))))
+def _check_hash(node):
+    """A node hashes by identity: a rebuild finds it as a dict key and as a set member."""
+    assert hash(node) == object.__hash__(node)
+    again = _rebuild(node)
+    assert {node: True}[again] and again in {node}
+    assert not hasattr(node, "_hash")
 
 
 def _check_memos(warm):
@@ -207,7 +211,7 @@ def _check_memos(warm):
     canon = canonicalize(warm)
     assert canonicalize(canon) is canon
     for node in _nodes(warm) + _nodes(canon):
-        assert hash(node) == _key_hash(node)
+        _check_hash(node)
         if node._canon is E._CANONICAL:
             assert E._canonical_form(node) is node
         elif node._canon is not None:
@@ -308,7 +312,7 @@ def test_each_class_keeps_its_own_table():
     for node in nodes:
         fields = tuple(getattr(node, name) for name in node._fields)
         assert type(node)(*fields) is node
-        assert hash(node) == hash((type(node), *fields))
+        _check_hash(node)
         assert copy.copy(node) is node and copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
 

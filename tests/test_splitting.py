@@ -719,3 +719,61 @@ def test_packed_sum_is_truncated_iff_the_degree_reaches_the_cutoff():
                     assert (m1 + m2 < pk.limit) == (d1 + d2 < cutoff)
                     if d1 + d2 < cutoff:
                         assert kept[m1 + m2] == d1 + d2
+
+
+# -- the tensor rule: int factors multiply one scalar, the product starts from the first other --
+
+def _tensor_corpus(x):
+    """Tensors with int factors at every position, over x, y = x + M and w = dual(x)."""
+    c, T = E.IntConst, E.Tensor
+    y, w = E.Sum((x, E.Line("M"))), E.Dual(x)
+    return [T((c(0), x)), T((x, c(0), y)), T((x, y, c(0))),                # a zero scalar
+            T((c(1), x, y)), T((x, c(-1))), T((y, w, c(1))),                 # a unit
+            T((c(-3), x, y)), T((x, c(-2), w)), T((c(2), x, c(-5), y)),     # two constants
+            T((c(2), c(3))), T((c(-4),)), T((c(0), c(7))), T(()),           # constants alone
+            T((x,)), T((c(6), y)), T((w, c(6))),                            # one other factor
+            T((x, T((c(3), y)), c(-1))), T((T((y, c(2))), T((c(5),)), w))]  # nested constants
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_the_tensor_rule_matches_the_laurent_route(rank):
+    # each tensor under psi^k and dual, then each of its factors alone, in one context:
+    # a factor's memo that the tensor rule handed out and altered shows in the factor
+    # and in every result held before
+    def context():
+        t = E.SymbolTable(space="X")
+        t.declare_line("L")
+        t.declare_line("M")
+        t.declare_bundle("E", 2)
+        return SplitContext(t)
+
+    fast, slow = context(), context()
+    x = E.Line("L") if rank == 1 else E.Bundle("E")
+    held = []
+    for t in _tensor_corpus(x):
+        for wrap in (lambda e: e, lambda e: E.Psi(2, e), lambda e: E.Psi(3, e), E.Dual):
+            for e in [wrap(t)] + [wrap(f) for f in t.factors]:
+                for cutoff in range(2, 6):
+                    want = truncated_filtration(eval_expr(e, slow), slow.var_aug, cutoff)
+                    held.append((e, cutoff, want, packed_eval(e, fast, cutoff)))
+    for e, cutoff, want, got in held:
+        assert got.space.unpack(got.terms, fast.space) == want, (E.print_expr(e), cutoff)
+
+
+def test_a_zero_scalar_still_refuses_an_opaque_factor():
+    # the factors after a zero constant are evaluated all the same, so psi^2 of the
+    # opaque F_*O_X beside it is refused, as the Laurent route's error or packed_eval's own
+    geom = Geometry(1, 2, {"L": 1})
+    zero, j_l = E.IntConst(0), E.Line("J_L")
+    opaque = "psi or dual of an opaque (unsplit) bundle class in "
+    cases = [(E.Psi(2, E.Tensor((zero, FSO))), opaque + "psi(2, 0)"),
+             (E.Psi(2, E.Tensor((FSO, zero))), opaque + "psi(2, 0)"),
+             (E.Psi(2, E.Tensor((zero, j_l, FSO))), opaque + "psi(2, 0)"),
+             (E.Dual(E.Tensor((j_l, zero, FSO))), opaque + "dual(0)"),
+             (E.Tensor((zero, E.Psi(2, FSO))), "psi cannot be applied to an opaque (unsplit) "
+                                               "bundle class")]
+    for e, message in cases:
+        for cutoff in range(2, 6):
+            with pytest.raises(EvalError) as caught:
+                packed_eval(e, geom.ctx_xp, cutoff)
+            assert str(caught.value) == message
