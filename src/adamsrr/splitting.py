@@ -20,8 +20,12 @@ down to the symbols; theta^k, tau_p and det are multiplicative classes, power
 series in the power sums of their argument (Fulton & Lang, Riemann-Roch
 Algebra, ch. I-III); and a power of either sign is one finite binomial sum
 in the powers of its base's part in the augmentation ideal.  `truncated_eval`
-and the printer of a packed class unpack e-monomials into root monomials;
-the grades of `picard` name each e-monomial as it is, through `_Packing.text`.
+and the printer of a packed class unpack e-monomials into root monomials,
+each e-monomial's root image built once per packing; the grades of `picard`
+name each e-monomial as it is, through `_Packing.text`.  The oracle
+`truncated_filtration` expands a Laurent class straight into root monomials,
+each monomial's binomial expansion memoized process-wide, and shares no
+packed code with `packed_eval`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, inf
 
 from .expr import (
@@ -578,29 +583,25 @@ class _Packing:
     carries (Monagan & Pearce, CASC 2007).
 
     Blocks lie in the order given, or in name order when the packing is made
-    from a list of variable names; each name is then its own block, e_1 = u,
-    and the packing is the root basis that `truncated_filtration` works in.
-    The same fields hold root monomials: `root_offset` puts root i of a block
-    at the block's field i, and the degree field holds the u-degree, so the
-    root basis of a packing's root variables is its own layout.  `text` names
-    a packed monomial as it is, e_k(u) of a block B of rank >= 2 being
+    from a collection of variable names, each name then its own block.  The
+    same fields hold root monomials: `root_offset` puts root i of a block at
+    the block's field i, and the degree field holds the u-degree.  `text`
+    names a packed monomial as it is, e_k(u) of a block B of rank >= 2 being
     gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III).
     `root_terms` is the one change of basis, e-monomial to root monomials: a
     product, in the ring, of each wide block's powers of e_k written in root
-    monomials.  `to_roots` unpacks a class through it, touching only the
-    blocks of rank >= 2; no class needs the way back, since `packed_eval`
-    builds each one in e-coordinates.  `filtration` expands a Laurent class
-    into root monomials, for `truncated_filtration`, through the memoized
-    binomial `series` of each variable power and `expanded` of each monomial.
-    `memo` holds the symbols' `adams` classes and power sums, the `powers`
-    tables (of each e_k in root monomials, of the part y in I of each
-    power's base, and of c1 of each monomial of `chow`'s series), the
-    `_terms` of each (k, node) and the series
-    coefficients of `_log_derivative`.
+    monomials.  `unpack` reads each e-monomial's image through it once, kept
+    in `memo`, in the monomials of `monomial`, whose variables lie in name
+    order; no class needs the way back, since `packed_eval` builds each one
+    in e-coordinates.  `memo` also holds the symbols' `adams` classes and
+    power sums, the `powers` tables (of each e_k in root monomials, of the
+    part y in I of each power's base, and of c1 of each monomial of `chow`'s
+    series), the `_terms` of each (k, node) and the series coefficients of
+    `_log_derivative`.
     """
 
     __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
-                 "var_aug", "_wide", "_wide_bits", "series", "expanded", "memo")
+                 "var_aug", "_wide", "_wide_bits", "_names", "memo")
 
     def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
         if not isinstance(blocks, dict):
@@ -624,9 +625,8 @@ class _Packing:
         self.limit = cutoff << self.shift
         self.cutoff = cutoff
         self.var_aug = var_aug
-        self.series: dict[tuple[str, int], dict[int, object]] = {}
-        self.expanded: dict[Monomial, dict[int, object]] = {(): {0: 1}}
-        self.memo: dict[tuple, object] = {}
+        self._names = sorted(self.root_offset.items())  # (root variable, offset) by name
+        self.memo: dict[object, object] = {}
 
     def __repr__(self) -> str:
         return f"packing mod I^{self.cutoff} over ({', '.join(self.blocks)})"
@@ -636,22 +636,14 @@ class _Packing:
         return (1 << (self.offset[b] + (k - 1) * self.width)) | (k << self.shift)
 
     # -- the root basis -------------------------------------------------------
-    def fields(self, packed) -> list[tuple[str, int]]:
-        """(root variable, offset) of each field some packed root monomial uses, by variable name.
+    def monomial(self, m: int) -> Monomial:
+        """The root-variable monomial of packed root monomial `m`, its variables in name order.
 
         Name order is the order of every other monomial of the package
         (`_mono_mul`); a block of rank >= 10 lays `E.10` before `E.2` there.
         """
         mask = (1 << self.width) - 1
-        used = 0
-        for m in packed:
-            used |= m
-        return sorted((v, at) for v, at in self.root_offset.items() if (used >> at) & mask)
-
-    def monomial(self, m: int, fields=None) -> Monomial:
-        """The root-variable monomial of packed root monomial `m`, read from `fields` (default: all)."""
-        mask = (1 << self.width) - 1
-        return tuple((v, e) for v, at in fields or self.root_offset.items() if (e := (m >> at) & mask))
+        return tuple((v, e) for v, at in self._names if (e := (m >> at) & mask))
 
     def text(self, m: int) -> str:
         """Packed monomial m in print, factors in field order, joined by `*`; "1" when empty.
@@ -666,30 +658,22 @@ class _Packing:
             for i, v in enumerate(roots, 1) if (a := (m >> self.root_offset[v]) & mask)))
 
     def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
-        """The class of packed terms in root-variable monomials."""
-        packed = self.to_roots(packed)
-        fields = self.fields(packed)
-        return SplitClass({self.monomial(m, fields): c for m, c in packed.items()}, space)
+        """The class of packed terms in root-variable monomials.
 
-    def expand(self, m: Monomial) -> dict[int, object]:
-        """Truncated expansion of a Laurent monomial in root monomials, one variable at a time."""
-        hit = self.expanded.get(m)
-        if hit is not None:
-            return hit
-        last = m[-1]
-        series = self.series.get(last)
-        if series is None:
-            series = self.series[last] = _binomial_series(self, *last)
-        out = self.expanded[m] = series if len(m) == 1 else \
-            _packed_mul(self.expand(m[:-1]), series, self.limit)
-        return out
-
-    def filtration(self, cls: SplitClass) -> dict[int, object]:
-        total: dict[int, object] = {}
-        for m, c in cls.terms.items():
-            for mono, coeff in self.expand(m).items():
-                total[mono] = total.get(mono, 0) + coeff * c
-        return {m: c for m, c in total.items() if c}
+        `memo[m]`, for an int m, is e-monomial m's root image: the pairs
+        (root monomial, coefficient) of `root_terms(m)`, built on first use;
+        off the blocks of rank >= 2 the layouts agree, and m is its own image.
+        """
+        out: dict[Monomial, object] = {}
+        get, memo = out.get, self.memo
+        for m, c in packed.items():
+            image = memo.get(m)
+            if image is None:
+                image = memo[m] = ((self.monomial(m), 1),) if not m & self._wide_bits else \
+                    tuple((self.monomial(x), a) for x, a in self.root_terms(m).items())
+            for mono, a in image:
+                out[mono] = get(mono, 0) + c * a
+        return SplitClass._of({mono: c for mono, c in out.items() if c}, space)
 
     def powers(self, key: tuple, y, top: int) -> list[dict[int, object]]:
         """The table `memo[key]` of y^0, y^1, ... for a y in I, through y^min(top, cutoff - 1).
@@ -705,13 +689,6 @@ class _Packing:
         return table
 
     # -- e-coordinates and the root basis --------------------------------------
-    def to_roots(self, packed: dict[int, object]) -> dict[int, object]:
-        """Packed terms unpacked into root monomials, block by block."""
-        wide_bits = self._wide_bits
-        if not any(m & wide_bits for m in packed):
-            return packed  # the layouts agree off the blocks of rank >= 2
-        return _combine(packed.values(), map(self.root_terms, packed))
-
     def root_terms(self, m: int) -> dict[int, object]:
         """The root monomials that e-monomial m unpacks into, with coefficients.
 
@@ -815,42 +792,46 @@ def _combine(coefficients, classes) -> dict[int, object]:
 _RANK_ZERO_INVERSE = "cannot invert a rank-0 class in the filtration expansion"
 
 
-def _binomial_series(pk: _Packing, v: str, e: int) -> dict[int, object]:
-    """Packed terms of (aug + u_v)^e below u-degree cutoff (e may be negative)."""
-    aug = pk.var_aug.get(v, 1)
-    unit = (1 << pk.root_offset[v]) | (1 << pk.shift)  # u_v itself
-    if aug == 0:
-        # only nonnegative exponents arise for rank-0 reserved symbols
-        if e < 0:
-            raise EvalError(_RANK_ZERO_INVERSE)
-        return {e * unit: 1} if e < pk.cutoff else {}
-    out: dict[int, object] = {}
-    if e >= 0:
-        coeff: object = aug**e
-    elif aug == 1:
-        coeff = 1
-    else:
-        coeff = Fraction(1, aug ** (-e))
-    j = 0
-    while j < pk.cutoff:
-        if coeff:
-            out[j * unit] = coeff
-        # next generalized binomial coefficient: C(e, j+1)/C(e, j) = (e-j)/(j+1)
-        coeff = _quotient(coeff * (e - j), (j + 1) * aug)
-        if e >= 0 and j >= e:
-            break
-        j += 1
-    return out
-
-
 def truncated_filtration(cls: SplitClass, var_aug: dict[str, int], cutoff: int) -> SplitClass:
     """Expansion of a class mod the cutoff-th power of the augmentation ideal.
 
     Substitutes each variable v -> aug(v) + u_v and drops all terms of total
     u-degree >= cutoff.  Zero result means the class lies in I^cutoff.
     """
-    pk = _Packing(cls.variables(), var_aug, cutoff)  # no other variable can occur
-    return pk.unpack(pk.filtration(cls), cls.space)
+    total: dict[Monomial, object] = {}
+    get = total.get
+    for m, c in cls.terms.items():
+        for mono, a in _expansion(m, tuple(var_aug.get(v, 1) for v, _ in m), cutoff):
+            total[mono] = get(mono, 0) + a * c
+    return SplitClass._of({m: c for m, c in total.items() if c}, cls.space)
+
+
+@lru_cache(maxsize=1 << 12)
+def _expansion(m: Monomial, augs: tuple[int, ...], cutoff: int) -> tuple[tuple[Monomial, object], ...]:
+    """The (root monomial, coefficient) pairs of Laurent monomial m below u-degree cutoff.
+
+    augs[i] is the augmentation of m's i-th variable v.  m's variables, in
+    name order, each multiply in the binomial series
+    (aug + u_v)^e = sum_j C(e, j) aug^(e-j) u_v^j, so each product monomial
+    is a concatenation, in name order, and no two products share one.  A
+    pure function of its arguments, memoized for the process.
+    """
+    terms: list[tuple[Monomial, int, object]] = [((), 0, 1)]  # (monomial, u-degree, coefficient)
+    for (v, e), aug in zip(m, augs):
+        if aug == 0:  # only nonnegative exponents arise for rank-0 reserved symbols
+            if e < 0:
+                raise EvalError(_RANK_ZERO_INVERSE)
+            series: list[object] = [0] * e + [1] if e < cutoff else []
+        else:
+            coeff: object = aug**e if e >= 0 else 1 if aug == 1 else Fraction(1, aug ** -e)
+            series = []
+            for j in range(cutoff if e < 0 else min(cutoff, e + 1)):
+                series.append(coeff)
+                # next generalized binomial coefficient: C(e, j+1)/C(e, j) = (e-j)/(j+1)
+                coeff = _quotient(coeff * (e - j), (j + 1) * aug)
+        terms = [(mono + ((v, j),) if j else mono, d + j, c * s)
+                 for mono, d, c in terms for j, s in enumerate(series[:cutoff - d]) if s]
+    return tuple((mono, c) for mono, _, c in terms)
 
 
 class _NoRule(Exception):

@@ -83,7 +83,7 @@ def test_packed_invariants_and_grades_match_the_root_basis_route(monkeypatch, ki
         pk = lam.space
         low = {m: c for m, c in lam.terms.items() if m >> pk.shift <= f.rel_dim}
         # unpacked into root monomials, the grade's terms are the old grade's
-        unpacked = _chi(f, {S.monomial_text(pk.monomial(x)): c for x, c in pk.to_roots(low).items()})
+        unpacked = _chi(f, {S.monomial_text(x): c for x, c in pk.unpack(low, None).terms.items()})
         old = _old_grade(f, e)
         assert str(unpacked) == str(old) and unpacked == old, E.print_expr(e)
         # and the grade names those same terms by their packed monomials
@@ -98,7 +98,7 @@ def _refuse_unpacking(monkeypatch):
         raise AssertionError("unpacked a packed class into root monomials")
 
     monkeypatch.setattr(S._Packing, "root_terms", unpack)
-    monkeypatch.setattr(S._Packing, "to_roots", unpack)
+    monkeypatch.setattr(S._Packing, "unpack", unpack)
 
 
 @pytest.mark.parametrize("kind,rank", [("chain", 1), ("chain", 2), ("chain", 3),

@@ -14,8 +14,8 @@ from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, verify_base_change
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
     binomial_identity_check, classes_equal, eval_expr, tau_class,
-    _Packing, packed_eval, pull_back, tau_equals_theta, tilde_inverse_expr, truncated_eval,
-    truncated_filtration,
+    _Packing, _expansion, packed_eval, pull_back, tau_equals_theta, tilde_inverse_expr,
+    truncated_eval, truncated_filtration,
 )
 
 
@@ -704,6 +704,136 @@ def test_packed_filtration_matches_tuple_reference_off_var_aug(ctx):
         assert truncated_filtration(cls, partial, cutoff) == want
         assert truncated_filtration(cls, {}, cutoff) == \
             _ref_truncated_filtration(cls, {}, cutoff)
+
+
+# -- the memoized root expansion, against the tuple reference ----------------------------
+
+# (monomial, augmentation of each of its variables): exponents -3..4, augmentations
+# 1 and 4 (the inverse series of a 4 has Fraction coefficients), 1 to 4 variables
+EXPANSION_TABLE = [
+    *[((("a", e),), (aug,)) for e in (-3, -2, -1, 1, 2, 3, 4) for aug in (1, 4)],
+    ((("a", 2), ("b", -1)), (1, 1)),
+    ((("a", -3), ("b", 4)), (4, 1)),
+    ((("a", 1), ("b", 1)), (4, 4)),
+    ((("a", 1), ("b", -2), ("c", 3)), (1, 4, 1)),
+    ((("a", -1), ("b", -1), ("c", -1)), (4, 4, 4)),
+    ((("a", 4), ("b", 2), ("c", -3)), (1, 1, 1)),
+    ((("a", 4), ("b", 3), ("c", -3), ("d", 2)), (1, 4, 4, 1)),
+    ((("a", -2), ("b", 1), ("c", 2), ("d", -3)), (4, 1, 1, 4)),
+    ((("a", -1), ("b", -1), ("c", -1), ("d", -1)), (1, 1, 1, 1)),
+    ((("a", 3), ("b", -3), ("c", 4), ("d", -2)), (4, 4, 4, 4)),
+]
+
+
+def _expansion_rows():
+    """((monomial, var_aug, cutoff), truncated_filtration, its tuple reference) over the table."""
+    rows = []
+    for m, augs in EXPANSION_TABLE:
+        var_aug = {v: a for (v, _), a in zip(m, augs)}
+        for cutoff in range(1, 6):
+            cls = SplitClass({m: 3})
+            rows.append(((m, var_aug, cutoff), truncated_filtration(cls, var_aug, cutoff),
+                         _ref_truncated_filtration(cls, var_aug, cutoff)))
+    return rows
+
+
+def test_root_expansion_matches_the_tuple_reference_and_survives_a_cache_clear():
+    rows = _expansion_rows()
+    for key, got, want in rows:
+        assert got == want and str(got) == str(want), key
+        m, _, cutoff = key
+        # a one-variable monomial is its binomial series, scaled
+        if len(m) == 1:
+            (v, e), = m
+            series = _ref_binomial_series(v, key[1][v], e, cutoff)
+            assert got == SplitClass({mono: 3 * c for mono, c in series}), key
+    assert any(not isinstance(c, int) and c.denominator > 1
+               for _, got, _ in rows for c in got.terms.values())
+    _expansion.cache_clear()
+    again = _expansion_rows()
+    assert [(k, str(g)) for k, g, _ in again] == [(k, str(g)) for k, g, _ in rows]
+    assert [g for _, g, _ in again] == [g for _, g, _ in rows]
+
+
+def test_root_expansion_sums_the_terms_of_a_class():
+    var_aug = {"a": 4, "b": 1, "c": 4, "d": 1}
+    cls = SplitClass({m: c for (m, _), c in zip(EXPANSION_TABLE, [1, -2, 3, Fraction(1, 2)] * 9)})
+    for cutoff in range(1, 6):
+        want = _ref_truncated_filtration(cls, var_aug, cutoff)
+        assert truncated_filtration(cls, var_aug, cutoff) == want, cutoff
+
+
+def test_root_expansion_keys_each_variable_by_its_augmentation():
+    cls = SplitClass({(("a", -1), ("b", 2)): 1})
+    for cutoff in range(2, 6):
+        one = truncated_filtration(cls, {"a": 1, "b": 1}, cutoff)
+        four = truncated_filtration(cls, {"a": 4, "b": 1}, cutoff)
+        assert one != four, cutoff
+        assert one == _ref_truncated_filtration(cls, {"a": 1, "b": 1}, cutoff)
+        assert four == _ref_truncated_filtration(cls, {"a": 4, "b": 1}, cutoff)
+
+
+def test_root_expansion_refuses_a_rank_zero_inverse_every_time():
+    for e in range(1, 5):
+        cls = SplitClass({(("a", 1), ("z", e)): 1})
+        for cutoff in range(1, 6):
+            want = _ref_truncated_filtration(cls, {"z": 0}, cutoff)
+            assert truncated_filtration(cls, {"z": 0}, cutoff) == want, (e, cutoff)
+    for e in (-3, -2, -1):
+        cls = SplitClass({(("a", 2), ("z", e)): 1})
+        for _ in range(2):  # a refusal is not memoized, and is refused again
+            with pytest.raises(EvalError) as refused:
+                truncated_filtration(cls, {"z": 0}, 3)
+            assert str(refused.value) == "cannot invert a rank-0 class in the filtration expansion"
+
+
+def test_renaming_the_variables_renames_the_root_expansion():
+    # the names reversed: the monomials come out in the new name order, and the
+    # expansion costs as many memo entries under either set of names
+    rename = {"a": "z", "b": "y", "c": "x", "d": "w"}
+
+    def renamed(cls):
+        return SplitClass({tuple(sorted((rename[v], e) for v, e in m)): c
+                           for m, c in cls.terms.items()})
+
+    cls = SplitClass({m: 1 for m, _ in EXPANSION_TABLE if len(m) > 1})
+    var_aug = {"a": 4, "b": 1, "c": 4, "d": 1}
+    for cutoff in range(1, 6):
+        _expansion.cache_clear()
+        got = truncated_filtration(cls, var_aug, cutoff)
+        misses = _expansion.cache_info().misses
+        _expansion.cache_clear()
+        moved = truncated_filtration(renamed(cls), {rename[v]: a for v, a in var_aug.items()}, cutoff)
+        assert _expansion.cache_info().misses == misses, cutoff
+        assert moved == renamed(got) and str(moved) == str(renamed(got)), cutoff
+
+
+# -- the unpacking memo ---------------------------------------------------------------------
+
+def test_unpack_drops_zero_coefficients_cold_and_warm(ctx):
+    pk = _Packing(ctx.roots, ctx.var_aug, 3)
+    e1, e2, l1 = pk._e("E", 1), pk._e("E", 2), pk._e("L", 1)
+    # e_1^2 - 2 e_2 = u_1^2 + u_2^2: the cross terms cancel; zero numerators as chow passes them
+    packed = {0: 0, e1 + e1: 1, e2: -2, l1: 0, e1 + l1: 5}
+    want = {(("E.1", 2),): 1, (("E.2", 2),): 1, (("E.1", 1), ("L", 1)): 5,
+            (("E.2", 1), ("L", 1)): 5}
+    for _ in range(2):
+        got = pk.unpack(packed, ctx.space)
+        assert got.terms == want and 0 not in got.terms.values()
+        assert pk.unpack({e1: 0, e2: 0}, ctx.space).terms == {}
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_truncated_eval_is_the_same_from_a_cold_and_a_warm_context(cutoff):
+    rng = random.Random(4100 + cutoff)
+    corpus = [SU.random_expr(rng) for _ in range(80)]
+    warm = SplitContext(SU.law_table())
+    for e in corpus:
+        truncated_eval(e, warm, cutoff)
+    for e in corpus:
+        cold = truncated_eval(e, SplitContext(SU.law_table()), cutoff)
+        again = truncated_eval(e, warm, cutoff)
+        assert again == cold and str(again) == str(cold), (E.print_expr(e), cutoff)
 
 
 def test_packed_sum_is_truncated_iff_the_degree_reaches_the_cutoff():

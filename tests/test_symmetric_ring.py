@@ -150,7 +150,7 @@ def test_no_class_is_truncated_in_the_root_basis(monkeypatch, n, p):
         raise AssertionError("a class was expanded from its Laurent form")
 
     with monkeypatch.context() as patched:
-        patched.setattr(S._Packing, "filtration", expand)
+        patched.setattr(S, "_expansion", expand)
         got = [S.truncated_eval(e, ctx, cutoff) for ctx, exprs in cases for e in exprs
                for cutoff in range(1, n + 3)]
     want = [S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff)
