@@ -826,8 +826,8 @@ def _parse_call(head: str, toks: _Tokens, table: SymbolTable, pos: int) -> tuple
 def rank(e: Expr, table: SymbolTable) -> int:
     """Virtual rank: additive on sums, multiplicative on tensors.
 
-    theta^k/tau_p arguments must be effective (checked semantically through the
-    split engine); rank(theta^k(E)) = k^rank(E), rank(tau_p(E)) = p^rank(E).
+    Read off the syntax alone: rank(theta^k(E)) = k^rank(E) and
+    rank(tau_p(E)) = p^rank(E), for any argument E of rank >= 0.
     """
     if isinstance(e, (Line, Unit)):
         return 1
@@ -847,7 +847,6 @@ def rank(e: Expr, table: SymbolTable) -> int:
     if isinstance(e, (Dual, Psi)):
         return rank(e.arg, table)
     if isinstance(e, (Theta, Tau)):
-        _require_effective(e.arg, table)
         k = e.k if isinstance(e, Theta) else e.p
         r = rank(e.arg, table)
         if r < 0:
@@ -865,16 +864,4 @@ def rank(e: Expr, table: SymbolTable) -> int:
     if isinstance(e, Pull):
         raise RankError(f"no table registered for pullback along {e.morphism!r}")
     raise ExprError(f"unknown expression node {e!r}")
-
-
-def _require_effective(arg: Expr, table: SymbolTable) -> None:
-    # semantic check through the split engine; effectivity may arise by
-    # cancellation, so no syntactic shortcut is taken.
-    from . import splitting
-
-    ctx = splitting.SplitContext(table)
-    cls = splitting.eval_expr(arg, ctx)
-    if not cls.is_effective():
-        raise RankError(f"theta/tau argument is not effective: {arg}")
-
 

@@ -18,8 +18,10 @@ weighted degree into one int per monomial.  Every node is built there by its
 own rule, as psi^k of the node (dual being psi^-1): psi^k is a ring map moved
 down to the symbols; theta^k, tau_p and det are multiplicative classes, power
 series in the power sums of their argument (Fulton & Lang, Riemann-Roch
-Algebra, ch. I-III); and a power of either sign is one finite binomial sum
-in the powers of its base's part in the augmentation ideal.  `truncated_eval`
+Algebra, ch. I-III), theta^k and tau_p of any argument of rank >= 0, where
+the Laurent route takes only an effective one; and a power of either sign is
+one finite binomial sum in the powers of its base's part in the augmentation
+ideal.  Each node refuses in its own rule.  `truncated_eval`
 and the printer of a packed class unpack e-monomials into root monomials,
 each e-monomial's root image built once per packing; the grades of `picard`
 name each e-monomial as it is, through `_Packing.text`.  The oracle
@@ -366,12 +368,6 @@ class SplitContext:
                 for v in vs:
                     self.var_aug[v] = 1
 
-    def root_class(self, name: str) -> SplitClass:
-        cls = SplitClass.constant(0, self.space)
-        for v in self.roots[name]:
-            cls = cls + SplitClass.variable(v, self.space)
-        return cls
-
     def augmentation(self, cls: SplitClass) -> int | Fraction:
         return cls.augmentation(self.var_aug)
 
@@ -399,17 +395,8 @@ def eval_expr(e: Expr, ctx: SplitContext) -> SplitClass:
 
 
 def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
-    if isinstance(e, Line):
-        roots = ctx.roots.get(e.name)
-        if roots is None:
-            _undeclared(e.name, ctx)
-        if len(roots) != 1:
-            raise EvalError(f"{e.name!r} on space {ctx.space} has {len(roots)} roots, not one line")
-        return SplitClass.variable(roots[0], ctx.space)
-    if isinstance(e, Bundle):
-        if e.name not in ctx.roots:
-            _undeclared(e.name, ctx)
-        return ctx.root_class(e.name)
+    if isinstance(e, (Line, Bundle)):
+        return SplitClass._of({((v, 1),): 1 for v in _roots(e, ctx)}, ctx.space)
     if isinstance(e, Unit):
         return SplitClass.constant(1, ctx.space)
     if isinstance(e, IntConst):
@@ -469,8 +456,14 @@ def pull_back(morphism: str, e: Expr, ctx: SplitContext) -> Expr:
     return map_children(e, lambda x: pull_back(morphism, x, ctx))
 
 
-def _undeclared(name: str, ctx: SplitContext):
-    raise EvalError(f"undeclared symbol {name!r} on space {ctx.space}")
+def _roots(e: Line | Bundle, ctx: SplitContext) -> list[str]:
+    """The roots of symbol leaf e, refused if e is undeclared or a `Line` naming a bundle."""
+    roots = ctx.roots.get(e.name)
+    if roots is None:
+        raise EvalError(f"undeclared symbol {e.name!r} on space {ctx.space}")
+    if isinstance(e, Line) and len(roots) != 1:
+        raise EvalError(f"{e.name!r} on space {ctx.space} has {len(roots)} roots, not one line")
+    return roots
 
 
 def _operand(e: Expr, ctx: SplitContext, what: str) -> SplitClass:
@@ -489,10 +482,17 @@ def _inverse_operand(e: Power, ctx: SplitContext) -> SplitClass:
     return base.monomial_inverse()
 
 
+def _nonnegative_rank(r: int, what: str) -> None:
+    """Refuse an argument of rank r < 0 to theta or tau (`what`), whose rank what^r is no int."""
+    if r < 0:
+        raise EvalError(f"{what} argument has negative rank {r}")
+
+
 def _effective(cls: SplitClass, what: str) -> SplitClass:
-    """cls, refused as operator `what`'s argument unless it is effective."""
+    """cls, refused as `what`'s argument unless effective; `packed_eval` takes any of rank >= 0."""
+    _nonnegative_rank(cls.augmentation(), what)
     if not cls.is_effective():
-        raise NonEffectiveError(f"{what} argument is not effective: {cls}")
+        raise NonEffectiveError(f"{what} of a class that is not effective needs a truncation: {cls}")
     return cls
 
 
@@ -835,22 +835,7 @@ def _expansion(m: Monomial, augs: tuple[int, ...], cutoff: int) -> tuple[tuple[M
 
 
 class _NoRule(Exception):
-    """No e-coordinate rule applies to a node; `packed_eval` raises the Laurent route's error."""
-
-
-def _is_symbol(e: Expr, ctx: SplitContext) -> bool:
-    """A declared symbol whose class is the sum of its block's roots."""
-    return isinstance(e, (Line, Bundle)) and e.name in ctx.roots and \
-        (isinstance(e, Bundle) or len(ctx.roots[e.name]) == 1)
-
-
-def _split_symbol(e: Expr, ctx: SplitContext) -> str | None:
-    """The symbol e is, through a registered pullback, if its roots all have augmentation 1."""
-    if isinstance(e, Pull) and e.morphism in ctx.pullbacks:
-        e = pull_back(e.morphism, e.arg, ctx)
-    if _is_symbol(e, ctx) and all(ctx.var_aug[v] == 1 for v in ctx.roots[e.name]):
-        return e.name
-    return None
+    """An opaque symbol under psi^k, k != 1; the psi, dual, theta, tau or det above refuses it."""
 
 
 def _terms(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
@@ -875,11 +860,16 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     its image (`pull_back`).  theta^m, tau_p = theta^p and det commute with
     psi^k and are multiplicative, so they are `_multiplicative` series in
     the power sums of psi^k of their argument; a power x^j of either sign is
-    `_power`'s binomial sum in the powers of y = x - a, y in I.  These first
-    refuse their argument as `eval_expr` does; psi^k, theta^m and tau_p
-    refuse an index below 1 as `canonicalize` does.  Any other node (an
-    unregistered pullback, an unsplit symbol under psi^k with k != 1) raises
-    _NoRule.
+    `_power`'s binomial sum in the powers of y = x - a, y in I.
+
+    Each node refuses where it stands: a symbol leaf (`_roots`), a pullback
+    (`pull_back`), an index below 1 (as `canonicalize` does), and theta^m or
+    tau_p of a negative rank; any rank >= 0 is taken.  An opaque symbol under
+    psi^k, k != 1, raises _NoRule, which the nearest psi, dual, theta, tau or
+    det above it refuses by name.  Only two refusals read the Laurent class,
+    since mod I^c neither shows: a negative power's base that is no line
+    monomial (`_inverse_operand`), and an opaque class that survives under
+    the identity (psi^1, a double dual).
     """
     if isinstance(e, Sum):
         out: dict[int, object] = {}
@@ -910,32 +900,36 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     if isinstance(e, (Psi, Theta, Tau)):
         _check_op_index(e)
     if isinstance(e, (Psi, Dual)):
-        j = k * e.k if isinstance(e, Psi) else -k
-        if j == 1:  # the identity, which still refuses an opaque class
-            _operand(e.arg, ctx, "psi" if isinstance(e, Psi) else "dual")
-        return _terms(j, e.arg, ctx, pk)
+        what, j = ("psi", k * e.k) if isinstance(e, Psi) else ("dual", -k)
+        if j == 1:  # the identity, under which an opaque class meets no psi^k, k != 1
+            _operand(e.arg, ctx, what)
+        try:
+            return _terms(j, e.arg, ctx, pk)
+        except _NoRule:
+            raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
     if isinstance(e, (Theta, Tau, DetClass)):
         if isinstance(e, DetClass):
             what, g = "det", (1, 1, *[0] * (pk.cutoff - 2))  # det(x) = x = 1 + u on a line
         else:
             what, m = ("theta", e.k) if isinstance(e, Theta) else ("tau", e.p)
             g = tuple(comb(m, j + 1) for j in range(pk.cutoff))  # (x^m - 1)/u
-        if _split_symbol(e.arg, ctx) is None:
-            cls = _operand(e.arg, ctx, what)
-            if what != "det":
-                _effective(cls, what)
         try:
             sums = _power_sums(k, e.arg, ctx, pk)
-        except _NoRule:  # opaque classes, which cancel in the Laurent class
+        except _NoRule:  # opaque classes, also where they cancel in the Laurent class
             raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
+        if what != "det":
+            _nonnegative_rank(sums[0].get(0, 0), what)
         return _multiplicative(g, sums, pk)
-    if isinstance(e, Pull) and e.morphism in ctx.pullbacks:
-        return _terms(k, pull_back(e.morphism, e.arg, ctx), ctx, pk)
-    if k == 1 and _is_symbol(e, ctx):
-        return pk.symbol(e.name)
-    if _split_symbol(e, ctx) is not None:
+    if isinstance(e, (Line, Bundle)):
+        roots = _roots(e, ctx)
+        if k == 1:
+            return pk.symbol(e.name)
+        if any(ctx.var_aug[v] != 1 for v in roots):
+            raise _NoRule
         return pk.adams(e.name, k)
-    raise _NoRule
+    if isinstance(e, Pull):
+        return _terms(k, pull_back(e.morphism, e.arg, ctx), ctx, pk)
+    raise EvalError(f"unknown expression node {e!r}")
 
 
 def _power_sums(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> list[dict[int, object]]:
@@ -1033,10 +1027,11 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     any `SplitClass`.  A key's weighted degree is `key >> packing.shift`.
 
     Every node is built by its e-coordinate rule (`_rule`), on truncated
-    operands, since truncation is a ring quotient.  A node refused there
-    raises what `eval_expr` raises; so does a node with no rule, except that
-    psi^k, a dual, theta, tau and det refuse opaque classes at every cutoff
-    even where they cancel in the Laurent class, as in det(FsO - FsO).
+    operands, since truncation is a ring quotient, and refuses there as
+    `eval_expr` does, except that theta and tau of a virtual class of rank
+    >= 0 are built; that an operator refuses an opaque class even where it
+    cancels in the Laurent class, as in det(FsO - FsO); and that of two
+    faults in one argument the first the rules meet is named.
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)
@@ -1045,12 +1040,7 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     pk = ctx._packings.get(cutoff)
     if pk is None:
         pk = ctx._packings[cutoff] = _Packing(ctx.roots, ctx.var_aug, cutoff)
-    try:
-        terms = _terms(1, e, ctx, pk)
-    except _NoRule:
-        eval_expr(e, ctx)  # raises the Laurent route's error, if it has one
-        raise EvalError(f"psi or dual of an opaque (unsplit) bundle class in {e}") from None
-    hit = ctx._packed_cache[key] = SplitClass._of(terms, pk)  # every rule drops zero terms
+    hit = ctx._packed_cache[key] = SplitClass._of(_terms(1, e, ctx, pk), pk)  # every rule drops zero terms
     return hit
 
 

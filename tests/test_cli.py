@@ -30,6 +30,13 @@ def test_normalize_theta_of_line(capsys):
     assert out.strip() == "1 + L"
 
 
+def test_normalize_det_rf_of_theta_of_a_virtual_class(capsys):
+    code, out, _ = run(capsys, "normalize", "det_rf(f, theta(2, L + M - 1))")
+    assert code == EXIT_OK
+    assert out.strip() == \
+        "det_rf[f](theta(2, L + M - 1)) | grade= 2*chi[f](1) + chi[f](L) + chi[f](M)"
+
+
 def test_normalize_det_rf_triviality(capsys):
     code, out, _ = run(capsys, "normalize", "det_rf(f, (H0-H1)^3 (x) H)", "--n", "1")
     assert code == EXIT_OK
@@ -205,6 +212,9 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "(" * 101 + "$"), "parentheses nest deeper than 100 (at position 100)"),
     # a morphism name is not declared as a line as well
     (("normalize", "det_rf(f, f)"), "undeclared symbol 'f'"),
+    # theta of a virtual class: a Laurent class needs a truncation, a negative rank is refused
+    (("normalize", "theta(2, L + M - 1)"), "needs a truncation"),
+    (("normalize", "det_rf(f, theta(2, L - M - 1))"), "theta argument has negative rank -1"),
     # files that cannot be read or written, and undecodable declarations
     (("normalize", "A", "--decls", "DIR"), "Is a directory"),
     (("verify", "arr", "--trace-json", "DIR"), "Is a directory"),

@@ -3,10 +3,13 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -474,9 +477,29 @@ def test_rank_zero_difference_tensor(table):
     assert rank(e, table) == 0
 
 
-def test_rank_rejects_non_effective_theta_argument(table):
-    with pytest.raises(RankError):
-        rank(Theta(2, Sum((Bundle("E"), Neg(Line("L"))))), table)
+def test_rank_of_theta_and_tau_of_virtual_classes(table):
+    # rank is read off the syntax: k^r for an argument of rank r >= 0, effective or not
+    zero, one = Sum((Bundle("E"), Neg(Line("L")), Neg(Line("M")))), Sum((Bundle("E"), Neg(Line("L"))))
+    for k in (2, 3, 5):
+        for op in (Theta, E.Tau):
+            assert rank(op(k, zero), table) == 1
+            assert rank(op(k, one), table) == k
+            with pytest.raises(RankError, match="negative rank -1"):
+                rank(op(k, Sum((Line("L"), Neg(Bundle("E"))))), table)
+
+
+def test_rank_does_not_load_the_evaluator():
+    code = ("import sys\n"
+            "from adamsrr.expr import Bundle, Line, Neg, Sum, SymbolTable, Theta, rank\n"
+            "t = SymbolTable()\n"
+            "t.declare_line('L')\n"
+            "t.declare_bundle('E', 2)\n"
+            "assert rank(Theta(2, Sum((Bundle('E'), Neg(Line('L'))))), t) == 2\n"
+            "assert 'adamsrr.splitting' not in sys.modules, 'rank loaded adamsrr.splitting'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(E.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rank_is_a_ring_homomorphism():

@@ -5,10 +5,13 @@ functions e_1..e_r of each bundle's u = x - 1 coordinates, by one rule per
 node.  Unpacked into root monomials, every such class must equal the full
 Laurent evaluation truncated afterwards,
 `truncated_filtration(eval_expr(e), var_aug, cutoff)`, and an input the
-Laurent route refuses must be refused with the same error.
+Laurent route refuses must be refused with the same error, except theta and
+tau of a class of rank >= 0 that is not effective, which only the truncated
+ring builds.
 """
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from adamsrr import expr as E
 from adamsrr import rewrite as R
 from adamsrr import splitting as S
+from adamsrr import suite as SU
 
 OMEGA = E.SymbolTable.OMEGA
 
@@ -158,6 +162,55 @@ def test_no_class_is_truncated_in_the_root_basis(monkeypatch, n, p):
     assert got == want
 
 
+# -- theta and tau of virtual classes ---------------------------------------------------
+
+def test_theta_is_multiplicative_on_virtual_classes():
+    # theta^k(A - B) theta^k(B) = theta^k(A) mod I^c, A - B of rank >= 0; the pairs
+    # (k, c) run through every k in {2, 3, 5} and c in 1..5
+    rng = random.Random(3131)
+    ctx = S.SplitContext(SU.law_table())
+    for i in range(300):
+        a, b = SU.random_effective(rng), SU.random_effective(rng)
+        if E.rank(a, ctx.table) < E.rank(b, ctx.table):
+            a, b = b, a
+        k, cutoff = (2, 3, 5)[i % 3], 1 + i % 5
+        lhs = E.Tensor((E.Theta(k, E.Sum((a, E.Neg(b)))), E.Theta(k, b)))
+        assert S.packed_eval(lhs, ctx, cutoff) == S.packed_eval(E.Theta(k, a), ctx, cutoff), \
+            (E.print_expr(lhs), cutoff)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_theta_of_the_euler_class_is_the_product_over_its_lines(n, p):
+    # on P(O(a_0) + ... + O(a_n)) over P^1, Omega_f = sum_i t^(a_i) xi^-1 - 1, and
+    # p theta^p(Omega_f) = prod_i theta^p(t^(a_i) xi^-1) mod I^(n+2), the right side
+    # by the Laurent route
+    table = E.SymbolTable(space="X")
+    table.declare_line("t")
+    table.declare_line("xi")
+    ctx = S.SplitContext(table)
+    t, xi = E.Line("t"), E.Power(E.Line("xi"), -1)
+    for splitting_type in ([0] * (n + 1), list(range(n + 1)), [-2] + [1] * n):
+        lines = [E.Tensor((E.Power(t, a), xi)) for a in splitting_type]
+        omega = E.Sum((*lines, E.IntConst(-1)))
+        lhs = E.Tensor((E.IntConst(p), E.Theta(p, omega)))
+        rhs = E.Tensor(tuple(E.Theta(p, line) for line in lines))
+        want = S.truncated_filtration(S.eval_expr(rhs, ctx), ctx.var_aug, n + 2)
+        assert S.truncated_eval(lhs, ctx, n + 2) == want, (splitting_type, E.print_expr(lhs))
+
+
+def test_tau_of_a_rank_zero_class_is_built_where_its_laurent_class_needs_a_truncation():
+    ctx = _opaque_context(1)
+    L, B2 = E.Line("L"), E.Bundle("B2")
+    e = E.Tau(3, E.Sum((B2, E.Neg(L), E.Neg(L))))
+    with pytest.raises(S.NonEffectiveError, match="tau of a class that is not effective needs a truncation"):
+        S.eval_expr(e, ctx)
+    for cutoff in (1, 2, 3):
+        got = S.packed_eval(E.Tensor((e, E.Tau(3, L), E.Tau(3, L))), ctx, cutoff)
+        assert got == S.packed_eval(E.Tau(3, B2), ctx, cutoff)
+        assert S.packed_eval(e, ctx, cutoff).terms[0] == 1  # its rank, 3^0
+
+
 # -- refusals ----------------------------------------------------------------------------
 
 def _refusal(evaluate):
@@ -180,17 +233,22 @@ def _opaque_context(n: int) -> S.SplitContext:
 def _refused_exprs() -> list[E.Expr]:
     L, B2, F = E.Line("L"), E.Bundle("B2"), R.FSO
     return [
-        # arguments that are not effective
-        E.Theta(2, E.Sum((L, E.Neg(B2)))), E.Tau(3, E.Sum((B2, E.Neg(L), E.Neg(L)))),
+        # theta and tau of arguments of negative rank, nested ones too
+        E.Theta(2, E.Sum((L, E.Neg(B2)))), E.Theta(2, E.Neg(B2)),
         E.Psi(2, E.Theta(2, E.Neg(L))), E.Dual(E.Tau(2, E.IntConst(-1))),
-        # the opaque FsO under each operator, and the identity psi^1
+        E.DetClass(E.Tau(2, E.Sum((L, E.Neg(B2))))),
+        # the opaque FsO under each operator, and the identity psi^1; the innermost names itself
         E.Psi(2, F), E.Psi(2, E.Sum((L, F))), E.Dual(F), E.Dual(E.Dual(F)), E.Psi(1, F),
         E.Theta(2, F), E.Tau(2, E.Tensor((F, L))), E.DetClass(F), E.Psi(3, E.Power(F, -1)),
+        E.Psi(2, E.Dual(F)), E.Theta(2, E.Sum((L, E.Psi(2, F)))),
+        # an undeclared symbol beside FsO, met before psi^2 of FsO
+        E.DetClass(E.Sum((F, E.Line("M")))),
         # negative powers of a sum, and of a coefficient other than 1 or -1
         E.Power(E.Sum((L, B2)), -1), E.Power(E.Tensor((E.IntConst(2), L)), -1),
         E.Psi(2, E.Power(E.Sum((L, L)), -2)),
         # an unregistered pullback, undeclared symbols and a bundle read as a line
         E.Pull("nowhere", L), E.Psi(2, E.Pull("nowhere", L)), E.Theta(2, E.Pull("nowhere", L)),
+        E.Theta(2, E.Sum((L, E.Pull("nowhere", L)))),
         E.Line("M"), E.Psi(2, E.Bundle("M")), E.DetClass(E.Line("M")),
         E.Line("B2"), E.Dual(E.Line("B2")), E.Theta(3, E.Line("B2")),
     ]
@@ -237,11 +295,12 @@ def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion(
 
 def test_operators_on_cancelling_opaque_classes_are_refused_at_every_cutoff():
     # the Laurent class FsO - FsO is 0, so the Laurent route applies each operator
-    # to it; psi^k has no rule on an opaque class, and theta, tau and det, whose
-    # power sums need psi^k of their argument, refuse it by name at every cutoff
+    # to it; psi^k has no rule on an opaque class, so psi and a dual, and theta,
+    # tau and det, whose power sums need psi^k of their argument, refuse it by
+    # name at every cutoff
     ctx = _opaque_context(1)
     L, gone = E.Line("L"), E.Sum((R.FSO, E.Neg(R.FSO)))
-    cases = [(E.Psi(2, gone), "psi or dual"), (E.Dual(E.Sum((L, gone))), "psi or dual"),
+    cases = [(E.Psi(2, gone), "psi cannot"), (E.Dual(E.Sum((L, gone))), "dual cannot"),
              (E.DetClass(gone), "det cannot"), (E.Theta(2, E.Sum((L, gone))), "theta cannot"),
              (E.Psi(2, E.Tau(2, E.Tensor((L, gone)))), "tau cannot")]
     for e, what in cases:
