@@ -186,13 +186,16 @@ def _intern(cls, key, fields: tuple) -> Expr:
 
     An int field refuses a bool or any other non-int value.  A value equal
     to the int field of a node in the table (`2.0`, `True`) finds that node
-    before it gets here, so no node ever holds anything but an int there.
+    before it gets here, so no node ever holds anything but an int there,
+    nor an operator index (`_INDEXED`) below 1.
     """
     global _entries
     for i in cls._int_fields:
         v = fields[i]
         if type(v) is not int:
             raise ExprError(f"{cls.__name__}.{cls._fields[i]} must be an int, got {v!r}")
+    if cls in _INDEXED and fields[0] < 1:
+        raise ExprError(f"{cls.__name__.lower()} index must be >= 1, got {fields[0]}")
     node = object.__new__(cls)
     for name, v in zip(cls._fields, fields):
         object.__setattr__(node, name, v)
@@ -333,14 +336,9 @@ class Pull(Expr):
     arg: Expr
 
 
+_INDEXED = (Psi, Theta, Tau)  # the operators whose first field, an index, `_intern` refuses below 1
 UNIT = Unit()
 ZERO = IntConst(0)
-
-
-def _check_op_index(e: Psi | Theta | Tau) -> None:
-    k = e.p if isinstance(e, Tau) else e.k
-    if k < 1:
-        raise ExprError(f"{type(e).__name__.lower()} index must be >= 1, got {k}")
 
 
 def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
@@ -461,8 +459,6 @@ def _signed_terms(e: Expr, pos: list[Expr], neg: list[Expr]) -> None:
         else:
             pos.append(UNIT if isinstance(base, Unit) else Power(base, e.exponent))
     else:
-        if isinstance(e, (Psi, Theta, Tau)):
-            _check_op_index(e)
         pos.append(map_children(e, canonicalize))
 
 

@@ -21,7 +21,8 @@ series in the power sums of their argument (Fulton & Lang, Riemann-Roch
 Algebra, ch. I-III), theta^k and tau_p of any argument of rank >= 0, where
 the Laurent route takes only an effective one; and a power of either sign is
 one finite binomial sum in the powers of its base's part in the augmentation
-ideal.  Each node refuses in its own rule.  `truncated_eval`
+ideal.  Each node refuses in its own rule, and an operator on an opaque
+symbol by the one rule both routes share, `_refuse_opaque`.  `truncated_eval`
 and the printer of a packed class unpack e-monomials into root monomials,
 each e-monomial's root image built once per packing; the grades of `picard`
 name each e-monomial as it is, through `_Packing.text`.  The oracle
@@ -58,7 +59,6 @@ from .expr import (
     Tensor,
     Theta,
     Unit,
-    _check_op_index,
     canonicalize,
     expand_top,
     map_children,
@@ -268,9 +268,6 @@ class SplitClass:
             out.extend([m] * int(self.terms[m]))
         return out
 
-    def variables(self) -> set[str]:
-        return {v for m in self.terms for v, _ in m}
-
     def degrees(self, low: int | None = None, high: int | None = None) -> "SplitClass":
         """Terms whose total degree d has low <= d < high (None: unbounded).
 
@@ -371,17 +368,14 @@ class SplitContext:
     def augmentation(self, cls: SplitClass) -> int | Fraction:
         return cls.augmentation(self.var_aug)
 
-    def has_opaque_vars(self, cls: SplitClass) -> bool:
-        return any(self.var_aug.get(v, 1) != 1 for v in cls.variables())
-
 
 def eval_expr(e: Expr, ctx: SplitContext) -> SplitClass:
     """Evaluate a virtual-bundle expression to its canonical split class.
 
     Composite nodes are memoized per context; expressions are immutable and
     interned, so a lookup reads a stored hash and compares identity, and
-    repeated subterms cost one evaluation.  An operator index below 1 is
-    refused, as `parse` and `canonicalize` refuse it.
+    repeated subterms cost one evaluation.  An operator on an opaque symbol
+    is refused before its argument is evaluated (`_operand`).
     """
     composite = not isinstance(e, (Line, Bundle, Unit, IntConst))
     if composite:
@@ -415,8 +409,6 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
         return prod
     if isinstance(e, Dual):
         return _operand(e.arg, ctx, "dual").dual()
-    if isinstance(e, (Psi, Theta, Tau)):
-        _check_op_index(e)
     if isinstance(e, Psi):
         return _operand(e.arg, ctx, "psi").adams(e.k)
     if isinstance(e, Theta):
@@ -466,12 +458,28 @@ def _roots(e: Line | Bundle, ctx: SplitContext) -> list[str]:
     return roots
 
 
-def _operand(e: Expr, ctx: SplitContext, what: str) -> SplitClass:
-    """The class of operator `what`'s argument e, refused if it holds an opaque bundle class."""
-    cls = eval_expr(e, ctx)
-    if ctx.has_opaque_vars(cls):
+def _refuse_opaque(e: Expr, ctx: SplitContext, what: str) -> Expr:
+    """e, each pullback replaced by its image; refused as `what`'s argument if it names an opaque symbol.
+
+    An opaque symbol's one root has an augmentation other than 1, so it has
+    no psi^k, k != 1, which psi, dual, theta, tau and det all need.  Both
+    evaluators call this before they evaluate e, so the outermost operator
+    names itself, also where the symbol cancels; an undeclared one is left
+    to the evaluator.
+    """
+    if not ctx.opaque:
+        return e
+    if isinstance(e, Pull):
+        return _refuse_opaque(pull_back(e.morphism, e.arg, ctx), ctx, what)
+    if isinstance(e, (Line, Bundle)) and any(ctx.var_aug[v] != 1 for v in ctx.roots.get(e.name, ())):
         raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class")
-    return cls
+    return map_children(e, lambda x: _refuse_opaque(x, ctx, what))
+
+
+def _operand(e: Expr, ctx: SplitContext, what: str) -> SplitClass:
+    """The class of operator `what`'s argument e, refused first if e names an opaque symbol."""
+    _refuse_opaque(e, ctx, what)
+    return eval_expr(e, ctx)
 
 
 def _inverse_operand(e: Power, ctx: SplitContext) -> SplitClass:
@@ -834,10 +842,6 @@ def _expansion(m: Monomial, augs: tuple[int, ...], cutoff: int) -> tuple[tuple[M
     return tuple((mono, c) for mono, _, c in terms)
 
 
-class _NoRule(Exception):
-    """An opaque symbol under psi^k, k != 1; the psi, dual, theta, tau or det above refuses it."""
-
-
 def _terms(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]:
     """psi^k(e) in pk's e-coordinates, k = 1 being e itself; memoized in `pk.memo`."""
     key = (k, e)
@@ -863,13 +867,11 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     `_power`'s binomial sum in the powers of y = x - a, y in I.
 
     Each node refuses where it stands: a symbol leaf (`_roots`), a pullback
-    (`pull_back`), an index below 1 (as `canonicalize` does), and theta^m or
-    tau_p of a negative rank; any rank >= 0 is taken.  An opaque symbol under
-    psi^k, k != 1, raises _NoRule, which the nearest psi, dual, theta, tau or
-    det above it refuses by name.  Only two refusals read the Laurent class,
-    since mod I^c neither shows: a negative power's base that is no line
-    monomial (`_inverse_operand`), and an opaque class that survives under
-    the identity (psi^1, a double dual).
+    (`pull_back`), and theta^m or tau_p of a negative rank; any rank >= 0 is
+    taken.  psi, dual, theta, tau and det first refuse an opaque symbol in
+    their argument (`_refuse_opaque`), so psi^k, k != 1, never meets one.
+    Only a negative power's base that is no line monomial reads the Laurent
+    class (`_inverse_operand`), since mod I^c it does not show.
     """
     if isinstance(e, Sum):
         out: dict[int, object] = {}
@@ -897,36 +899,24 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
         if e.exponent < 0:
             _inverse_operand(e, ctx)
         return _power(_terms(k, e.base, ctx, pk), e.exponent, ("y", k, e.base), pk)
-    if isinstance(e, (Psi, Theta, Tau)):
-        _check_op_index(e)
     if isinstance(e, (Psi, Dual)):
         what, j = ("psi", k * e.k) if isinstance(e, Psi) else ("dual", -k)
-        if j == 1:  # the identity, under which an opaque class meets no psi^k, k != 1
-            _operand(e.arg, ctx, what)
-        try:
-            return _terms(j, e.arg, ctx, pk)
-        except _NoRule:
-            raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
+        _refuse_opaque(e.arg, ctx, what)
+        return _terms(j, e.arg, ctx, pk)
     if isinstance(e, (Theta, Tau, DetClass)):
         if isinstance(e, DetClass):
             what, g = "det", (1, 1, *[0] * (pk.cutoff - 2))  # det(x) = x = 1 + u on a line
         else:
             what, m = ("theta", e.k) if isinstance(e, Theta) else ("tau", e.p)
             g = tuple(comb(m, j + 1) for j in range(pk.cutoff))  # (x^m - 1)/u
-        try:
-            sums = _power_sums(k, e.arg, ctx, pk)
-        except _NoRule:  # opaque classes, also where they cancel in the Laurent class
-            raise EvalError(f"{what} cannot be applied to an opaque (unsplit) bundle class") from None
+        _refuse_opaque(e.arg, ctx, what)
+        sums = _power_sums(k, e.arg, ctx, pk)
         if what != "det":
             _nonnegative_rank(sums[0].get(0, 0), what)
         return _multiplicative(g, sums, pk)
     if isinstance(e, (Line, Bundle)):
-        roots = _roots(e, ctx)
-        if k == 1:
-            return pk.symbol(e.name)
-        if any(ctx.var_aug[v] != 1 for v in roots):
-            raise _NoRule
-        return pk.adams(e.name, k)
+        _roots(e, ctx)
+        return pk.symbol(e.name) if k == 1 else pk.adams(e.name, k)
     if isinstance(e, Pull):
         return _terms(k, pull_back(e.morphism, e.arg, ctx), ctx, pk)
     raise EvalError(f"unknown expression node {e!r}")
@@ -935,11 +925,10 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
 def _power_sums(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> list[dict[int, object]]:
     """P_j(psi^k e) = sum_l C(j, l) (-1)^(j-l) psi^(lk)(e) for j < cutoff, psi^0(e) the rank.
 
-    Each root x of e has augmentation 1, and u = x^k - 1 for psi^k e; the
-    rank is the constant term of psi^k e.  psi^2k(e) is built at any cutoff,
-    so an opaque class in e, which has no psi^2k, raises _NoRule at every cutoff.
+    Each root x of e has augmentation 1 (`_refuse_opaque`), and u = x^k - 1
+    for psi^k e; the rank is the constant term of psi^k e.
     """
-    psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 3))]
+    psi = [{}] + [_terms(l * k, e, ctx, pk) for l in range(1, max(pk.cutoff, 2))]
     psi[0] = {0: psi[1].get(0, 0)}
     return [_combine([comb(j, l) if (j - l) % 2 == 0 else -comb(j, l) for l in range(j + 1)], psi)
             for j in range(pk.cutoff)]
@@ -955,17 +944,16 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
     G_d lies in I^d.  The power sums of a compound class are not homogeneous,
     so the parts share monomials, and are added.
 
-    The parts are kept as int numerators: G_d = N_d / (d! g(0)^d D_0), with
-    N_0 D_0 = g(0)^rank, and with B_j = g(0)^j b_j (`_log_derivative`)
-    N_d = sum_j B_j (d-1)!/(d-j)! P_j N_(d-j).  Their sum is taken over the
-    common denominator c! g(0)^c D_0, c = cutoff - 1, and divided once per
-    coefficient.
+    The rank is >= 0 unless g(0) = 1 (det), so N_0 = G_0 = g(0)^max(rank, 0)
+    and the parts are int numerators G_d = N_d / (d! g(0)^d); with
+    B_j = g(0)^j b_j (`_log_derivative`) N_d = sum_j B_j (d-1)!/(d-j)! P_j N_(d-j).
+    Their sum is taken over the common denominator c! g(0)^c, c = cutoff - 1,
+    and divided once per coefficient.
     """
     r = sums[0].get(0, 0)
     bs = _log_derivative(g, pk)
     g0, c = g[0], pk.cutoff - 1
-    n0, d0 = (g0 ** r, 1) if r >= 0 else (1, g0 ** -r)
-    parts: list[dict[int, object]] = [{0: n0}]
+    parts: list[dict[int, object]] = [{0: g0 ** max(r, 0)}]
     for d in range(1, pk.cutoff):
         acc: dict[int, object] = {}
         weight = 1  # (d-1)!/(d-j)!
@@ -978,7 +966,7 @@ def _multiplicative(g: tuple, sums: list[dict[int, object]], pk: _Packing) -> di
         parts.append({m: x for m, x in acc.items() if x})
     # N_d is weighted c!/d! g(0)^(c-d) in the sum
     total = _combine([factorial(c) // factorial(d) * g0 ** (c - d) for d in range(c + 1)], parts)
-    den = factorial(c) * g0 ** c * d0
+    den = factorial(c) * g0 ** c
     return {m: _quotient(x, den) for m, x in total.items()}
 
 
@@ -1029,9 +1017,9 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     Every node is built by its e-coordinate rule (`_rule`), on truncated
     operands, since truncation is a ring quotient, and refuses there as
     `eval_expr` does, except that theta and tau of a virtual class of rank
-    >= 0 are built; that an operator refuses an opaque class even where it
-    cancels in the Laurent class, as in det(FsO - FsO); and that of two
-    faults in one argument the first the rules meet is named.
+    >= 0 are built, and that of two faults in one argument the first the
+    rules meet is named.  The Laurent class is read only for the base of a
+    negative power (`_inverse_operand`).
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)

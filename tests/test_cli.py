@@ -212,6 +212,9 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "(" * 101 + "$"), "parentheses nest deeper than 100 (at position 100)"),
     # a morphism name is not declared as a line as well
     (("normalize", "det_rf(f, f)"), "undeclared symbol 'f'"),
+    # an operator index below 1 is refused by the parser, at the operator's position
+    (("normalize", "psi(0, A)"), "psi index must be >= 1 (at position 0)"),
+    (("normalize", "det_rf(f, tau(0, A))"), "tau index must be >= 1 (at position 10)"),
     # theta of a virtual class: a Laurent class needs a truncation, a negative rank is refused
     (("normalize", "theta(2, L + M - 1)"), "needs a truncation"),
     (("normalize", "det_rf(f, theta(2, L - M - 1))"), "theta argument has negative rank -1"),

@@ -190,7 +190,7 @@ Y = SplitClass.variable("y")
 
 def _coeffs(poly):
     """Degree -> coefficient of a polynomial class in the one variable y."""
-    assert poly.variables() <= {"y"}
+    assert all(v == "y" for m in poly.terms for v, _ in m)
     return {dict(m).get("y", 0): c for m, c in poly.terms.items()}
 
 

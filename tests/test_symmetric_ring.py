@@ -232,16 +232,22 @@ def _opaque_context(n: int) -> S.SplitContext:
 
 def _refused_exprs() -> list[E.Expr]:
     L, B2, F = E.Line("L"), E.Bundle("B2"), R.FSO
+    gone = E.Sum((F, E.Neg(F)))
     return [
         # theta and tau of arguments of negative rank, nested ones too
         E.Theta(2, E.Sum((L, E.Neg(B2)))), E.Theta(2, E.Neg(B2)),
         E.Psi(2, E.Theta(2, E.Neg(L))), E.Dual(E.Tau(2, E.IntConst(-1))),
         E.DetClass(E.Tau(2, E.Sum((L, E.Neg(B2))))),
-        # the opaque FsO under each operator, and the identity psi^1; the innermost names itself
+        # the opaque FsO under each operator, and the identity psi^1; the outermost operator
+        # names itself
         E.Psi(2, F), E.Psi(2, E.Sum((L, F))), E.Dual(F), E.Dual(E.Dual(F)), E.Psi(1, F),
         E.Theta(2, F), E.Tau(2, E.Tensor((F, L))), E.DetClass(F), E.Psi(3, E.Power(F, -1)),
         E.Psi(2, E.Dual(F)), E.Theta(2, E.Sum((L, E.Psi(2, F)))),
-        # an undeclared symbol beside FsO, met before psi^2 of FsO
+        # FsO where it cancels in the Laurent class, under psi^k, the identity or a zero factor
+        E.Psi(2, gone), E.Dual(E.Sum((F, L, E.Neg(F)))), E.DetClass(gone),
+        E.Theta(2, E.Sum((F, L, E.Neg(F)))), E.Psi(2, E.Tau(2, E.Tensor((gone, L)))),
+        E.Psi(1, gone), E.Dual(E.Dual(gone)), E.Psi(1, E.Tensor((E.ZERO, F))),
+        # an undeclared symbol beside FsO: the operator refuses FsO first
         E.DetClass(E.Sum((F, E.Line("M")))),
         # negative powers of a sum, and of a coefficient other than 1 or -1
         E.Power(E.Sum((L, B2)), -1), E.Power(E.Tensor((E.IntConst(2), L)), -1),
@@ -264,23 +270,13 @@ def test_refusals_match_the_laurent_route(n):
             assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, (E.print_expr(e), cutoff)
 
 
-def test_operator_indices_below_one_are_refused_as_canonicalize_refuses_them():
-    ctx = _x_context(1)
-    L, B2, B3, om = E.Line("L"), E.Bundle("B2"), E.Bundle("B3"), E.Bundle(OMEGA)
-    refusals = [
-        (E.Theta(0, E.Sum((L, B2))), "theta index must be >= 1, got 0"),
-        (E.Tau(0, B3), "tau index must be >= 1, got 0"),
-        (E.Dual(E.Theta(0, om)), "theta index must be >= 1, got 0"),
-        (E.Psi(0, B2), "psi index must be >= 1, got 0"),
-        (E.Psi(-2, E.Theta(2, E.Psi(2, B2))), "psi index must be >= 1, got -2"),
-        (E.Psi(2, E.Tau(-1, L)), "tau index must be >= 1, got -1"),
-    ]
-    for e, message in refusals:
-        want = (E.ExprError, message)
-        assert _refusal(lambda: E.canonicalize(e)) == want
-        assert _refusal(lambda: S.eval_expr(e, ctx)) == want
-        for cutoff in (1, 2, 3):
-            assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, cutoff
+def test_operator_indices_below_one_are_refused_when_the_node_is_built():
+    args = [E.Bundle("B2"), E.Sum((E.Line("L"), E.Bundle("B2"))), E.Psi(2, E.Bundle("B3"))]
+    for ctor in (E.Psi, E.Theta, E.Tau):
+        for k in (0, -1, -2):
+            for arg in args:
+                want = (E.ExprError, f"{ctor.__name__.lower()} index must be >= 1, got {k}")
+                assert _refusal(lambda: ctor(k, arg)) == want
 
 
 def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion():
@@ -293,21 +289,42 @@ def test_the_inverse_of_a_rank_zero_opaque_class_is_refused_as_in_its_expansion(
         assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want
 
 
-def test_operators_on_cancelling_opaque_classes_are_refused_at_every_cutoff():
-    # the Laurent class FsO - FsO is 0, so the Laurent route applies each operator
-    # to it; psi^k has no rule on an opaque class, so psi and a dual, and theta,
-    # tau and det, whose power sums need psi^k of their argument, refuse it by
-    # name at every cutoff
-    ctx = _opaque_context(1)
-    L, gone = E.Line("L"), E.Sum((R.FSO, E.Neg(R.FSO)))
-    cases = [(E.Psi(2, gone), "psi cannot"), (E.Dual(E.Sum((L, gone))), "dual cannot"),
-             (E.DetClass(gone), "det cannot"), (E.Theta(2, E.Sum((L, gone))), "theta cannot"),
-             (E.Psi(2, E.Tau(2, E.Tensor((L, gone)))), "tau cannot")]
-    for e, what in cases:
-        S.eval_expr(e, ctx)
-        for cutoff in (1, 2, 3):
-            with pytest.raises(S.EvalError, match=what):
-                S.packed_eval(e, ctx, cutoff)
+def _packed_outcomes(cases, cutoffs) -> list:
+    """Each case's packed terms or refusal at each cutoff, each case on a fresh context."""
+    out = []
+    for make_context, e in cases:
+        ctx = make_context()
+        for cutoff in cutoffs:
+            try:
+                out.append(S.packed_eval(e, ctx, cutoff).terms)
+            except S.ExprError as ex:
+                out.append((type(ex), str(ex)))
+    return out
+
+
+def _opaque_law_context() -> S.SplitContext:
+    """`suite.law_table` with an opaque bundle beside its symbols, so every operator walks."""
+    table = SU.law_table()
+    table.declare_bundle(R.PUSHED_STRUCTURE, 4)
+    return S.SplitContext(table, opaque=frozenset({R.PUSHED_STRUCTURE}))
+
+
+def test_the_truncated_route_reads_no_laurent_class_but_a_negative_powers_base(monkeypatch):
+    def laurent(*args, **kwargs):
+        raise AssertionError("the truncated route evaluated a Laurent class")
+
+    L, B2, F = E.Line("L"), E.Bundle("B2"), R.FSO
+    identities = [E.Psi(1, F), E.Psi(1, E.Sum((L, F))), E.Psi(1, E.Psi(1, F)), E.Psi(1, B2),
+                  E.Dual(E.Dual(F)), E.Dual(E.Dual(E.Sum((F, L)))), E.Dual(E.Dual(B2)),
+                  E.Theta(2, E.Psi(1, L)), E.DetClass(E.Dual(E.Dual(E.Sum((L, B2)))))]
+    # a negative power's base is read from its Laurent class (`_inverse_operand`)
+    cases = [(lambda n=n: _opaque_context(n), e) for n in (1, 2)
+             for e in _refused_exprs() + identities if "^-" not in E.print_expr(e)]
+    rng = random.Random(0)
+    cases += [(_opaque_law_context, SU.random_expr(rng)) for _ in range(1500)]
+    want = _packed_outcomes(cases, (1, 2, 3, 4))
+    monkeypatch.setattr(S, "eval_expr", laurent)
+    assert _packed_outcomes(cases, (1, 2, 3, 4)) == want
 
 
 def test_a_tampered_psi_rule_fails_the_oracle(monkeypatch):
