@@ -50,13 +50,14 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
             raise E.ExprError(f"declaration missing ';' on line {lineno}")
         words = stmt[:-1].split()
         try:
+            # a number is a run of ASCII digits: `int` also reads '1_0', '+2' and other scripts' digits
+            n = int(words[-1]) if words[-1].isascii() and words[-1].isdigit() else -1
             if words[0] == "line" and len(words) == 2:
                 table.declare_line(words[1])
-            elif words[0] == "bundle" and len(words) == 4 and words[2] == "rank":
-                table.declare_bundle(words[1], int(words[3]))
-            elif words[0] == "morphism" and len(words) == 4 and words[2] == "dim" \
-                    and int(words[3]) >= 0:
-                morphisms[words[1]] = int(words[3])
+            elif words[0] == "bundle" and len(words) == 4 and words[2] == "rank" and n >= 0:
+                table.declare_bundle(words[1], n)
+            elif words[0] == "morphism" and len(words) == 4 and words[2] == "dim" and n >= 0:
+                morphisms[words[1]] = n
             else:
                 raise ValueError
         except (ValueError, IndexError):

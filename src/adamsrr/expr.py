@@ -595,9 +595,9 @@ MAX_NESTING = 100
 MAX_DEPTH = 2 * MAX_NESTING
 
 
-# one group per token kind, none for whitespace: INT is a run of decimal digits, a NAME
+# one group per token kind, none for whitespace: INT is a run of ASCII digits, a NAME
 # must also pass `_is_name`, and any other character is BAD
-_TOKEN = re.compile(r"\s+|(?P<TENSOR>\(x\))|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<OP>[-+^(),;])"
+_TOKEN = re.compile(r"\s+|(?P<TENSOR>\(x\))|(?P<INT>[0-9]+)|(?P<NAME>\w+)|(?P<OP>[-+^(),;])"
                     r"|(?P<BAD>.)", re.S)
 
 
@@ -856,7 +856,7 @@ def rank(e: Expr, table: SymbolTable) -> int:
         r = rank(e.base, table)
         if r not in (1, -1):
             raise RankError(f"negative power of a class of rank {r}")
-        return r**e.exponent if r == 1 or e.exponent % 2 == 0 else -1
+        return 1 if r == 1 or e.exponent % 2 == 0 else -1
     if isinstance(e, Pull):
         raise RankError(f"no table registered for pullback along {e.morphism!r}")
     raise ExprError(f"unknown expression node {e!r}")

@@ -22,10 +22,12 @@ Algebra, ch. I-III), theta^k and tau_p of any argument of rank >= 0, where
 the Laurent route takes only an effective one; and a power of either sign is
 one finite binomial sum in the powers of its base's part in the augmentation
 ideal.  Each node refuses in its own rule, and an operator on an opaque
-symbol by the one rule both routes share, `_refuse_opaque`.  `truncated_eval`
-and the printer of a packed class unpack e-monomials into root monomials,
-each e-monomial's root image built once per packing; the grades of `picard`
-name each e-monomial as it is, through `_Packing.text`.  The oracle
+symbol by the one rule both routes share, `_refuse_opaque`.  A packed int is
+always an e-monomial; `truncated_eval`, `chow` and the printer of a packed
+class unpack it into root monomials through `_Packing.unpack`, the one change
+of basis, which builds each e-monomial's root image once per packing from
+tuple monomials; the grades of `picard` name each e-monomial as it is,
+through `_Packing.text`.  The oracle
 `truncated_filtration` expands a Laurent class straight into root monomials,
 each monomial's binomial expansion memoized process-wide, and shares no
 packed code with `packed_eval`.
@@ -576,64 +578,43 @@ def classes_equal(a: SplitClass, b: SplitClass) -> bool:
 # Truncated augmentation filtration
 
 class _Packing:
-    """Packed exponent vectors for the truncated ring over blocks of roots.
+    """Packed e-monomials for the truncated ring over blocks of roots.
 
     A block is the roots x_1..x_r of one symbol, with u_i = x_i - aug(x_i); a
     line, and an opaque bundle standing for itself, is a block of rank 1.
-    Every class the evaluator builds is symmetric in each block's roots, so it
-    is kept in e-coordinates: a monomial is one int holding, for each block,
-    the exponents of the elementary symmetric functions e_1(u)..e_r(u) in r
-    consecutive fields of `width` bits from `offset[block]`, and above all
-    fields its weighted degree sum_k k*exp(e_k), which is its u-degree.  A
-    product is then `m1 + m2`, kept iff it is below `limit`: a kept product
-    has weighted degree at most cutoff - 1, so every exponent is too and no
-    field carries, and a dropped one is at or above the limit with or without
-    carries (Monagan & Pearce, CASC 2007).
+    Every class the evaluator builds is symmetric in each block's roots, so a
+    packed int is always an e-monomial: for each block, the exponents of
+    e_1(u)..e_r(u) in r consecutive fields of `width` bits from
+    `offset[block]`, and above all fields its weighted degree sum_k k*exp(e_k),
+    its u-degree.  A product is then `m1 + m2`, kept iff it is below `limit`:
+    a kept product has weighted degree at most cutoff - 1, so every exponent
+    is too and no field carries, and a dropped one is at or above the limit
+    with or without carries (Monagan & Pearce, CASC 2007).
 
     Blocks lie in the order given, or in name order when the packing is made
-    from a collection of variable names, each name then its own block.  The
-    same fields hold root monomials: `root_offset` puts root i of a block at
-    the block's field i, and the degree field holds the u-degree.  `text`
-    names a packed monomial as it is, e_k(u) of a block B of rank >= 2 being
-    gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III).
-    `root_terms` is the one change of basis, e-monomial to root monomials: a
-    product, in the ring, of each wide block's powers of e_k written in root
-    monomials.  `unpack` reads each e-monomial's image through it once, kept
-    in `memo`, in the monomials of `monomial`, whose variables lie in name
-    order; no class needs the way back, since `packed_eval` builds each one
-    in e-coordinates.  `memo` also holds the symbols' `adams` classes and
-    power sums, the `powers` tables (of each e_k in root monomials, of the
-    part y in I of each power's base, and of c1 of each monomial of `chow`'s
-    series), the `_terms` of each (k, node) and the series coefficients of
-    `_log_derivative`.
+    from a collection of variable names, each name then its own block.
+    `text` names an e-monomial as it is, e_k(u) of a block B of rank r >= 2
+    being gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III);
+    `unpack` is the one change of basis, into root monomials, and no class
+    needs the way back.  `memo` holds each e-monomial's root image, the symbols' `adams`
+    classes and power sums, the `powers` tables (of the part y in I of each
+    power's base, and of c1 of each monomial of `chow`'s series), the `_terms`
+    of each (k, node) and the series coefficients of `_log_derivative`.
     """
 
-    __slots__ = ("blocks", "offset", "root_offset", "width", "shift", "limit", "cutoff",
-                 "var_aug", "_wide", "_wide_bits", "_names", "memo")
+    __slots__ = ("blocks", "offset", "width", "shift", "limit", "cutoff", "var_aug", "memo")
 
     def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
         if not isinstance(blocks, dict):
             blocks = {v: (v,) for v in sorted(blocks)}
         self.blocks = {b: tuple(roots) for b, roots in blocks.items()}
         self.width = max(1, (cutoff - 1).bit_length())
-        self.offset: dict[str, int] = {}
-        self.root_offset: dict[str, int] = {}
-        self._wide: list[tuple[str, int, int, int]] = []  # (block, offset, rank, mask), rank >= 2
-        at = self._wide_bits = 0  # the fields of the blocks of rank >= 2
-        for b, roots in self.blocks.items():
-            self.offset[b] = at
-            for i, v in enumerate(roots):
-                self.root_offset[v] = at + i * self.width
-            if len(roots) > 1:
-                mask = (1 << (self.width * len(roots))) - 1
-                self._wide.append((b, at, len(roots), mask))
-                self._wide_bits |= mask << at
-            at += self.width * len(roots)
-        self.shift = at
+        sizes = [self.width * len(roots) for roots in self.blocks.values()]
+        self.offset = dict(zip(self.blocks, itertools.accumulate(sizes, initial=0)))
+        self.shift = sum(sizes)
         self.limit = cutoff << self.shift
         self.cutoff = cutoff
         self.var_aug = var_aug
-        self._names = sorted(self.root_offset.items())  # (root variable, offset) by name
         self.memo: dict[object, object] = {}
 
     def __repr__(self) -> str:
@@ -643,15 +624,14 @@ class _Packing:
         """The packed monomial e_k of block b."""
         return (1 << (self.offset[b] + (k - 1) * self.width)) | (k << self.shift)
 
-    # -- the root basis -------------------------------------------------------
-    def monomial(self, m: int) -> Monomial:
-        """The root-variable monomial of packed root monomial `m`, its variables in name order.
-
-        Name order is the order of every other monomial of the package
-        (`_mono_mul`); a block of rank >= 10 lays `E.10` before `E.2` there.
-        """
+    def _fields(self, m: int):
+        """(block, roots, k, a) for each nonzero field of e-monomial m, e_k^a, in field order."""
         mask = (1 << self.width) - 1
-        return tuple((v, e) for v, at in self._names if (e := (m >> at) & mask))
+        for b, roots in self.blocks.items():
+            at = self.offset[b]
+            for k in range(1, len(roots) + 1):
+                if a := (m >> (at + (k - 1) * self.width)) & mask:
+                    yield b, roots, k, a
 
     def text(self, m: int) -> str:
         """Packed monomial m in print, factors in field order, joined by `*`; "1" when empty.
@@ -659,26 +639,32 @@ class _Packing:
         A block of rank 1 prints as its root (`L`, `E.1`), e_k of a wider
         block B as `gamma^k(B)`; either takes `^a` for an exponent a > 1.
         """
-        mask = (1 << self.width) - 1
-        return monomial_text(tuple(
-            (v if len(roots) == 1 else f"gamma^{i}({b})", a)
-            for b, roots in self.blocks.items()
-            for i, v in enumerate(roots, 1) if (a := (m >> self.root_offset[v]) & mask)))
+        return monomial_text(tuple((roots[0] if len(roots) == 1 else f"gamma^{k}({b})", a)
+                                   for b, roots, k, a in self._fields(m)))
 
     def unpack(self, packed: dict[int, object], space: object) -> SplitClass:
-        """The class of packed terms in root-variable monomials.
+        """The class of packed terms in root-variable monomials: the one change of basis.
 
-        `memo[m]`, for an int m, is e-monomial m's root image: the pairs
-        (root monomial, coefficient) of `root_terms(m)`, built on first use;
-        off the blocks of rank >= 2 the layouts agree, and m is its own image.
+        `memo[m]`, for an int m, is e-monomial m's root image, the pairs
+        (root monomial, coefficient), built on first use: the fields of rank-1
+        blocks are one root monomial, and each e_k^a of a wider block
+        multiplies in (sum over the k-sets of its roots)^a.  `_mono_mul` keeps
+        name order, so `E.10` lies before `E.2`; m has degree below the cutoff,
+        so no term is dropped.
         """
         out: dict[Monomial, object] = {}
         get, memo = out.get, self.memo
         for m, c in packed.items():
             image = memo.get(m)
             if image is None:
-                image = memo[m] = ((self.monomial(m), 1),) if not m & self._wide_bits else \
-                    tuple((self.monomial(x), a) for x, a in self.root_terms(m).items())
+                fields = list(self._fields(m))
+                cls = SplitClass._of({tuple(sorted((roots[0], a) for _, roots, _, a in fields
+                                                   if len(roots) == 1)): 1}, None)
+                for _, roots, k, a in fields:
+                    if len(roots) > 1:
+                        cls = cls * SplitClass._of({tuple((v, 1) for v in s): 1
+                                                    for s in itertools.combinations(roots, k)}, None) ** a
+                image = memo[m] = tuple(cls.terms.items())
             for mono, a in image:
                 out[mono] = get(mono, 0) + c * a
         return SplitClass._of({mono: c for mono, c in out.items() if c}, space)
@@ -695,29 +681,6 @@ class _Packing:
         while len(table) <= min(top, self.cutoff - 1):
             table.append(_packed_mul(table[-1], table[1], self.limit))
         return table
-
-    # -- e-coordinates and the root basis --------------------------------------
-    def root_terms(self, m: int) -> dict[int, object]:
-        """The root monomials that e-monomial m unpacks into, with coefficients.
-
-        The product, in the truncated ring, of m's fields off the blocks of
-        rank >= 2 and of each wide block's powers of e_k written in root
-        monomials (e_k the sum over k-sets of the block's roots, its powers
-        a `powers` table); m has degree below the cutoff, so no term is dropped.
-        """
-        mask, width = (1 << self.width) - 1, self.width
-        rest, factors = m & ~self._wide_bits, []
-        for b, at, r, _ in self._wide:
-            for k in range(1, r + 1):
-                if a := (m >> (at + (k - 1) * width)) & mask:
-                    rest -= (k * a) << self.shift
-                    factors.append(self.powers(("e", b, k), lambda: {
-                        sum(1 << (at + i * width) for i in s) | (k << self.shift): 1
-                        for s in itertools.combinations(range(r), k)}, a)[a])
-        out = {rest: 1}
-        for factor in factors:
-            out = _packed_mul(out, factor, self.limit)
-        return out
 
     # -- leaves ------------------------------------------------------------------
     def symbol(self, b: str) -> dict[int, object]:

@@ -205,9 +205,10 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "A^"), "expected an integer, found end of input (at position 2)"),
     (("normalize", "det_rf(f, A) (x)"),
      "expected 'det_rf', found end of input (at position 16)"),
-    # INT is a run of decimal digits; other digits and numerals are no token
+    # INT is a run of ASCII digits; other digits and numerals are no token
     (("normalize", "A^²"), "unexpected character '²' (at position 2)"),
     (("normalize", "ⅫA"), "unexpected character 'Ⅻ' (at position 0)"),
+    (("normalize", "psi(２, A)"), "unexpected character '２' (at position 4)"),
     # the first fault in text order is reported: here the 101st parenthesis
     (("normalize", "(" * 101 + "$"), "parentheses nest deeper than 100 (at position 100)"),
     # a morphism name is not declared as a line as well
@@ -227,6 +228,11 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     # out-of-range numbers in declarations and options
     (("normalize", "det_rf(f, A)", "--decls", "NEGATIVE_DIM"),
      "bad declaration on line 2: 'morphism f dim -1;'"),
+    # a number in declarations is a run of ASCII digits, as in expressions
+    (("normalize", "A", "--decls", "UNDERSCORE_RANK"), "bad declaration on line 2: 'bundle E rank 1_0;'"),
+    (("normalize", "A", "--decls", "SIGNED_RANK"), "bad declaration on line 2: 'bundle E rank +2;'"),
+    (("normalize", "det_rf(f, A)", "--decls", "FULLWIDTH_DIM"),
+     "bad declaration on line 2: 'morphism f dim ０;'"),
     # a declaration the symbol table refuses names its line and keeps the reason
     (("normalize", "A", "--decls", "RANK_ZERO"),
      "bad declaration on line 2: bundle 'E' must have rank >= 1, got 0"),
@@ -254,7 +260,10 @@ def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
              "LATIN1": b"line L;\nline \xe9;\n",
              "NEGATIVE_DIM": b"line A;\nmorphism f dim -1;\n",
              "RANK_ZERO": b"line A;\nbundle E rank 0;\n",
-             "REDECLARED": b"line A;\nbundle A rank 2;\n"}
+             "REDECLARED": b"line A;\nbundle A rank 2;\n",
+             "UNDERSCORE_RANK": b"line A;\nbundle E rank 1_0;\n",
+             "SIGNED_RANK": b"line A;\nbundle E rank +2;\n",
+             "FULLWIDTH_DIM": "line A;\nmorphism f dim ０;\n".encode()}
     paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "trace.json")}
     for name, content in files.items():
         path = tmp_path / f"{name}.txt"

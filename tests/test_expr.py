@@ -519,6 +519,16 @@ def test_rank_special_cases(table):
     assert rank(Power(Line("L"), -3), table) == 1
 
 
+def test_rank_of_a_negative_power_is_an_int(table):
+    # 1 ** -2 is the float 1.0, which a theta above it would carry on as 3.0
+    minus = Neg(Line("L"))
+    for e, want in [(Power(Line("L"), -2), 1), (Power(Line("L"), -1), 1), (Power(minus, -2), 1),
+                    (Power(minus, -3), -1), (Theta(3, Power(Line("L"), -1)), 3),
+                    (Tensor((Bundle("E"), Power(Line("M"), -2))), 2)]:
+        got = rank(e, table)
+        assert type(got) is int and got == want, print_expr(e)
+
+
 def test_symbol_table_rejects_bad_declarations():
     t = SymbolTable()
     t.declare_bundle("E", 2)

@@ -97,7 +97,6 @@ def _refuse_unpacking(monkeypatch):
     def unpack(*args, **kwargs):
         raise AssertionError("unpacked a packed class into root monomials")
 
-    monkeypatch.setattr(S._Packing, "root_terms", unpack)
     monkeypatch.setattr(S._Packing, "unpack", unpack)
 
 

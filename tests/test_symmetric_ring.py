@@ -378,6 +378,24 @@ def test_packed_monomial_texts_are_injective_below_the_cutoff(cutoff):
             assert len({pk.text(m) for m in monomials}) == len(monomials), ranks
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_unpacked_e_monomials_keep_their_degree_and_their_value_at_u_1(cutoff):
+    # e_k of r roots is a sum of C(r, k) root monomials of degree k, each 1 at u = 1
+    for size in (1, 2, 3):
+        for ranks in itertools.product(range(1, 5), repeat=size):
+            blocks = {f"V{i}": [f"V{i}.{j}" for j in range(1, r + 1)] for i, r in enumerate(ranks)}
+            pk = S._Packing(blocks, {}, cutoff)
+            mask = (1 << pk.width) - 1
+            for m in _monomials_below_the_cutoff(pk):
+                image = pk.unpack({m: 1}, None).terms
+                assert {sum(e for _, e in x) for x in image} == {m >> pk.shift}, (ranks, pk.text(m))
+                value = 1
+                for b, roots in pk.blocks.items():
+                    for k in range(1, len(roots) + 1):
+                        value *= comb(len(roots), k) ** ((m >> (pk.offset[b] + (k - 1) * pk.width)) & mask)
+                assert sum(image.values()) == value, (ranks, pk.text(m))
+
+
 # -- the proof path ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,p", [(3, 5), (2, 7)])
