@@ -37,7 +37,7 @@ class ChowError(E.ExprError):
 
 def _ring(assign: dict[str, str], top: int) -> S._Packing:
     """The layout of the ring over the degree-1 symbols of `assign`, truncated above `top`."""
-    return S._Packing(set(assign.values()), {}, top + 1)
+    return S._Packing({v: (v,) for v in sorted(set(assign.values()))}, {}, top + 1)
 
 
 def _exp_coefficients(top: int) -> tuple[list[int], int]:
@@ -127,15 +127,6 @@ def todd(tangent: E.Expr, table: E.SymbolTable, assign: dict[str, str], top: int
     """
     pk = _ring(assign, top)
     return _unpack(_todd(tangent, S.SplitContext(table), assign, pk), pk)
-
-
-def pushforward(x: SplitClass, rel_dim: int) -> SplitClass:
-    """Linear degree-lowering pushforward; degrees below n are annihilated.
-
-    The result is keyed by the pushed monomial m (the free symbol f_!(m), of
-    degree deg(m) - n); `render("f_!")` prints it that way.
-    """
-    return x.degrees(low=rel_dim)
 
 
 def _c1_det_rf(ch: tuple[dict, int], td: tuple[dict, int], pk: S._Packing) -> SplitClass:

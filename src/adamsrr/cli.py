@@ -50,8 +50,10 @@ def load_declarations(path: str) -> tuple[E.SymbolTable, dict[str, int]]:
             raise E.ExprError(f"declaration missing ';' on line {lineno}")
         words = stmt[:-1].split()
         try:
-            # a number is a run of ASCII digits: `int` also reads '1_0', '+2' and other scripts' digits
-            n = int(words[-1]) if words[-1].isascii() and words[-1].isdigit() else -1
+            # a number is a run of at most MAX_DIGITS ASCII digits: `int` also reads
+            # '1_0', '+2' and other scripts' digits
+            w = words[-1]
+            n = int(w) if w.isascii() and w.isdigit() and len(w) <= E.MAX_DIGITS else -1
             if words[0] == "line" and len(words) == 2:
                 table.declare_line(words[1])
             elif words[0] == "bundle" and len(words) == 4 and words[2] == "rank" and n >= 0:
@@ -133,8 +135,9 @@ def cmd_verify(args) -> int:
     if target == "tau":
         ranks = (args.rank,) if args.rank is not None else SU.TAU_RANKS
         ps = SU.TAU_PRIMES if args.p is None else (p,)
-        results = [{"rank": rk, "p": q, "ok": v.ok, "witness": v.witness}
-                   for rk, q, v in SU.tau_grid(ranks, ps)]
+        results = [{"rank": rk, "p": q, "ok": tau == theta,
+                    "witness": "" if tau == theta else str(tau - theta)}
+                   for rk, q, tau, theta in SU.tau_grid(ranks, ps)]
         ok = all(r["ok"] for r in results)
         if args.format == "json":
             print(json.dumps(results))
@@ -261,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "rank", None) is not None and args.rank < 1:
         print("error: --rank must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    # an exact result may have more digits than `str(int)` gives by default: the limit
+    # (from Python 3.10.7) holds for the options, and is restored for the caller
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     # looked up per call, so a replaced cmd_* takes effect
     command = {"normalize": cmd_normalize, "verify": cmd_verify, "suite": cmd_suite}[args.command]
     try:
@@ -281,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(ex).split())
         print(f"internal error: {type(ex).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -591,6 +591,8 @@ def _factors_of(m: Expr) -> list[Expr]:
 _KEYWORD_OPS = {"dual", "psi", "theta", "tau", "det", "pull"}
 # deepest parentheses and longest `^` chain `parse` accepts, well below the recursion limit
 MAX_NESTING = 100
+# longest integer literal `parse` accepts, the interpreter's default limit on int(str)
+MAX_DIGITS = 4300
 # deepest tree `parse` builds: canonicalize and print_expr recurse once per level
 MAX_DEPTH = 2 * MAX_NESTING
 
@@ -620,6 +622,8 @@ class _Tokens:
                 kind = value
             elif kind == "BAD" or kind == "NAME" and not _is_name(value):
                 raise ParseError(f"unexpected character {value[0]!r}", m.start())
+            elif kind == "INT" and len(value) > MAX_DIGITS:
+                raise ParseError(f"integer longer than {MAX_DIGITS} digits", m.start())
             self.tokens.append((kind, value, m.start()))
         self.tokens.append(("EOF", "", len(text)))
         self.i = 0

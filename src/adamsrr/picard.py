@@ -137,9 +137,6 @@ class GradedLine:
 
     __mul__ = tensor
 
-    def inverse(self) -> "GradedLine":
-        return self.power(-1)
-
     def power(self, k: int) -> "GradedLine":
         if k == 1:
             return self

@@ -23,10 +23,10 @@ the Laurent route takes only an effective one; and a power of either sign is
 one finite binomial sum in the powers of its base's part in the augmentation
 ideal.  Each node refuses in its own rule, and an operator on an opaque
 symbol by the one rule both routes share, `_refuse_opaque`.  A packed int is
-always an e-monomial; `truncated_eval`, `chow` and the printer of a packed
-class unpack it into root monomials through `_Packing.unpack`, the one change
-of basis, which builds each e-monomial's root image once per packing from
-tuple monomials; the grades of `picard` name each e-monomial as it is,
+always an e-monomial; `truncated_eval` and `chow` unpack it into root
+monomials through `_Packing.unpack`, the one change of basis, which builds
+each e-monomial's root image once per packing from tuple monomials; a packed
+class prints, and the grades of `picard` name, each e-monomial as it is,
 through `_Packing.text`.  The oracle
 `truncated_filtration` expands a Laurent class straight into root monomials,
 each monomial's binomial expansion memoized process-wide, and shares no
@@ -133,13 +133,7 @@ class SplitClass:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def constant(c, space: str | None = None) -> "SplitClass":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
         return SplitClass({(): c} if c else {}, space)
-
-    @staticmethod
-    def variable(name: str, space: str | None = None) -> "SplitClass":
-        return SplitClass({((name, 1),): 1}, space)
 
     # -- ring structure ----------------------------------------------------
     def _join(self, other: "SplitClass") -> object:
@@ -283,9 +277,9 @@ class SplitClass:
 
     # -- rendering -----------------------------------------------------------
     def term_texts(self) -> list[tuple[str, object]]:
-        """(monomial text, coefficient) in print order; a packed class prints in root monomials."""
+        """(monomial text, coefficient) in print order; a packed class by `_Packing.text`, degree first."""
         if isinstance(self.space, _Packing):
-            return self.space.unpack(self.terms, None).term_texts()
+            return [(self.space.text(m), self.terms[m]) for m in sorted(self.terms)]
         return [(monomial_text(m), self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
 
     def render(self, wrap: str | None = None) -> str:
@@ -547,29 +541,6 @@ def det_class(cls: SplitClass) -> SplitClass:
     return SplitClass({mono: 1}, cls.space)
 
 
-def tau_class(symbol: str, p: int, ctx: SplitContext) -> SplitClass:
-    """tau of a declared line/bundle symbol by direct basis enumeration."""
-    return tau_of_class(_operand(ctx.table.symbol(symbol), ctx, "tau"), p)
-
-
-@dataclass
-class Verdict:
-    """Outcome of an identity check; `witness` renders the discrepancy."""
-
-    ok: bool
-    witness: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def tau_equals_theta(symbol: str, p: int, ctx: SplitContext) -> Verdict:
-    diff = tau_class(symbol, p, ctx) - eval_expr(Theta(p, ctx.table.symbol(symbol)), ctx)
-    if diff.is_zero():
-        return Verdict(True)
-    return Verdict(False, str(diff))
-
-
 def classes_equal(a: SplitClass, b: SplitClass) -> bool:
     return a == b  # raises ContextMismatch for classes of two spaces
 
@@ -591,8 +562,7 @@ class _Packing:
     is too and no field carries, and a dropped one is at or above the limit
     with or without carries (Monagan & Pearce, CASC 2007).
 
-    Blocks lie in the order given, or in name order when the packing is made
-    from a collection of variable names, each name then its own block.
+    `blocks` maps each block's name to its roots; blocks lie in the order given.
     `text` names an e-monomial as it is, e_k(u) of a block B of rank r >= 2
     being gamma^k(B - r) (Fulton & Lang, Riemann-Roch Algebra, ch. III);
     `unpack` is the one change of basis, into root monomials, and no class
@@ -604,9 +574,7 @@ class _Packing:
 
     __slots__ = ("blocks", "offset", "width", "shift", "limit", "cutoff", "var_aug", "memo")
 
-    def __init__(self, blocks, var_aug: dict[str, int], cutoff: int):
-        if not isinstance(blocks, dict):
-            blocks = {v: (v,) for v in sorted(blocks)}
+    def __init__(self, blocks: dict, var_aug: dict[str, int], cutoff: int):
         self.blocks = {b: tuple(roots) for b, roots in blocks.items()}
         self.width = max(1, (cutoff - 1).bit_length())
         sizes = [self.width * len(roots) for roots in self.blocks.values()]

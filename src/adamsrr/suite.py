@@ -129,30 +129,28 @@ TAU_RANKS = (1, 2, 3, 4)
 TAU_PRIMES = (2, 3, 5)
 
 
-def tau_context(rank: int) -> S.SplitContext:
-    """Context with one symbol V: a line for rank 1, else a bundle of that rank."""
-    t = E.SymbolTable(space="Z")
-    if rank == 1:
-        t.declare_line("V")
-    else:
-        t.declare_bundle("V", rank)
-    return S.SplitContext(t)
-
-
 def tau_grid(ranks=TAU_RANKS, primes=TAU_PRIMES):
-    """Yield (rank, p, verdict of tau_p(V) = theta^p(V)) over the grid."""
+    """Yield (rank, p, tau_p(V), theta^p(V)) over the grid, tau_p by basis enumeration.
+
+    V is a line for rank 1, else a bundle of that rank, in a context of its own.
+    """
     for rank in ranks:
-        ctx = tau_context(rank)
+        t = E.SymbolTable(space="Z")
+        if rank == 1:
+            t.declare_line("V")
+        else:
+            t.declare_bundle("V", rank)
+        ctx, V = S.SplitContext(t), t.symbol("V")
         for p in primes:
-            yield rank, p, S.tau_equals_theta("V", p, ctx)
+            yield rank, p, S.eval_expr(E.Tau(p, V), ctx), S.eval_expr(E.Theta(p, V), ctx)
 
 
 def cell_tau_theta(seed: int = 0) -> tuple[bool, str]:
     checked = 0
-    for rank, p, verdict in tau_grid():
-        if not verdict.ok:
-            return False, f"tau != theta^p at rank={rank} p={p}: {verdict.witness}"
-        aug = S.tau_class("V", p, tau_context(rank)).augmentation()
+    for rank, p, tau, theta in tau_grid():
+        if tau != theta:
+            return False, f"tau != theta^p at rank={rank} p={p}: {tau - theta}"
+        aug = tau.augmentation()
         if aug != p**rank:
             return False, f"augmentation {aug} != p^rank at rank={rank} p={p}"
         checked += 1

@@ -74,9 +74,11 @@ def test_criterion_3_tau_equals_theta():
         t = E.SymbolTable(space="Z")
         t.declare_line("V") if rank == 1 else t.declare_bundle("V", rank)
         ctx = S.SplitContext(t)
+        V = t.symbol("V")
         for p in (2, 3, 5):
-            assert S.tau_equals_theta("V", p, ctx).ok, (rank, p)
-            assert S.tau_class("V", p, ctx).augmentation() == p**rank, (rank, p)
+            tau = S.eval_expr(E.Tau(p, V), ctx)
+            assert tau == S.eval_expr(E.Theta(p, V), ctx), (rank, p)
+            assert tau.augmentation() == p**rank, (rank, p)
     _report("criterion 3 (tau = theta^p, rank <= 4, p in {2,3,5})", t0, 2.0)
 
 

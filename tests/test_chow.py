@@ -1,4 +1,4 @@
-"""Truncated intersection ring: ch/td series, pushforward, curve identities."""
+"""Truncated intersection ring: ch/td series, c1 of det Rf_*, curve identities."""
 
 import math
 import random
@@ -10,7 +10,7 @@ from adamsrr import chow as C
 from adamsrr import expr as E
 from adamsrr import splitting as S
 from adamsrr.chow import (
-    CurveModel, c1_det_rf, chern_character, deligne_residual, mumford_exponent, pushforward, todd,
+    CurveModel, c1_det_rf, chern_character, deligne_residual, mumford_exponent, todd,
 )
 from adamsrr.splitting import SplitClass
 
@@ -28,7 +28,7 @@ def two_line_table():
 
 
 def sym(name):
-    return SplitClass.variable(name)
+    return SplitClass({((name, 1),): 1})
 
 
 def coefficient(cls, m):
@@ -82,27 +82,6 @@ def test_todd_of_negated_class_inverts_series():
     assert got == sum((l ** k * Fraction((-1) ** k, math.factorial(k + 1)) for k in range(5)),
                       SplitClass.constant(0))
     assert (got * todd(E.Line("L"), table, assign, 4)).degrees(high=5) == 1
-
-
-def test_pushforward_degree_rule():
-    x = sym("w") ** 2 * Fraction(1, 12)
-    pushed = pushforward(x, 1)
-    assert coefficient(pushed, (("w", 2),)) == Fraction(1, 12)
-    assert coefficient(pushed.degrees(2, 3), (("w", 2),)) == Fraction(1, 12)
-
-
-def test_pushforward_annihilates_low_degree():
-    assert pushforward(SplitClass.constant(1), 1).is_zero()
-
-
-def test_pushforward_linearity_random():
-    rng = random.Random(14)
-    for _ in range(100):
-        terms_a = {(("l", rng.randint(0, 2)), ("w", rng.randint(0, 2))): Fraction(rng.randint(-5, 5))}
-        terms_b = {(("l", rng.randint(0, 2)),): Fraction(rng.randint(-5, 5))}
-        a = SplitClass({tuple(kv for kv in m if kv[1]): c for m, c in terms_a.items()})
-        b = SplitClass({tuple(kv for kv in m if kv[1]): c for m, c in terms_b.items()})
-        assert pushforward(a + b, 1) == pushforward(a, 1) + pushforward(b, 1)
 
 
 def test_c1_det_rf_of_structure_sheaf(model):
@@ -239,7 +218,7 @@ def slow_c1_det_rf(e, table, assign, tangent, rel_dim):
     top = rel_dim + 1
     total = slow_mul(slow_chern_character(e, table, assign, top),
                      slow_todd(tangent, table, assign, top), top)
-    return pushforward(total, rel_dim).degrees(rel_dim + 1, rel_dim + 2)
+    return total.degrees(rel_dim + 1, rel_dim + 2)
 
 
 def random_line_expr(rng, lines, depth=3):

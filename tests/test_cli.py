@@ -13,6 +13,7 @@ import pytest
 from adamsrr import cli
 from adamsrr import expr as E
 from adamsrr import rewrite as R
+from adamsrr import splitting as S
 from adamsrr import suite as SU
 from adamsrr.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from adamsrr.rewrite import parse_trace_json, revalidate_trace
@@ -182,7 +183,7 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     code, out, _ = run(capsys, "verify", "tau", "--format", "json")
     assert code == EXIT_OK
     assert [(r["rank"], r["p"], r["ok"]) for r in json.loads(out)] == \
-        [(rank, p, verdict.ok) for rank, p, verdict in SU.tau_grid()]
+        [(rank, p, tau == theta) for rank, p, tau, theta in SU.tau_grid()]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -254,6 +255,12 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("verify", "deligne", "--n", "3"), "verify deligne does not use --n"),
     (("verify", "tau", "--n", "7", "--rank", "1", "--p", "2"), "verify tau does not use --n"),
     (("verify", "arr", "--n", "-1"), "--n must be >= 0"),
+    # an integer literal longer than expr.MAX_DIGITS is refused at its position,
+    # and so is a declared number that long
+    (("normalize", "1" * 5000), "integer longer than 4300 digits (at position 0)"),
+    (("normalize", "psi(" + "1" * 5000 + ", A)"), "integer longer than 4300 digits (at position 4)"),
+    (("normalize", "A^" + "1" * 5000), "integer longer than 4300 digits (at position 2)"),
+    (("normalize", "A", "--decls", "LONG_RANK"), "bad declaration on line 2: 'bundle E rank 111"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",
@@ -263,7 +270,8 @@ def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
              "REDECLARED": b"line A;\nbundle A rank 2;\n",
              "UNDERSCORE_RANK": b"line A;\nbundle E rank 1_0;\n",
              "SIGNED_RANK": b"line A;\nbundle E rank +2;\n",
-             "FULLWIDTH_DIM": "line A;\nmorphism f dim ０;\n".encode()}
+             "FULLWIDTH_DIM": "line A;\nmorphism f dim ０;\n".encode(),
+             "LONG_RANK": b"line A;\nbundle E rank " + b"1" * 5000 + b";\n"}
     paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "trace.json")}
     for name, content in files.items():
         path = tmp_path / f"{name}.txt"
@@ -277,22 +285,41 @@ def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     assert not (tmp_path / "trace.json").exists()
 
 
-def _raise_recursion(*args, **kwargs):
-    raise RecursionError("maximum recursion depth exceeded")
+def _raise(error: Exception):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
 
 
 @pytest.mark.parametrize("argv,patch,kind", [
-    # the witness has more digits than Python converts to a string
-    (("verify", "binomial", "--n", "90", "--p", "7"), None, "ValueError"),
-    (("verify", "arr"), ("verify_arr_identity", _raise_recursion), "RecursionError"),
+    (("verify", "binomial", "--n", "90", "--p", "7"),
+     (S, "binomial_identity_check",
+      _raise(ValueError("Exceeds the limit (4300 digits)\nfor integer string conversion"))),
+     "ValueError"),
+    (("verify", "arr"),
+     (R, "verify_arr_identity", _raise(RecursionError("maximum recursion depth exceeded"))),
+     "RecursionError"),
 ])
 def test_internal_errors_exit_3_with_one_line(capsys, monkeypatch, argv, patch, kind):
-    if patch is not None:
-        monkeypatch.setattr(R, *patch)
+    monkeypatch.setattr(*patch)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_INTERNAL
     assert err.startswith(f"internal error: {kind}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # the witness, and a grade coefficient 2^20000, have more digits than
+    # `str` of an int allows by default
+    ("verify", "binomial", "--n", "90", "--p", "7"),
+    ("normalize", "det_rf(f, 2^20000)"),
+])
+def test_exact_results_print_every_digit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out) > limit
+    assert sys.get_int_max_str_digits() == limit  # restored for the caller
 
 
 def test_verify_km(capsys):

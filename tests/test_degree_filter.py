@@ -68,7 +68,7 @@ def test_series_inverse_of_one_plus_w():
     assert [Fraction(c, den) for c in nums] == [1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 24)]
     table = E.SymbolTable(space="X")
     table.declare_line("W")
-    w = SplitClass.variable("w")
+    w = SplitClass({(("w", 1),): 1})
     inverse = C.todd(E.Neg(E.Line("W")), table, {"W": "w"}, 3)
     assert inverse == 1 - w * Fraction(1, 2) + w * w * Fraction(1, 6) - w * w * w * Fraction(1, 24)
     assert C.todd(E.Sum((E.Line("W"), E.Neg(E.Line("W")))), table, {"W": "w"}, 2) == 1

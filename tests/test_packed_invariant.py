@@ -162,12 +162,17 @@ def test_repack_renames_fields_into_another_packing():
         S.repack(geom.f.truncated(e), geom.twist, S.packed_eval(j_e, geom.ctx_xp, 3).space)
 
 
-def test_packed_classes_print_in_root_monomials():
+def test_packed_classes_print_their_e_monomials(monkeypatch):
+    _refuse_unpacking(monkeypatch)
     geom = R.Geometry(1, 2, {"L": 1})
     lam = geom.f.truncated(E.Line("L"))
     assert repr(lam) == "SplitClass(1 + L)"
     geom = R.Geometry(2, 3, {"E": 2})
     e = E.Tensor((E.Bundle("E"), E.Psi(3, E.Bundle(R.OMEGA))))
     lam = geom.f.truncated(e)
-    assert str(lam) == str(S.truncated_eval(e, geom.ctx_x, lam.space.cutoff))
-    assert "3*E.2*Omega_f.1^2" in str(lam)  # two wide blocks, unpacked into their roots
+    # two wide blocks, e_k of each named gamma^k, in packed order: weighted degree first
+    assert str(lam) == ("4 + 2*gamma^1(E) + 6*gamma^1(Omega_f) + 3*gamma^1(E)*gamma^1(Omega_f)"
+                        " + 6*gamma^1(Omega_f)^2 - 12*gamma^2(Omega_f)"
+                        " + 3*gamma^1(E)*gamma^1(Omega_f)^2 + 2*gamma^1(Omega_f)^3"
+                        " - 6*gamma^1(E)*gamma^2(Omega_f) - 6*gamma^1(Omega_f)*gamma^2(Omega_f)")
+    assert lam.term_texts() == [(lam.space.text(m), lam.terms[m]) for m in sorted(lam.terms)]

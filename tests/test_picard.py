@@ -40,8 +40,8 @@ def test_tensor_of_trivials_is_trivial():
 
 def test_inverse_cancellation(curve):
     a = det_rf_atom(curve, E.Line("A"))
-    assert (a * a.inverse()).is_trivial()
-    assert (a * a.inverse()).grade.is_zero()
+    assert (a * a ** -1).is_trivial()
+    assert (a * a ** -1).grade.is_zero()
 
 
 def test_grades_add_under_tensor(curve):
@@ -61,7 +61,7 @@ def test_group_laws_on_random_lines(curve):
         a, b, c = xs
         assert ((a * b) * c) == (a * (b * c))
         assert (a * b) == (b * a)
-        assert (a * a.inverse()).is_trivial()
+        assert (a * a ** -1).is_trivial()
 
 
 # -- det atoms -----------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_group_laws_on_random_lines(curve):
 def test_det_atom_of_unit_has_chi_grade(curve):
     g = det_rf_atom(curve, E.UNIT)
     assert not g.is_trivial()
-    assert g.grade == SplitClass.variable("chi[f](1)")
+    assert g.grade == SplitClass({(("chi[f](1)", 1),): 1})
     assert str(g.grade) == "chi[f](1)"
 
 
@@ -108,7 +108,7 @@ def test_pairing_with_structure_sheaf_is_trivial(curve):
 def test_pairing_with_dual_entry_is_inverse(curve):
     A, L = lines("A", "L")
     ga = pairing_to_det(PairingExpr(curve, (E.Dual(A), L)))
-    gb = pairing_to_det(PairingExpr(curve, (A, L))).inverse()
+    gb = pairing_to_det(PairingExpr(curve, (A, L))) ** -1
     assert ga == gb
 
 
@@ -319,7 +319,7 @@ def _power_reference(gl, k):
     """gl^k built as the inverse's slots scaled by |k| for k < 0, and rebuilt for k = 1."""
     if k == 0:
         return GradedLine.trivial()
-    base = gl if k > 0 else gl.inverse()
+    base = gl if k > 0 else gl ** -1
     dets = {slot: (lam * abs(k), tuple((e, x * abs(k)) for e, x in disp))
             for slot, (lam, disp) in base.dets.items()}
     return GradedLine(dets, base.grade * abs(k))

@@ -9,12 +9,13 @@ import pytest
 
 from adamsrr import expr as E
 from adamsrr import picard as P
+from adamsrr import splitting as S
 from adamsrr import suite as SU
 from adamsrr.rewrite import FSO, PUSHED_STRUCTURE, Geometry, verify_base_change
 from adamsrr.splitting import (
     ContextMismatch, EvalError, NonEffectiveError, SplitClass, SplitContext,
-    binomial_identity_check, classes_equal, eval_expr, tau_class,
-    _Packing, _expansion, packed_eval, pull_back, tau_equals_theta, tilde_inverse_expr,
+    binomial_identity_check, classes_equal, eval_expr,
+    _Packing, _expansion, packed_eval, pull_back, tilde_inverse_expr,
     truncated_eval, truncated_filtration,
 )
 
@@ -30,7 +31,12 @@ def ctx():
 
 
 def var(name):
-    return SplitClass.variable(name)
+    return SplitClass({((name, 1),): 1})
+
+
+def tau(p, ctx):
+    """tau_p of the context's symbol V, by basis enumeration."""
+    return eval_expr(E.Tau(p, ctx.table.symbol("V")), ctx)
 
 
 def test_adams_on_line_is_power(ctx):
@@ -74,7 +80,7 @@ def test_tau_rank_one():
     t = E.SymbolTable(space="Z")
     t.declare_line("V")
     ctx = SplitContext(t)
-    assert tau_class("V", 2, ctx) == 1 + var("V")
+    assert tau(2, ctx) == 1 + var("V")
 
 
 def test_tau_rank_two_enumerates_four_monomials():
@@ -82,7 +88,7 @@ def test_tau_rank_two_enumerates_four_monomials():
     t.declare_bundle("V", 2)
     ctx = SplitContext(t)
     a, b = var("V.1"), var("V.2")
-    assert tau_class("V", 2, ctx) == 1 + a + b + a * b
+    assert tau(2, ctx) == 1 + a + b + a * b
 
 
 def test_tau_augmentation_is_p_to_rank():
@@ -91,7 +97,7 @@ def test_tau_augmentation_is_p_to_rank():
         t.declare_line("V") if rank == 1 else t.declare_bundle("V", rank)
         ctx = SplitContext(t)
         for p in (2, 3, 5):
-            assert tau_class("V", p, ctx).augmentation() == p**rank
+            assert tau(p, ctx).augmentation() == p**rank
 
 
 @pytest.mark.parametrize("rank,p", [(1, 3), (3, 2), (2, 5)])
@@ -99,7 +105,15 @@ def test_tau_equals_theta(rank, p):
     t = E.SymbolTable(space="Z")
     t.declare_line("V") if rank == 1 else t.declare_bundle("V", rank)
     ctx = SplitContext(t)
-    assert tau_equals_theta("V", p, ctx).ok
+    assert tau(p, ctx) == eval_expr(E.Theta(p, t.symbol("V")), ctx)
+
+
+def test_the_tau_cell_enumerates_each_tau_once(monkeypatch):
+    # the check and its augmentation read one class per (rank, p) of the grid
+    enumerate_tau, calls = S.tau_of_class, []
+    monkeypatch.setattr(S, "tau_of_class", lambda cls, p: calls.append(p) or enumerate_tau(cls, p))
+    assert SU.cell_tau_theta()[0]
+    assert len(calls) == len(SU.TAU_RANKS) * len(SU.TAU_PRIMES) == 12
 
 
 def test_tau_theta_verdict_reports_difference():
@@ -107,7 +121,7 @@ def test_tau_theta_verdict_reports_difference():
     t = E.SymbolTable(space="Z")
     t.declare_line("V")
     ctx = SplitContext(t)
-    diff = tau_class("V", 2, ctx) - eval_expr(E.Theta(3, E.Line("V")), ctx)
+    diff = tau(2, ctx) - eval_expr(E.Theta(3, E.Line("V")), ctx)
     assert not diff.is_zero()
 
 
@@ -185,7 +199,7 @@ def _tilde_oracle(n, p):
     return {d: sign * c for d, c in coeffs.items() if c}
 
 
-Y = SplitClass.variable("y")
+Y = var("y")
 
 
 def _coeffs(poly):
@@ -287,7 +301,7 @@ def _tilde_reference(n, p, x):
 
 def _binomial_reference(n, p, tilde=_tilde_reference):
     """The witness by class arithmetic: (ok, quotient, remainder, lhs, divisor)."""
-    y = SplitClass.variable("y")
+    y = var("y")
     lhs = y * tilde(n, p, y) - p ** (n * (n + 2))
     divisor = (y - p**n) ** (n + 2)
     quot = SplitClass.constant(lhs.terms.get((("y", n + 2),), 0))
@@ -343,7 +357,7 @@ def test_str_of_a_class_is_its_render_kept(ctx):
 
 
 def test_render_wraps_each_monomial():
-    x, y = SplitClass.variable("x"), SplitClass.variable("y")
+    x, y = var("x"), var("y")
     cls = x * y * Fraction(-3, 2) + x * x + 2
     # ascending degree, then by monomial: x*y = (("x", 1), ("y", 1)) < (("x", 2),)
     assert str(cls) == "2 - 3/2*x*y + x^2"
@@ -533,7 +547,7 @@ def test_a_line_of_a_rank_two_bundle_is_refused(ctx):
         eval_expr(E.Line("E"), ctx)
     with pytest.raises(EvalError):
         truncated_eval(E.Line("E"), ctx, 3)
-    assert eval_expr(E.Line("L"), ctx) == SplitClass.variable("L", "X")
+    assert eval_expr(E.Line("L"), ctx) == SplitClass({(("L", 1),): 1}, "X")
 
 
 def test_a_line_of_the_rank_zero_omega_is_refused_at_n0():
@@ -840,7 +854,7 @@ def test_packed_sum_is_truncated_iff_the_degree_reaches_the_cutoff():
     # the carry argument behind the packed kernel, on every pair of kept monomials
     for cutoff in range(1, 8):
         for nvars in (1, 2, 3):
-            pk = _Packing([f"v{i}" for i in range(nvars)], {}, cutoff)
+            pk = _Packing({f"v{i}": (f"v{i}",) for i in range(nvars)}, {}, cutoff)
             kept = {sum(x << pk.offset[f"v{i}"] for i, x in enumerate(exps))
                     | (sum(exps) << pk.shift): sum(exps)
                     for exps in product(range(cutoff), repeat=nvars) if sum(exps) < cutoff}

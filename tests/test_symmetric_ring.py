@@ -345,8 +345,8 @@ def test_root_monomials_of_bundles_of_rank_ten_and_more_match_the_laurent_route(
     b, f = E.Bundle("E"), E.Bundle("F")
     for e in (E.Power(b, 2), E.Theta(2, b), E.Tensor((b, f)), E.Psi(3, E.Sum((f, E.Dual(b))))):
         want = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff)
-        assert S.truncated_eval(e, ctx, cutoff) == want, E.print_expr(e)
-        assert str(S.packed_eval(e, ctx, cutoff)) == str(want), E.print_expr(e)
+        got = S.truncated_eval(e, ctx, cutoff)
+        assert got == want and str(got) == str(want), E.print_expr(e)
 
 
 # -- names of packed monomials --------------------------------------------------------
