@@ -255,15 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, flag[2:].replace("-", "_")) is not None and args.target not in readers:
             print(f"error: verify {args.target} does not use {flag}", file=sys.stderr)
             return EXIT_USAGE
-    if args.command == "verify" and args.p is not None and not R.is_prime(args.p):
-        print(f"error: --p {args.p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
-    if (getattr(args, "n", None) or 0) < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "rank", None) is not None and args.rank < 1:
-        print("error: --rank must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     # an exact result may have more digits than `str(int)` gives by default: the limit
     # (from Python 3.10.7) holds for the options, and is restored for the caller
     previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -272,6 +263,16 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a replaced cmd_* takes effect
     command = {"normalize": cmd_normalize, "verify": cmd_verify, "suite": cmd_suite}[args.command]
     try:
+        # in the try: `is_prime` refuses a p too large to decide
+        if args.command == "verify" and args.p is not None and not R.is_prime(args.p):
+            print(f"error: --p {args.p} is not prime", file=sys.stderr)
+            return EXIT_USAGE
+        if (getattr(args, "n", None) or 0) < 0:
+            print("error: --n must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
+        if getattr(args, "rank", None) is not None and args.rank < 1:
+            print("error: --rank must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
         code = command(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

@@ -420,12 +420,10 @@ def _signed_terms(e: Expr, pos: list[Expr], neg: list[Expr]) -> None:
             if isinstance(f, Neg):
                 pos, neg = neg, pos
                 f = f.arg
-            if isinstance(f, IntConst):
+            if isinstance(f, IntConst):  # canonical, so not negative: -k is Neg(k)
                 if f.value == 0:
                     return
-                if f.value < 0:
-                    pos, neg = neg, pos
-                const *= abs(f.value)
+                const *= f.value
             elif isinstance(f, Tensor):
                 # a canonical tensor carries its positive constant first
                 for g in f.factors:

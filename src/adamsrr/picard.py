@@ -22,8 +22,8 @@ argument expressions are retained for display and for recording which
 reduction applied.
 
 Per-argument work is paid once per distinct argument: `normalize`'s
-expansion lives on the canonical node (`expr.expand_top`), and a grade in
-the upstairs context, keyed by (morphism, argument).
+expansion lives on the canonical node (`expr.expand_top`), and a grade on
+its morphism, keyed by the argument.
 """
 
 from __future__ import annotations
@@ -47,11 +47,14 @@ class RankMismatch(PicardError):
 
 @dataclass(frozen=True)
 class Morphism:
-    """A projective morphism tag: name, relative dimension, upstairs roots."""
+    """A projective morphism tag: name, relative dimension, upstairs roots, and `chi_grade`'s memos."""
 
     name: str
     rel_dim: int
     upstairs: S.SplitContext = field(compare=False, repr=False)
+    _symbols: dict[int, S.Monomial] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _grades: dict[E.Expr, S.SplitClass] = field(default_factory=dict, init=False, compare=False,
+                                                repr=False)
 
     def truncated(self, e: E.Expr) -> S.SplitClass:
         """Argument class modulo I^(n+2), packed; memoized per context."""
@@ -73,23 +76,22 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
     the packed invariant's terms whose top field, the weighted degree, is <= n.
     Each names its packed monomial m as it is, in the text of `_Packing.text`
     (a line's root, gamma^k(B) for e_k of a bundle B of rank >= 2); a symbol
-    is built once per (morphism, packed m), and a grade once per (morphism,
-    e), in the upstairs context.  The grade is shared: callers scale copies.
+    is built once per packed m, and a grade once per e, in the morphism's
+    memos.  The grade is shared: callers scale copies.
     """
-    grades = f.upstairs._chi_grades
-    grade = grades.get((f.name, f.rel_dim, e))
+    grade = f._grades.get(e)
     if grade is not None:
         return grade
-    lam, symbols = f.truncated(e), f.upstairs._chi_symbols
+    lam, symbols = f.truncated(e), f._symbols
     pk, terms = lam.space, {}
     top = (f.rel_dim + 1) << pk.shift
     for m, c in lam.terms.items():
         if m < top:
-            symbol = symbols.get((f.name, f.rel_dim, m))
+            symbol = symbols.get(m)
             if symbol is None:
-                symbol = symbols[f.name, f.rel_dim, m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
+                symbol = symbols[m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
             terms[symbol] = c
-    grade = grades[f.name, f.rel_dim, e] = S.SplitClass._of(terms, None)  # lam has no zero term
+    grade = f._grades[e] = S.SplitClass._of(terms, None)  # lam has no zero term
     return grade
 
 
@@ -132,7 +134,7 @@ class GradedLine:
                 dets[slot] = (lam0 + lam, disp0 + disp)
             else:
                 dets[slot] = (lam, disp)
-        dets = {slot: v for slot, v in dets.items() if not _slot_empty(v)}
+        dets = {slot: (lam, disp) for slot, (lam, disp) in dets.items() if disp or not lam.is_zero()}
         return GradedLine(dets, self.grade + other.grade)
 
     __mul__ = tensor
@@ -174,8 +176,6 @@ class GradedLine:
         for slot in sorted(self.dets, key=lambda slot: repr((slot[0], slot[1].name))):
             _, disp = self.dets[slot]
             for e, x in disp:
-                if x == 0:
-                    continue
                 body = _render_slot_atom(slot, e)
                 parts.append(body if x == 1 else f"{body}^{x}")
         text = " (x) ".join(parts) if parts else "1 (trivial)"
@@ -187,11 +187,6 @@ class GradedLine:
 
     def __repr__(self) -> str:
         return f"GradedLine({self.render()})"
-
-
-def _slot_empty(v) -> bool:
-    lam, disp = v
-    return lam.is_zero() and not any(x for _, x in disp)
 
 
 def _render_slot_atom(slot: Slot, e: E.Expr) -> str:
@@ -254,8 +249,6 @@ def normalize(gl: GradedLine) -> GradedLine:
         f = slot[1]
         merged: dict[str, tuple[E.Expr, int]] = {}
         for e, x in disp:
-            if not x:
-                continue
             for c, mono in E.expand_top(e):
                 if argument_is_trivial(f, mono):
                     continue

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import comb, isqrt
+from math import comb
 from typing import Callable
 
 from . import expr as E
@@ -41,8 +41,24 @@ class MissingRule(VerifierError):
         self.name = name
 
 
+# Miller-Rabin to the first 13 primes is exact below PRIME_BOUND, the least composite
+# passing it (psi_13: Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Whether p is prime, by trial division by `PRIME_BASES` and Miller-Rabin to them; p < PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise VerifierError(f"primality is decided only below {PRIME_BOUND}, not for {p}")
+    if p < 2 or any(p % q == 0 for q in PRIME_BASES):
+        return p in PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d, d odd
+    for a in PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)  # a^d, which must be 1 or reach -1 in s - 1 squarings
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +82,12 @@ class Geometry:
 
     def __init__(self, n: int, p: int, symbols: dict[str, int] | None = None,
                  suffix: str = ""):
-        if n < 0:
-            raise VerifierError("relative dimension must be >= 0")
+        self.table_x = E.SymbolTable(rel_dim=n, space="X" + suffix)  # refuses n < 0
         if not is_prime(p):
             raise VerifierError(f"{p} is not prime")
         self.n, self.p = n, p
         symbols = dict(symbols or {})
 
-        self.table_x = E.SymbolTable(rel_dim=n, space="X" + suffix)
         for name, rk in symbols.items():
             if rk == 1:
                 self.table_x.declare_line(name)
@@ -538,13 +552,6 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
     def signed(x: E.Expr) -> E.Expr:
         return E.Neg(x) if sign < 0 else x
 
-    def binom_sum(top_power: int) -> E.Expr:
-        # sum_{i=0}^{n+1} C(n+2,i) FsO^(top_power - i) (-p^n)^i
-        terms = [E.Tensor((E.IntConst(comb(n + 2, i) * (-a) ** i),
-                           E.Power(FSO, top_power - i)))
-                 for i in range(n + 2)]
-        return E.Sum(tuple(terms))
-
     def step1(cur: P.GradedLine):
         (wrappers, _), arg, exp = _sole_det(cur)
         if not wrappers or wrappers[0] != ("psi", p):
@@ -570,7 +577,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         w = S.binomial_identity_check(n, p)
         after = _form(geom.fp, E.Sum((
             E.Tensor((E.IntConst(m), j_e)),
-            signed(E.Tensor((binom_sum(n + 2), j_e))),
+            signed(E.Tensor((S.binomial_sum(n, p, FSO, n + 2), j_e))),
             E.Neg(E.Tensor((E.IntConst(a ** (n + 2)), j_e))),
         )), 1, cur.grade)
         return after, [("binomial identity oracle: y*tilde(y) - p^(n(n+2)) = "
@@ -617,7 +624,8 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         Step("(4)", "KEQ", "KEQ",
              "expand the rank-zero power binomially, splitting off the i = n+2 term", step4),
         Step("(5)", "KEQ", "KEQ", "cancel the constant terms and factor out F_*O_X",
-             _keq(geom.fp, lambda arg: signed(E.Tensor((FSO, binom_sum(n + 1), j_e))))),
+             _keq(geom.fp, lambda arg: signed(
+                 E.Tensor((FSO, S.binomial_sum(n, p, FSO, n + 1), j_e))))),
         Step("(6)", "R4", "R4",
              "projection formula: det Rf'_*(F_*O_X (x) W) = det Rf_*(F^* W)", step6),
         Step("(7)", "R9,R6", "R6", "distribute F^* and compose F^* J^* = F_X^*",

@@ -2,13 +2,14 @@
 
 A declared bundle of rank r contributes r root variables; evaluation maps the
 expression operations to exact polynomial arithmetic (psi^k = k-th power
-substitution on roots, theta^k = product of truncated geometric series over
-the constituent line monomials, det = product of constituents, dual = monomial
-inversion).  `SplitClass` is the package's one exact polynomial class: it also
-carries the y-polynomial witness for the binomial identity behind the
-tilde-inverse, whose int coefficient lists are read off the expansion of the
-chain's own `tilde_inverse_expr`, and the classes of the intersection-ring
-model in `chow`.
+substitution on roots, dual = psi^-1, theta^k = product of truncated geometric
+series over the constituent line monomials, det = product of constituents);
+theta and tau form at most MAX_LAURENT_TERMS terms, and a negative power takes
+a line monomial as its base.  `SplitClass` is the package's one exact
+polynomial class: it also carries the y-polynomial witness for the binomial
+identity behind the tilde-inverse, whose int coefficient lists are read off
+the expansion of the chain's own `tilde_inverse_expr`, and the classes of the
+intersection-ring model in `chow`.
 
 The truncated ring (classes mod I^cutoff, I the augmentation ideal) is kept
 in e-coordinates: every class the evaluator builds is symmetric in each
@@ -19,18 +20,18 @@ own rule, as psi^k of the node (dual being psi^-1): psi^k is a ring map moved
 down to the symbols; theta^k, tau_p and det are multiplicative classes, power
 series in the power sums of their argument (Fulton & Lang, Riemann-Roch
 Algebra, ch. I-III), theta^k and tau_p of any argument of rank >= 0, where
-the Laurent route takes only an effective one; and a power of either sign is
-one finite binomial sum in the powers of its base's part in the augmentation
-ideal.  Each node refuses in its own rule, and an operator on an opaque
-symbol by the one rule both routes share, `_refuse_opaque`.  A packed int is
-always an e-monomial; `truncated_eval` and `chow` unpack it into root
-monomials through `_Packing.unpack`, the one change of basis, which builds
-each e-monomial's root image once per packing from tuple monomials; a packed
-class prints, and the grades of `picard` name, each e-monomial as it is,
-through `_Packing.text`.  The oracle
-`truncated_filtration` expands a Laurent class straight into root monomials,
-each monomial's binomial expansion memoized process-wide, and shares no
-packed code with `packed_eval`.
+the Laurent route takes only an effective one; and a power of either sign,
+of a base of any rank but 0, is one finite binomial sum in the powers of its
+base's part in the augmentation ideal, so no Laurent class is read.  Each
+node refuses in its own rule, and an operator on an opaque symbol by the one
+rule both routes share, `_refuse_opaque`.  A packed int is always an
+e-monomial; `truncated_eval` and `chow` unpack it into root monomials through
+`_Packing.unpack`, the one change of basis, which builds each e-monomial's
+root image once per packing from tuple monomials; a packed class prints, and
+the grades of `picard` name, each e-monomial as it is, through
+`_Packing.text`.  The oracle `truncated_filtration` expands a Laurent class
+straight into root monomials, each monomial's binomial expansion memoized
+process-wide, and shares no packed code with `packed_eval`.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class ContextMismatch(EvalError):
     pass
 
 
+class BudgetError(EvalError):
+    """theta or tau of a class whose expansion passes MAX_LAURENT_TERMS."""
+
+
 Monomial = tuple[tuple[str, int], ...]  # sorted (variable, nonzero exponent)
 
 
@@ -92,10 +97,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         else:
             d.pop(v, None)
     return tuple(sorted(d.items()))
-
-
-def _mono_inv(m: Monomial) -> Monomial:
-    return tuple((v, -e) for v, e in m)
 
 
 def _mono_pow(m: Monomial, k: int) -> Monomial:
@@ -190,8 +191,7 @@ class SplitClass:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SplitClass":
-        if k < 0:
-            return self.monomial_inverse() ** (-k)
+        """self^k for k >= 0; `_inverse_operand` inverts a negative power's base first."""
         if k < 2:
             return self if k else SplitClass.constant(1, self.space)
         half = self ** (k >> 1)
@@ -211,24 +211,6 @@ class SplitClass:
     # -- structure queries ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_effective(self) -> bool:
-        """All coefficients nonnegative integers."""
-        return all(c >= 0 and _is_integral(c) for c in self.terms.values())
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial_inverse(self) -> "SplitClass":
-        if len(self.terms) != 1:
-            raise EvalError("inverse requires a single line monomial")
-        (m, c), = self.terms.items()
-        if c not in (1, -1):
-            raise EvalError(f"inverse requires unit coefficient, got {c}")
-        return SplitClass({_mono_inv(m): c}, self.space)
-
-    def dual(self) -> "SplitClass":
-        return SplitClass({_mono_inv(m): c for m, c in self.terms.items()}, self.space)
 
     def adams(self, k: int) -> "SplitClass":
         """Substitute every root x -> x^k (monomial-wise exponent scaling)."""
@@ -254,15 +236,6 @@ class SplitClass:
                     c *= a ** e if e > 0 else Fraction(a) ** e
             total += c
         return total
-
-    def constituents(self) -> list[Monomial]:
-        """Line monomials with multiplicity; requires an effective class."""
-        if not self.is_effective():
-            raise NonEffectiveError(f"class is not effective: {self}")
-        out: list[Monomial] = []
-        for m in sorted(self.terms):
-            out.extend([m] * int(self.terms[m]))
-        return out
 
     def degrees(self, low: int | None = None, high: int | None = None) -> "SplitClass":
         """Terms whose total degree d has low <= d < high (None: unbounded).
@@ -341,10 +314,6 @@ class SplitContext:
         self.roots: dict[str, list[str]] = {}
         self.var_aug: dict[str, int] = {}
         self._eval_cache: dict[Expr, SplitClass] = {}
-        # the grade variables of det atoms over this upstairs space, and each
-        # (morphism, argument)'s grade in them, kept by picard
-        self._chi_symbols: dict[tuple[str, int, int], Monomial] = {}
-        self._chi_grades: dict[tuple[str, int, Expr], SplitClass] = {}
         self._packed_cache: dict[tuple[Expr, int], SplitClass] = {}
         self._packings: dict[int, _Packing] = {}
         for name in self.table.names():
@@ -403,10 +372,9 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
         for f in e.factors:
             prod = prod * eval_expr(f, ctx)
         return prod
-    if isinstance(e, Dual):
-        return _operand(e.arg, ctx, "dual").dual()
-    if isinstance(e, Psi):
-        return _operand(e.arg, ctx, "psi").adams(e.k)
+    if isinstance(e, (Psi, Dual)):
+        what, k = ("psi", e.k) if isinstance(e, Psi) else ("dual", -1)
+        return _operand(e.arg, ctx, what).adams(k)
     if isinstance(e, Theta):
         return theta_class(_operand(e.arg, ctx, "theta"), e.k)
     if isinstance(e, Tau):
@@ -479,11 +447,14 @@ def _operand(e: Expr, ctx: SplitContext, what: str) -> SplitClass:
 
 
 def _inverse_operand(e: Power, ctx: SplitContext) -> SplitClass:
-    """The inverse of a negative power's base, refused unless it is a line monomial of coefficient +-1."""
+    """The Laurent inverse of a negative power's base, refused unless a line of unit coefficient."""
     base = eval_expr(e.base, ctx)
-    if not base.is_monomial():
+    if len(base.terms) != 1:
         raise EvalError(f"negative power of a non-line class: {e}")
-    return base.monomial_inverse()
+    (m, c), = base.terms.items()
+    if c not in (1, -1):
+        raise EvalError(f"inverse requires unit coefficient, got {c}")
+    return SplitClass._of({_mono_pow(m, -1): c}, ctx.space)
 
 
 def _nonnegative_rank(r: int, what: str) -> None:
@@ -492,26 +463,36 @@ def _nonnegative_rank(r: int, what: str) -> None:
         raise EvalError(f"{what} argument has negative rank {r}")
 
 
-def _effective(cls: SplitClass, what: str) -> SplitClass:
-    """cls, refused as `what`'s argument unless effective; `packed_eval` takes any of rank >= 0."""
-    _nonnegative_rank(cls.augmentation(), what)
-    if not cls.is_effective():
+# the most terms `theta_class` (at most k^r, of r lines) and `tau_of_class` (p^r) form
+MAX_LAURENT_TERMS = 10**5
+
+
+def _within_budget(what: str, r: int, formed: int) -> None:
+    """Refuse `what` of r lines once the terms it forms exceed MAX_LAURENT_TERMS."""
+    if formed > MAX_LAURENT_TERMS:
+        raise BudgetError(f"{what} of a class of {r} lines forms more than {MAX_LAURENT_TERMS} "
+                        "terms without a truncation")
+
+
+def _lines(cls: SplitClass, what: str) -> list[Monomial]:
+    """The lines of `what`'s argument cls, refused unless effective and at most MAX_LAURENT_TERMS."""
+    r = cls.augmentation()
+    _nonnegative_rank(r, what)
+    if not all(c >= 0 and _is_integral(c) for c in cls.terms.values()):
         raise NonEffectiveError(f"{what} of a class that is not effective needs a truncation: {cls}")
-    return cls
+    _within_budget(what, r, r)  # each line forms a term at least
+    return [m for m in sorted(cls.terms) for _ in range(int(cls.terms[m]))]
 
 
 def theta_class(cls: SplitClass, k: int) -> SplitClass:
-    """theta^k as a product of 1 + m + ... + m^(k-1) over constituent lines."""
-    _effective(cls, "theta")
-    prod = SplitClass.constant(1, cls.space)
-    for m in cls.constituents():
-        line = SplitClass({m: 1}, cls.space)
-        geo = SplitClass.constant(0, cls.space)
-        powm = SplitClass.constant(1, cls.space)
-        for _ in range(k):
-            geo = geo + powm
-            powm = powm * line
-        prod = prod * geo
+    """theta^k = prod of 1 + m + ... + m^(k-1) over lines m; its products form <= MAX_LAURENT_TERMS."""
+    lines = _lines(cls, "theta")
+    prod, formed = SplitClass.constant(1, cls.space), 0
+    for m in lines:
+        formed += len(prod.terms) * (k if m else 1)
+        _within_budget("theta", len(lines), formed)
+        prod = prod * SplitClass._of({_mono_pow(m, j): 1 for j in range(k)} if m else {(): k},
+                                     cls.space)
     return prod
 
 
@@ -521,7 +502,9 @@ def tau_of_class(cls: SplitClass, p: int) -> SplitClass:
     Sums the monomials prod_j m_j^(i_j) over all exponent vectors 0 <= i_j < p
     indexed by the constituent lines; independent of the theta product route.
     """
-    lines = _effective(cls, "tau").constituents()
+    lines = _lines(cls, "tau")
+    # p^r vectors, refused before any is formed; r capped where 2^r > MAX_LAURENT_TERMS
+    _within_budget("tau", len(lines), p ** min(len(lines), MAX_LAURENT_TERMS.bit_length()))
     counts: dict[Monomial, int] = {}
     for exps in itertools.product(range(p), repeat=len(lines)):
         mono: Monomial = ()
@@ -795,14 +778,15 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
     its image (`pull_back`).  theta^m, tau_p = theta^p and det commute with
     psi^k and are multiplicative, so they are `_multiplicative` series in
     the power sums of psi^k of their argument; a power x^j of either sign is
-    `_power`'s binomial sum in the powers of y = x - a, y in I.
+    `_power`'s binomial sum in the powers of y = x - a, y in I, for a base x
+    of any rank a != 0.
 
     Each node refuses where it stands: a symbol leaf (`_roots`), a pullback
-    (`pull_back`), and theta^m or tau_p of a negative rank; any rank >= 0 is
-    taken.  psi, dual, theta, tau and det first refuse an opaque symbol in
-    their argument (`_refuse_opaque`), so psi^k, k != 1, never meets one.
-    Only a negative power's base that is no line monomial reads the Laurent
-    class (`_inverse_operand`), since mod I^c it does not show.
+    (`pull_back`), theta^m or tau_p of a negative rank (any rank >= 0 is
+    taken), and a negative power of a rank-0 base (`_power`).  psi, dual,
+    theta, tau and det first refuse an opaque symbol in their argument
+    (`_refuse_opaque`), so psi^k, k != 1, never meets one.  No rule reads a
+    Laurent class.
     """
     if isinstance(e, Sum):
         out: dict[int, object] = {}
@@ -827,8 +811,6 @@ def _rule(k: int, e: Expr, ctx: SplitContext, pk: _Packing) -> dict[int, object]
             return {0: scale} if scale else {}
         return {m: scale * c for m, c in out.items()}
     if isinstance(e, Power):
-        if e.exponent < 0:
-            _inverse_operand(e, ctx)
         return _power(_terms(k, e.base, ctx, pk), e.exponent, ("y", k, e.base), pk)
     if isinstance(e, (Psi, Dual)):
         what, j = ("psi", k * e.k) if isinstance(e, Psi) else ("dual", -k)
@@ -948,9 +930,9 @@ def packed_eval(e: Expr, ctx: SplitContext, cutoff: int) -> SplitClass:
     Every node is built by its e-coordinate rule (`_rule`), on truncated
     operands, since truncation is a ring quotient, and refuses there as
     `eval_expr` does, except that theta and tau of a virtual class of rank
-    >= 0 are built, and that of two faults in one argument the first the
-    rules meet is named.  The Laurent class is read only for the base of a
-    negative power (`_inverse_operand`).
+    >= 0 and a negative power of any base of nonzero rank are built, and
+    that of two faults in one argument the first the rules meet is named.
+    No Laurent class is read.
     """
     key = (e, cutoff)
     hit = ctx._packed_cache.get(key)
@@ -999,17 +981,22 @@ def repack(cls: SplitClass, rename: dict[str, str], into: _Packing) -> SplitClas
 # ---------------------------------------------------------------------------
 # The binomial kernel
 
+def binomial_sum(n: int, p: int, base: Expr, top: int) -> Expr:
+    """sum_{i<=n+1} C(n+2,i) (-p^n)^i base^(top-i): the tilde's at top n+1, steps (4)-(5)'s at F_*O_X."""
+    a = p**n
+    return Sum(tuple(Tensor((IntConst(comb(n + 2, i) * (-a) ** i), Power(base, top - i)))
+                     for i in range(n + 2)))
+
+
 def tilde_inverse_expr(n: int, p: int, base: Expr) -> Expr:
-    """The finite tilde-inverse (-1)^(n+1) sum_{i=0}^{n+1} C(n+2,i) base^(n+1-i) (-p^n)^i.
+    """The finite tilde-inverse (-1)^(n+1) `binomial_sum`(n, p, base, n+1).
 
     One canonical expression serves the chain's goal, the base-change square,
     the Knudsen-Mumford expansion and, at base y, the binomial witness.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = p**n
-    body: Expr = Sum(tuple(Tensor((IntConst(comb(n + 2, i) * (-a) ** i), Power(base, n + 1 - i)))
-                           for i in range(n + 2)))
+    body = binomial_sum(n, p, base, n + 1)
     return canonicalize(Neg(body) if (n + 1) % 2 else body)
 
 

@@ -250,11 +250,18 @@ def cell_algebra_laws(seed: int = 0) -> tuple[bool, str]:
             return False, f"psi composition broken on {E.print_expr(e)}"
         done += 1
 
+    over_budget = 0
     for i in range(100):
         a, b = random_effective(rng), random_effective(rng)
         k = rng.randint(1, 3)
-        lhs = S.eval_expr(E.Theta(k, E.Sum((a, b))), ctx)
-        rhs = S.eval_expr(E.Theta(k, a), ctx) * S.eval_expr(E.Theta(k, b), ctx)
+        try:
+            lhs = S.eval_expr(E.Theta(k, E.Sum((a, b))), ctx)
+            rhs = S.eval_expr(E.Theta(k, a), ctx) * S.eval_expr(E.Theta(k, b), ctx)
+        except S.BudgetError:  # a pair of many lines, skipped up to 5 times; any other refusal fails
+            over_budget += 1
+            if over_budget > 5:
+                return False, f"theta refused {over_budget} of {i + 1} pairs over the Laurent budget"
+            continue
         if not S.classes_equal(lhs, rhs):
             return False, f"theta multiplicativity broken on {E.print_expr(a)}, {E.print_expr(b)}"
 
@@ -298,7 +305,8 @@ def cell_algebra_laws(seed: int = 0) -> tuple[bool, str]:
         if not (once == twice and once.render() == twice.render()):
             return False, "normalization is not idempotent"
 
-    return True, "psi composition, theta/det laws, rank agreement, pairing laws, idempotence"
+    skipped = f" (theta skipped {over_budget} of 100 pairs over the Laurent budget)" if over_budget else ""
+    return True, "psi composition, theta/det laws, rank agreement, pairing laws, idempotence" + skipped
 
 
 CELLS = [

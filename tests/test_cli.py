@@ -57,6 +57,13 @@ def test_normalize_det_rf_non_trivial(capsys):
     # below multiplicity n+2 = 3 the rank-zero factor is kept, and cancels only itself
     ("det_rf(f, (H0-H1)^2 (x) H)^-1", "det_rf[f]((H0 - H1)^2 (x) H)^-1 | grade= 0"),
     ("det_rf(f, (H0-H1)^2 (x) H) (x) det_rf(f, (H0-H1)^2 (x) H)^-1", "1 (trivial) | grade= 0"),
+    # O is the unit
+    ("det_rf(f, A (x) O)", "det_rf[f](A) | grade= chi[f](1) + chi[f](A)"),
+    # negative powers of classes of rank 2: with A = 1 + a, ..., (2 + a + b)^-2 (2 + 2c)^-1
+    # is (1 - a - b - c)/8 in degrees below 2
+    ("det_rf(f, (A + B)^-2 (x) (2 (x) C)^-1)",
+     "det_rf[f]((2 (x) C)^-1 (x) (A + B)^-2) | grade= "
+     "1/8*chi[f](1) - 1/8*chi[f](A) - 1/8*chi[f](B) - 1/8*chi[f](C)"),
 ])
 def test_normalize_det_line_exact_text(capsys, text, normal_form):
     code, out, err = run(capsys, "normalize", text)
@@ -153,6 +160,12 @@ def test_verify_binomial(capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("target", ["binomial", "arr", "km", "base-change"])
+def test_verify_takes_a_61_bit_prime(capsys, target):
+    code, _, err = run(capsys, "verify", target, "--n", "1", "--p", str(2**61 - 1))
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_verify_binomial_json_ascending_terms(capsys):
     code, out, _ = run(capsys, "verify", "binomial", "--n", "1", "--p", "2", "--format", "json")
     assert code == EXIT_OK
@@ -204,6 +217,7 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "det_rf(g, (H0-H1)^3 (x) H)", "--decls", "DECLS"), "undeclared morphism 'g'"),
     # a missing token is named by its kind, and the end of input as such
     (("normalize", "A^"), "expected an integer, found end of input (at position 2)"),
+    (("normalize", "A +"), "unexpected end of input (at position 3)"),
     (("normalize", "det_rf(f, A) (x)"),
      "expected 'det_rf', found end of input (at position 16)"),
     # INT is a run of ASCII digits; other digits and numerals are no token
@@ -261,6 +275,16 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "psi(" + "1" * 5000 + ", A)"), "integer longer than 4300 digits (at position 4)"),
     (("normalize", "A^" + "1" * 5000), "integer longer than 4300 digits (at position 2)"),
     (("normalize", "A", "--decls", "LONG_RANK"), "bad declaration on line 2: 'bundle E rank 111"),
+    # over the Laurent term budget: tau_3 of 81 lines (3^81 vectors), theta^5 of 8 lines
+    # (5^8 terms), tau_31 of 4 lines (31^4 vectors); and a p past the primality test's bound
+    (("normalize", "tau(3, (tau(3, 2))^2)"),
+     "tau of a class of 81 lines forms more than 100000 terms without a truncation"),
+    (("normalize", "theta(5, A + B + C + D + E + F + G + H)"),
+     "theta of a class of 8 lines forms more than 100000 terms without a truncation"),
+    (("verify", "tau", "--p", "31", "--rank", "4"),
+     "tau of a class of 4 lines forms more than 100000 terms without a truncation"),
+    (("verify", "binomial", "--p", str(R.PRIME_BOUND)),
+     f"primality is decided only below {R.PRIME_BOUND}, not for {R.PRIME_BOUND}"),
 ])
 def test_refused_inputs_exit_2_with_one_line(capsys, tmp_path, argv, message):
     files = {"DECLS": b"bundle H0 rank 2;\nbundle H1 rank 2;\nbundle H rank 3;\nmorphism f dim 2;\n",

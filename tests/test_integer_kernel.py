@@ -185,7 +185,11 @@ POWER_BASES = {"line": (L, 1), "dual line": (E.Dual(M), 1), "rank 2": (B, 2),
 
 @pytest.mark.parametrize("cutoff", range(1, 9))
 def test_power_agrees_with_squaring_and_the_horner_inverse(cutoff):
-    """x^j by the binomial rule, against the squaring of x or of its Horner inverse."""
+    """x^j by the binomial rule, against the squaring of x or of its Horner inverse.
+
+    `packed_eval` builds every power of a base of nonzero rank, and refuses a
+    negative power of a rank-0 base as `_power` does.
+    """
     ctx = S.SplitContext(_table(), opaque=frozenset({"FsO"}))
     pk = S._Packing(ctx.roots, ctx.var_aug, cutoff)
     for name, (base, a) in POWER_BASES.items():
@@ -195,16 +199,14 @@ def test_power_agrees_with_squaring_and_the_horner_inverse(cutoff):
             if j == 100000 and name == "theta tensor" and cutoff > 3:
                 continue  # the reference's squarings of its 10^5-digit coefficients take 7-60 s
             if j < 0 and not a:
-                with pytest.raises(S.EvalError, match=S._RANK_ZERO_INVERSE):
-                    S._power(x, j, ("y", 1, base), pk)
+                for evaluate in (lambda: S._power(x, j, ("y", 1, base), pk),
+                                 lambda: S.packed_eval(E.Power(base, j), ctx, cutoff)):
+                    with pytest.raises(S.EvalError, match=S._RANK_ZERO_INVERSE):
+                        evaluate()
                 continue
             want = _typed(_ref_power(x, j, pk))
             assert _typed(S._power(x, j, ("y", 1, base), pk)) == want, (name, j)
-            if j >= 0 or name in ("line", "dual line", "FsO"):  # a negative power needs a line
-                assert _typed(S.packed_eval(E.Power(base, j), ctx, cutoff).terms) == want, (name, j)
-            else:
-                with pytest.raises(S.EvalError, match="negative power of a non-line class"):
-                    S.packed_eval(E.Power(base, j), ctx, cutoff)
+            assert _typed(S.packed_eval(E.Power(base, j), ctx, cutoff).terms) == want, (name, j)
 
 
 @pytest.fixture

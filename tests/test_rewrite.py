@@ -648,6 +648,19 @@ def test_revalidate_does_not_chain_across_a_gap_in_the_numbers():
 
 def test_is_prime():
     assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    sieve = [False, False] + [True] * (3 * 10**5 - 2)  # Eratosthenes below 3 * 10^5
+    for d in range(2, 548):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, len(sieve), d))
+    assert all(is_prime(q) == sieve[q] for q in range(len(sieve)))
+    # a strong pseudoprime to the bases 2..7, the least ones to 2..31 (psi_11) and to
+    # 2..37 (psi_12), the Mersenne prime 2^61 - 1 beside 2^61 + 1, and a Carmichael number
+    for q, prime in [(3215031751, False), (3825123056546413051, False),
+                     (318665857834031151167461, False), (2**61 - 1, True), (2**61 + 1, False),
+                     (561, False)]:
+        assert is_prime(q) is prime, q
+    with pytest.raises(R.VerifierError, match=f"primality is decided only below {R.PRIME_BOUND}"):
+        is_prime(R.PRIME_BOUND)
 
 
 @pytest.mark.parametrize("verify", [lambda: verify_arr_identity(2, 3),

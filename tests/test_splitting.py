@@ -125,6 +125,49 @@ def test_tau_theta_verdict_reports_difference():
     assert not diff.is_zero()
 
 
+def test_the_algebra_laws_skip_only_theta_pairs_over_the_laurent_budget(monkeypatch):
+    # at seed 1, theta^3 of one pair's 16 lines forms about 1.2 * 10^5 terms
+    refused, theta = [], S.theta_class
+
+    def watched(cls, k):
+        try:
+            return theta(cls, k)
+        except EvalError as ex:
+            refused.append(str(ex))
+            raise
+
+    monkeypatch.setattr(S, "theta_class", watched)
+    assert SU.cell_algebra_laws(seed=1) == (True, "psi composition, theta/det laws, rank agreement, "
+                                            "pairing laws, idempotence (theta skipped 1 of 100 "
+                                            "pairs over the Laurent budget)")
+    assert refused == ["theta of a class of 16 lines forms more than 100000 terms without a truncation"]
+
+    # from the theta law's first pair on (its draws are the first of depth 2), theta refuses
+    # every class: more than 5 budget refusals fail the cell, and any other refusal is raised
+    drawn, in_law = SU.random_effective, []
+
+    def draw(rng, depth=2):
+        in_law.append(depth == 2 or in_law[-1:] == [True])
+        return drawn(rng, depth)
+
+    def refuse(error):
+        def theta_class(cls, k):
+            if in_law[-1:] == [True]:
+                raise error("refused")
+            return theta(cls, k)
+        return theta_class
+
+    monkeypatch.setattr(SU, "random_effective", draw)
+    monkeypatch.setattr(S, "theta_class", refuse(S.BudgetError))
+    assert SU.cell_algebra_laws(seed=1) == (False, "theta refused 6 of 6 pairs over the Laurent budget")
+    for error in (EvalError, S.NonEffectiveError):
+        in_law.clear()
+        monkeypatch.setattr(S, "theta_class", refuse(error))
+        with pytest.raises(error, match="refused"):
+            SU.cell_algebra_laws(seed=1)
+        assert in_law[-1]
+
+
 def test_adams_composition(ctx):
     e = E.Sum((E.Bundle("E"), E.Dual(E.Line("L"))))
     lhs = eval_expr(E.Psi(2, E.Psi(3, e)), ctx)

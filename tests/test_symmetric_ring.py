@@ -20,6 +20,7 @@ from adamsrr import expr as E
 from adamsrr import rewrite as R
 from adamsrr import splitting as S
 from adamsrr import suite as SU
+from test_integer_kernel import _ref_power
 
 OMEGA = E.SymbolTable.OMEGA
 
@@ -249,9 +250,6 @@ def _refused_exprs() -> list[E.Expr]:
         E.Psi(1, gone), E.Dual(E.Dual(gone)), E.Psi(1, E.Tensor((E.ZERO, F))),
         # an undeclared symbol beside FsO: the operator refuses FsO first
         E.DetClass(E.Sum((F, E.Line("M")))),
-        # negative powers of a sum, and of a coefficient other than 1 or -1
-        E.Power(E.Sum((L, B2)), -1), E.Power(E.Tensor((E.IntConst(2), L)), -1),
-        E.Psi(2, E.Power(E.Sum((L, L)), -2)),
         # an unregistered pullback, undeclared symbols and a bundle read as a line
         E.Pull("nowhere", L), E.Psi(2, E.Pull("nowhere", L)), E.Theta(2, E.Pull("nowhere", L)),
         E.Theta(2, E.Sum((L, E.Pull("nowhere", L)))),
@@ -268,6 +266,23 @@ def test_refusals_match_the_laurent_route(n):
             want = _refusal(lambda: S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, cutoff))
             assert want is not None, E.print_expr(e)
             assert _refusal(lambda: S.packed_eval(e, ctx, cutoff)) == want, (E.print_expr(e), cutoff)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_powers_the_laurent_route_refuses_are_built_in_the_truncated_ring(n):
+    # psi^k(base^j), with the Laurent refusal of the base's inverse
+    L, B2 = E.Line("L"), E.Bundle("B2")
+    rows = [(1, E.Sum((L, B2)), -1, "negative power of a non-line class: (B2 + L)^-1"),
+            (1, E.Tensor((E.IntConst(2), L)), -1, "inverse requires unit coefficient, got 2"),
+            (2, E.Sum((L, L)), -2, "inverse requires unit coefficient, got 2")]
+    ctx = _opaque_context(n)
+    for k, base, j, text in rows:
+        e = E.Power(base, j) if k == 1 else E.Psi(k, E.Power(base, j))
+        assert _refusal(lambda: S.eval_expr(e, ctx)) == (S.EvalError, text)
+        for cutoff in range(1, n + 3):
+            x = S.packed_eval(base if k == 1 else E.Psi(k, base), ctx, cutoff)
+            assert S.packed_eval(e, ctx, cutoff).terms == _ref_power(x.terms, j, x.space), \
+                (E.print_expr(e), cutoff)
 
 
 def test_operator_indices_below_one_are_refused_when_the_node_is_built():
@@ -309,17 +324,19 @@ def _opaque_law_context() -> S.SplitContext:
     return S.SplitContext(table, opaque=frozenset({R.PUSHED_STRUCTURE}))
 
 
-def test_the_truncated_route_reads_no_laurent_class_but_a_negative_powers_base(monkeypatch):
+def test_the_truncated_route_reads_no_laurent_class(monkeypatch):
     def laurent(*args, **kwargs):
         raise AssertionError("the truncated route evaluated a Laurent class")
 
     L, B2, F = E.Line("L"), E.Bundle("B2"), R.FSO
     identities = [E.Psi(1, F), E.Psi(1, E.Sum((L, F))), E.Psi(1, E.Psi(1, F)), E.Psi(1, B2),
                   E.Dual(E.Dual(F)), E.Dual(E.Dual(E.Sum((F, L)))), E.Dual(E.Dual(B2)),
-                  E.Theta(2, E.Psi(1, L)), E.DetClass(E.Dual(E.Dual(E.Sum((L, B2)))))]
-    # a negative power's base is read from its Laurent class (`_inverse_operand`)
+                  E.Theta(2, E.Psi(1, L)), E.DetClass(E.Dual(E.Dual(E.Sum((L, B2))))),
+                  # negative powers, built by the truncated route's own rule
+                  E.Power(L, -3), E.Power(E.Dual(B2), -1), E.Power(E.Sum((L, B2)), -2),
+                  E.Power(F, -1)]
     cases = [(lambda n=n: _opaque_context(n), e) for n in (1, 2)
-             for e in _refused_exprs() + identities if "^-" not in E.print_expr(e)]
+             for e in _refused_exprs() + identities]
     rng = random.Random(0)
     cases += [(_opaque_law_context, SU.random_expr(rng)) for _ in range(1500)]
     want = _packed_outcomes(cases, (1, 2, 3, 4))
