@@ -4,8 +4,10 @@ A declared bundle of rank r contributes r root variables; evaluation maps the
 expression operations to exact polynomial arithmetic (psi^k = k-th power
 substitution on roots, dual = psi^-1, theta^k = product of truncated geometric
 series over the constituent line monomials, det = product of constituents);
-theta and tau form at most MAX_LAURENT_TERMS terms, and a negative power takes
-a line monomial as its base.  `SplitClass` is the package's one exact
+theta, tau and x^j of t terms (at most C(j+t-1, t-1), one per exponent vector)
+form at most MAX_LAURENT_TERMS terms, x^j shares its j factors among the
+terms of x, one term at a time, and a negative power takes a line monomial as
+its base.  `SplitClass` is the package's one exact
 polynomial class: it also carries the y-polynomial witness for the binomial
 identity behind the tilde-inverse, whose int coefficient lists are read off
 the expansion of the chain's own `tilde_inverse_expr`, and the classes of the
@@ -79,10 +81,6 @@ class NonEffectiveError(EvalError):
 
 class ContextMismatch(EvalError):
     pass
-
-
-class BudgetError(EvalError):
-    """theta or tau of a class whose expansion passes MAX_LAURENT_TERMS."""
 
 
 Monomial = tuple[tuple[str, int], ...]  # sorted (variable, nonzero exponent)
@@ -191,11 +189,25 @@ class SplitClass:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SplitClass":
-        """self^k for k >= 0; `_inverse_operand` inverts a negative power's base first."""
-        if k < 2:
+        """self^k for k >= 0; `_inverse_operand` inverts a negative power's base first.
+
+        The k factors are shared among the terms one term at a time:
+        `parts[j]` sums the products of the terms taken so far that leave j
+        factors to the rest, a term c*m takes a of them in C(j, a) ways, and
+        the last term takes all that are left.  Like products merge for each j.
+        """
+        if k < 2 or not self.terms:
             return self if k else SplitClass.constant(1, self.space)
-        half = self ** (k >> 1)
-        return half * half * self if k & 1 else half * half
+        parts: list[dict[Monomial, object]] = [{} for _ in range(k)] + [{(): 1}]
+        last = len(self.terms) - 1
+        for i, (m, c) in enumerate(self.terms.items()):
+            for j in range(1, k + 1):  # parts[j] gives only to parts below j, already taken
+                for a in range(j if i == last else 1, j + 1):
+                    ma, ca, into = _mono_pow(m, a), comb(j, a) * c ** a, parts[j - a]
+                    for mono, coef in parts[j].items():
+                        pm = _mono_mul(mono, ma)
+                        into[pm] = into.get(pm, 0) + coef * ca
+        return SplitClass._of({m: c for m, c in parts[0].items() if c}, self.space)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -384,7 +396,10 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
     if isinstance(e, Power):
         if e.exponent < 0:
             return _inverse_operand(e, ctx) ** -e.exponent
-        return eval_expr(e.base, ctx) ** e.exponent
+        base, j = eval_expr(e.base, ctx), e.exponent
+        t = len(base.terms)  # x^j of t terms has at most C(j+t-1, t-1) terms, one per exponent vector
+        _within_budget(f"power {j}", t, comb(j + t - 1, t - 1) if t else 0)
+        return base ** j
     if isinstance(e, Pull):
         return eval_expr(pull_back(e.morphism, e.arg, ctx), ctx)
     raise EvalError(f"unknown expression node {e!r}")
@@ -463,14 +478,14 @@ def _nonnegative_rank(r: int, what: str) -> None:
         raise EvalError(f"{what} argument has negative rank {r}")
 
 
-# the most terms `theta_class` (at most k^r, of r lines) and `tau_of_class` (p^r) form
+# the most terms `theta_class` (at most k^r, of r lines), `tau_of_class` (p^r) and a power form
 MAX_LAURENT_TERMS = 10**5
 
 
 def _within_budget(what: str, r: int, formed: int) -> None:
     """Refuse `what` of r lines once the terms it forms exceed MAX_LAURENT_TERMS."""
     if formed > MAX_LAURENT_TERMS:
-        raise BudgetError(f"{what} of a class of {r} lines forms more than {MAX_LAURENT_TERMS} "
+        raise EvalError(f"{what} of a class of {r} lines forms more than {MAX_LAURENT_TERMS} "
                         "terms without a truncation")
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,9 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
      "theta of a class of 8 lines forms more than 100000 terms without a truncation"),
     (("verify", "tau", "--p", "31", "--rank", "4"),
      "tau of a class of 4 lines forms more than 100000 terms without a truncation"),
+    # a power of 5 lines to the 40th has C(44, 4) = 135751 exponent vectors
+    (("normalize", "(A + B + C + D + E)^40"),
+     "power 40 of a class of 5 lines forms more than 100000 terms without a truncation"),
     (("verify", "binomial", "--p", str(R.PRIME_BOUND)),
      f"primality is decided only below {R.PRIME_BOUND}, not for {R.PRIME_BOUND}"),
 ])
@@ -344,6 +348,15 @@ def test_exact_results_print_every_digit(capsys, argv):
     assert (code, err) == (EXIT_OK, "")
     assert len(out) > limit
     assert sys.get_int_max_str_digits() == limit  # restored for the caller
+
+
+def test_a_power_shares_its_exponent_among_the_terms(capsys):
+    # squaring would form about 4 * 10^8 term pairs; the multinomial sum has C(402, 2) terms
+    code, out, err = run(capsys, "normalize", "(A+B+C)^400")
+    assert (code, err) == (EXIT_OK, "")
+    terms = out.strip().split(" + ")
+    assert len(terms) == comb(402, 2) == 80601
+    assert sum(int(t.split("*")[0]) if t[0].isdigit() else 1 for t in terms) == 3 ** 400
 
 
 def test_verify_km(capsys):

@@ -82,3 +82,14 @@ def test_sums_and_scalings_hold_no_zero_coefficient(a, b, k):
     for x in (a + b, a + (-a), (a + b) + (-b), a - b, a * k, k * a, -a):
         assert all(x.terms.values())
         assert x == SplitClass(dict(x.terms))
+
+
+@settings(deadline=None)
+@given(classes, st.integers(0, 6))
+def test_a_power_is_the_repeated_product(a, k):
+    product = SplitClass.constant(1)
+    for _ in range(k):
+        product = product * a
+    power = a ** k
+    assert power == product
+    assert all(power.terms.values())

@@ -125,47 +125,30 @@ def test_tau_theta_verdict_reports_difference():
     assert not diff.is_zero()
 
 
-def test_the_algebra_laws_skip_only_theta_pairs_over_the_laurent_budget(monkeypatch):
-    # at seed 1, theta^3 of one pair's 16 lines forms about 1.2 * 10^5 terms
-    refused, theta = [], S.theta_class
+@pytest.mark.parametrize("seed", [1, 9, 12, 23])
+def test_the_algebra_laws_check_every_theta_pair(seed):
+    # each of these seeds draws a theta pair of more lines than the Laurent route expands
+    assert SU.cell_algebra_laws(seed) == (True, "psi composition, theta/det laws, rank agreement, "
+                                          "pairing laws, idempotence")
 
-    def watched(cls, k):
-        try:
-            return theta(cls, k)
-        except EvalError as ex:
-            refused.append(str(ex))
-            raise
 
-    monkeypatch.setattr(S, "theta_class", watched)
-    assert SU.cell_algebra_laws(seed=1) == (True, "psi composition, theta/det laws, rank agreement, "
-                                            "pairing laws, idempotence (theta skipped 1 of 100 "
-                                            "pairs over the Laurent budget)")
-    assert refused == ["theta of a class of 16 lines forms more than 100000 terms without a truncation"]
+def test_the_theta_law_runs_the_packed_kernel(monkeypatch):
+    # theta(a + b) + 1 is not (theta(a) + 1)(theta(b) + 1): the first pair fails, by name
+    multiplicative = S._multiplicative
 
-    # from the theta law's first pair on (its draws are the first of depth 2), theta refuses
-    # every class: more than 5 budget refusals fail the cell, and any other refusal is raised
-    drawn, in_law = SU.random_effective, []
+    def off_by_one(g, sums, pk):
+        out = dict(multiplicative(g, sums, pk))
+        out[0] = out.get(0, 0) + 1
+        return out
 
-    def draw(rng, depth=2):
-        in_law.append(depth == 2 or in_law[-1:] == [True])
-        return drawn(rng, depth)
-
-    def refuse(error):
-        def theta_class(cls, k):
-            if in_law[-1:] == [True]:
-                raise error("refused")
-            return theta(cls, k)
-        return theta_class
-
-    monkeypatch.setattr(SU, "random_effective", draw)
-    monkeypatch.setattr(S, "theta_class", refuse(S.BudgetError))
-    assert SU.cell_algebra_laws(seed=1) == (False, "theta refused 6 of 6 pairs over the Laurent budget")
-    for error in (EvalError, S.NonEffectiveError):
-        in_law.clear()
-        monkeypatch.setattr(S, "theta_class", refuse(error))
-        with pytest.raises(error, match="refused"):
-            SU.cell_algebra_laws(seed=1)
-        assert in_law[-1]
+    monkeypatch.setattr(S, "_multiplicative", off_by_one)
+    rng = random.Random(0)
+    for _ in range(100):  # the psi law's draws
+        SU.random_expr(rng)
+        rng.randint(1, 3), rng.randint(1, 3)
+    a, b = SU.random_effective(rng), SU.random_effective(rng)
+    assert SU.cell_algebra_laws(seed=0) == (
+        False, f"theta multiplicativity broken on {E.print_expr(a)}, {E.print_expr(b)}")
 
 
 def test_adams_composition(ctx):
