@@ -4,10 +4,12 @@ A declared bundle of rank r contributes r root variables; evaluation maps the
 expression operations to exact polynomial arithmetic (psi^k = k-th power
 substitution on roots, dual = psi^-1, theta^k = product of truncated geometric
 series over the constituent line monomials, det = product of constituents);
-theta, tau and x^j of t terms (at most C(j+t-1, t-1), one per exponent vector)
-form at most MAX_LAURENT_TERMS terms, x^j shares its j factors among the
-terms of x, one term at a time, and a negative power takes a line monomial as
-its base.  `SplitClass` is the package's one exact
+theta and tau form at most MAX_LAURENT_TERMS terms, and x^j is refused
+unless one of its two bounds on terms (its exponent vectors, the box its
+exponents span) is within it; x^j squares when that box forces products to
+collide, and otherwise shares its j factors among the terms of x, one term
+at a time; a negative power takes a line monomial as its base.
+`SplitClass` is the package's one exact
 polynomial class: it also carries the y-polynomial witness for the binomial
 identity behind the tilde-inverse, whose int coefficient lists are read off
 the expansion of the chain's own `tilde_inverse_expr`, and the classes of the
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf
+from math import comb, factorial, gcd, inf, prod
 
 from .expr import (
     LINE,
@@ -191,23 +193,60 @@ class SplitClass:
     def __pow__(self, k: int) -> "SplitClass":
         """self^k for k >= 0; `_inverse_operand` inverts a negative power's base first.
 
-        The k factors are shared among the terms one term at a time:
-        `parts[j]` sums the products of the terms taken so far that leave j
-        factors to the rest, a term c*m takes a of them in C(j, a) ways, and
-        the last term takes all that are left.  Like products merge for each j.
+        A term's power is c^k m^k.  When the box of `power_bounds` holds fewer
+        points than there are exponent vectors, products must collide, and
+        squaring merges them at each step.  Otherwise the k factors are shared
+        among the terms one term at a time: `parts[j]` sums the products of the
+        terms taken so far that leave j factors to the rest, a term c*m takes a
+        of them in C(j, a) ways, and the last term takes all that are left.
+        Like products merge for each j.
         """
-        if k < 2 or not self.terms:
+        if k < 2:
             return self if k else SplitClass.constant(1, self.space)
+        if len(self.terms) < 2:
+            return SplitClass._of({_mono_pow(m, k): c ** k for m, c in self.terms.items()}, self.space)
+        vectors, box = self.power_bounds(k)
+        if box < vectors:
+            half = self ** (k >> 1)
+            return half * half * self if k & 1 else half * half
         parts: list[dict[Monomial, object]] = [{} for _ in range(k)] + [{(): 1}]
         last = len(self.terms) - 1
         for i, (m, c) in enumerate(self.terms.items()):
             for j in range(1, k + 1):  # parts[j] gives only to parts below j, already taken
+                if not parts[j]:
+                    continue
                 for a in range(j if i == last else 1, j + 1):
                     ma, ca, into = _mono_pow(m, a), comb(j, a) * c ** a, parts[j - a]
                     for mono, coef in parts[j].items():
                         pm = _mono_mul(mono, ma)
                         into[pm] = into.get(pm, 0) + coef * ca
         return SplitClass._of({m: c for m, c in parts[0].items() if c}, self.space)
+
+    def power_bounds(self, k: int) -> tuple[int, int]:
+        """Two bounds on the terms of self^k, k >= 1, each also on every part `__pow__` forms.
+
+        The exponent vectors of t terms, C(k+t-1, t-1), counted only until they
+        pass the other bound; and the points of the box the product exponents
+        span, less the widest side when all terms have one total degree, which
+        fixes the exponent on that side.  In each variable the k factors'
+        exponents step by the gcd g of the terms' differences, so its side is
+        k * (exponent range) / g + 1.
+        """
+        exps = [dict(m) for m in self.terms]
+        sides = []
+        for es in ([d.get(v, 0) for d in exps] for v in {v for d in exps for v in d}):
+            lo = min(es)
+            sides.append(k * (max(es) - lo) // (gcd(*(e - lo for e in es)) or 1) + 1)
+        sides.sort()
+        if len({sum(d.values()) for d in exps}) == 1 and sides:
+            sides.pop()
+        box = prod(sides)
+        vectors = 1 if exps else 0
+        for i in range(1, len(exps)):  # C(k+i, i) from C(k+i-1, i-1)
+            vectors = vectors * (k + i) // i
+            if vectors > box:
+                break
+        return vectors, box
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -397,8 +436,7 @@ def _eval_uncached(e: Expr, ctx: SplitContext) -> SplitClass:
         if e.exponent < 0:
             return _inverse_operand(e, ctx) ** -e.exponent
         base, j = eval_expr(e.base, ctx), e.exponent
-        t = len(base.terms)  # x^j of t terms has at most C(j+t-1, t-1) terms, one per exponent vector
-        _within_budget(f"power {j}", t, comb(j + t - 1, t - 1) if t else 0)
+        _within_budget(f"power {j}", len(base.terms), min(base.power_bounds(j)), "terms")
         return base ** j
     if isinstance(e, Pull):
         return eval_expr(pull_back(e.morphism, e.arg, ctx), ctx)
@@ -482,10 +520,10 @@ def _nonnegative_rank(r: int, what: str) -> None:
 MAX_LAURENT_TERMS = 10**5
 
 
-def _within_budget(what: str, r: int, formed: int) -> None:
-    """Refuse `what` of r lines once the terms it forms exceed MAX_LAURENT_TERMS."""
+def _within_budget(what: str, r: int, formed: int, of: str = "lines") -> None:
+    """Refuse `what` of a class of r lines (or terms) once the terms it forms exceed MAX_LAURENT_TERMS."""
     if formed > MAX_LAURENT_TERMS:
-        raise EvalError(f"{what} of a class of {r} lines forms more than {MAX_LAURENT_TERMS} "
+        raise EvalError(f"{what} of a class of {r} {of} forms more than {MAX_LAURENT_TERMS} "
                         "terms without a truncation")
 
 

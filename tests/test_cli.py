@@ -284,9 +284,9 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
      "theta of a class of 8 lines forms more than 100000 terms without a truncation"),
     (("verify", "tau", "--p", "31", "--rank", "4"),
      "tau of a class of 4 lines forms more than 100000 terms without a truncation"),
-    # a power of 5 lines to the 40th has C(44, 4) = 135751 exponent vectors
+    # a power of 5 lines to the 40th has C(44, 4) = 135751 exponent vectors, and its box more points
     (("normalize", "(A + B + C + D + E)^40"),
-     "power 40 of a class of 5 lines forms more than 100000 terms without a truncation"),
+     "power 40 of a class of 5 terms forms more than 100000 terms without a truncation"),
     (("verify", "binomial", "--p", str(R.PRIME_BOUND)),
      f"primality is decided only below {R.PRIME_BOUND}, not for {R.PRIME_BOUND}"),
 ])
@@ -341,6 +341,7 @@ def test_internal_errors_exit_3_with_one_line(capsys, monkeypatch, argv, patch, 
     # `str` of an int allows by default
     ("verify", "binomial", "--n", "90", "--p", "7"),
     ("normalize", "det_rf(f, 2^20000)"),
+    ("normalize", "(2 (x) A)^100000"),
 ])
 def test_exact_results_print_every_digit(capsys, argv):
     limit = sys.get_int_max_str_digits()
@@ -350,13 +351,25 @@ def test_exact_results_print_every_digit(capsys, argv):
     assert sys.get_int_max_str_digits() == limit  # restored for the caller
 
 
-def test_a_power_shares_its_exponent_among_the_terms(capsys):
+@pytest.mark.parametrize("power,count,total", [
     # squaring would form about 4 * 10^8 term pairs; the multinomial sum has C(402, 2) terms
-    code, out, err = run(capsys, "normalize", "(A+B+C)^400")
+    ("(A+B+C)^400", comb(402, 2), 3 ** 400),
+    # a power of one term is formed at once, of either sign
+    ("A^100000000", 1, 1),
+    ("A^-100000000", 1, 1),
+    # C(502, 2) exponent vectors, but a box of 1001 points: squaring merges the products
+    ("(A + dual(A) + 1)^500", 1001, 3 ** 500),
+    # exponents in steps of 100: the box's side counts the steps, 1001 points
+    ("(A^100 + dual(A)^100 + 1)^500", 1001, 3 ** 500),
+    # C(110, 10) exponent vectors; one total degree leaves a box of 1001 points
+    ("((A + B)^10)^100", 1001, 2 ** 1000),
+])
+def test_a_power_forms_only_the_terms_its_bounds_allow(capsys, power, count, total):
+    code, out, err = run(capsys, "normalize", power)
     assert (code, err) == (EXIT_OK, "")
     terms = out.strip().split(" + ")
-    assert len(terms) == comb(402, 2) == 80601
-    assert sum(int(t.split("*")[0]) if t[0].isdigit() else 1 for t in terms) == 3 ** 400
+    assert len(terms) == count
+    assert sum(int(t.split("*")[0]) if t[0].isdigit() else 1 for t in terms) == total
 
 
 def test_verify_km(capsys):

@@ -93,3 +93,32 @@ def test_a_power_is_the_repeated_product(a, k):
     power = a ** k
     assert power == product
     assert all(power.terms.values())
+    assert k == 0 or len(power.terms) <= min(a.power_bounds(k))
+
+
+def test_a_power_squares_where_its_box_forces_products_to_collide(monkeypatch):
+    def cls(*monos):
+        return SplitClass({tuple((v, e) for v, e in zip("ab", m) if e): 1 for m in monos})
+
+    lines = SplitClass({(("a", 1),): 1, (("b", 1),): 1, (("c", 1),): 1})
+    with_dual = cls((1, 0), (-1, 0), (0, 0))           # box of side 2k + 1
+    quartic = cls(*((4 - i, i) for i in range(5)))      # one total degree: the box drops a side
+    assert lines.power_bounds(400) == (80601, 401 ** 2)
+    assert with_dual.power_bounds(40) == (861, 81)
+    assert quartic.power_bounds(100) == (5151, 401)     # vectors counted only past the box
+    assert cls((7, 0)).power_bounds(10 ** 40) == (1, 1)
+    assert cls((100, 0), (-100, 0), (0, 0)).power_bounds(500) == (125751, 1001)  # steps of 100
+    assert SplitClass().power_bounds(3) == (0, 1)
+
+    cases = ((with_dual, 40), (quartic, 30), (lines, 12))
+    products = []
+    for x, k in cases:
+        products.append(SplitClass.constant(1))
+        for _ in range(k):
+            products[-1] = products[-1] * x
+    mul, calls = SplitClass.__mul__, []
+    monkeypatch.setattr(SplitClass, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
+    for (x, k), product, squares in zip(cases, products, (True, True, False)):
+        calls.clear()
+        assert x ** k == product
+        assert bool(calls) is squares

@@ -133,7 +133,7 @@ def test_the_algebra_laws_check_every_theta_pair(seed):
 
 
 def test_the_theta_law_runs_the_packed_kernel(monkeypatch):
-    # theta(a + b) + 1 is not (theta(a) + 1)(theta(b) + 1): the first pair fails, by name
+    # theta(a + b) + 1 is not (theta(a) + 1)(theta(b) + 1): the cell fails at the theta law
     multiplicative = S._multiplicative
 
     def off_by_one(g, sums, pk):
@@ -142,13 +142,9 @@ def test_the_theta_law_runs_the_packed_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_multiplicative", off_by_one)
-    rng = random.Random(0)
-    for _ in range(100):  # the psi law's draws
-        SU.random_expr(rng)
-        rng.randint(1, 3), rng.randint(1, 3)
-    a, b = SU.random_effective(rng), SU.random_effective(rng)
-    assert SU.cell_algebra_laws(seed=0) == (
-        False, f"theta multiplicativity broken on {E.print_expr(a)}, {E.print_expr(b)}")
+    ok, detail = SU.cell_algebra_laws(seed=0)
+    assert ok is False
+    assert detail.startswith("theta multiplicativity broken on ")
 
 
 def test_adams_composition(ctx):
