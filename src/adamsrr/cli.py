@@ -82,6 +82,11 @@ def cmd_normalize(args) -> int:
     table, morphisms = (load_declarations(args.decls) if args.decls
                         else (E.SymbolTable(space="X"), None))
     names, morphism_names = E.name_tokens(text)
+    if args.n is not None and (args.decls or "det_rf" not in names):
+        # the declarations give each morphism its dimension, and only det_rf has one
+        print(f"error: normalize {'with --decls' if args.decls else 'without det_rf'} "
+              "does not use --n", file=sys.stderr)
+        return EXIT_USAGE
     if morphisms is None:
         # a morphism name never stands for a line as well
         auto_declare([name for name in names if name not in morphism_names], table)
@@ -93,16 +98,16 @@ def cmd_normalize(args) -> int:
         else:
             print(str(cls))
         return EXIT_OK
-    line = P.GradedLine.trivial()
+    line, n = P.GradedLine(), 1 if args.n is None else args.n
     made: dict[str, P.Morphism] = {}  # one per name: det words over it share its context
     for mname, arg, exp in E.parse_det_line(text, table):
         if morphisms is not None and mname not in morphisms:
             raise E.SymbolError(f"undeclared morphism {mname!r}")
         if mname not in made:
-            made[mname] = P.make_morphism(mname, morphisms[mname] if morphisms else args.n, table)
+            made[mname] = P.make_morphism(mname, morphisms[mname] if morphisms else n, table)
         line = line * (P.det_rf_atom(made[mname], arg) ** exp)
     line = P.normalize(line)
-    rendered = line.render()
+    rendered = f"{line.render()} | grade= {line.grade}"
     if args.format == "json":
         print(json.dumps({"input": text, "normal_form": rendered,
                           "trivial": line.is_trivial()}))
@@ -228,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("normalize", help="print the canonical normal form of an expression")
     norm.add_argument("expr", help="expression text, or det_rf(f, ...) factors")
     norm.add_argument("--decls", help="declarations file (strict mode)")
-    norm.add_argument("--n", type=int, default=1, help="relative dimension for det_rf")
+    norm.add_argument("--n", type=int,
+                      help="relative dimension for det_rf without --decls (default 1)")
     norm.add_argument("--format", choices=("text", "json"), default="text")
 
     ver = sub.add_parser("verify", help="run one verification")

@@ -1,12 +1,16 @@
 """Graded determinant-of-cohomology lines and the Deligne pairing.
 
 A GradedLine is a formal tensor word in det-of-pushforward atoms
-det_rf[f](e) and psi/pullback wrappers around those.  Its grade is a
-`SplitClass`: a linear form in the Euler-characteristic symbols chi[f](m),
-added, negated and scaled with the class's own operators.  Tensor adds
-grades.  Grades are tracked, but the commutation sign (-1)^(grade*grade) of
-the graded Picard category is not modelled: a line is a commutative word, so
-the order of factors is not recorded.
+det_rf[f](e) and psi/pullback wrappers around those, held as its det slots.
+Its grade is not stored: it is read off the slot classes, as in Deligne's
+determinant functor, where det V has degree rk V.  Each slot contributes
+`chi_grade` of its class, a linear form in the Euler-characteristic symbols
+chi[f](m); tensor therefore adds grades and a power scales them.  The
+wrappers psi^k, g^* and F_S^* keep ranks, so they keep the grade.  The
+commutation sign (-1)^(grade*grade) of the graded Picard category is not
+modelled: a line is a commutative word, so the order of factors is not
+recorded, and two lines are equal when their slot classes are, which makes
+their grades equal too.
 
 Det atoms are compared through the truncated filtration invariant of their
 argument class (the class modulo I^(n+2), I the augmentation ideal of the
@@ -22,8 +26,8 @@ argument expressions are retained for display and for recording which
 reduction applied.
 
 Per-argument work is paid once per distinct argument: `normalize`'s
-expansion lives on the canonical node (`expr.expand_top`), and a grade on
-its morphism, keyed by the argument.
+expansion lives on the canonical node (`expr.expand_top`), and a grade's
+symbols on its morphism, keyed by the packed monomial.
 """
 
 from __future__ import annotations
@@ -47,14 +51,12 @@ class RankMismatch(PicardError):
 
 @dataclass(frozen=True)
 class Morphism:
-    """A projective morphism tag: name, relative dimension, upstairs roots, and `chi_grade`'s memos."""
+    """A projective morphism tag: name, relative dimension, upstairs roots, and `chi_grade`'s symbols."""
 
     name: str
     rel_dim: int
     upstairs: S.SplitContext = field(compare=False, repr=False)
     _symbols: dict[int, S.Monomial] = field(default_factory=dict, init=False, compare=False, repr=False)
-    _grades: dict[E.Expr, S.SplitClass] = field(default_factory=dict, init=False, compare=False,
-                                                repr=False)
 
     def truncated(self, e: E.Expr) -> S.SplitClass:
         """Argument class modulo I^(n+2), packed; memoized per context."""
@@ -68,22 +70,17 @@ def make_morphism(name: str, rel_dim: int, table: E.SymbolTable) -> Morphism:
 # ---------------------------------------------------------------------------
 # Grades
 
-def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
-    """Symbolic Euler-characteristic grade of det_rf[f](e), linear in symbols chi[f](m).
+def chi_grade(f: Morphism, lam: S.SplitClass) -> S.SplitClass:
+    """Symbolic Euler-characteristic grade of a det slot over f of packed class lam.
 
-    Keyed by the argument class modulo I^(n+1); Euler characteristics of a
-    relative n-fold kill I^(n+1), one degree below the determinant's kernel:
-    the packed invariant's terms whose top field, the weighted degree, is <= n.
-    Each names its packed monomial m as it is, in the text of `_Packing.text`
-    (a line's root, gamma^k(B) for e_k of a bundle B of rank >= 2); a symbol
-    is built once per packed m, and a grade once per e, in the morphism's
-    memos.  The grade is shared: callers scale copies.
+    Linear in symbols chi[f](m), and read modulo I^(n+1): Euler characteristics
+    of a relative n-fold kill I^(n+1), one degree below the determinant's
+    kernel, so the grade keeps lam's terms whose top field, the weighted
+    degree, is <= n.  Each names its packed monomial m as it is, in the text
+    of `_Packing.text` (a line's root, gamma^k(B) for e_k of a bundle B of
+    rank >= 2); a symbol is built once per packed m, in the morphism's memo.
     """
-    grade = f._grades.get(e)
-    if grade is not None:
-        return grade
-    lam, symbols = f.truncated(e), f._symbols
-    pk, terms = lam.space, {}
+    symbols, pk, terms = f._symbols, lam.space, {}
     top = (f.rel_dim + 1) << pk.shift
     for m, c in lam.terms.items():
         if m < top:
@@ -91,8 +88,7 @@ def chi_grade(f: Morphism, e: E.Expr) -> S.SplitClass:
             if symbol is None:
                 symbol = symbols[m] = ((f"chi[{f.name}]({pk.text(m)})", 1),)
             terms[symbol] = c
-    grade = f._grades[e] = S.SplitClass._of(terms, None)  # lam has no zero term
-    return grade
+    return S.SplitClass._of(terms, None)  # lam has no zero term
 
 
 # ---------------------------------------------------------------------------
@@ -103,27 +99,26 @@ Slot = tuple  # (wrappers: tuple[Wrapper, ...], Morphism)
 
 
 class GradedLine:
-    """Element of the Picard model: det slots and a grade.
+    """Element of the Picard model: its det slots.
 
     `dets` maps a slot (wrapper chain, `Morphism`) to its packed truncated-filtration
     class (the semantic invariant, additive under tensor) plus a display list
-    of (argument expression, exponent) contributions.  The grade is a
-    `SplitClass` in the symbols chi[f](m).  A line is not mutated after
-    construction: nothing writes `dets` or `grade` later, so `render` keeps
-    its text in `_text`, and a line to the power 1 is the line itself.
+    of (argument expression, exponent) contributions.  The grade is read off
+    the slot classes on use.  A line is not mutated after construction:
+    nothing writes `dets` later, so `render` keeps its text in `_text`, and a
+    line to the power 1 is the line itself.
     """
 
-    __slots__ = ("dets", "grade", "_text")
+    __slots__ = ("dets", "_text")
 
-    def __init__(self, dets=None, grade=None):
+    def __init__(self, dets=None):
         self.dets: dict[Slot, tuple[S.SplitClass, tuple[tuple[E.Expr, int], ...]]] = dets or {}
-        self.grade: S.SplitClass = S.SplitClass() if grade is None else grade
         self._text = None
 
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def trivial() -> "GradedLine":
-        return GradedLine()
+    @property
+    def grade(self) -> S.SplitClass:
+        """The sum of `chi_grade` over the slot classes; wrappers keep ranks, so they add nothing."""
+        return sum((chi_grade(f, lam) for (_, f), (lam, _) in self.dets.items()), S.SplitClass())
 
     # -- group structure -----------------------------------------------------
     def tensor(self, other: "GradedLine") -> "GradedLine":
@@ -134,8 +129,8 @@ class GradedLine:
                 dets[slot] = (lam0 + lam, disp0 + disp)
             else:
                 dets[slot] = (lam, disp)
-        dets = {slot: (lam, disp) for slot, (lam, disp) in dets.items() if disp or not lam.is_zero()}
-        return GradedLine(dets, self.grade + other.grade)
+        return GradedLine({slot: (lam, disp) for slot, (lam, disp) in dets.items()
+                           if disp or not lam.is_zero()})
 
     __mul__ = tensor
 
@@ -143,33 +138,27 @@ class GradedLine:
         if k == 1:
             return self
         if k == 0:
-            return GradedLine.trivial()
-        dets = {slot: (lam * k, tuple((e, x * k) for e, x in disp))
-                for slot, (lam, disp) in self.dets.items()}
-        return GradedLine(dets, self.grade * k)
+            return GradedLine()
+        return GradedLine({slot: (lam * k, tuple((e, x * k) for e, x in disp))
+                           for slot, (lam, disp) in self.dets.items()})
 
     __pow__ = power
-
-    def with_grade(self, grade: S.SplitClass) -> "GradedLine":
-        return GradedLine(dict(self.dets), grade)
 
     # -- comparison ----------------------------------------------------------
     def is_trivial(self) -> bool:
         return all(lam.is_zero() for lam, _ in self.dets.values())
 
-    def same_atoms(self, other: "GradedLine") -> bool:
-        """Underlying (ungraded) line equality via the semantic invariants."""
+    def __eq__(self, other) -> bool:
+        """Slot-class equality, through the semantic invariants; equal lines have equal grades."""
+        if not isinstance(other, GradedLine):
+            return NotImplemented
         zero = S.SplitClass()
         return all(self.dets.get(slot, (zero, ()))[0] == other.dets.get(slot, (zero, ()))[0]
                    for slot in set(self.dets) | set(other.dets))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedLine):
-            return NotImplemented
-        return self.same_atoms(other) and self.grade == other.grade
-
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:
+        """The tensor word: each slot's display factors, the slots in a fixed order."""
         if self._text is not None:
             return self._text
         parts: list[str] = []
@@ -178,8 +167,7 @@ class GradedLine:
             for e, x in disp:
                 body = _render_slot_atom(slot, e)
                 parts.append(body if x == 1 else f"{body}^{x}")
-        text = " (x) ".join(parts) if parts else "1 (trivial)"
-        self._text = f"{text} | grade= {self.grade}"
+        self._text = " (x) ".join(parts) if parts else "1 (trivial)"
         return self._text
 
     def __str__(self) -> str:
@@ -205,28 +193,20 @@ def _render_slot_atom(slot: Slot, e: E.Expr) -> str:
 # ---------------------------------------------------------------------------
 # Det atoms
 
-def det_rf_atom(f: Morphism, e: E.Expr, wrappers: tuple = (),
-                grade: S.SplitClass | None = None) -> GradedLine:
-    """The graded line det Rf_*(e) under wrappers; `grade` replaces its psi-scaled chi grade."""
+def det_rf_atom(f: Morphism, e: E.Expr, wrappers: tuple = ()) -> GradedLine:
+    """The graded line det Rf_*(e) under wrappers: one det slot holding e's packed class."""
     e = E.canonicalize(e)
-    if grade is None:
-        grade = chi_grade(f, e)
-        for w in wrappers:
-            if w[0] == "psi":
-                grade = grade * w[1]
-    return GradedLine(dets={(wrappers, f): (f.truncated(e), ((e, 1),))}, grade=grade)
+    return GradedLine({(wrappers, f): (f.truncated(e), ((e, 1),))})
 
 
 def psi_line(k: int, gl: GradedLine) -> GradedLine:
-    """Unevaluated Adams operation on a line; it scales the grade by k."""
-    dets = {((("psi", k),) + slot[0], slot[1]): v for slot, v in gl.dets.items()}
-    return GradedLine(dets, gl.grade * k)
+    """Unevaluated Adams operation on a line; psi^k keeps ranks, so the grade is kept."""
+    return GradedLine({((("psi", k),) + slot[0], slot[1]): v for slot, v in gl.dets.items()})
 
 
 def pull_line(g: str, gl: GradedLine) -> GradedLine:
     """Pullback of a graded line along the base-change morphism named g."""
-    dets = {((("pull", g),) + slot[0], slot[1]): v for slot, v in gl.dets.items()}
-    return GradedLine(dets, gl.grade)
+    return GradedLine({((("pull", g),) + slot[0], slot[1]): v for slot, v in gl.dets.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +238,7 @@ def normalize(gl: GradedLine) -> GradedLine:
         kept = tuple((mono, c) for _, (mono, c) in sorted(merged.items()) if c)
         if kept or not lam.is_zero():
             dets[slot] = (lam, kept)
-    return GradedLine(dets, gl.grade)
+    return GradedLine(dets)
 
 
 # ---------------------------------------------------------------------------

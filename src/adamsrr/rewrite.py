@@ -13,12 +13,20 @@ and the checks each move needs (so a tampered rule fails at its own step,
 not at the end).  The chain, the square and the expansion are tables of
 `Step`s run by one runner, which looks up the cited rules and records each
 step or its failure.
+
+A form is a line of det slots; the trace prints its tensor word, not its
+grade, which is read off the slot classes.  Every check compares slot
+classes: a class-preserving step asks for equal classes, and a wrapper move
+for the argument kept and the class scaled by the factor the move states
+(1 for (1), (11) and bottom(1), p for (10), 1/p for (13)), so a wrong
+exponent fails at its own step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable
@@ -435,45 +443,37 @@ def _sole_det(gl: P.GradedLine) -> tuple[tuple, E.Expr, int]:
     return entries[0]
 
 
-def _atom(morph: P.Morphism, wrappers: tuple, arg: E.Expr, exp: int) -> P.GradedLine:
-    return P.det_rf_atom(morph, arg, wrappers=wrappers) ** exp
-
-
-def _form(morph: P.Morphism, arg: E.Expr, exp: int, grade: S.SplitClass,
-          wrappers: tuple = ()) -> P.GradedLine:
-    """det_rf[morph](arg)^exp under wrappers, given the grade of the form it was rewritten from."""
-    return (P.det_rf_atom(morph, arg, wrappers, S.SplitClass()) ** exp).with_grade(grade)
+def _atom(morph: P.Morphism, arg: E.Expr, exp: int, wrappers: tuple = ()) -> P.GradedLine:
+    """det_rf[morph](arg)^exp under wrappers."""
+    return P.det_rf_atom(morph, arg, wrappers) ** exp
 
 
 def _class_equal_condition(before: P.GradedLine, after: P.GradedLine) -> tuple[str, bool]:
-    return ("argument classes equal (split-engine identity)", after.same_atoms(before))
+    return ("argument classes equal (split-engine identity)", after == before)
 
 
 def _keq(morph: P.Morphism, rewrite_arg: Callable[[E.Expr], E.Expr]):
     """A class-preserving step: the sole det atom's argument rewritten over `morph`.
 
-    The exponent and the form's grade are kept; the step records that the
-    argument classes agree.
+    The exponent is kept; the step records that the argument classes agree.
     """
     def apply(cur: P.GradedLine):
         _, arg, exp = _sole_det(cur)
-        after = _form(morph, rewrite_arg(arg), exp, cur.grade)
+        after = _atom(morph, rewrite_arg(arg), exp)
         return after, [_class_equal_condition(cur, after)]
     return apply
 
 
 def _wrapper_move_condition(before: P.GradedLine, after: P.GradedLine,
-                            same_exponent: bool = False) -> tuple[str, bool]:
-    """A move that only rewraps a det atom keeps its argument and the line's grade.
+                            scale: int | Fraction = 1) -> tuple[str, bool]:
+    """A move that only rewraps a det atom keeps its argument and scales its slot class by `scale`.
 
-    With `same_exponent`, for a move that keeps the exponent but whose form is
-    given the grade it started from, the det slot's packed class, which
-    carries the exponent, is compared in place of the grade.
+    The slot class carries the exponent, so a move to a wrong power fails here.
     """
     (slot0, arg0, _), (slot1, arg1, _) = _sole_det(before), _sole_det(after)
-    kept = before.dets[slot0][0] == after.dets[slot1][0] if same_exponent else \
-        before.grade == after.grade
-    return ("argument class and grade unchanged by the wrapper move", arg0 == arg1 and kept)
+    scaled = after.dets[slot1][0] * scale.denominator == before.dets[slot0][0] * scale.numerator
+    return (f"wrapper move keeps the argument and scales the det class by {scale}",
+            arg0 == arg1 and scaled)
 
 
 def distribute_pull(e: E.Expr, morphism: str, compose: dict[str, E.Expr],
@@ -556,30 +556,29 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         (wrappers, _), arg, exp = _sole_det(cur)
         if not wrappers or wrappers[0] != ("psi", p):
             raise VerifierError("R1 expects a leading psi^p wrapper")
-        after = _form(geom.f, arg, exp, cur.grade, (("detpull", geom.name_FS),))
-        return after, [_wrapper_move_condition(cur, after, same_exponent=True)]
+        after = _atom(geom.f, arg, exp, (("detpull", geom.name_FS),))
+        return after, [_wrapper_move_condition(cur, after)]
 
     def step2(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
         twisted = geom.fp.truncated(j_e)
-        return _form(geom.fp, j_e, exp, cur.grade), [
+        return _atom(geom.fp, j_e, exp), [
             ("twist-side argument is the J-pullback of the original",
              S.repack(geom.f.truncated(arg), geom.twist, twisted.space) == twisted)]
 
     def step3(cur: P.GradedLine):
         slot, arg, exp = _sole_det(cur)
         inserted, conditions = _rank_zero_summand(geom, arg)
-        after = _form(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))),
-                      1, cur.grade)
+        after = _atom(geom.fp, E.Sum((E.Tensor((E.IntConst(exp), arg)), signed(inserted))), 1)
         return after, conditions + [_class_equal_condition(cur, after)]
 
     def step4(cur: P.GradedLine):
         w = S.binomial_identity_check(n, p)
-        after = _form(geom.fp, E.Sum((
+        after = _atom(geom.fp, E.Sum((
             E.Tensor((E.IntConst(m), j_e)),
             signed(E.Tensor((S.binomial_sum(n, p, FSO, n + 2), j_e))),
             E.Neg(E.Tensor((E.IntConst(a ** (n + 2)), j_e))),
-        )), 1, cur.grade)
+        )), 1)
         return after, [("binomial identity oracle: y*tilde(y) - p^(n(n+2)) = "
                         "(-1)^(n+1) (y - p^n)^(n+2)", bool(w)),
                        _class_equal_condition(cur, after)]
@@ -597,7 +596,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
         if negated:
             w_expr = E.Neg(w_expr)
         after_arg = rules["R4"].action(geom.name_F, w_expr)
-        return _form(geom.f, after_arg, exp, cur.grade), [
+        return _atom(geom.f, after_arg, exp), [
             ("F^*(F_*O_X (x) W) = theta^p(Omega_f) (x) F^*W (split-engine identity)",
              geom.f.truncated(E.Pull(geom.name_F, arg)) ==
              geom.f.truncated(E.Tensor((theta_omega, after_arg))))]
@@ -636,7 +635,7 @@ def verify_arr_identity(n: int, p: int, e: E.Expr | None = None,
              _keq(geom.f, lambda arg: rhs_expr)),
     ]
     cur = _run_steps(trace, lhs, steps, rules)
-    if cur is not None and not cur.same_atoms(rhs):
+    if cur is not None and cur != rhs:
         trace.fail(len(steps) - 1, "final form does not match the goal right side")
     return trace
 
@@ -687,14 +686,14 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
     br_right = P.det_rf_atom(geom_t.f, rhs_expr_t)
     trace = ProofTrace(tl.render(), br_right.render(), n, p)
 
-    def rewrap(move: Callable[[P.GradedLine], P.GradedLine]):
-        # a move of the wrappers and exponent around one det atom
+    def rewrap(move: Callable[[P.GradedLine], P.GradedLine], scale: int | Fraction = 1):
+        # a move of the wrappers and exponent around one det atom, scaling its class by `scale`
         def apply(cur: P.GradedLine):
             after = move(cur)
-            return after, [_wrapper_move_condition(cur, after)]
+            return after, [_wrapper_move_condition(cur, after, scale)]
         return apply
 
-    det_commutes = rewrap(lambda cur: _atom(geom.f, (("detpull", name_g),), *_sole_det(cur)[1:]))
+    det_commutes = rewrap(lambda cur: _atom(geom.f, *_sole_det(cur)[1:], (("detpull", name_g),)))
 
     def right(cur: P.GradedLine):
         sub = verify_arr_identity(n, p, e_t, symbols_t, rules, geometry=geom_t)
@@ -713,7 +712,7 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
             slot, arg, exp = _sole_det(cur)
             after_arg = pulled(arg)
             pulled_back = geom_t.f.truncated(after_arg)
-            return _atom(geom_t.f, (), after_arg, exp), [(
+            return _atom(geom_t.f, after_arg, exp), [(
                 "argument over f_T is the g'-pullback of the original (split-engine identity)",
                 S.repack(geom.f.truncated(arg), rename_t, pulled_back.space) == pulled_back)]
         return apply
@@ -724,12 +723,12 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
 
     top_and_right = [
         Step("(10)", "R1", "R1", "psi^p of a line is its p-th power",
-             rewrap(lambda cur: P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m))),
+             rewrap(lambda cur: P.pull_line(name_g, P.det_rf_atom(geom.f, e)) ** (p * m), p)),
         Step("(11)", "R2", "R2", "det commutes with the pullback", det_commutes),
         Step("(12)", "R2", "R2", "cohomology base change: det Rf'_*(g'^* E)",
              base_change(lambda arg: e_t)),
         Step("(13)", "R1", "R1", "refold the p-th power into psi^p",
-             rewrap(lambda cur: P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m)),
+             rewrap(lambda cur: P.psi_line(p, P.det_rf_atom(geom_t.f, e_t)) ** m, Fraction(1, p))),
         Step("right", CHAIN_RULES, "main chain over the pulled-back family",
              "apply the verified identity to f_T and g'^*E", right),
     ]
@@ -751,7 +750,7 @@ def verify_base_change(n: int, p: int, e: E.Expr | None = None,
                  if pl.morphism == name_gp else pl))),
         Step("square", "-", "composite paths around the square",
              "compare the two routes into the bottom-right corner",
-             lambda cur: (br_right, [("both composite paths agree", cur.same_atoms(br_right))])),
+             lambda cur: (br_right, [("both composite paths agree", cur == br_right)])),
     ]
     if _run_steps(trace, tl, top_and_right, rules) is not None:
         _run_steps(trace, tl, left_and_bottom, rules)
@@ -792,7 +791,7 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
     lp2 = E.Power(E.Line(line), p * p)
     exponents = [comb(n + 2, i) * a**i for i in range(n + 2)]
     lambda_exprs = []
-    product = P.GradedLine.trivial()
+    product = P.GradedLine()
     for i in range(n + 2):
         signed_arg = E.Tensor((E.IntConst((-1) ** (n + 1 + i)),
                                E.Power(theta_omega, n + 1 - i), lp2))
@@ -805,7 +804,7 @@ def knudsen_mumford_expansion(n: int, p: int, line: str = "L") -> KnudsenMumford
         Step("(km)", "KEQ", "det additivity over the binomial sum",
              "split det Rf_*(tilde (x) L^(p^2)) into lambda factors",
              lambda cur: (product, [("lambda product equals the chain's right side",
-                                     product.same_atoms(cur))]))], rules)
+                                     product == cur)]))], rules)
 
     factors = [f"det_rf[{geom.name_f}]({E.print_expr(x)})^{c}"
                for x, c in zip(lambda_exprs, exponents)]

@@ -294,7 +294,7 @@ def cell_algebra_laws(seed: int = 0) -> tuple[bool, str]:
             return False, "pairing multilinearity broken"
 
     for i in range(100):
-        gl = P.GradedLine.trivial()
+        gl = P.GradedLine()
         for _ in range(rng.randint(1, 3)):
             gl = gl * (P.det_rf_atom(f, random_expr(rng, 2)) ** rng.randint(-2, 2))
         once = P.normalize(gl)

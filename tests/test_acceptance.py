@@ -198,7 +198,7 @@ def test_criterion_9_algebra_laws():
             P.pairing_to_det(P.PairingExpr(f, (b, l)))
 
     for _ in range(100):  # normalization idempotence
-        g = P.GradedLine.trivial()
+        g = P.GradedLine()
         for _ in range(rng.randint(1, 3)):
             g = g * (P.det_rf_atom(f, SU.random_expr(rng, 2)) ** rng.randint(-2, 2))
         once = P.normalize(g)

@@ -120,6 +120,25 @@ def test_verify_arr_json_format(capsys):
     assert len(doc["steps"]) == 9
 
 
+@pytest.mark.parametrize("argv", [("arr", "--n", "1", "--p", "2"),
+                                  ("arr", "--n", "2", "--p", "3", "--rank", "2"),
+                                  ("base-change", "--n", "1", "--p", "3"),
+                                  ("km", "--n", "2", "--p", "2")],
+                         ids=["arr", "arr-rank-2", "base-change", "km"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_traces_print_tensor_words_without_grades(capsys, tmp_path, argv, fmt):
+    # a form's grade is read off its slot classes, so a trace prints none
+    trace_path = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "verify", *argv, "--format", fmt, "--trace-json", str(trace_path))
+    assert code == EXIT_OK
+    traces = [trace_path.read_text()] + ([] if argv[0] == "km" else [out])
+    trace = parse_trace_json(traces[0])
+    assert trace.verified and revalidate_trace(trace)
+    assert trace.goal_lhs.startswith(("psi^", "g^*(psi^"))
+    for text in traces:
+        assert "grade" not in text
+
+
 def test_verify_mumford_prints_value(capsys):
     code, out, _ = run(capsys, "verify", "mumford", "--n", "3")
     assert code == EXIT_OK
@@ -214,6 +233,11 @@ def test_verify_tau_json_is_the_suite_grid(capsys):
     (("normalize", "det_rf(f, A) det_rf(f, B)"), "trailing input 'det_rf' (at position 13)"),
     (("normalize", "A (x) det_rf(f, B)"), "expected 'det_rf', found 'A' (at position 0)"),
     (("normalize", "det_rf(f, A)", "--n", "-1"), "--n must be >= 0"),
+    # --n gives det_rf's dimension without declarations: with them, or without det_rf, it is unread
+    (("normalize", "det_rf(f, (H0-H1)^3 (x) H)", "--decls", "DECLS", "--n", "7"),
+     "normalize with --decls does not use --n"),
+    (("normalize", "A + B", "--n", "2"), "normalize without det_rf does not use --n"),
+    (("normalize", "A", "--decls", "DECLS", "--n", "0"), "normalize with --decls does not use --n"),
     # with --decls every morphism must be declared
     (("normalize", "det_rf(g, (H0-H1)^3 (x) H)", "--decls", "DECLS"), "undeclared morphism 'g'"),
     # a missing token is named by its kind, and the end of input as such

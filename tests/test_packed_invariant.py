@@ -4,9 +4,9 @@ Det slots hold `Morphism.truncated(e)`: the class of e modulo I^(n+2) keyed by
 the packed monomials of the upstairs context, and grades are read from its
 degree field, each packed monomial named as it is.  Every det argument that
 the chain, the square and the Knudsen-Mumford expansion build is checked here
-against a full Laurent evaluation truncated afterwards, and every grade,
-unpacked here into root monomials, against the old `degrees(high=n+1)`
-filter on that evaluation.
+against a full Laurent evaluation truncated afterwards, and the grade of its
+det atom, unpacked here into root monomials, against the old
+`degrees(high=n+1)` filter on that evaluation.
 """
 
 import pytest
@@ -36,23 +36,17 @@ def _run(kind, n, p, rank):
 
 
 def _record(monkeypatch):
-    """Collect each (morphism, argument) whose invariant, and whose grade, is computed."""
-    invariants, grades = {}, {}
-    truncated, chi_grade = P.Morphism.truncated, P.chi_grade
+    """Collect each (morphism, argument) whose invariant is computed."""
+    invariants = {}
+    truncated = P.Morphism.truncated
 
     def record_truncated(f, e):
         lam = truncated(f, e)
         invariants[(id(f.upstairs), f.name, e)] = (f, e, lam)
         return lam
 
-    def record_grade(f, e):
-        grade = chi_grade(f, e)
-        grades[(id(f.upstairs), f.name, e)] = (f, e, grade)
-        return grade
-
     monkeypatch.setattr(P.Morphism, "truncated", record_truncated)
-    monkeypatch.setattr(P, "chi_grade", record_grade)
-    return invariants, grades
+    return invariants
 
 
 def _chi(f: P.Morphism, texts: dict[str, object]) -> S.SplitClass:
@@ -60,33 +54,26 @@ def _chi(f: P.Morphism, texts: dict[str, object]) -> S.SplitClass:
     return S.SplitClass({((f"chi[{f.name}]({m})", 1),): c for m, c in texts.items()})
 
 
-def _old_grade(f: P.Morphism, e: E.Expr) -> S.SplitClass:
-    """The grade as the root-basis route built it: chi[f](m) over degree <= n of the class."""
-    ctx = f.upstairs
-    low = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
-    return _chi(f, {S.monomial_text(m): c for m, c in low.degrees(high=f.rel_dim + 1).terms.items()})
-
-
 @pytest.mark.parametrize("kind,n,p,rank", CASES)
 def test_packed_invariants_and_grades_match_the_root_basis_route(monkeypatch, kind, n, p, rank):
-    invariants, grades = _record(monkeypatch)
+    invariants = _record(monkeypatch)
     trace = _run(kind, n, p, rank)
     monkeypatch.undo()
     assert trace.verified, trace.failure
-    assert invariants and grades
+    assert invariants
     for f, e, lam in invariants.values():
-        ctx = f.upstairs
+        ctx, pk = f.upstairs, lam.space
         want = S.truncated_filtration(S.eval_expr(e, ctx), ctx.var_aug, f.rel_dim + 2)
         assert lam.space.unpack(lam.terms, ctx.space) == want, E.print_expr(e)
-    for f, e, grade in grades.values():
-        lam = f.truncated(e)
-        pk = lam.space
         low = {m: c for m, c in lam.terms.items() if m >> pk.shift <= f.rel_dim}
-        # unpacked into root monomials, the grade's terms are the old grade's
+        # unpacked into root monomials, the grade's terms are the root-basis route's:
+        # chi[f](m) over degree <= n of the class
         unpacked = _chi(f, {S.monomial_text(x): c for x, c in pk.unpack(low, None).terms.items()})
-        old = _old_grade(f, e)
+        old = _chi(f, {S.monomial_text(m): c
+                       for m, c in want.degrees(high=f.rel_dim + 1).terms.items()})
         assert str(unpacked) == str(old) and unpacked == old, E.print_expr(e)
-        # and the grade names those same terms by their packed monomials
+        # and the det atom's grade names those same terms by their packed monomials
+        grade = P.det_rf_atom(f, e).grade
         named = _chi(f, {pk.text(m): c for m, c in low.items()})
         assert str(grade) == str(named) and grade == named, E.print_expr(e)
 

@@ -35,7 +35,7 @@ def lines(*names):
 # -- tensor and grades ---------------------------------------------------------
 
 def test_tensor_of_trivials_is_trivial():
-    assert (GradedLine.trivial() * GradedLine.trivial()).is_trivial()
+    assert (GradedLine() * GradedLine()).is_trivial()
 
 
 def test_inverse_cancellation(curve):
@@ -190,7 +190,7 @@ def test_reduce_triviality_idempotent(curve):
 def test_normalize_idempotent_random(curve):
     rng = random.Random(41)
     for _ in range(100):
-        g = GradedLine.trivial()
+        g = GradedLine()
         for _ in range(rng.randint(1, 3)):
             g = g * (det_rf_atom(curve, SU.random_expr(rng, 2)) ** rng.randint(-2, 2))
         once = normalize(g)
@@ -239,25 +239,26 @@ def _expand_top_reference(e):
     return [(1, e)]
 
 
-def _chi_grade_reference(f, e):
+def _chi_grade_reference(f, lam):
     """The chi grade built afresh at every call, symbols included."""
-    lam = f.truncated(e)
     pk, top = lam.space, (f.rel_dim + 1) << lam.space.shift
     return SplitClass({((f"chi[{f.name}]({pk.text(m)})", 1),): c
                        for m, c in lam.terms.items() if m < top})
 
 
 def _det_and_pairing_texts(n, exprs, entries):
+    """The normal forms, each with its grade, as `normalize` prints them."""
     t = SU.law_table()
     f = make_morphism("f", n, t)
-    out = []
+    lines = []
     for e in exprs:
         try:
-            out.append(normalize(det_rf_atom(f, e)).render())
+            lines.append(normalize(det_rf_atom(f, e)))
         except E.ExprError as ex:
-            out.append(f"{type(ex).__name__}: {ex}")
-    out += [pairing_to_det(PairingExpr(f, es)).render() for es in entries]
-    return out
+            lines.append(f"{type(ex).__name__}: {ex}")
+    lines += [pairing_to_det(PairingExpr(f, es)) for es in entries]
+    return [line if isinstance(line, str) else f"{line.render()} | grade= {line.grade}"
+            for line in lines]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -302,15 +303,22 @@ def test_a_dropped_normalized_argument_dies_without_the_collector(build):
         gc.enable()
 
 
-def test_a_psi_wrapped_atom_leaves_the_cached_grade_unscaled(curve):
-    e = E.canonicalize(E.Sum((E.Line("A"), E.Bundle("H"))))
-    plain = det_rf_atom(curve, e)
-    grade = S.SplitClass(dict(plain.grade.terms))
-    wrapped = det_rf_atom(curve, e, wrappers=(("psi", 3),))
-    assert wrapped.grade == grade * 3
-    assert plain.grade == grade
-    assert P.chi_grade(curve, e) is plain.grade
-    assert det_rf_atom(curve, e).grade == grade
+def test_a_grade_is_read_off_the_slot_classes_and_wrappers_keep_it(curve):
+    # psi^k, g^* and F_S^* keep ranks: a wrapped line has its argument's grade
+    a = det_rf_atom(curve, E.canonicalize(E.Sum((E.Line("A"), E.Bundle("H")))))
+    b = det_rf_atom(curve, E.Bundle("H0")) ** -2
+    assert str(a.grade) == "4*chi[f](1) + chi[f](A) + chi[f](gamma^1(H))"
+    assert P.psi_line(3, a).grade == a.grade
+    assert P.pull_line("g", a).grade == a.grade
+    assert det_rf_atom(curve, E.Line("A"), (("detpull", "F_S"),)).grade == \
+        det_rf_atom(curve, E.Line("A")).grade
+    for k in (-2, 0, 3):
+        assert (a ** k).grade == a.grade * k
+    assert (a * b).grade == a.grade + b.grade
+    assert (P.psi_line(2, a) * b).grade == a.grade + b.grade
+    # the grade is a function of the slot classes, so equal lines have equal grades
+    assert a == det_rf_atom(curve, E.Sum((E.Bundle("H"), E.Line("A"))))
+    assert a != P.psi_line(3, a)  # another slot
 
 
 # -- powers --------------------------------------------------------------------
@@ -318,11 +326,11 @@ def test_a_psi_wrapped_atom_leaves_the_cached_grade_unscaled(curve):
 def _power_reference(gl, k):
     """gl^k built as the inverse's slots scaled by |k| for k < 0, and rebuilt for k = 1."""
     if k == 0:
-        return GradedLine.trivial()
+        return GradedLine()
     base = gl if k > 0 else gl ** -1
     dets = {slot: (lam * abs(k), tuple((e, x * abs(k)) for e, x in disp))
             for slot, (lam, disp) in base.dets.items()}
-    return GradedLine(dets, base.grade * abs(k))
+    return GradedLine(dets)
 
 
 def test_a_line_to_the_power_one_is_itself(curve):
@@ -331,7 +339,7 @@ def test_a_line_to_the_power_one_is_itself(curve):
         assert gl ** 1 is gl
         for k in (-3, -1, 0, 2, 3):
             got, want = gl ** k, _power_reference(gl, k)
-            assert got.dets == want.dets and got.grade == want.grade, k
+            assert got.dets == want.dets and got.grade == want.grade == gl.grade * k, k
             assert got.render() == want.render()
             assert all(morphism is curve for _, morphism in got.dets), k  # held in the slot
             assert all(all(lam.terms.values()) for lam, _ in got.dets.values())

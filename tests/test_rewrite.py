@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def test_r3_summand_is_trivial_at_n_plus_2_and_not_below():
     assert inserted == E.Tensor((E.Power(diff, geom.n + 2), arg))
     assert all(h for _, h in conds)
     gl = P.det_rf_atom(geom.fp, arg)
-    assert (gl * P.det_rf_atom(geom.fp, inserted)).same_atoms(gl)  # det-trivial summand
+    assert gl * P.det_rf_atom(geom.fp, inserted) == gl  # det-trivial summand
 
 
 @pytest.mark.parametrize("n,p", [(0, 2), (1, 2), (3, 5), (4, 2)])
@@ -76,20 +77,30 @@ def test_r3_rank_condition_reads_the_frobenius_image(n, p):
 
 
 def test_wrapper_move_condition_sees_exponent_and_argument():
-    # psi^2(det_rf[f](L))^8 -> det_rf[f](L)^16 keeps the argument and the grade;
-    # one power more or less, or another argument, does not
+    # psi^2(det_rf[f](L))^8 -> det_rf[f](L)^16 keeps the argument and scales the
+    # class by 2; one power more or less, or another argument, does not
     geom = Geometry(1, 2, {"L": 1, "M": 1})
     before = P.psi_line(2, P.det_rf_atom(geom.f, E.Line("L"))) ** 8
     for arg, exp, holds in [("L", 16, True), ("L", 15, False), ("L", 17, False),
                             ("M", 16, False)]:
-        name, ok = _wrapper_move_condition(before, P.det_rf_atom(geom.f, E.Line(arg)) ** exp)
-        assert name == "argument class and grade unchanged by the wrapper move"
+        after = P.det_rf_atom(geom.f, E.Line(arg)) ** exp
+        name, ok = _wrapper_move_condition(before, after, 2)
+        assert name == "wrapper move keeps the argument and scales the det class by 2"
         assert ok is holds, (arg, exp)
+        # and back, by 1/2
+        name, ok = _wrapper_move_condition(after, before, Fraction(1, 2))
+        assert name == "wrapper move keeps the argument and scales the det class by 1/2"
+        assert ok is holds, (arg, exp)
+    # a move that keeps the power scales by 1
+    after = P.det_rf_atom(geom.f, E.Line("L"), (("detpull", "F_S"),)) ** 8
+    assert _wrapper_move_condition(before, after) == (
+        "wrapper move keeps the argument and scales the det class by 1", True)
+    assert not _wrapper_move_condition(before, after ** 2)[1]
 
 
 def test_step1_wrong_exponent_fails_at_its_own_step(monkeypatch):
-    # step (1) writing det[F_S^* Rf_*](L)^(exp+1): its form is given the left
-    # side's grade, so only the det slot's class can see the exponent
+    # step (1) writing det[F_S^* Rf_*](L)^(exp+1): the det slot's class carries
+    # the exponent, and the move states it is kept
     power = P.GradedLine.power
 
     def one_more_after_step1(gl, k):
@@ -101,7 +112,26 @@ def test_step1_wrong_exponent_fails_at_its_own_step(monkeypatch):
     assert tr.status == "failed"
     assert tr.failed_step == 0
     assert tr.failure == ("side condition failed: "
-                          "argument class and grade unchanged by the wrapper move")
+                          "wrapper move keeps the argument and scales the det class by 1")
+
+
+@pytest.mark.parametrize("step,index,factor", [("(10)", 0, "2"), ("(13)", 3, "1/2")])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_wrong_power_in_the_square_fails_at_its_own_step(monkeypatch, step, index, factor, off):
+    # (10) writes g^*(det_rf[f](L))^(p*m) and (13) psi^p(det_rf[fT](g_L))^m, each off by one
+    power = P.GradedLine.power
+    moved = {"(10)": ((("pull", "g"),), "f"), "(13)": ((("psi", 2),), "fT")}[step]
+
+    def off_by_one(gl, k):
+        hit = any((wrappers, f.name) == moved for wrappers, f in gl.dets)
+        return power(gl, k + off if hit else k)
+
+    monkeypatch.setattr(P.GradedLine, "__pow__", off_by_one)
+    tr = verify_base_change(1, 2)
+    assert tr.status == "failed"
+    assert (tr.failed_step, tr.steps[-1].label) == (index, step)
+    assert tr.failure == ("side condition failed: "
+                          f"wrapper move keeps the argument and scales the det class by {factor}")
 
 
 # -- theorem (I) --------------------------------------------------------------------
@@ -287,7 +317,7 @@ def test_trivial_summand_reduction_is_order_independent():
     b = P.normalize(P.det_rf_atom(geom.fp, E.Sum((t2, core, t1))))
     c = P.normalize(P.det_rf_atom(geom.fp, core))
     assert a == b
-    assert a.same_atoms(c)
+    assert a == c
 
 
 # -- theorem (II) ----------------------------------------------------------------------
@@ -665,17 +695,17 @@ def test_is_prime():
 
 @pytest.mark.parametrize("verify", [lambda: verify_arr_identity(2, 3),
                                     lambda: verify_base_change(1, 2)], ids=["arr", "base-change"])
-def test_a_verdict_renders_each_class_once(monkeypatch, verify):
-    # the forms of a chain share their grade, whose text is kept on the class
+def test_a_verdict_renders_no_class(monkeypatch, verify):
+    # a trace prints tensor words: no grade, and no other class, is rendered
     rendered = []
     render = S.SplitClass.render
 
-    def counting(self, wrap=None):
-        rendered.append(self)  # kept alive, so no two calls share an id by reuse
-        return render(self, wrap)
+    def recording(self, wrap=None):
+        rendered.append(render(self, wrap))
+        return rendered[-1]
 
-    monkeypatch.setattr(S.SplitClass, "render", counting)
+    monkeypatch.setattr(S.SplitClass, "render", recording)
     tr = verify()
     assert tr.verified, tr.failure
-    assert rendered
-    assert len({id(c) for c in rendered}) == len(rendered)
+    assert "| grade=" not in emit_trace(tr, "text")
+    assert rendered == []

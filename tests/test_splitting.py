@@ -369,9 +369,9 @@ def test_binomial_identity_rejects_a_wrong_tilde(monkeypatch, n, p):
 
 def test_str_of_a_class_is_its_render_kept(ctx):
     e = E.canonicalize(E.Sum((E.Line("L"), E.Bundle("E"))))
-    w = binomial_identity_check(2, 3)
+    w, lam = binomial_identity_check(2, 3), packed_eval(e, ctx, 3)
     classes = [SplitClass({(("x", 1),): 2, (): 0}), SplitClass._of({(("x", 2),): -1}, None),
-               packed_eval(e, ctx, 3), P.chi_grade(P.Morphism("f", 1, ctx), e),
+               lam, P.chi_grade(P.Morphism("f", 1, ctx), lam),
                w.quotient, w.remainder, w.lhs, w.divisor, Y ** 1, Y ** 0]
     for c in classes:
         text = str(c)
